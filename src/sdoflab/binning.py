@@ -88,11 +88,8 @@ class WiretapCode:
 
     def lookup(self):
         """Map from codeword integer to ``(w, v)``."""
-        table = {}
-        for w in range(self.num_bins):
-            for v in range(self.bin_size):
-                table[int(self.bins[w, v])] = (w, v)
-        return table
+        return {int(x): divmod(i, self.bin_size)
+                for i, x in enumerate(self.bins.ravel())}
 
 
 def bits_from_int(x, n):
@@ -263,6 +260,30 @@ def normalized_equivocation(code, ch):
     return equivocation_exact(code, ch) / secret_bits
 
 
+def equivocation_table(n_list, delta, rate_total, rate_secret, seeds):
+    """Exact equivocation of a fresh code per block length and code seed.
+
+    Returns ``(n, rows, mean)`` per block length: ``rows`` holds
+    ``(seed, h, normalized)`` per seed and ``mean`` the ``(h, normalized)``
+    seed average.  ``normalized`` and ``mean`` are ``None`` when there
+    is no secret message (``rate_secret = 0``) or, for ``mean``, no seed.
+    """
+    ch = EraseChannel(delta)
+    table = []
+    for n in n_list:
+        rows = []
+        for s in seeds:
+            h = equivocation_exact(build_code(n, rate_total, rate_secret, s), ch)
+            secret_bits = _integral_bits(n, rate_secret, "rate_secret")
+            rows.append((s, h, h / secret_bits if secret_bits else None))
+        mean = None
+        if rows and rows[0][2] is not None:
+            mean = (sum(h for _, h, _ in rows) / len(rows),
+                    sum(x for _, _, x in rows) / len(rows))
+        table.append((n, rows, mean))
+    return table
+
+
 def secrecy_trend(n_list, delta, rate_total, rate_secret, seeds):
     """Mean normalized equivocation per block length.
 
@@ -273,13 +294,5 @@ def secrecy_trend(n_list, delta, rate_total, rate_secret, seeds):
     provided the in-bin randomness rate covers the eavesdropper's
     capacity ``1 - delta``.
     """
-    ch = EraseChannel(delta)
-    out = []
-    for n in n_list:
-        if _integral_bits(n, rate_secret, "rate_secret") == 0:
-            out.append((n, None))
-            continue
-        vals = [normalized_equivocation(build_code(n, rate_total, rate_secret, s), ch)
-                for s in seeds]
-        out.append((n, float(np.mean(vals))))
-    return out
+    return [(n, mean[1] if mean else None) for n, _, mean in
+            equivocation_table(n_list, delta, rate_total, rate_secret, seeds)]

@@ -19,7 +19,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 
 from . import binning, precoders, rates, regions
@@ -41,12 +41,19 @@ def _fail(msg, code):
     return code
 
 
+def _is_number(v):
+    """True for a finite int or float; bools are not numbers here."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
 @dataclass
 class ExperimentConfig:
     """Schema of the ``simulate`` JSON config file (unknown keys rejected).
 
     ``eve_mean``/``eve_var`` set the eavesdropper channel moments; only
-    genericity matters downstream, so they default to (0, 1).
+    genericity matters downstream, so they default to (0, 1).  Every
+    value is checked on construction; bad values raise ``ValueError``.
     """
 
     m1: int
@@ -62,22 +69,42 @@ class ExperimentConfig:
     eve_mean: float = 0.0
     eve_var: float = 1.0
 
-    _OPTIONAL = ("output_path", "eve_mean", "eve_var")
+    def __post_init__(self):
+        def check(ok, name, want):
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {want}, got {getattr(self, name)!r}")
+
+        for name in ("m1", "m2", "n", "ne", "trials", "seed"):
+            check(type(getattr(self, name)) is int, name, "an integer")
+        validate(self.antenna_config())
+        check(self.trials >= 1, "trials", "at least 1")
+        check(self.seed >= 0, "seed", "nonnegative")
+        check(_is_number(self.alpha) and 0 < self.alpha < 1,
+              "alpha", "a number in (0, 1)")
+        check(isinstance(self.eve_counts, list) and all(
+            type(c) is int and 0 <= c <= self.ne for c in self.eve_counts),
+            "eve_counts", f"a list of integers in [0, {self.ne}]")
+        check(isinstance(self.p_grid, list)
+              and all(map(_is_number, self.p_grid)), "p_grid", "a list of numbers")
+        rates._check_grid(self.p_grid)
+        check(isinstance(self.output_path, str), "output_path", "a string")
+        check(_is_number(self.eve_mean), "eve_mean", "a number")
+        check(_is_number(self.eve_var) and self.eve_var > 0,
+              "eve_var", "a positive number")
 
     @classmethod
     def from_dict(cls, data):
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         missing = {f.name for f in fields(cls)
-                   if f.name not in cls._OPTIONAL} - set(data)
+                   if f.default is MISSING} - set(data)
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
-        cfg = cls(**data)
-        if any(b <= a for a, b in zip(cfg.p_grid, cfg.p_grid[1:])):
-            raise ValueError("p_grid must be strictly increasing")
-        return cfg
+        return cls(**data)
 
     def antenna_config(self):
         return AntennaConfig(self.m1, self.m2, self.n, self.ne)
@@ -161,30 +188,22 @@ def cmd_simulate(args):
     try:
         with open(args.config) as fh:
             data = json.load(fh)
+        if isinstance(data, dict):
+            data.update({k: v for k in ("seed", "trials", "alpha")
+                         if (v := getattr(args, k)) is not None})
         exp = ExperimentConfig.from_dict(data)
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
-        return _fail(f"bad config file: {exc}", 1)
-    if args.seed is not None:
-        exp.seed = args.seed
-    if args.trials is not None:
-        exp.trials = args.trials
-    if args.alpha is not None:
-        exp.alpha = args.alpha
+    except ValueError as exc:
+        return _fail(f"bad config: {exc}", 1)
     stem = args.out if args.out else exp.output_path
     jamming = not args.no_jamming
+    cfg = exp.antenna_config()
+    if jamming and validate(cfg) == "degenerate":
+        return _fail(f"invalid experiment: {cfg}: secure DoF is zero", 1)
 
     try:
-        cfg = exp.antenna_config()
-        validate(cfg)
         result = rates.sweep(cfg, exp.alpha, exp.p_grid, exp.trials, exp.seed,
                              eve_counts=exp.eve_counts, jamming=jamming,
                              eve_mean=exp.eve_mean, eve_var=exp.eve_var)
-        delta = rates.leakage_saturation(
-            cfg, exp.alpha, exp.p_grid[0], exp.p_grid[-1], exp.trials,
-            exp.seed, eve_counts=exp.eve_counts, jamming=jamming,
-            eve_mean=exp.eve_mean, eve_var=exp.eve_var)
-    except (InvalidConfig, ValueError) as exc:
-        return _fail(f"invalid experiment: {exc}", 1)
     except (rates.GeometryNotVerified, precoders.PlanMismatch,
             precoders.AlignmentInfeasible) as exc:
         return _fail(f"geometry verification failed: {exc}", 2)
@@ -194,7 +213,7 @@ def cmd_simulate(args):
         "slope": result.curve.slope,
         "ds_theory": float(ds),
         "abs_error": abs(result.curve.slope - float(ds)),
-        "leakage_delta": delta,
+        "leakage_delta": result.leakage_delta,
     }
     with open(f"{stem}.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -206,7 +225,7 @@ def cmd_simulate(args):
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(f"slope {result.curve.slope:.4f} vs theory {_fmt_frac(ds)} "
-          f"(leakage delta {delta:.4f} bits); wrote {stem}.csv, {stem}.json")
+          f"(leakage delta {result.leakage_delta:.4f} bits); wrote {stem}.csv, {stem}.json")
     return 0
 
 
@@ -214,23 +233,8 @@ def cmd_binning(args):
     try:
         n_list = [int(v) for v in args.n_list.split(",") if v]
         seeds = [args.seed + k for k in range(args.num_seeds)]
-        ch = binning.EraseChannel(args.delta)
-        rows = []
-        for n in n_list:
-            per_n = []
-            for s in seeds:
-                code = binning.build_code(n, args.rate_total, args.rate_secret, s)
-                h = binning.equivocation_exact(code, ch)
-                secret_bits = n * args.rate_secret
-                norm = h / secret_bits if secret_bits else ""
-                rows.append([n, s, repr(h),
-                             repr(norm) if norm != "" else ""])
-                if norm != "":
-                    per_n.append((h, norm))
-            if per_n:
-                rows.append([n, "mean",
-                             repr(float(sum(h for h, _ in per_n) / len(per_n))),
-                             repr(float(sum(x for _, x in per_n) / len(per_n)))])
+        table = binning.equivocation_table(n_list, args.delta, args.rate_total,
+                                           args.rate_secret, seeds)
     except (binning.EnumerationBudgetExceeded, binning.CodeTooLarge,
             ValueError) as exc:
         return _fail(f"binning failed: {exc}", 1)
@@ -238,7 +242,11 @@ def cmd_binning(args):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BINNING_CSV_HEADER)
-    writer.writerows(rows)
+    for n, rows, mean in table:
+        for s, h, norm in rows:
+            writer.writerow([n, s, repr(h), "" if norm is None else repr(norm)])
+        if mean is not None:
+            writer.writerow([n, "mean", repr(mean[0]), repr(mean[1])])
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(buf.getvalue())
@@ -295,7 +303,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # unreadable input or unwritable output
+        return _fail(f"file error: {exc}", 1)
 
 
 if __name__ == "__main__":

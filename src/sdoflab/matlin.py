@@ -89,19 +89,6 @@ class Subspace:
     def dim(self):
         return self.basis.shape[1]
 
-    def project(self, x):
-        """Orthogonal projection of the columns of ``x`` onto the subspace."""
-        x = as_matrix(x)
-        return self.basis @ (self.basis.conj().T @ x)
-
-    def distance(self, x):
-        """Largest column-wise residual of ``x`` from the subspace."""
-        x = as_matrix(x)
-        if x.shape[1] == 0:
-            return 0.0
-        r = x - self.project(x)
-        return float(np.linalg.norm(r, axis=0).max())
-
 
 def _rank_from_singvals(s, tol):
     if s.size == 0:

@@ -165,7 +165,7 @@ def build_jamming(plan, h1, h2, seed):
     return out[0], out[1]
 
 
-def build_zero_forcing(h1, h2, v1j, v2j, plan=None):
+def build_zero_forcing(h1, h2, v1j, v2j, plan):
     """Receiver zero-forcing matrix for the given jamming precoders.
 
     The rows form an orthonormal basis of the orthogonal complement of
@@ -176,21 +176,11 @@ def build_zero_forcing(h1, h2, v1j, v2j, plan=None):
     Raises
     ------
     PlanMismatch
-        When ``plan`` is given and the received jamming space does not
-        have dimension ``plan.j_s``.
+        When the received jamming space does not have dimension
+        ``plan.j_s``.
     """
-    h1 = as_matrix(h1)
-    h2 = as_matrix(h2)
-    if plan is not None:
-        ext = plan.extension
-    elif v1j.shape[0]:
-        ext = v1j.shape[0] // h1.shape[1]
-    elif v2j.shape[0]:
-        ext = v2j.shape[0] // h2.shape[1]
-    else:
-        ext = 1
-    h1e = extend_channel(h1, ext)
-    h2e = extend_channel(h2, ext)
+    h1e = extend_channel(h1, plan.extension)
+    h2e = extend_channel(h2, plan.extension)
     image = np.hstack([h1e @ v1j, h2e @ v2j])
     if image.shape[1]:
         # Nullspace jamming leaves an image that is zero up to roundoff,
@@ -203,7 +193,7 @@ def build_zero_forcing(h1, h2, v1j, v2j, plan=None):
     else:
         jam_space = matlin.Subspace(
             h1e.shape[0], np.zeros((h1e.shape[0], 0), dtype=complex))
-    if plan is not None and jam_space.dim != plan.j_s:
+    if jam_space.dim != plan.j_s:
         raise PlanMismatch(
             f"received jamming space has dimension {jam_space.dim}, "
             f"plan says {plan.j_s}")

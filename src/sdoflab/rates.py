@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matlin import as_matrix, logdet_hpd
-from .model import (ChannelRealization, PowerPolicy, canonical, is_degenerate,
+from .model import (ChannelRealization, PowerPolicy, canonical,
                     sample_channels, sample_eves, validate)
 from .precoders import build_precoder_set, build_unjammed_set, extend_channel
 from .regions import jamming_plan
@@ -71,10 +71,12 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-power averages and the secrecy-rate curve of one sweep."""
+    """Per-power averages, the secrecy-rate curve, and the paired leakage
+    growth between the grid endpoints of one sweep."""
 
     points: tuple
     curve: RateCurve
+    leakage_delta: float
 
 
 def fit_slope(p_values, rates):
@@ -181,14 +183,55 @@ def _check_grid(p_grid):
     return p
 
 
-def _trial_setup(cfg, plan, jamming, noise_var, trial_ss):
-    ch_ss, pc_ss, eve_ss = trial_ss.spawn(3)
-    ch = sample_channels(cfg, [], noise_var, ch_ss)
-    if jamming:
-        ps = build_precoder_set(plan, ch.h1, ch.h2, pc_ss)
-    else:
-        ps = build_unjammed_set(ch.h1, ch.h2)
-    return ch, ps, np.random.default_rng(eve_ss)
+def _run_trials(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
+                noise_var, eve_mean, eve_var):
+    """The trial loop behind :func:`sweep` and :func:`leakage_saturation`.
+
+    Each trial builds its legitimate channel and precoder set once and
+    draws fresh eavesdroppers at every power.  The first power's draw is
+    also evaluated at the last power, so ``leakage_delta`` pairs the two
+    grid endpoints on the same eavesdroppers.
+    """
+    cfg = canonical(cfg)
+    plan = jamming_plan(cfg) if jamming else None
+    ext = plan.extension if jamming else 1
+    if eve_counts is None:
+        eve_counts = [cfg.ne] if cfg.ne > 0 else []
+    pols = [PowerPolicy(p=p, alpha=alpha) for p in p_values]
+
+    rate_sum = np.zeros(len(pols))
+    leak_sum = np.zeros(len(pols))
+    lo_sum = np.zeros(len(eve_counts))
+    hi_sum = np.zeros(len(eve_counts))
+    for trial_ss in np.random.SeedSequence(seed).spawn(trials):
+        ch_ss, pc_ss, eve_ss = trial_ss.spawn(3)
+        ch = sample_channels(cfg, [], noise_var, ch_ss)
+        ps = (build_precoder_set(plan, ch.h1, ch.h2, pc_ss) if jamming
+              else build_unjammed_set(ch.h1, ch.h2))
+        eve_rng = np.random.default_rng(eve_ss)
+        for k, pol in enumerate(pols):
+            eves = sample_eves(cfg, eve_counts, eve_rng, slots=ext,
+                               mean=eve_mean, var=eve_var)
+            ch_p = ChannelRealization(ch.h1, ch.h2, eves, noise_var)
+            rate_sum[k] += receiver_rate(ps, ch_p, pol)
+            leaks = [eavesdropper_leakage(ps, ch_p, pol, j)
+                     for j in range(len(eves))]
+            if leaks:
+                leak_sum[k] += max(leaks)
+            if k == 0:
+                lo_sum += leaks
+                hi_sum += [eavesdropper_leakage(ps, ch_p, pols[-1], j)
+                           for j in range(len(eves))]
+
+    rate_mean = rate_sum / trials
+    leak_mean = leak_sum / trials
+    secrecy = rate_mean - leak_mean
+    points = tuple(
+        SweepPoint(p, float(r), float(l), float(s))
+        for p, r, l, s in zip(p_values, rate_mean, leak_mean, secrecy))
+    delta = float(((hi_sum - lo_sum) / trials).max()) if eve_counts else 0.0
+    return SweepResult(points=points, curve=make_curve(p_values, secrecy),
+                       leakage_delta=delta)
 
 
 def sweep(cfg, alpha, p_grid, trials, seed, *,
@@ -200,9 +243,11 @@ def sweep(cfg, alpha, p_grid, trials, seed, *,
     across the sweep; eavesdropper channels are redrawn at every power
     level (time-varying model).  The per-power secrecy surrogate is the
     trial average of ``receiver_rate - max_j leakage_j``; its slope over
-    ``log2 P`` estimates the sum secure DoF.
+    ``log2 P`` estimates the sum secure DoF.  ``leakage_delta`` equals
+    ``leakage_saturation`` between ``p_grid[0]`` and ``p_grid[-1]``.
 
-    Degenerate configurations return a flat all-zero curve with slope 0.
+    With jamming, degenerate configurations return a flat all-zero curve
+    and ``leakage_delta`` 0; the jamming-free control runs as usual.
 
     Parameters
     ----------
@@ -220,43 +265,13 @@ def sweep(cfg, alpha, p_grid, trials, seed, *,
         With ``False``, builds the jamming-free negative control: every
         transmit dimension carries a stream and no zero-forcing is done.
     """
-    cfg = canonical(cfg)
-    validate(cfg)
     p_values = _check_grid(p_grid)
-    if is_degenerate(cfg):
-        points = tuple(SweepPoint(p, 0.0, 0.0, 0.0) for p in p_values)
-        curve = RateCurve(points=tuple((p, 0.0) for p in p_values),
-                          slope=0.0, intercept=0.0)
-        return SweepResult(points=points, curve=curve)
-
-    plan = jamming_plan(cfg) if jamming else None
-    ext = plan.extension if jamming else 1
-    if eve_counts is None:
-        eve_counts = [cfg.ne] if cfg.ne > 0 else []
-
-    rate_sum = np.zeros(len(p_values))
-    leak_sum = np.zeros(len(p_values))
-    root = np.random.SeedSequence(seed)
-    for trial_ss in root.spawn(trials):
-        ch, ps, eve_rng = _trial_setup(cfg, plan, jamming, noise_var, trial_ss)
-        for k, p in enumerate(p_values):
-            pol = PowerPolicy(p=p, alpha=alpha)
-            eves = sample_eves(cfg, eve_counts, eve_rng, slots=ext,
-                               mean=eve_mean, var=eve_var)
-            ch_p = ChannelRealization(ch.h1, ch.h2, eves, noise_var)
-            rate_sum[k] += receiver_rate(ps, ch_p, pol)
-            if eves:
-                leak_sum[k] += max(
-                    eavesdropper_leakage(ps, ch_p, pol, j)
-                    for j in range(len(eves)))
-
-    rate_mean = rate_sum / trials
-    leak_mean = leak_sum / trials
-    secrecy = rate_mean - leak_mean
-    points = tuple(
-        SweepPoint(p, float(r), float(l), float(s))
-        for p, r, l, s in zip(p_values, rate_mean, leak_mean, secrecy))
-    return SweepResult(points=points, curve=make_curve(p_values, secrecy))
+    if validate(cfg) == "degenerate" and jamming:
+        flat = RateCurve(tuple((p, 0.0) for p in p_values), 0.0, 0.0)
+        return SweepResult(tuple(SweepPoint(p, 0.0, 0.0, 0.0) for p in p_values),
+                           flat, leakage_delta=0.0)
+    return _run_trials(cfg, alpha, p_values, trials, seed, eve_counts,
+                       jamming, noise_var, eve_mean, eve_var)
 
 
 def leakage_saturation(cfg, alpha, p_lo, p_hi, trials, seed, *,
@@ -272,24 +287,5 @@ def leakage_saturation(cfg, alpha, p_lo, p_hi, trials, seed, *,
     """
     if p_hi < 100.0 * p_lo:
         raise ValueError("p_hi must be at least 100x p_lo")
-    cfg = canonical(cfg)
-    validate(cfg)
-    if eve_counts is None:
-        eve_counts = [cfg.ne] if cfg.ne > 0 else []
-    if not eve_counts or cfg.ne == 0:
-        return 0.0
-
-    plan = jamming_plan(cfg) if jamming else None
-    ext = plan.extension if jamming else 1
-    lo_sum = np.zeros(len(eve_counts))
-    hi_sum = np.zeros(len(eve_counts))
-    root = np.random.SeedSequence(seed)
-    for trial_ss in root.spawn(trials):
-        ch, ps, eve_rng = _trial_setup(cfg, plan, jamming, noise_var, trial_ss)
-        eves = sample_eves(cfg, eve_counts, eve_rng, slots=ext,
-                           mean=eve_mean, var=eve_var)
-        ch_t = ChannelRealization(ch.h1, ch.h2, eves, noise_var)
-        for j in range(len(eves)):
-            lo_sum[j] += eavesdropper_leakage(ps, ch_t, PowerPolicy(p_lo, alpha), j)
-            hi_sum[j] += eavesdropper_leakage(ps, ch_t, PowerPolicy(p_hi, alpha), j)
-    return float(((hi_sum - lo_sum) / trials).max())
+    return _run_trials(cfg, alpha, [p_lo, p_hi], trials, seed, eve_counts,
+                       jamming, noise_var, eve_mean, eve_var).leakage_delta

@@ -6,8 +6,9 @@ import pytest
 from sdoflab.binning import (CodeTooLarge, DecodeFailure, EnumerationBudgetExceeded,
                              EraseChannel, InvalidMessage, WiretapCode,
                              bits_from_int, build_code, decode_main, encode,
-                             equivocation_exact, int_from_bits,
-                             normalized_equivocation, secrecy_trend)
+                             equivocation_exact, equivocation_table,
+                             int_from_bits, normalized_equivocation,
+                             secrecy_trend)
 
 
 def equivocation_oracle(code, delta):
@@ -195,3 +196,24 @@ class TestSecrecyTrend:
     def test_no_secret_message_entry(self):
         trend = secrecy_trend([4], 0.5, 0.5, 0.0, [0])
         assert trend == [(4, None)]
+
+
+class TestEquivocationTable:
+    def test_rows_and_means(self):
+        ch = EraseChannel(0.5)
+        table = equivocation_table([4, 8], 0.5, 0.75, 0.25, [0, 1, 2])
+        for (n, rows, mean), (tn, trend) in zip(
+                table, secrecy_trend([4, 8], 0.5, 0.75, 0.25, [0, 1, 2])):
+            assert n == tn and [s for s, _, _ in rows] == [0, 1, 2]
+            for s, h, norm in rows:
+                code = build_code(n, 0.75, 0.25, s)
+                assert h == equivocation_exact(code, ch)
+                assert norm == normalized_equivocation(code, ch)
+            assert mean == (sum(r[1] for r in rows) / 3,
+                            sum(r[2] for r in rows) / 3)
+            assert trend == mean[1]
+
+    def test_no_secret_message(self):
+        [(n, rows, mean)] = equivocation_table([4], 0.5, 0.5, 0.0, [0, 1])
+        assert mean is None and all(norm is None for _, _, norm in rows)
+        assert equivocation_table([4], 0.5, 0.75, 0.25, [])[0][2] is None

@@ -1,7 +1,10 @@
 import csv
 import json
 
-from sdoflab import cli
+import pytest
+
+from sdoflab import cli, rates
+from sdoflab.model import AntennaConfig
 
 SMALL_EXPERIMENT = {
     "m1": 2, "m2": 2, "n": 4, "ne": 1,
@@ -119,6 +122,92 @@ class TestSimulate:
         cli.main(["simulate", "--config", str(cfg), "--out", str(b),
                   "--seed", "12"])
         assert open(f"{a}.csv").read() != open(f"{b}.csv").read()
+
+
+BAD_INPUTS = [
+    pytest.param({"trials": 0}, [], id="trials=0"),
+    pytest.param({"trials": -1}, [], id="trials=-1"),
+    pytest.param({"trials": 2.5}, [], id="trials=2.5"),
+    pytest.param({"trials": True}, [], id="trials=true"),
+    pytest.param({"seed": "x"}, [], id="seed=x"),
+    pytest.param({"seed": -1}, [], id="seed=-1"),
+    pytest.param({"eve_counts": "1"}, [], id="eve_counts=str"),
+    pytest.param({"eve_counts": [5]}, [], id="eve_counts=[5]"),
+    pytest.param({"p_grid": 5}, [], id="p_grid=5"),
+    pytest.param({"p_grid": [1e3, "a", 1e5, 1e7]}, [], id="p_grid-str-entry"),
+    pytest.param({"alpha": 1.5}, [], id="alpha=1.5"),
+    pytest.param({}, ["--trials", "0"], id="--trials=0"),
+    pytest.param({}, ["--trials", "-1"], id="--trials=-1"),
+]
+
+
+class TestSimulateBadInput:
+    @pytest.mark.parametrize("overrides,extra", BAD_INPUTS)
+    def test_rejected_with_one_line(self, tmp_path, capsys, overrides, extra):
+        cfg = write_config(tmp_path / "exp.json", **overrides)
+        stem = tmp_path / "bad"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(stem)]
+                        + extra) == 1
+        err = capsys.readouterr().err
+        assert err.strip() and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "bad.csv").exists()
+        assert not (tmp_path / "bad.json").exists()
+
+    def test_override_validated_not_file_value(self, tmp_path):
+        cfg = write_config(tmp_path / "exp.json", trials=0)
+        stem = tmp_path / "ok"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(stem),
+                         "--trials", "2"]) == 0
+
+    def test_non_object_config(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text("[1, 2]")
+        assert cli.main(["simulate", "--config", str(cfg)]) == 1
+        assert "JSON object" in capsys.readouterr().err
+
+
+class TestSimulateDegenerate:
+    DEGENERATE = {"m1": 2, "m2": 2, "n": 3, "ne": 4, "eve_counts": [4]}
+
+    def test_jammed_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.json", **self.DEGENERATE)
+        stem = tmp_path / "deg"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(stem)]) == 1
+        assert "secure DoF is zero" in capsys.readouterr().err
+        assert not (tmp_path / "deg.csv").exists()
+
+    def test_control_runs(self, tmp_path):
+        cfg = write_config(tmp_path / "exp.json", **self.DEGENERATE)
+        stem = tmp_path / "deg"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(stem),
+                         "--no-jamming"]) == 0
+        with open(f"{stem}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert all(float(r[1]) > 0.0 and float(r[2]) > 0.0 for r in rows)
+        summary = json.loads(open(f"{stem}.json").read())
+        assert summary["ds_theory"] == 0.0
+        exp = SMALL_EXPERIMENT
+        assert summary["leakage_delta"] == rates.leakage_saturation(
+            AntennaConfig(2, 2, 3, 4), exp["alpha"], exp["p_grid"][0],
+            exp["p_grid"][-1], exp["trials"], exp["seed"], eve_counts=[4],
+            jamming=False)
+
+
+def test_simulate_builds_each_jammed_trial_once(tmp_path, monkeypatch):
+    calls = []
+    build = rates.build_precoder_set
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(rates, "build_precoder_set", counting)
+    cfg = write_config(tmp_path / "exp.json")
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == SMALL_EXPERIMENT["trials"]
 
 
 class TestBinningCommand:

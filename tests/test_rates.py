@@ -124,6 +124,7 @@ class TestSweep:
         res = sweep(AntennaConfig(2, 2, 3, 4), 0.5, P_GRID, 5, 42)
         assert res.curve.slope == 0.0
         assert all(pt.secrecy == 0.0 for pt in res.points)
+        assert res.leakage_delta == 0.0
 
     def test_deterministic_given_seed(self):
         a = sweep(AntennaConfig(2, 2, 3, 1), 0.5, P_GRID, 3, 7)
@@ -174,3 +175,24 @@ class TestLeakageSaturation:
     def test_ratio_precondition(self):
         with pytest.raises(ValueError):
             leakage_saturation(AntennaConfig(2, 2, 3, 1), 0.5, 1e5, 1e6, 5, 0)
+
+
+class TestTrialEngine:
+    @pytest.mark.parametrize("jamming", [True, False])
+    @pytest.mark.parametrize("eve_counts", [[], [2], [2, 1]])
+    def test_sweep_delta_is_leakage_saturation(self, jamming, eve_counts):
+        cfg = AntennaConfig(3, 1, 2, 2)
+        res = sweep(cfg, 0.5, P_GRID, 3, 5, eve_counts=eve_counts,
+                    jamming=jamming)
+        delta = leakage_saturation(cfg, 0.5, P_GRID[0], P_GRID[-1], 3, 5,
+                                   eve_counts=eve_counts, jamming=jamming)
+        assert res.leakage_delta == delta
+        if not eve_counts:
+            assert delta == 0.0
+
+    def test_degenerate_control_runs(self):
+        cfg = AntennaConfig(2, 2, 3, 4)
+        res = sweep(cfg, 0.5, P_GRID, 3, 5, jamming=False)
+        assert all(pt.rate_rx > 0.0 for pt in res.points)
+        assert res.leakage_delta == leakage_saturation(
+            cfg, 0.5, P_GRID[0], P_GRID[-1], 3, 5, jamming=False)
