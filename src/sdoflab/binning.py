@@ -164,10 +164,10 @@ def decode_main(code, y):
     if y.shape != (code.n,):
         raise DecodeFailure(f"expected {code.n} bits, got shape {y.shape}")
     word = int_from_bits(y)
-    hit = code.lookup().get(word)
-    if hit is None:
+    hit = np.flatnonzero(code.bins.ravel() == word)
+    if hit.size == 0:
         raise DecodeFailure(f"word {word:#0{code.n + 2}b} is not a codeword")
-    return hit
+    return divmod(int(hit[0]), code.bin_size)
 
 
 def equivocation_exact(code, ch):

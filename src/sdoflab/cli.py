@@ -30,6 +30,11 @@ GRID_CSV_HEADER = ["m1", "m2", "n", "ne", "case", "ds_num", "ds_den",
 SIM_CSV_HEADER = ["p", "rate_rx", "leak_max", "secrecy"]
 BINNING_CSV_HEADER = ["n", "seed", "equivocation", "normalized"]
 
+# Upper limits for a simulate config, so that an oversized value is a
+# one-line input error instead of an out-of-memory traceback.
+MAX_ANTENNAS = 32
+MAX_TRIALS = 100_000
+
 
 def _fmt_frac(x):
     x = Fraction(x)
@@ -77,8 +82,12 @@ class ExperimentConfig:
 
         for name in ("m1", "m2", "n", "ne", "trials", "seed"):
             check(type(getattr(self, name)) is int, name, "an integer")
+        for name in ("m1", "m2", "n", "ne"):
+            check(getattr(self, name) <= MAX_ANTENNAS, name,
+                  f"at most {MAX_ANTENNAS}")
         validate(self.antenna_config())
-        check(self.trials >= 1, "trials", "at least 1")
+        check(1 <= self.trials <= MAX_TRIALS, "trials",
+              f"in [1, {MAX_TRIALS}]")
         check(self.seed >= 0, "seed", "nonnegative")
         check(_is_number(self.alpha) and 0 < self.alpha < 1,
               "alpha", "a number in (0, 1)")

@@ -9,9 +9,10 @@ log-determinant of Hermitian positive-definite matrices.
 Conventions
 -----------
 Matrices are plain ``numpy.ndarray`` objects with dtype complex128 and
-exactly two axes.  A :class:`Subspace` is an ambient dimension together
-with a matrix whose orthonormal columns span the space; a subspace of
-dimension zero has a ``(ambient, 0)`` basis.
+exactly two axes; :func:`logdet_hpd` also takes ``(..., d, d)`` stacks.
+A :class:`Subspace` is an ambient dimension together with a matrix
+whose orthonormal columns span the space; a subspace of dimension zero
+has a ``(ambient, 0)`` basis.
 
 Numerical rank uses a *relative* singular-value cutoff: singular values
 below ``tol`` times the largest singular value count as zero.  The
@@ -47,10 +48,14 @@ class NotPositiveDefinite(ValueError):
     """Matrix is not Hermitian positive definite."""
 
 
-def as_matrix(m):
-    """Coerce ``m`` to a 2-D complex128 array, rejecting non-finite entries."""
+def as_matrix(m, stacked=False):
+    """Coerce ``m`` to a 2-D complex128 array, rejecting non-finite entries.
+
+    With ``stacked=True`` any leading axes are kept: ``m`` is a
+    ``(..., rows, cols)`` stack of matrices.
+    """
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stacked and a.ndim > 2):
         raise InvalidMatrix(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.size and not (np.isfinite(a.real).all() and np.isfinite(a.imag).all()):
         raise InvalidMatrix("matrix has non-finite entries")
@@ -196,6 +201,12 @@ def solve_consistent(a, b, tol=1e-8):
     return x
 
 
+def _frobenius(m):
+    """Frobenius norm of each matrix in a stack, without complex temporaries."""
+    return np.sqrt(sum(np.einsum("...ij,...ij->...", x, x)
+                       for x in (m.real, m.imag)))
+
+
 def logdet_hpd(m):
     """Log-determinant (nats) of a Hermitian positive-definite matrix.
 
@@ -203,20 +214,29 @@ def logdet_hpd(m):
     is checked to a relative tolerance of 1e-10; a failed factorization
     (not positive definite) and a non-Hermitian input both raise
     :class:`NotPositiveDefinite`.
+
+    ``m`` may also be a ``(..., d, d)`` stack: every matrix is checked,
+    and the result is an array of shape ``m.shape[:-2]`` whose entries
+    equal the per-matrix results.  A 2-D input gives a float.
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    m = as_matrix(m, stacked=True)
+    if m.shape[-2] != m.shape[-1]:
         raise NotPositiveDefinite("matrix is not square")
-    if m.shape[0] == 0:
-        return 0.0
-    scale = max(1.0, float(np.linalg.norm(m)))
-    if np.linalg.norm(m - m.conj().T) > 1e-10 * scale:
+    if m.shape[-1] == 0:
+        return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
+    skew = m.conj().swapaxes(-2, -1)
+    np.subtract(m, skew, out=skew)
+    skewed = np.any(_frobenius(skew) > 1e-10 * np.maximum(1.0, _frobenius(m)))
+    del skew
+    if skewed:
         raise NotPositiveDefinite("matrix is not Hermitian")
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("matrix is not positive definite") from exc
-    return float(2.0 * np.sum(np.log(np.diag(chol).real)))
+    diag = np.diagonal(chol, axis1=-2, axis2=-1).real
+    out = 2.0 * np.sum(np.log(diag), axis=-1)
+    return float(out) if m.ndim == 2 else out
 
 
 def rank(m, tol=DEFAULT_TOL):

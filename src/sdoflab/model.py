@@ -135,26 +135,40 @@ def _assert_full_rank(h, tol=1e-9):
         raise RuntimeError("sampled channel is numerically rank deficient")
 
 
-def sample_eves(cfg, eve_counts, rng, slots=1, mean=0.0, var=1.0):
+def sample_eves(cfg, eve_counts, rng, slots=1, mean=0.0, var=1.0, draws=None):
     """Draw eavesdropper channel pairs, one per entry of ``eve_counts``.
 
     Each pair is returned already lifted to ``slots`` symbol slots as a
     block-diagonal matrix with an independent draw per slot, which is
     the time-varying eavesdropper model: over an extended block the
     eavesdropper sees a fresh channel every channel use.
+
+    With ``draws=k`` every matrix gains a leading axis of ``k``
+    independent draws, taken from one RNG call.  Draw ``i`` equals what
+    the ``i``-th of ``k`` successive ``draws=None`` calls would return.
     """
-    eves = []
     for nej in eve_counts:
         if not 0 <= nej <= cfg.ne:
             raise InvalidEveCount(
                 f"eavesdropper antenna count {nej} outside [0, {cfg.ne}]")
+    k = 1 if draws is None else draws
+    # Per draw the normals run eavesdropper, transmitter, slot, then the
+    # real and imaginary parts, as in successive complex_gaussian calls.
+    sizes = [2 * nej * mi for nej in eve_counts for mi in (cfg.m1, cfg.m2)]
+    z = rng.standard_normal((k, slots * sum(sizes)))
+    scale = np.sqrt(var / 2.0)
+    eves = []
+    offset = 0
+    for nej in eve_counts:
         pair = []
         for mi in (cfg.m1, cfg.m2):
-            g = np.zeros((slots * nej, slots * mi), dtype=complex)
-            for k in range(slots):
-                g[k * nej:(k + 1) * nej, k * mi:(k + 1) * mi] = \
-                    complex_gaussian(rng, nej, mi, mean, var)
-            pair.append(g)
+            g = np.zeros((k, slots * nej, slots * mi), dtype=complex)
+            for s in range(slots):
+                part = z[:, offset:offset + 2 * nej * mi].reshape(k, 2, nej, mi)
+                offset += 2 * nej * mi
+                g[:, s * nej:(s + 1) * nej, s * mi:(s + 1) * mi] = \
+                    mean + scale * (part[:, 0] + 1j * part[:, 1])
+            pair.append(g if draws is not None else g[0])
         eves.append((pair[0], pair[1]))
     return eves
 
@@ -191,6 +205,6 @@ def sample_channels(cfg, eve_counts, noise_var, seed, *,
     _assert_full_rank(h1)
     _assert_full_rank(h2)
     eves = sample_eves(cfg, eve_counts, rng, slots=slots,
-                       mean=eve_mean, var=eve_var)
+                       mean=eve_mean, var=eve_var) if len(eve_counts) else []
     return ChannelRealization(as_matrix(h1), as_matrix(h2), eves,
                               float(noise_var))

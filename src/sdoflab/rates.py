@@ -22,6 +22,16 @@ per-use budget ``P`` into ``alpha * P`` for jamming (equally across
 jamming columns) and ``(1 - alpha) * P`` for streams (equally across
 streams).  Trials use independently derived seeds, so results do not
 depend on evaluation order.
+
+The trial engine behind :func:`sweep` and :func:`leakage_saturation`
+builds each trial's channels and precoder set alone, then evaluates
+blocks of ``TRIAL_BLOCK`` trials at once: the receiver grams, the
+eavesdropper covariances and their log-dets are stacked over trials,
+powers and draws, and the per-trial results are summed in trial order.
+Only one block is held at a time, so the working set does not grow with
+the number of trials.  :func:`receiver_rate` and
+:func:`eavesdropper_leakage` are the one-trial, one-power reference
+that the engine reproduces bit for bit.
 """
 
 import math
@@ -30,10 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matlin import as_matrix, logdet_hpd
-from .model import (ChannelRealization, PowerPolicy, canonical,
-                    sample_channels, sample_eves, validate)
+from .model import (PowerPolicy, canonical, sample_channels, sample_eves,
+                    validate)
 from .precoders import build_precoder_set, build_unjammed_set, extend_channel
 from .regions import jamming_plan
+
+
+TRIAL_BLOCK = 8  # trials per stacked evaluation; bounds the working set
 
 
 class GeometryNotVerified(RuntimeError):
@@ -98,6 +111,11 @@ def make_curve(p_values, rates):
     return RateCurve(points=points, slope=slope, intercept=intercept)
 
 
+def _require_geometry(ps):
+    if ps.geometry is None or not ps.geometry.passed:
+        raise GeometryNotVerified("run verify_geometry before computing rates")
+
+
 def _legit_power(ps, pol):
     # With no jamming columns the whole budget goes to the streams.
     has_jam = ps.v1j.shape[1] + ps.v2j.shape[1] > 0
@@ -118,8 +136,7 @@ def receiver_rate(ps, ch, pol):
     GeometryNotVerified
         If ``ps`` has no geometry report or the report failed.
     """
-    if ps.geometry is None or not ps.geometry.passed:
-        raise GeometryNotVerified("run verify_geometry before computing rates")
+    _require_geometry(ps)
     ext = ps.extension
     legit_p = _legit_power(ps, pol)
     gram = np.eye(ps.u.shape[0], dtype=complex)
@@ -183,45 +200,172 @@ def _check_grid(p_grid):
     return p
 
 
-def _run_trials(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
-                noise_var, eve_mean, eve_var):
-    """The trial loop behind :func:`sweep` and :func:`leakage_saturation`.
+def _ct(x):
+    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    return x.conj().swapaxes(-2, -1)
+
+
+def _build_block(cfg, plan, ext, seeds, eve_counts, n_pow, noise_var,
+                 eve_mean, eve_var):
+    """Build one block of trials and stack what the rate algebra needs.
+
+    Returns ``(vl, vj, grams, eves)``.  Per transmitter ``i``, ``vl[i]``
+    and ``vj[i]`` stack the trials' legitimate and jamming precoders with
+    an axis for the powers, shape ``(trials, 1, rows, cols)``, and
+    ``grams[i]`` stacks the receiver grams ``W W'`` with
+    ``W = U H_i V_i^L``.  ``eves[j][i]`` stacks eavesdropper ``j``'s
+    draws for every power, shape ``(trials, powers, rows, cols)``.
+    """
+    vl, vj, grams, eves = ([], []), ([], []), ([], []), []
+    for trial_ss in seeds:
+        ch_ss, pc_ss, eve_ss = trial_ss.spawn(3)
+        ch = sample_channels(cfg, [], noise_var, ch_ss)
+        ps = (build_precoder_set(plan, ch.h1, ch.h2, pc_ss)
+              if plan is not None else build_unjammed_set(ch.h1, ch.h2))
+        _require_geometry(ps)
+        for i, (h, v_l, v_j) in enumerate(((ch.h1, ps.v1l, ps.v1j),
+                                           (ch.h2, ps.v2l, ps.v2j))):
+            w = ps.u @ (extend_channel(h, ext) @ v_l)
+            grams[i].append(w @ w.conj().T)
+            vl[i].append(v_l)
+            vj[i].append(v_j)
+        eves.append(sample_eves(cfg, eve_counts,
+                                np.random.default_rng(eve_ss), slots=ext,
+                                mean=eve_mean, var=eve_var, draws=n_pow))
+    return ([np.stack(v)[:, None] for v in vl],
+            [np.stack(v)[:, None] for v in vj],
+            [np.stack(g) for g in grams],
+            [[np.stack([tr[j][i] for tr in eves]) for i in (0, 1)]
+             for j in range(len(eve_counts))])
+
+
+def _block_receiver_rates(vl, grams, ext, legit_p, noise_var):
+    """Receiver rates of a block, shape ``(trials, powers)``.
+
+    The powers only scale each trial's grams.  The arithmetic is
+    :func:`receiver_rate`'s, stacked over trials and powers.
+    """
+    # In place, to hold fewer (trials, powers, d, d) arrays at once.  The
+    # operands and their order are receiver_rate's, so the results are too.
+    gram = np.eye(grams[0].shape[-1], dtype=complex)
+    for v, g in zip(vl, grams):
+        d = v.shape[-1]
+        if d:
+            term = (ext * legit_p / d / noise_var)[:, None, None] * g[:, None]
+            term += gram
+            gram = term
+    gram += _ct(gram)
+    gram *= 0.5
+    return logdet_hpd(gram) / (ext * math.log(2))
+
+
+def _block_leakage(vl, vj, g_pair, draw_of, ext, alpha, p, legit_p,
+                   noise_var):
+    """Leakage of one eavesdropper over a block, shape ``(trials, len(p))``.
+
+    Column ``k`` evaluates draw ``draw_of[k]`` at power ``p[k]``, of
+    which ``legit_p[k]`` goes to the streams.  The arithmetic is
+    :func:`eavesdropper_leakage`'s, stacked over trials and draws.
+    """
+    if any(g.shape[-1] != v.shape[-2] for g, v in zip(g_pair, vl)):
+        raise ValueError("eavesdropper matrices do not match the precoder "
+                         "extension; sample them with slots=extension")
+    lead = g_pair[0].shape[:1] + (len(p), g_pair[0].shape[-2])
+    if lead[-1] == 0:
+        return np.zeros(lead[:-1])
+
+    def images(vs, scale):
+        # hstack of sqrt(scale / cols) * G_i V_i over the transmitters.
+        cols = [np.zeros(lead + (0,), dtype=complex)]
+        for g, v in zip(g_pair, vs):
+            if v.shape[-1]:
+                img = np.take(g @ v, draw_of, axis=1)
+                img *= np.sqrt(scale / v.shape[-1])[:, None, None]
+                cols.append(img)
+        return np.concatenate(cols, axis=-1)
+
+    # In place, so that few (trials, draws, rows, rows) arrays are held
+    # at once.  Each sum keeps eavesdropper_leakage's operands.
+    bj = images(vj, ext * alpha * p)
+    k0 = bj @ _ct(bj)
+    del bj
+    k0 += noise_var * np.eye(lead[-1], dtype=complex)
+    bl = images(vl, ext * legit_p)
+    k1 = bl @ _ct(bl)
+    del bl
+    k1 += k0
+    for k in (k0, k1):
+        k += _ct(k)
+        k *= 0.5
+    ld1 = logdet_hpd(k1)
+    del k1
+    return (ld1 - logdet_hpd(k0)) / (ext * math.log(2))
+
+
+def _block_results(cfg, plan, seeds, alpha, p_all, draw_of, eve_counts,
+                   noise_var, eve_mean, eve_var):
+    """Rates ``(trials, powers)`` and leakage ``(trials, powers + 1, eves)``
+    of one block; its stacked arrays are freed on return."""
+    ext = plan.extension if plan is not None else 1
+    n_pow = len(p_all) - 1
+    vl, vj, grams, eves = _build_block(cfg, plan, ext, seeds, eve_counts,
+                                       n_pow, noise_var, eve_mean, eve_var)
+    has_jam = vj[0].shape[-1] + vj[1].shape[-1] > 0
+    legit_p = (1.0 - alpha) * p_all if has_jam else p_all
+    rates = _block_receiver_rates(vl, grams, ext, legit_p[:n_pow], noise_var)
+    leaks = np.zeros((len(seeds), n_pow + 1, len(eve_counts)))
+    for j, g_pair in enumerate(eves):
+        leaks[:, :, j] = _block_leakage(vl, vj, g_pair, draw_of, ext, alpha,
+                                        p_all, legit_p, noise_var)
+    return rates, leaks
+
+
+def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
+                   noise_var, eve_mean, eve_var):
+    """Per-trial rates and leakage, yielded as ``(rates, leaks)`` in trial order.
 
     Each trial builds its legitimate channel and precoder set once and
-    draws fresh eavesdroppers at every power.  The first power's draw is
-    also evaluated at the last power, so ``leakage_delta`` pairs the two
-    grid endpoints on the same eavesdroppers.
+    draws fresh eavesdroppers for every power in one RNG call.
+    ``rates[k]`` is the receiver rate at ``p_values[k]``; ``leaks[k, j]``
+    is eavesdropper ``j``'s leakage on draw ``k`` at ``p_values[k]``, and
+    the extra last row ``leaks[-1]`` evaluates the first draw at the last
+    power, which pairs the two grid endpoints on the same eavesdroppers.
+    Trials are built one by one and evaluated in blocks of
+    ``TRIAL_BLOCK``.
     """
     cfg = canonical(cfg)
     plan = jamming_plan(cfg) if jamming else None
-    ext = plan.extension if jamming else 1
+    for p in p_values:
+        PowerPolicy(p=p, alpha=alpha)  # raises on a bad power or alpha
+    p_all = np.array(list(p_values) + [p_values[-1]], dtype=float)
+    draw_of = list(range(len(p_values))) + [0]
+
+    root = np.random.SeedSequence(seed)
+    for start in range(0, trials, TRIAL_BLOCK):
+        seeds = root.spawn(min(TRIAL_BLOCK, trials - start))
+        yield from zip(*_block_results(cfg, plan, seeds, alpha, p_all, draw_of,
+                                       eve_counts, noise_var, eve_mean,
+                                       eve_var))
+
+
+def _run_trials(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
+                noise_var, eve_mean, eve_var):
+    """Sum :func:`_trial_results` into a :class:`SweepResult`."""
     if eve_counts is None:
         eve_counts = [cfg.ne] if cfg.ne > 0 else []
-    pols = [PowerPolicy(p=p, alpha=alpha) for p in p_values]
-
-    rate_sum = np.zeros(len(pols))
-    leak_sum = np.zeros(len(pols))
+    n_pow = len(p_values)
+    rate_sum = np.zeros(n_pow)
+    leak_sum = np.zeros(n_pow)
     lo_sum = np.zeros(len(eve_counts))
     hi_sum = np.zeros(len(eve_counts))
-    for trial_ss in np.random.SeedSequence(seed).spawn(trials):
-        ch_ss, pc_ss, eve_ss = trial_ss.spawn(3)
-        ch = sample_channels(cfg, [], noise_var, ch_ss)
-        ps = (build_precoder_set(plan, ch.h1, ch.h2, pc_ss) if jamming
-              else build_unjammed_set(ch.h1, ch.h2))
-        eve_rng = np.random.default_rng(eve_ss)
-        for k, pol in enumerate(pols):
-            eves = sample_eves(cfg, eve_counts, eve_rng, slots=ext,
-                               mean=eve_mean, var=eve_var)
-            ch_p = ChannelRealization(ch.h1, ch.h2, eves, noise_var)
-            rate_sum[k] += receiver_rate(ps, ch_p, pol)
-            leaks = [eavesdropper_leakage(ps, ch_p, pol, j)
-                     for j in range(len(eves))]
-            if leaks:
-                leak_sum[k] += max(leaks)
-            if k == 0:
-                lo_sum += leaks
-                hi_sum += [eavesdropper_leakage(ps, ch_p, pols[-1], j)
-                           for j in range(len(eves))]
+    for rates, leaks in _trial_results(cfg, alpha, p_values, trials, seed,
+                                       eve_counts, jamming, noise_var,
+                                       eve_mean, eve_var):
+        rate_sum += rates
+        if eve_counts:
+            leak_sum += leaks[:n_pow].max(axis=1)
+        lo_sum += leaks[0]
+        hi_sum += leaks[-1]
 
     rate_mean = rate_sum / trials
     leak_mean = leak_sum / trials

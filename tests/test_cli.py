@@ -138,6 +138,11 @@ BAD_INPUTS = [
     pytest.param({"alpha": 1.5}, [], id="alpha=1.5"),
     pytest.param({}, ["--trials", "0"], id="--trials=0"),
     pytest.param({}, ["--trials", "-1"], id="--trials=-1"),
+    pytest.param({"m1": 1000000}, [], id="m1=1e6"),
+    pytest.param({"ne": cli.MAX_ANTENNAS + 1}, [], id="ne-over-limit"),
+    pytest.param({"trials": cli.MAX_TRIALS + 1}, [], id="trials-over-limit"),
+    pytest.param({}, ["--trials", str(cli.MAX_TRIALS + 1)],
+                 id="--trials-over-limit"),
 ]
 
 

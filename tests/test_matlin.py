@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdoflab import matlin
 from sdoflab.matlin import (DimensionMismatch, InconsistentSystem,
@@ -196,6 +198,54 @@ class TestLogdetHpd:
         m = w @ w.conj().T + 1e6 * np.eye(4)
         m = 0.5 * (m + m.conj().T)
         assert np.isfinite(logdet_hpd(m))
+
+
+def hpd_stack(rng, lead, d, scale):
+    """A ``lead + (d, d)`` stack of Hermitian positive-definite matrices."""
+    w = crandn(rng, int(np.prod(lead)) * d, d).reshape(lead + (d, d)) * scale
+    m = w @ w.conj().swapaxes(-2, -1) + np.eye(d)
+    return 0.5 * (m + m.conj().swapaxes(-2, -1))
+
+
+class TestLogdetHpdStack:
+    @settings(max_examples=60, deadline=None)
+    @given(lead=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e4]))
+    def test_stack_equals_per_matrix(self, lead, d, seed, scale):
+        m = hpd_stack(np.random.default_rng(seed), tuple(lead), d, scale)
+        got = logdet_hpd(m)
+        assert got.shape == tuple(lead)
+        for idx in np.ndindex(*lead):
+            assert got[idx] == logdet_hpd(m[idx])
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[1.0, 1.0], [0.0, 1.0]]),   # not Hermitian
+        np.diag([1.0, -1.0]),                 # indefinite
+    ])
+    def test_one_bad_matrix_rejects_stack(self, bad):
+        m = hpd_stack(np.random.default_rng(1), (3, 4), 2, 1.0)
+        m[2, 1] = bad
+        with pytest.raises(NotPositiveDefinite):
+            logdet_hpd(m)
+
+    def test_non_finite_entry_rejected(self):
+        m = hpd_stack(np.random.default_rng(2), (3,), 2, 1.0)
+        m[1, 0, 0] = np.nan
+        with pytest.raises(InvalidMatrix):
+            logdet_hpd(m)
+
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(NotPositiveDefinite):
+            logdet_hpd(np.zeros((3, 2, 1)))
+
+    def test_empty_matrices_give_zeros(self):
+        got = logdet_hpd(np.zeros((5, 0, 0)))
+        assert got.shape == (5,) and not got.any()
+
+    def test_matrix_gives_float(self):
+        assert isinstance(logdet_hpd(np.eye(3)), float)
+        assert logdet_hpd(np.zeros((0, 0))) == 0.0
 
 
 class TestSubspace:

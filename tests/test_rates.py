@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sdoflab.model import (AntennaConfig, ChannelRealization, PowerPolicy,
-                           sample_channels)
+from sdoflab import rates as rates_mod
+from sdoflab.model import (AntennaConfig, ChannelRealization, InvalidEveCount,
+                           PowerPolicy, sample_channels, sample_eves)
 from sdoflab.precoders import GeometryReport, PrecoderSet, build_precoder_set, \
     build_unjammed_set
 from sdoflab.rates import (GeometryNotVerified, RateCurve, eavesdropper_leakage,
@@ -190,9 +192,79 @@ class TestTrialEngine:
         if not eve_counts:
             assert delta == 0.0
 
+    @pytest.mark.parametrize("eve_counts", [[-1], [3], [1, 10**9]])
+    def test_bad_eve_count_rejected(self, eve_counts):
+        with pytest.raises(InvalidEveCount):
+            sweep(AntennaConfig(3, 1, 2, 2), 0.5, P_GRID, 3, 5,
+                  eve_counts=eve_counts)
+
     def test_degenerate_control_runs(self):
         cfg = AntennaConfig(2, 2, 3, 4)
         res = sweep(cfg, 0.5, P_GRID, 3, 5, jamming=False)
         assert all(pt.rate_rx > 0.0 for pt in res.points)
         assert res.leakage_delta == leakage_saturation(
             cfg, 0.5, P_GRID[0], P_GRID[-1], 3, 5, jamming=False)
+
+
+def scalar_trial_results(cfg, p_values, trials, seed, eve_counts, jamming):
+    """The trial engine's per-trial output, rebuilt from the one-trial,
+    one-power reference functions on the same seeded draws."""
+    plan = jamming_plan(cfg) if jamming else None
+    ext = plan.extension if jamming else 1
+    pols = [PowerPolicy(p=p, alpha=0.5) for p in p_values]
+    out = []
+    for trial_ss in np.random.SeedSequence(seed).spawn(trials):
+        ch_ss, pc_ss, eve_ss = trial_ss.spawn(3)
+        ch = sample_channels(cfg, [], 1.0, ch_ss)
+        ps = (build_precoder_set(plan, ch.h1, ch.h2, pc_ss) if jamming
+              else build_unjammed_set(ch.h1, ch.h2))
+        eve_rng = np.random.default_rng(eve_ss)
+        draws = [ChannelRealization(ch.h1, ch.h2,
+                                    sample_eves(cfg, eve_counts, eve_rng,
+                                                slots=ext), 1.0)
+                 for _ in pols]
+        rates = [receiver_rate(ps, c, pol) for c, pol in zip(draws, pols)]
+        leaks = [[eavesdropper_leakage(ps, c, pol, j)
+                  for j in range(len(eve_counts))]
+                 for c, pol in zip(draws + draws[:1], pols + pols[-1:])]
+        out.append((rates, leaks))
+    return out
+
+
+class TestBlockEngineOracle:
+    """The stacked engine equals the scalar reference bit for bit."""
+
+    @pytest.mark.parametrize("jamming", [True, False])
+    @pytest.mark.parametrize("cfg_tuple,eve_counts", [
+        ((3, 1, 2, 2), [0, 1, 2]),   # two-slot extension
+        ((2, 2, 4, 1), [1]),
+    ])
+    def test_equals_scalar_reference(self, cfg_tuple, eve_counts, jamming):
+        cfg = AntennaConfig(*cfg_tuple)
+        trials = rates_mod.TRIAL_BLOCK + 1
+        if jamming and cfg_tuple == (3, 1, 2, 2):
+            assert jamming_plan(cfg).extension == 2
+        got = list(rates_mod._trial_results(cfg, 0.5, P_GRID, trials, 9,
+                                            eve_counts, jamming, 1.0,
+                                            0.0, 1.0))
+        want = scalar_trial_results(cfg, P_GRID, trials, 9, eve_counts,
+                                    jamming)
+        assert len(got) == len(want) == trials
+        for (rates, leaks), (ref_rates, ref_leaks) in zip(got, want):
+            assert rates.tolist() == ref_rates
+            assert leaks.tolist() == ref_leaks
+
+    def test_working_set_independent_of_trials(self):
+        cfg = AntennaConfig(2, 2, 3, 1)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                sweep(cfg, 0.5, P_GRID, trials, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        block = rates_mod.TRIAL_BLOCK
+        peak(1)  # first-call imports and caches are not working set
+        assert peak(10 * block) <= 1.1 * peak(2 * block)
