@@ -16,6 +16,7 @@ conditional entropy of the bin index given the eavesdropper observation
 is feasible up to ``n = 12`` bits.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,9 @@ class EraseChannel:
 
 def _integral_bits(n, rate, what):
     k = n * rate
-    rounded = round(k)
-    if abs(k - rounded) > 1e-9:
+    if not math.isfinite(k) or abs(k - round(k)) > 1e-9:
         raise ValueError(f"n * {what} = {k} is not an integer")
-    return int(rounded)
+    return int(round(k))
 
 
 @dataclass(frozen=True)

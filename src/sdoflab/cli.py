@@ -22,7 +22,9 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 
-from . import binning, precoders, rates, regions
+import numpy as np
+
+from . import binning, matlin, precoders, rates, regions
 from .model import AntennaConfig, InvalidConfig, canonical, validate
 
 GRID_CSV_HEADER = ["m1", "m2", "n", "ne", "case", "ds_num", "ds_den",
@@ -30,10 +32,13 @@ GRID_CSV_HEADER = ["m1", "m2", "n", "ne", "case", "ds_num", "ds_den",
 SIM_CSV_HEADER = ["p", "rate_rx", "leak_max", "secrecy"]
 BINNING_CSV_HEADER = ["n", "seed", "equivocation", "normalized"]
 
-# Upper limits for a simulate config, so that an oversized value is a
-# one-line input error instead of an out-of-memory traceback.
+# Upper limits for a simulate config and for binning, so that an
+# oversized value is a one-line input error instead of an out-of-memory
+# traceback.
 MAX_ANTENNAS = 32
 MAX_TRIALS = 100_000
+MAX_POWERS = 32  # p_grid points; the engine's working set grows with them
+MAX_SEEDS = 1000  # binning --num-seeds
 
 
 def _fmt_frac(x):
@@ -94,10 +99,12 @@ class ExperimentConfig:
         check(isinstance(self.eve_counts, list) and all(
             type(c) is int and 0 <= c <= self.ne for c in self.eve_counts),
             "eve_counts", f"a list of integers in [0, {self.ne}]")
-        check(isinstance(self.p_grid, list)
-              and all(map(_is_number, self.p_grid)), "p_grid", "a list of numbers")
+        check(isinstance(self.p_grid, list) and len(self.p_grid) <= MAX_POWERS
+              and all(map(_is_number, self.p_grid)), "p_grid",
+              f"a list of at most {MAX_POWERS} numbers")
         rates._check_grid(self.p_grid)
-        check(isinstance(self.output_path, str), "output_path", "a string")
+        check(isinstance(self.output_path, str) and "\0" not in self.output_path,
+              "output_path", "a string without NUL characters")
         check(_is_number(self.eve_mean), "eve_mean", "a number")
         check(_is_number(self.eve_var) and self.eve_var > 0,
               "eve_var", "a positive number")
@@ -210,12 +217,19 @@ def cmd_simulate(args):
         return _fail(f"invalid experiment: {cfg}: secure DoF is zero", 1)
 
     try:
-        result = rates.sweep(cfg, exp.alpha, exp.p_grid, exp.trials, exp.seed,
-                             eve_counts=exp.eve_counts, jamming=jamming,
-                             eve_mean=exp.eve_mean, eve_var=exp.eve_var)
+        # Overflow raises here instead of warning, so that extreme powers
+        # or eavesdropper moments end as the one-line error below.
+        with np.errstate(over="raise", invalid="raise"):
+            result = rates.sweep(cfg, exp.alpha, exp.p_grid, exp.trials,
+                                 exp.seed, eve_counts=exp.eve_counts,
+                                 jamming=jamming, eve_mean=exp.eve_mean,
+                                 eve_var=exp.eve_var)
     except (rates.GeometryNotVerified, precoders.PlanMismatch,
             precoders.AlignmentInfeasible) as exc:
         return _fail(f"geometry verification failed: {exc}", 2)
+    except (FloatingPointError, matlin.NotPositiveDefinite) as exc:
+        return _fail(f"bad config: numerical failure in the rate algebra "
+                     f"({exc}); p_grid, eve_mean or eve_var too large", 1)
 
     ds = regions.sum_sdof(cfg)
     summary = {
@@ -239,6 +253,8 @@ def cmd_simulate(args):
 
 
 def cmd_binning(args):
+    if not 0 <= args.num_seeds <= MAX_SEEDS:
+        return _fail(f"binning failed: num-seeds must be in [0, {MAX_SEEDS}]", 1)
     try:
         n_list = [int(v) for v in args.n_list.split(",") if v]
         seeds = [args.seed + k for k in range(args.num_seeds)]

@@ -13,15 +13,17 @@ Given a jamming plan and a channel realization this module synthesizes:
   from the orthogonal complement of each transmitter's jamming columns.
 
 A plan with ``extension == 2`` lifts the constant legitimate channel
-block-diagonally over two symbol slots; the intersection, nullspace and
-complement computations then happen in the lifted space.  Aligned
+block-diagonally over two symbol slots, once, in `build_precoder_set`;
+the sub-builders take the lifted pair, and the intersection, nullspace
+and complement computations happen in the lifted space.  Aligned
 directions are drawn generically from the lifted intersection (a seeded
 unitary mix) so that their per-slot components are not degenerate: a
 slot-pure direction would present rank-deficient jamming to a
 time-varying eavesdropper.
 
 All tolerances are relative.  `verify_geometry` aggregates the
-construction contracts into a machine-checkable report.
+construction contracts into a machine-checkable report and keeps the
+receiver images ``U H_i V_i^L`` that the rate engine reads.
 """
 
 from dataclasses import dataclass, field
@@ -74,7 +76,8 @@ class PrecoderSet:
     Shapes (``e`` the extension factor): ``v_il`` is ``(e*m_i, d_i)``
     with orthonormal columns orthogonal to ``v_ij``; ``v_ij`` is
     ``(e*m_i, jam_i)`` with unit-norm columns; ``u`` is
-    ``(e*n - j_s, e*n)`` with orthonormal rows.
+    ``(e*n - j_s, e*n)`` with orthonormal rows.  :func:`verify_geometry`
+    sets ``geometry`` and the receiver images ``rx_images`` = ``U H_i V_i^L``.
     """
 
     v1l: np.ndarray
@@ -84,6 +87,7 @@ class PrecoderSet:
     u: np.ndarray
     extension: int = 1
     geometry: GeometryReport | None = field(default=None, compare=False)
+    rx_images: tuple | None = field(default=None, compare=False)
 
 
 def extend_channel(h, factor):
@@ -123,9 +127,10 @@ def _aligned_directions(plan, h1e, h2e, rng):
     return space.basis @ mix[:, :a1]
 
 
-def build_jamming(plan, h1, h2, seed):
+def build_jamming(plan, h1e, h2e, seed):
     """Jamming precoders ``(v1j, v2j)`` for a plan on a channel realization.
 
+    ``h1e``/``h2e`` are the channels lifted to ``plan.extension`` slots.
     Columns are laid out in plan-part order per transmitter and
     normalized to unit norm.  Aligned parts share one set of generic
     intersection directions, so both transmitters' aligned columns map
@@ -139,8 +144,6 @@ def build_jamming(plan, h1, h2, seed):
         than the aligned budget (a plan/region mismatch).
     """
     rng = np.random.default_rng(seed)
-    h1e = extend_channel(h1, plan.extension)
-    h2e = extend_channel(h2, plan.extension)
     shared = _aligned_directions(plan, h1e, h2e, rng)
 
     out = []
@@ -165,9 +168,10 @@ def build_jamming(plan, h1, h2, seed):
     return out[0], out[1]
 
 
-def build_zero_forcing(h1, h2, v1j, v2j, plan):
+def build_zero_forcing(h1e, h2e, v1j, v2j, plan):
     """Receiver zero-forcing matrix for the given jamming precoders.
 
+    ``h1e``/``h2e`` are the channels lifted to ``plan.extension`` slots.
     The rows form an orthonormal basis of the orthogonal complement of
     the received jamming space (the union of both transmitters' jamming
     images), so ``u @ (H_i v_ij) = 0``.  With no jamming at the receiver
@@ -179,8 +183,6 @@ def build_zero_forcing(h1, h2, v1j, v2j, plan):
         When the received jamming space does not have dimension
         ``plan.j_s``.
     """
-    h1e = extend_channel(h1, plan.extension)
-    h2e = extend_channel(h2, plan.extension)
     image = np.hstack([h1e @ v1j, h2e @ v2j])
     if image.shape[1]:
         # Nullspace jamming leaves an image that is zero up to roundoff,
@@ -238,8 +240,11 @@ def _columns(v, slices, method):
     return np.hstack(picks)
 
 
-def verify_geometry(ps, h1, h2, plan):
+def verify_geometry(ps, h1e, h2e, plan):
     """Measure the construction residuals and attach a report to ``ps``.
+
+    ``h1e``/``h2e`` are the channels lifted to ``plan.extension`` slots;
+    other column counts raise :class:`PlanMismatch`.
 
     * alignment: per-column difference of the unit-normalized jamming
       images of the two transmitters' aligned parts;
@@ -248,10 +253,10 @@ def verify_geometry(ps, h1, h2, plan):
     * decodability: rank of ``u [H1 v1l | H2 v2l]`` versus ``d1 + d2``.
 
     The report passes when all residuals are within 1e-8 and the rank
-    matches exactly.
+    matches exactly.  The images ``u (H_i v_il)`` go to ``ps.rx_images``.
     """
-    h1e = extend_channel(h1, plan.extension)
-    h2e = extend_channel(h2, plan.extension)
+    if (h1e.shape[1], h2e.shape[1]) != (ps.v1l.shape[0], ps.v2l.shape[0]):
+        raise PlanMismatch("channel columns do not match precoder rows")
     s1 = _part_slices(plan.tx1_parts)
     s2 = _part_slices(plan.tx2_parts)
 
@@ -278,8 +283,8 @@ def verify_geometry(ps, h1, h2, plan):
             zf_res = max(zf_res,
                          float(np.linalg.norm(ps.u @ (he @ v)) / np.linalg.norm(he)))
 
-    legit = np.hstack([h1e @ ps.v1l, h2e @ ps.v2l])
-    decode_rank = matlin.rank(ps.u @ legit, RANK_TOL)
+    images = (ps.u @ (h1e @ ps.v1l), ps.u @ (h2e @ ps.v2l))
+    decode_rank = matlin.rank(np.hstack(images), RANK_TOL)
     expected = plan.d1 + plan.d2
 
     report = GeometryReport(
@@ -292,22 +297,26 @@ def verify_geometry(ps, h1, h2, plan):
                 and zf_res <= ZF_TOL and decode_rank == expected),
     )
     ps.geometry = report
+    ps.rx_images = images
     return report
 
 
 def build_precoder_set(plan, h1, h2, seed):
     """Build jamming, zero-forcing and legitimate precoders, then verify.
 
-    One seeded stream drives all random choices, so the whole set is
+    ``h1``/``h2`` are lifted here, once, for every sub-builder.  One
+    seeded stream drives all random choices, so the whole set is
     deterministic given ``(plan, h1, h2, seed)``.
     """
     rng = np.random.default_rng(seed)
-    v1j, v2j = build_jamming(plan, h1, h2, rng)
-    u = build_zero_forcing(h1, h2, v1j, v2j, plan)
+    h1e = extend_channel(h1, plan.extension)
+    h2e = extend_channel(h2, plan.extension)
+    v1j, v2j = build_jamming(plan, h1e, h2e, rng)
+    u = build_zero_forcing(h1e, h2e, v1j, v2j, plan)
     v1l, v2l = build_legit(plan, v1j, v2j, rng)
     ps = PrecoderSet(v1l=v1l, v2l=v2l, v1j=v1j, v2j=v2j, u=u,
                      extension=plan.extension)
-    verify_geometry(ps, h1, h2, plan)
+    verify_geometry(ps, h1e, h2e, plan)
     return ps
 
 
@@ -331,6 +340,7 @@ def build_unjammed_set(h1, h2):
     )
     decode_rank = matlin.rank(np.hstack([h1, h2]), RANK_TOL)
     ps.geometry = GeometryReport(0.0, 0.0, 0.0, decode_rank, decode_rank, True)
+    ps.rx_images = (h1, h2)  # U (H_i V_i^L) with U, V_i^L identities
     return ps
 
 

@@ -15,7 +15,7 @@ a finite-power surrogate for the achievable secrecy sum rate; the
 random-binning codec (see :mod:`sdoflab.binning`), not this difference,
 carries the formal secrecy argument.
 
-Conventions: noise variance defaults to 1 and only ``P / sigma^2``
+Conventions: the engine's noise variance is 1, so only ``P / sigma^2``
 matters; rates are bits per channel use (log-dets over an extended
 block are divided by the extension factor); each transmitter splits its
 per-use budget ``P`` into ``alpha * P`` for jamming (equally across
@@ -25,9 +25,10 @@ depend on evaluation order.
 
 The trial engine behind :func:`sweep` and :func:`leakage_saturation`
 builds each trial's channels and precoder set alone, then evaluates
-blocks of ``TRIAL_BLOCK`` trials at once: the receiver grams, the
-eavesdropper covariances and their log-dets are stacked over trials,
-powers and draws, and the per-trial results are summed in trial order.
+blocks of ``TRIAL_BLOCK`` trials at once: the receiver grams (of the
+images ``U H_i V_i^L`` kept on the precoder set), the eavesdropper
+covariances and their log-dets are stacked over trials, powers and
+draws, and the per-trial results are summed in trial order.
 Only one block is held at a time, so the working set does not grow with
 the number of trials.  :func:`receiver_rate` and
 :func:`eavesdropper_leakage` are the one-trial, one-power reference
@@ -205,27 +206,26 @@ def _ct(x):
     return x.conj().swapaxes(-2, -1)
 
 
-def _build_block(cfg, plan, ext, seeds, eve_counts, n_pow, noise_var,
-                 eve_mean, eve_var):
+def _build_block(cfg, plan, ext, seeds, eve_counts, n_pow, eve_mean,
+                 eve_var):
     """Build one block of trials and stack what the rate algebra needs.
 
     Returns ``(vl, vj, grams, eves)``.  Per transmitter ``i``, ``vl[i]``
     and ``vj[i]`` stack the trials' legitimate and jamming precoders with
     an axis for the powers, shape ``(trials, 1, rows, cols)``, and
-    ``grams[i]`` stacks the receiver grams ``W W'`` with
-    ``W = U H_i V_i^L``.  ``eves[j][i]`` stacks eavesdropper ``j``'s
-    draws for every power, shape ``(trials, powers, rows, cols)``.
+    ``grams[i]`` stacks the grams ``W W'`` of ``W = ps.rx_images[i]``.
+    ``eves[j][i]`` stacks eavesdropper ``j``'s draws for every power,
+    shape ``(trials, powers, rows, cols)``.
     """
     vl, vj, grams, eves = ([], []), ([], []), ([], []), []
     for trial_ss in seeds:
         ch_ss, pc_ss, eve_ss = trial_ss.spawn(3)
-        ch = sample_channels(cfg, [], noise_var, ch_ss)
+        ch = sample_channels(cfg, [], 1.0, ch_ss)
         ps = (build_precoder_set(plan, ch.h1, ch.h2, pc_ss)
               if plan is not None else build_unjammed_set(ch.h1, ch.h2))
         _require_geometry(ps)
-        for i, (h, v_l, v_j) in enumerate(((ch.h1, ps.v1l, ps.v1j),
-                                           (ch.h2, ps.v2l, ps.v2j))):
-            w = ps.u @ (extend_channel(h, ext) @ v_l)
+        for i, (w, v_l, v_j) in enumerate(zip(ps.rx_images, (ps.v1l, ps.v2l),
+                                              (ps.v1j, ps.v2j))):
             grams[i].append(w @ w.conj().T)
             vl[i].append(v_l)
             vj[i].append(v_j)
@@ -239,7 +239,7 @@ def _build_block(cfg, plan, ext, seeds, eve_counts, n_pow, noise_var,
              for j in range(len(eve_counts))])
 
 
-def _block_receiver_rates(vl, grams, ext, legit_p, noise_var):
+def _block_receiver_rates(vl, grams, ext, legit_p):
     """Receiver rates of a block, shape ``(trials, powers)``.
 
     The powers only scale each trial's grams.  The arithmetic is
@@ -251,7 +251,7 @@ def _block_receiver_rates(vl, grams, ext, legit_p, noise_var):
     for v, g in zip(vl, grams):
         d = v.shape[-1]
         if d:
-            term = (ext * legit_p / d / noise_var)[:, None, None] * g[:, None]
+            term = (ext * legit_p / d)[:, None, None] * g[:, None]
             term += gram
             gram = term
     gram += _ct(gram)
@@ -259,8 +259,7 @@ def _block_receiver_rates(vl, grams, ext, legit_p, noise_var):
     return logdet_hpd(gram) / (ext * math.log(2))
 
 
-def _block_leakage(vl, vj, g_pair, draw_of, ext, alpha, p, legit_p,
-                   noise_var):
+def _block_leakage(vl, vj, g_pair, draw_of, ext, alpha, p, legit_p):
     """Leakage of one eavesdropper over a block, shape ``(trials, len(p))``.
 
     Column ``k`` evaluates draw ``draw_of[k]`` at power ``p[k]``, of
@@ -289,7 +288,7 @@ def _block_leakage(vl, vj, g_pair, draw_of, ext, alpha, p, legit_p,
     bj = images(vj, ext * alpha * p)
     k0 = bj @ _ct(bj)
     del bj
-    k0 += noise_var * np.eye(lead[-1], dtype=complex)
+    k0 += np.eye(lead[-1], dtype=complex)
     bl = images(vl, ext * legit_p)
     k1 = bl @ _ct(bl)
     del bl
@@ -302,26 +301,8 @@ def _block_leakage(vl, vj, g_pair, draw_of, ext, alpha, p, legit_p,
     return (ld1 - logdet_hpd(k0)) / (ext * math.log(2))
 
 
-def _block_results(cfg, plan, seeds, alpha, p_all, draw_of, eve_counts,
-                   noise_var, eve_mean, eve_var):
-    """Rates ``(trials, powers)`` and leakage ``(trials, powers + 1, eves)``
-    of one block; its stacked arrays are freed on return."""
-    ext = plan.extension if plan is not None else 1
-    n_pow = len(p_all) - 1
-    vl, vj, grams, eves = _build_block(cfg, plan, ext, seeds, eve_counts,
-                                       n_pow, noise_var, eve_mean, eve_var)
-    has_jam = vj[0].shape[-1] + vj[1].shape[-1] > 0
-    legit_p = (1.0 - alpha) * p_all if has_jam else p_all
-    rates = _block_receiver_rates(vl, grams, ext, legit_p[:n_pow], noise_var)
-    leaks = np.zeros((len(seeds), n_pow + 1, len(eve_counts)))
-    for j, g_pair in enumerate(eves):
-        leaks[:, :, j] = _block_leakage(vl, vj, g_pair, draw_of, ext, alpha,
-                                        p_all, legit_p, noise_var)
-    return rates, leaks
-
-
 def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
-                   noise_var, eve_mean, eve_var):
+                   eve_mean, eve_var):
     """Per-trial rates and leakage, yielded as ``(rates, leaks)`` in trial order.
 
     Each trial builds its legitimate channel and precoder set once and
@@ -335,6 +316,7 @@ def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
     """
     cfg = canonical(cfg)
     plan = jamming_plan(cfg) if jamming else None
+    ext = plan.extension if jamming else 1
     for p in p_values:
         PowerPolicy(p=p, alpha=alpha)  # raises on a bad power or alpha
     p_all = np.array(list(p_values) + [p_values[-1]], dtype=float)
@@ -343,13 +325,21 @@ def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
     root = np.random.SeedSequence(seed)
     for start in range(0, trials, TRIAL_BLOCK):
         seeds = root.spawn(min(TRIAL_BLOCK, trials - start))
-        yield from zip(*_block_results(cfg, plan, seeds, alpha, p_all, draw_of,
-                                       eve_counts, noise_var, eve_mean,
-                                       eve_var))
+        vl, vj, grams, eves = _build_block(cfg, plan, ext, seeds, eve_counts,
+                                           len(p_values), eve_mean, eve_var)
+        has_jam = vj[0].shape[-1] + vj[1].shape[-1] > 0
+        legit_p = (1.0 - alpha) * p_all if has_jam else p_all
+        rates = _block_receiver_rates(vl, grams, ext, legit_p[:-1])
+        leaks = np.zeros((len(seeds), len(p_all), len(eve_counts)))
+        for j, g_pair in enumerate(eves):
+            leaks[:, :, j] = _block_leakage(vl, vj, g_pair, draw_of, ext,
+                                            alpha, p_all, legit_p)
+        del vl, vj, grams, eves  # hold one block's stacks at a time
+        yield from zip(rates, leaks)
 
 
 def _run_trials(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
-                noise_var, eve_mean, eve_var):
+                eve_mean, eve_var):
     """Sum :func:`_trial_results` into a :class:`SweepResult`."""
     if eve_counts is None:
         eve_counts = [cfg.ne] if cfg.ne > 0 else []
@@ -359,8 +349,7 @@ def _run_trials(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
     lo_sum = np.zeros(len(eve_counts))
     hi_sum = np.zeros(len(eve_counts))
     for rates, leaks in _trial_results(cfg, alpha, p_values, trials, seed,
-                                       eve_counts, jamming, noise_var,
-                                       eve_mean, eve_var):
+                                       eve_counts, jamming, eve_mean, eve_var):
         rate_sum += rates
         if eve_counts:
             leak_sum += leaks[:n_pow].max(axis=1)
@@ -379,8 +368,7 @@ def _run_trials(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
 
 
 def sweep(cfg, alpha, p_grid, trials, seed, *,
-          eve_counts=None, jamming=True, noise_var=1.0,
-          eve_mean=0.0, eve_var=1.0):
+          eve_counts=None, jamming=True, eve_mean=0.0, eve_var=1.0):
     """Monte-Carlo secrecy-rate sweep over a power grid.
 
     For each trial a fresh legitimate channel is drawn and held constant
@@ -415,12 +403,12 @@ def sweep(cfg, alpha, p_grid, trials, seed, *,
         return SweepResult(tuple(SweepPoint(p, 0.0, 0.0, 0.0) for p in p_values),
                            flat, leakage_delta=0.0)
     return _run_trials(cfg, alpha, p_values, trials, seed, eve_counts,
-                       jamming, noise_var, eve_mean, eve_var)
+                       jamming, eve_mean, eve_var)
 
 
 def leakage_saturation(cfg, alpha, p_lo, p_hi, trials, seed, *,
-                       eve_counts=None, jamming=True, noise_var=1.0,
-                       eve_mean=0.0, eve_var=1.0):
+                       eve_counts=None, jamming=True, eve_mean=0.0,
+                       eve_var=1.0):
     """Leakage growth between two power levels, maximized over eavesdroppers.
 
     Returns ``mean leakage(p_hi) - mean leakage(p_lo)`` over ``trials``
@@ -432,4 +420,4 @@ def leakage_saturation(cfg, alpha, p_lo, p_hi, trials, seed, *,
     if p_hi < 100.0 * p_lo:
         raise ValueError("p_hi must be at least 100x p_lo")
     return _run_trials(cfg, alpha, [p_lo, p_hi], trials, seed, eve_counts,
-                       jamming, noise_var, eve_mean, eve_var).leakage_delta
+                       jamming, eve_mean, eve_var).leakage_delta

@@ -9,6 +9,7 @@ import math
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -146,8 +147,8 @@ def test_criterion_7_determinism(tmp_path):
             assert cli.main(["simulate", "--config", str(cfg_path),
                              "--out", str(stem_b)]) == 0
             for ext in (".csv", ".json"):
-                a = open(f"{stem_a}{ext}", "rb").read()
-                b = open(f"{stem_b}{ext}", "rb").read()
+                a = Path(f"{stem_a}{ext}").read_bytes()
+                b = Path(f"{stem_b}{ext}").read_bytes()
                 assert a == b, f"simulate outputs differ in {ext}"
         bin_a, bin_b = tmp_path / "b1.csv", tmp_path / "b2.csv"
         args = ["binning", "--n-list", "4,8", "--num-seeds", "3", "--delta",

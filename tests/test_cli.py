@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -78,7 +79,7 @@ class TestSimulate:
             rows = list(csv.reader(fh))
         assert rows[0] == ["p", "rate_rx", "leak_max", "secrecy"]
         assert len(rows) - 1 == len(SMALL_EXPERIMENT["p_grid"])
-        summary = json.loads(open(f"{stem}.json").read())
+        summary = json.loads(Path(f"{stem}.json").read_text())
         assert set(summary) == {"slope", "ds_theory", "abs_error",
                                 "leakage_delta"}
         assert summary["ds_theory"] == 3.0
@@ -89,8 +90,8 @@ class TestSimulate:
         a, b = tmp_path / "a", tmp_path / "b"
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(a)]) == 0
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(b)]) == 0
-        assert open(f"{a}.csv", "rb").read() == open(f"{b}.csv", "rb").read()
-        assert open(f"{a}.json", "rb").read() == open(f"{b}.json", "rb").read()
+        assert Path(f"{a}.csv").read_bytes() == Path(f"{b}.csv").read_bytes()
+        assert Path(f"{a}.json").read_bytes() == Path(f"{b}.json").read_bytes()
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "exp.json", typo_field=1)
@@ -105,7 +106,7 @@ class TestSimulate:
         stem = tmp_path / "nj"
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(stem),
                          "--no-jamming"]) == 0
-        summary = json.loads(open(f"{stem}.json").read())
+        summary = json.loads(Path(f"{stem}.json").read_text())
         # full-DoF leakage: the delta covers the whole grid span
         assert summary["leakage_delta"] > 5.0
 
@@ -121,7 +122,7 @@ class TestSimulate:
         cli.main(["simulate", "--config", str(cfg), "--out", str(a)])
         cli.main(["simulate", "--config", str(cfg), "--out", str(b),
                   "--seed", "12"])
-        assert open(f"{a}.csv").read() != open(f"{b}.csv").read()
+        assert Path(f"{a}.csv").read_text() != Path(f"{b}.csv").read_text()
 
 
 BAD_INPUTS = [
@@ -143,6 +144,17 @@ BAD_INPUTS = [
     pytest.param({"trials": cli.MAX_TRIALS + 1}, [], id="trials-over-limit"),
     pytest.param({}, ["--trials", str(cli.MAX_TRIALS + 1)],
                  id="--trials-over-limit"),
+    pytest.param({"output_path": "a\u0000b"}, [], id="output_path-nul"),
+    pytest.param({"eve_var": 1e300, "p_grid": [1e3, 1e5, 1e7, 1e9]}, [],
+                 id="eve_var=1e300"),
+    pytest.param({"eve_mean": 1e300}, [], id="eve_mean=1e300"),
+    # numerically singular eavesdropper covariance under the extension
+    pytest.param({"eve_mean": 1e10, "n": 3}, [], id="eve_mean=1e10"),
+    pytest.param({"p_grid": [1e3, 1e100, 1e200, 1.7e308]}, [],
+                 id="p_grid-overflow"),
+    pytest.param({"p_grid": [1e3 * 2.0 ** k
+                             for k in range(cli.MAX_POWERS + 1)]}, [],
+                 id="p_grid-over-limit"),
 ]
 
 
@@ -191,7 +203,7 @@ class TestSimulateDegenerate:
         with open(f"{stem}.csv", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert all(float(r[1]) > 0.0 and float(r[2]) > 0.0 for r in rows)
-        summary = json.loads(open(f"{stem}.json").read())
+        summary = json.loads(Path(f"{stem}.json").read_text())
         assert summary["ds_theory"] == 0.0
         exp = SMALL_EXPERIMENT
         assert summary["leakage_delta"] == rates.leakage_saturation(
@@ -230,20 +242,33 @@ class TestBinningCommand:
         out = tmp_path / "bins.csv"
         assert cli.main(["binning", "--n-list", "4", "--delta", "1.0",
                          "--num-seeds", "2", "--out", str(out)]) == 0
-        rows = list(csv.reader(open(out, newline="")))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert all(float(r[3]) == 1.0 for r in rows[1:])
 
     def test_no_erasure_normalized_zero(self, tmp_path):
         out = tmp_path / "bins.csv"
         assert cli.main(["binning", "--n-list", "4", "--delta", "0.0",
                          "--num-seeds", "2", "--out", str(out)]) == 0
-        rows = list(csv.reader(open(out, newline="")))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert all(float(r[3]) == 0.0 for r in rows[1:])
 
     def test_budget_exceeded(self, capsys):
         # n = 16 builds (block budget) but exceeds the enumeration budget
         assert cli.main(["binning", "--n-list", "16"]) == 1
         assert "binning failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        ["--rate-total", "inf"],
+        ["--rate-secret", "inf"],
+        ["--num-seeds", str(cli.MAX_SEEDS + 1)],
+    ], ids=["rate-total=inf", "rate-secret=inf", "num-seeds-over-limit"])
+    def test_bad_input_one_line(self, tmp_path, capsys, extra):
+        out = tmp_path / "bins.csv"
+        assert cli.main(["binning", "--n-list", "4", "--out", str(out)]
+                        + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("binning failed") and err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

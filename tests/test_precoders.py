@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from sdoflab.model import AntennaConfig, sample_channels, sample_eves
-from sdoflab.precoders import (AlignmentInfeasible, PrecoderSet,
-                               build_jamming, build_legit, build_precoder_set,
-                               build_unjammed_set, build_zero_forcing,
+from sdoflab.precoders import (AlignmentInfeasible, PlanMismatch,
+                               PrecoderSet, build_jamming, build_legit,
+                               build_precoder_set, build_unjammed_set,
+                               build_zero_forcing,
                                extend_channel, jamming_coverage_rank,
                                verify_geometry)
 from sdoflab.regions import (ALIGNED, JammingPart, JammingPlan, jamming_plan)
@@ -20,6 +21,12 @@ def built(cfg_tuple, seed=0):
     ch = sample_channels(cfg, [], 1.0, seed)
     ps = build_precoder_set(plan, ch.h1, ch.h2, seed + 10_000)
     return cfg, plan, ch, ps
+
+
+def lifted(ch, plan):
+    """The legitimate channels lifted to the plan's extension."""
+    return (extend_channel(ch.h1, plan.extension),
+            extend_channel(ch.h2, plan.extension))
 
 
 class TestBuildJamming:
@@ -65,8 +72,9 @@ class TestBuildJamming:
 
     def test_deterministic_given_seed(self):
         _, plan, ch, _ = built((2, 2, 3, 1))
-        a = build_jamming(plan, ch.h1, ch.h2, 5)
-        b = build_jamming(plan, ch.h1, ch.h2, 5)
+        h1e, h2e = lifted(ch, plan)
+        a = build_jamming(plan, h1e, h2e, 5)
+        b = build_jamming(plan, h1e, h2e, 5)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -152,7 +160,7 @@ class TestVerifyGeometry:
         fake /= np.linalg.norm(fake, axis=0)
         broken = PrecoderSet(v1l=ps.v1l, v2l=ps.v2l, v1j=fake, v2j=ps.v2j,
                              u=ps.u, extension=ps.extension)
-        rep = verify_geometry(broken, ch.h1, ch.h2, plan)
+        rep = verify_geometry(broken, *lifted(ch, plan), plan)
         assert rep.alignment_residual > 1e-4
         assert not rep.passed
 
@@ -162,9 +170,22 @@ class TestVerifyGeometry:
         lazy = PrecoderSet(v1l=ps.v1l, v2l=ps.v2l, v1j=ps.v1j, v2j=ps.v2j,
                            u=np.eye(2 * cfg.n, dtype=complex)[:rows],
                            extension=ps.extension)
-        rep = verify_geometry(lazy, ch.h1, ch.h2, plan)
+        rep = verify_geometry(lazy, *lifted(ch, plan), plan)
         assert rep.zf_residual > 1e-4
         assert not rep.passed
+
+    def test_unlifted_channels_rejected(self):
+        cfg, plan, ch, ps = built((2, 2, 3, 1))
+        assert plan.extension == 2
+        with pytest.raises(PlanMismatch):
+            verify_geometry(ps, ch.h1, ch.h2, plan)
+
+    @pytest.mark.parametrize("cfg_tuple", GEOMETRY_CONFIGS)
+    def test_receiver_images_kept(self, cfg_tuple):
+        _, plan, ch, ps = built(cfg_tuple)
+        for w, he, vl in zip(ps.rx_images, lifted(ch, plan),
+                             (ps.v1l, ps.v2l)):
+            assert np.array_equal(w, ps.u @ (he @ vl))
 
 
 class TestEavesdropperCoverage:
@@ -185,6 +206,8 @@ def test_unjammed_set_shapes():
     assert ps.v1l.shape == (2, 2) and ps.v2l.shape == (2, 2)
     assert ps.v1j.shape == (2, 0) and ps.u.shape == (4, 4)
     assert ps.geometry.passed
+    assert all(np.array_equal(w, h)
+               for w, h in zip(ps.rx_images, (ch.h1, ch.h2)))
 
 
 def test_every_construction_shape_up_to_four_antennas():

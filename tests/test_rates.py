@@ -245,8 +245,7 @@ class TestBlockEngineOracle:
         if jamming and cfg_tuple == (3, 1, 2, 2):
             assert jamming_plan(cfg).extension == 2
         got = list(rates_mod._trial_results(cfg, 0.5, P_GRID, trials, 9,
-                                            eve_counts, jamming, 1.0,
-                                            0.0, 1.0))
+                                            eve_counts, jamming, 0.0, 1.0))
         want = scalar_trial_results(cfg, P_GRID, trials, 9, eve_counts,
                                     jamming)
         assert len(got) == len(want) == trials

@@ -2,7 +2,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sdoflab.cli import MAX_ANTENNAS
 from sdoflab.model import AntennaConfig
 from sdoflab.regions import (ALIGNED, NULLSPACE, RANDOM, CaseId,
                              DegenerateConfig, JammingPart, JammingPlan,
@@ -192,4 +195,37 @@ def test_jamming_budget_equals_extension_ne_on_grid():
     for cfg in grid_configs(6):
         plan = jamming_plan(cfg)
         assert plan.total_jam_dims() == plan.extension * cfg.ne
+        assert plan.d1 + plan.d2 == plan.extension * sum_sdof(cfg)
+
+
+@st.composite
+def simulate_configs(draw):
+    """Non-degenerate configs over the whole ``simulate`` antenna range."""
+    m1, m2, n = (draw(st.integers(1, MAX_ANTENNAS)) for _ in range(3))
+    return AntennaConfig(m1, m2, n, draw(st.integers(0, m1 + m2 - 1)))
+
+
+class TestPropertiesUpToSimulateLimit:
+    """The closed form and the plans beyond the grid that grid-verify covers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(simulate_configs())
+    def test_sum_sdof_is_bound_minimum(self, cfg):
+        assert sum_sdof(cfg) == min(upper_bound_terms(cfg))
+
+    @settings(max_examples=200, deadline=None)
+    @given(simulate_configs())
+    def test_invariant_under_transmitter_swap(self, cfg):
+        swapped = AntennaConfig(cfg.m2, cfg.m1, cfg.n, cfg.ne)
+        assert sum_sdof(swapped) == sum_sdof(cfg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(simulate_configs())
+    def test_plan_arithmetic(self, cfg):
+        assert verify_plan_arithmetic(cfg, jamming_plan(cfg))
+
+    @settings(max_examples=200, deadline=None)
+    @given(simulate_configs())
+    def test_streams_fill_extended_sdof(self, cfg):
+        plan = jamming_plan(cfg)
         assert plan.d1 + plan.d2 == plan.extension * sum_sdof(cfg)
