@@ -10,8 +10,8 @@ Four subcommands, all deterministic under a fixed seed:
   experiment config; emits a rate-curve CSV and a JSON summary.
 * ``binning`` - equivocation trend table for the random-binning codec.
 
-Exit codes: 0 success/consistent, 1 invalid input, 2 verification
-failure.
+Exit codes: 0 success/consistent, 1 invalid input (a usage error
+included), 2 verification failure.
 """
 
 import argparse
@@ -39,6 +39,17 @@ MAX_ANTENNAS = 32
 MAX_TRIALS = 100_000
 MAX_POWERS = 32  # p_grid points; the engine's working set grows with them
 MAX_SEEDS = 1000  # binning --num-seeds
+
+
+class UsageError(Exception):
+    """Malformed command line: unknown command, missing or bad argument."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` instead of printing usage and exiting 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _fmt_frac(x):
@@ -282,7 +293,7 @@ def cmd_binning(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sdoflab",
         description="Secure-degrees-of-freedom laboratory for the jammed "
                     "two-transmitter MIMO multiple-access channel")
@@ -327,7 +338,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        return _fail(f"usage error: {exc}", 1)
     try:
         return args.func(args)
     except OSError as exc:  # unreadable input or unwritable output

@@ -10,9 +10,11 @@ Conventions
 -----------
 Matrices are plain ``numpy.ndarray`` objects with dtype complex128 and
 exactly two axes; :func:`logdet_hpd` also takes ``(..., d, d)`` stacks.
-A :class:`Subspace` is an ambient dimension together with a matrix
-whose orthonormal columns span the space; a subspace of dimension zero
-has a ``(ambient, 0)`` basis.
+A subspace is the column space of a matrix.  The subspace primitives
+(:func:`orthonormal_basis`, :func:`nullspace`, :func:`complement`,
+:func:`intersect`) take any finite matrix, check it once with
+:func:`as_matrix`, and return a plain ``(rows, k)`` array whose
+orthonormal columns span the result; an empty subspace has ``k = 0``.
 
 Numerical rank uses a *relative* singular-value cutoff: singular values
 below ``tol`` times the largest singular value count as zero.  The
@@ -23,13 +25,9 @@ All operations are pure functions of their arguments and keep no shared
 state, so they are safe to call concurrently.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_TOL = 1e-9
-
-_ORTHO_TOL = 1e-10  # basis columns must be orthonormal to this accuracy
 
 
 class InvalidMatrix(ValueError):
@@ -62,39 +60,6 @@ def as_matrix(m, stacked=False):
     return a
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A linear subspace given by an orthonormal column basis.
-
-    Attributes
-    ----------
-    ambient : int
-        Dimension of the containing space.
-    basis : ndarray, shape (ambient, dim)
-        Orthonormal columns spanning the subspace.
-    """
-
-    ambient: int
-    basis: np.ndarray
-
-    def __post_init__(self):
-        b = as_matrix(self.basis)
-        object.__setattr__(self, "basis", b)
-        if b.shape[0] != self.ambient:
-            raise DimensionMismatch(
-                f"basis has {b.shape[0]} rows, ambient is {self.ambient}")
-        if b.shape[1] > self.ambient:
-            raise DimensionMismatch("subspace dimension exceeds ambient")
-        if b.shape[1]:
-            gram = b.conj().T @ b
-            if np.abs(gram - np.eye(b.shape[1])).max() > _ORTHO_TOL:
-                raise InvalidMatrix("basis columns are not orthonormal")
-
-    @property
-    def dim(self):
-        return self.basis.shape[1]
-
-
 def _rank_from_singvals(s, tol):
     if s.size == 0:
         return 0
@@ -113,66 +78,65 @@ def orthonormal_basis(m, tol=DEFAULT_TOL):
 
     Returns
     -------
-    Subspace
-        Basis of dimension equal to the numerical rank of ``m``.
+    ndarray, shape (rows, rank)
+        Orthonormal columns, as many as the numerical rank of ``m``.
     """
     m = as_matrix(m)
     if m.shape[0] == 0:
         raise InvalidMatrix("matrix has no rows")
     if m.shape[1] == 0:
-        return Subspace(m.shape[0], np.zeros((m.shape[0], 0), dtype=complex))
+        return np.zeros((m.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    rank = _rank_from_singvals(s, tol)
-    return Subspace(m.shape[0], u[:, :rank])
+    return u[:, :_rank_from_singvals(s, tol)]
 
 
 def nullspace(m, tol=DEFAULT_TOL):
     """Orthonormal basis of the (right) nullspace of ``m``.
 
-    The returned subspace lives in the domain of ``m``; its dimension is
-    ``cols(m) - rank(m)`` and ``m @ basis`` is zero to within
-    ``tol * ||m||``.
+    The basis lives in the domain of ``m``: it has ``cols(m) - rank(m)``
+    columns and ``m @ basis`` is zero to within ``tol * ||m||``.
     """
     m = as_matrix(m)
     if m.size == 0:
         # No constraints: the nullspace is the whole domain.
-        return Subspace(m.shape[1], np.eye(m.shape[1], dtype=complex))
+        return np.eye(m.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    rank = _rank_from_singvals(s, tol)
-    return Subspace(m.shape[1], vh[rank:].conj().T)
+    return vh[_rank_from_singvals(s, tol):].conj().T
 
 
-def complement(s):
-    """Orthogonal complement of a subspace, as a subspace of the same ambient."""
-    if s.dim == 0:
-        return Subspace(s.ambient, np.eye(s.ambient, dtype=complex))
-    u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
-    return Subspace(s.ambient, u[:, s.dim:])
+def complement(m):
+    """Orthonormal basis of the orthogonal complement of the span of ``m``.
+
+    It has ``rows(m) - rank(m)`` columns, the rank taken at
+    ``DEFAULT_TOL``.
+    """
+    m = as_matrix(m)
+    if m.size == 0:
+        return np.eye(m.shape[0], dtype=complex)
+    u, s, _ = np.linalg.svd(m, full_matrices=True)
+    return u[:, _rank_from_singvals(s, DEFAULT_TOL):]
 
 
-def intersect(s1, s2, tol=DEFAULT_TOL):
-    """Intersection of two subspaces of the same ambient space.
+def intersect(m1, m2, tol=DEFAULT_TOL):
+    """Orthonormal basis of the intersection of the spans of ``m1`` and ``m2``.
 
-    Computed via the nullspace of the stacked matrix ``[B1 | -B2]``: a
-    null vector ``(x; y)`` satisfies ``B1 x = B2 y``, which is a point of
-    the intersection.  The result is re-orthonormalized.
+    Both inputs are orthonormalized to ``B1, B2``; a null vector
+    ``(x; y)`` of the stacked matrix ``[B1 | -B2]`` satisfies
+    ``B1 x = B2 y``, which is a point of the intersection.  The result
+    is re-orthonormalized.
 
     Raises
     ------
     DimensionMismatch
-        If the two subspaces have different ambient dimensions.
+        If ``m1`` and ``m2`` have different row counts.
     """
-    if s1.ambient != s2.ambient:
+    b1 = orthonormal_basis(m1, tol)
+    b2 = orthonormal_basis(m2, tol)
+    if b1.shape[0] != b2.shape[0]:
         raise DimensionMismatch(
-            f"ambient dimensions differ: {s1.ambient} vs {s2.ambient}")
-    if s1.dim == 0 or s2.dim == 0:
-        return Subspace(s1.ambient, np.zeros((s1.ambient, 0), dtype=complex))
-    stacked = np.hstack([s1.basis, -s2.basis])
-    coeffs = nullspace(stacked, tol)
-    if coeffs.dim == 0:
-        return Subspace(s1.ambient, np.zeros((s1.ambient, 0), dtype=complex))
-    raw = s1.basis @ coeffs.basis[: s1.dim, :]
-    return orthonormal_basis(raw, tol)
+            f"row counts differ: {b1.shape[0]} vs {b2.shape[0]}")
+    coeffs = nullspace(np.hstack([b1, -b2]), tol)
+    return orthonormal_basis(b1 @ coeffs[: b1.shape[1]], tol)
 
 
 def solve_consistent(a, b, tol=1e-8):

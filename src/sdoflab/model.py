@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matlin import as_matrix
-
 
 class InvalidConfig(ValueError):
     """Antenna configuration violates a structural requirement."""
@@ -117,7 +115,6 @@ class ChannelRealization:
     h1: np.ndarray
     h2: np.ndarray
     eves: list = field(default_factory=list)
-    noise_var: float = 1.0
 
 
 def complex_gaussian(rng, rows, cols, mean=0.0, var=1.0):
@@ -173,7 +170,7 @@ def sample_eves(cfg, eve_counts, rng, slots=1, mean=0.0, var=1.0, draws=None):
     return eves
 
 
-def sample_channels(cfg, eve_counts, noise_var, seed, *,
+def sample_channels(cfg, eve_counts, seed, *,
                     eve_mean=0.0, eve_var=1.0, slots=1):
     """Draw a full channel realization, deterministic given ``seed``.
 
@@ -183,8 +180,6 @@ def sample_channels(cfg, eve_counts, noise_var, seed, *,
     eve_counts : sequence of int
         Antenna count of each eavesdropper; every entry must be at most
         ``cfg.ne``.
-    noise_var : float
-        Receiver (and eavesdropper) noise variance.
     seed : int or numpy seed-like
         Anything accepted by ``numpy.random.default_rng``.
     eve_mean, eve_var : float
@@ -196,8 +191,6 @@ def sample_channels(cfg, eve_counts, noise_var, seed, *,
         channels are returned unextended; the precoder layer lifts them
         block-diagonally as needed).
     """
-    if not noise_var > 0:
-        raise InvalidConfig(f"noise variance must be positive, got {noise_var}")
     validate(cfg)
     rng = np.random.default_rng(seed)
     h1 = complex_gaussian(rng, cfg.n, cfg.m1)
@@ -206,5 +199,4 @@ def sample_channels(cfg, eve_counts, noise_var, seed, *,
     _assert_full_rank(h2)
     eves = sample_eves(cfg, eve_counts, rng, slots=slots,
                        mean=eve_mean, var=eve_var) if len(eve_counts) else []
-    return ChannelRealization(as_matrix(h1), as_matrix(h2), eves,
-                              float(noise_var))
+    return ChannelRealization(h1, h2, eves)

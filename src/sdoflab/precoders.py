@@ -119,12 +119,12 @@ def _aligned_directions(plan, h1e, h2e, rng):
         raise PlanMismatch(f"aligned budgets differ: {a1} vs {a2}")
     if a1 == 0:
         return None
-    space = intersect(orthonormal_basis(h1e), orthonormal_basis(h2e))
-    if space.dim < a1:
+    space = intersect(h1e, h2e)
+    if space.shape[1] < a1:
         raise AlignmentInfeasible(
-            f"intersection has dimension {space.dim}, need {a1}")
-    mix = _random_unitary(space.dim, rng)
-    return space.basis @ mix[:, :a1]
+            f"intersection has dimension {space.shape[1]}, need {a1}")
+    mix = _random_unitary(space.shape[1], rng)
+    return space @ mix[:, :a1]
 
 
 def build_jamming(plan, h1e, h2e, seed):
@@ -156,11 +156,11 @@ def build_jamming(plan, h1e, h2e, seed):
                 cols.append(q[:, :part.dims])
             elif part.method == NULLSPACE:
                 ns = nullspace(he)
-                if ns.dim < part.dims:
+                if ns.shape[1] < part.dims:
                     raise PlanMismatch(
-                        f"channel nullspace has dimension {ns.dim}, "
+                        f"channel nullspace has dimension {ns.shape[1]}, "
                         f"plan wants {part.dims}")
-                mixed = ns.basis @ _random_unitary(ns.dim, rng)
+                mixed = ns @ _random_unitary(ns.shape[1], rng)
                 cols.append(mixed[:, :part.dims])
             else:  # aligned
                 cols.append(solve_consistent(he, shared[:, :part.dims]))
@@ -191,15 +191,12 @@ def build_zero_forcing(h1e, h2e, v1j, v2j, plan):
         u_img, svals, _ = np.linalg.svd(image, full_matrices=False)
         scale = max(np.linalg.norm(h1e, 2), np.linalg.norm(h2e, 2))
         dim = int(np.count_nonzero(svals > matlin.DEFAULT_TOL * scale))
-        jam_space = matlin.Subspace(h1e.shape[0], u_img[:, :dim])
-    else:
-        jam_space = matlin.Subspace(
-            h1e.shape[0], np.zeros((h1e.shape[0], 0), dtype=complex))
-    if jam_space.dim != plan.j_s:
+        image = u_img[:, :dim]
+    if image.shape[1] != plan.j_s:
         raise PlanMismatch(
-            f"received jamming space has dimension {jam_space.dim}, "
+            f"received jamming space has dimension {image.shape[1]}, "
             f"plan says {plan.j_s}")
-    return complement(jam_space).basis.conj().T
+    return complement(image).conj().T
 
 
 def build_legit(plan, v1j, v2j, seed):
@@ -214,11 +211,11 @@ def build_legit(plan, v1j, v2j, seed):
     out = []
     for vj, d in ((v1j, plan.d1), (v2j, plan.d2)):
         comp = complement(orthonormal_basis(vj))
-        if comp.dim < d:
+        if comp.shape[1] < d:
             raise PlanMismatch(
                 f"complement of the jamming span has dimension "
-                f"{comp.dim}, plan wants {d} streams")
-        mixed = comp.basis @ _random_unitary(comp.dim, rng)
+                f"{comp.shape[1]}, plan wants {d} streams")
+        mixed = comp @ _random_unitary(comp.shape[1], rng)
         out.append(mixed[:, :d])
     return out[0], out[1]
 

@@ -15,7 +15,7 @@ a finite-power surrogate for the achievable secrecy sum rate; the
 random-binning codec (see :mod:`sdoflab.binning`), not this difference,
 carries the formal secrecy argument.
 
-Conventions: the engine's noise variance is 1, so only ``P / sigma^2``
+Conventions: the noise variance is 1, so only ``P / sigma^2``
 matters; rates are bits per channel use (log-dets over an extended
 block are divided by the extension factor); each transmitter splits its
 per-use budget ``P`` into ``alpha * P`` for jamming (equally across
@@ -126,8 +126,8 @@ def _legit_power(ps, pol):
 def receiver_rate(ps, ch, pol):
     """Post-zero-forcing sum rate of the legitimate streams, bits per use.
 
-    Computes ``logdet(I + sum_i U H_i V_i^L Q_i V_i^L' H_i' U' / s2)``
-    over the extended block and normalizes by the extension factor.
+    Computes ``logdet(I + sum_i U H_i V_i^L Q_i V_i^L' H_i' U')`` (unit
+    noise) over the extended block and normalizes by the extension factor.
     Per-stream power is the legitimate budget divided equally across the
     transmitter's streams.  Jamming contributes nothing: the zero-forced
     residual is below the geometry tolerance.
@@ -147,7 +147,7 @@ def receiver_rate(ps, ch, pol):
             continue
         he = extend_channel(h, ext)
         w = ps.u @ (he @ vl)
-        gram = gram + (ext * legit_p / d / ch.noise_var) * (w @ w.conj().T)
+        gram = gram + (ext * legit_p / d) * (w @ w.conj().T)
     gram = 0.5 * (gram + gram.conj().T)
     return logdet_hpd(gram) / (ext * math.log(2))
 
@@ -156,7 +156,7 @@ def eavesdropper_leakage(ps, ch, pol, eve_index):
     """Gaussian MI of the legitimate streams at one eavesdropper, bits per use.
 
     The eavesdropper treats the received jamming as noise:
-    ``logdet(I + G_L Q_L G_L' (s2 I + G_J Q_J G_J')^{-1})``, evaluated
+    ``logdet(I + G_L Q_L G_L' (I + G_J Q_J G_J')^{-1})``, evaluated
     as a difference of two log-dets.  The eavesdropper matrices in
     ``ch.eves`` must match the precoder extension (block-diagonal lift
     with one independent block per slot).
@@ -183,7 +183,7 @@ def eavesdropper_leakage(ps, ch, pol, eve_index):
     bl = np.hstack(legit_cols)
     bj = np.hstack(jam_cols)
 
-    k0 = ch.noise_var * np.eye(rows, dtype=complex) + bj @ bj.conj().T
+    k0 = np.eye(rows, dtype=complex) + bj @ bj.conj().T
     k1 = k0 + bl @ bl.conj().T
     k0 = 0.5 * (k0 + k0.conj().T)
     k1 = 0.5 * (k1 + k1.conj().T)
@@ -220,7 +220,7 @@ def _build_block(cfg, plan, ext, seeds, eve_counts, n_pow, eve_mean,
     vl, vj, grams, eves = ([], []), ([], []), ([], []), []
     for trial_ss in seeds:
         ch_ss, pc_ss, eve_ss = trial_ss.spawn(3)
-        ch = sample_channels(cfg, [], 1.0, ch_ss)
+        ch = sample_channels(cfg, [], ch_ss)
         ps = (build_precoder_set(plan, ch.h1, ch.h2, pc_ss)
               if plan is not None else build_unjammed_set(ch.h1, ch.h2))
         _require_geometry(ps)
@@ -341,6 +341,8 @@ def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
 def _run_trials(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
                 eve_mean, eve_var):
     """Sum :func:`_trial_results` into a :class:`SweepResult`."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if eve_counts is None:
         eve_counts = [cfg.ne] if cfg.ne > 0 else []
     n_pow = len(p_values)
@@ -389,6 +391,7 @@ def sweep(cfg, alpha, p_grid, trials, seed, *,
     p_grid : sequence of float
         At least 4 strictly increasing powers spanning >= 4 decades.
     trials : int
+        At least 1, checked before the first trial runs (``ValueError``).
     seed : int
     eve_counts : sequence of int, optional
         Defaults to a single worst-case eavesdropper with ``cfg.ne``

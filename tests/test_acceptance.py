@@ -77,7 +77,7 @@ def test_criterion_3_geometry_suite():
             cfg = AntennaConfig(*cfg_tuple)
             plan = jamming_plan(cfg)
             for seed in range(20):
-                ch = sample_channels(cfg, [], 1.0, seed)
+                ch = sample_channels(cfg, [], seed)
                 ps = build_precoder_set(plan, ch.h1, ch.h2, 1000 + seed)
                 rep = ps.geometry
                 assert rep.alignment_residual <= 1e-8, (cfg_tuple, seed)

@@ -277,3 +277,28 @@ class TestBinningCommand:
         cli.main(["binning", "--n-list", "4,8", "--num-seeds", "2",
                   "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["binning", "--rate-secret", "-inf"],
+        ["simulate"],
+        ["sdof", "1", "2"],
+        ["sdof", "1", "2", "3", "x"],
+        ["bogus"],
+        [],
+        ["grid-verify", "x"],
+        ["grid-verify", "2", "--unknown"],
+    ], ids=lambda argv: "_".join(argv) or "no-command")
+    def test_exit_1_with_one_line(self, capsys, argv):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sdof", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out

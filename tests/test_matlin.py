@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sdoflab import matlin
 from sdoflab.matlin import (DimensionMismatch, InconsistentSystem,
-                            InvalidMatrix, NotPositiveDefinite, Subspace,
-                            complement, intersect, logdet_hpd, nullspace,
+                            InvalidMatrix, NotPositiveDefinite, complement,
+                            intersect, logdet_hpd, nullspace,
                             orthonormal_basis, solve_consistent)
 
 
@@ -17,27 +17,30 @@ def crandn(rng, rows, cols):
             + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
 
 
-def distance(s, x):
-    """Largest column-wise residual of ``x`` from the subspace ``s``."""
-    r = x - s.basis @ (s.basis.conj().T @ x)
+def distance(b, x):
+    """Largest column residual of ``x`` off the orthonormal basis ``b``."""
+    if x.shape[1] == 0:
+        return 0.0
+    r = x - b @ (b.conj().T @ x)
     return float(np.linalg.norm(r, axis=0).max())
 
 
-def span_equal(s1, s2, tol=1e-9):
-    if s1.dim != s2.dim:
+def span_equal(b1, b2, tol=1e-9):
+    """True when the orthonormal bases ``b1`` and ``b2`` span the same space."""
+    if b1.shape != b2.shape:
         return False
-    return distance(s1, s2.basis) <= tol and distance(s2, s1.basis) <= tol
+    return distance(b1, b2) <= tol and distance(b2, b1) <= tol
 
 
 class TestOrthonormalBasis:
     def test_identity_full_rank(self):
         s = orthonormal_basis(np.eye(3), 1e-10)
-        assert s.dim == 3 and s.ambient == 3
+        assert s.shape == (3, 3)
 
     def test_equal_columns_rank_one(self):
         col = np.array([[1.0], [2.0], [3.0]])
         s = orthonormal_basis(np.hstack([col, col]), 1e-10)
-        assert s.dim == 1
+        assert s.shape == (3, 1)
 
     def test_random_wide_matrix_rank(self):
         # independent oracle: count singular values above the cutoff
@@ -46,7 +49,7 @@ class TestOrthonormalBasis:
         svals = np.linalg.svd(m, compute_uv=False)
         expected = int(np.count_nonzero(svals > 1e-9 * svals[0]))
         assert expected == 4
-        assert orthonormal_basis(m).dim == expected
+        assert orthonormal_basis(m).shape[1] == expected
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidMatrix):
@@ -61,37 +64,35 @@ class TestOrthonormalBasis:
 
 class TestNullspace:
     def test_identity_trivial(self):
-        assert nullspace(np.eye(3)).dim == 0
+        assert nullspace(np.eye(3)).shape == (3, 0)
 
     def test_wide_full_row_rank(self):
         rng = np.random.default_rng(11)
         m = crandn(rng, 2, 3)
         s = nullspace(m)
-        assert s.dim == 1
-        assert np.abs(m @ s.basis).max() <= 1e-10 * np.linalg.norm(m)
+        assert s.shape == (3, 1)
+        assert np.abs(m @ s).max() <= 1e-10 * np.linalg.norm(m)
 
     def test_zero_matrix(self):
-        assert nullspace(np.zeros((2, 2))).dim == 2
+        assert nullspace(np.zeros((2, 2))).shape == (2, 2)
 
     def test_rank_nullity_all_shapes(self):
         rng = np.random.default_rng(5)
         for rows in range(1, 9):
             for cols in range(1, 9):
                 m = crandn(rng, rows, cols)
-                assert nullspace(m).dim + matlin.rank(m) == cols
+                assert nullspace(m).shape[1] + matlin.rank(m) == cols
                 # rank-deficient variant via a low-rank product
                 inner = max(1, min(rows, cols) - 1)
                 low = crandn(rng, rows, inner) @ crandn(rng, inner, cols)
-                assert nullspace(low).dim + matlin.rank(low) == cols
+                assert nullspace(low).shape[1] + matlin.rank(low) == cols
 
 
 class TestIntersect:
     def test_coordinate_planes(self):
         e = np.eye(3, dtype=complex)
-        s1 = Subspace(3, e[:, :2])          # span{e1, e2}
-        s2 = Subspace(3, e[:, 1:])          # span{e2, e3}
-        inter = intersect(s1, s2)
-        assert inter.dim == 1
+        inter = intersect(e[:, :2], e[:, 1:])   # span{e1, e2} and span{e2, e3}
+        assert inter.shape == (3, 1)
         assert distance(inter, e[:, 1:2]) <= 1e-10
 
     def test_idempotence(self):
@@ -115,37 +116,88 @@ class TestIntersect:
         for _ in range(100):
             s1 = orthonormal_basis(crandn(rng, n, m1))
             s2 = orthonormal_basis(crandn(rng, n, m2))
-            assert intersect(s1, s2).dim == expected
+            assert intersect(s1, s2).shape[1] == expected
 
     def test_ambient_mismatch(self):
-        s1 = Subspace(2, np.eye(2, dtype=complex))
-        s2 = Subspace(3, np.eye(3, dtype=complex))
+        # the ambient dimension is the row count
         with pytest.raises(DimensionMismatch):
-            intersect(s1, s2)
+            intersect(np.eye(2), np.eye(3))
 
 
 class TestComplement:
     def test_line_in_plane(self):
-        s = Subspace(2, np.array([[1.0], [0.0]], dtype=complex))
-        c = complement(s)
-        assert c.dim == 1
-        assert abs(abs(c.basis[1, 0]) - 1.0) <= 1e-12
+        c = complement(np.array([[1.0], [0.0]], dtype=complex))
+        assert c.shape == (2, 1)
+        assert abs(abs(c[1, 0]) - 1.0) <= 1e-12
 
     def test_full_space(self):
-        assert complement(Subspace(3, np.eye(3, dtype=complex))).dim == 0
+        assert complement(np.eye(3, dtype=complex)).shape == (3, 0)
 
     def test_random_subspace(self):
         rng = np.random.default_rng(21)
         s = orthonormal_basis(crandn(rng, 5, 2))
         c = complement(s)
-        assert c.dim == 3
-        assert np.abs(s.basis.conj().T @ c.basis).max() <= 1e-10
+        assert c.shape == (5, 3)
+        assert np.abs(s.conj().T @ c).max() <= 1e-10
 
     def test_involution(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             s = orthonormal_basis(crandn(rng, 6, 3))
             assert span_equal(complement(complement(s)), s)
+
+
+def low_rank(rng, rows, cols, rank, scale):
+    """A ``rows x cols`` matrix of the given rank with non-orthonormal columns."""
+    return scale * (crandn(rng, rows, rank) @ crandn(rng, rank, cols))
+
+
+class TestSubspaceContract:
+    """The subspace primitives take any finite matrix, not only orthonormal bases."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 8), cols=st.integers(0, 8),
+           rank=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e4]))
+    def test_complement(self, rows, cols, rank, seed, scale):
+        rank = min(rank, rows, cols)
+        m = low_rank(np.random.default_rng(seed), rows, cols, rank, scale)
+        c = complement(m)
+        assert c.shape == (rows, rows - rank)
+        assert np.linalg.norm(c.conj().T @ c - np.eye(rows - rank)) <= 1e-10
+        assert np.linalg.norm(c.conj().T @ m) <= 1e-10 * np.linalg.norm(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 8), cols=st.tuples(st.integers(0, 8),
+                                                  st.integers(0, 8)),
+           ranks=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+           shared=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e4]))
+    def test_intersect(self, rows, cols, ranks, shared, seed, scale):
+        rng = np.random.default_rng(seed)
+        r1 = min(ranks[0], rows, cols[0])
+        r2 = min(ranks[1], rows, cols[1])
+        shared = min(shared, r1, r2)
+        m1 = low_rank(rng, rows, cols[0], r1, scale)
+        # m2 takes `shared` of its directions from the column space of m1
+        basis2 = np.hstack([m1 @ crandn(rng, cols[0], shared),
+                            crandn(rng, rows, r2 - shared)])
+        m2 = basis2 @ crandn(rng, r2, cols[1])
+        inter = intersect(m1, m2)
+        want = r1 + r2 - matlin.rank(np.hstack([m1, m2]))
+        assert inter.shape == (rows, want)
+        assert np.linalg.norm(inter.conj().T @ inter - np.eye(want)) <= 1e-10
+        assert distance(orthonormal_basis(m1), inter) <= 1e-8
+        assert distance(orthonormal_basis(m2), inter) <= 1e-8
+        assert span_equal(inter, intersect(m2, m1), 1e-8)
+
+    @pytest.mark.parametrize("call", [
+        orthonormal_basis, nullspace, complement,
+        lambda m: intersect(m, np.eye(2)), lambda m: intersect(np.eye(2), m),
+    ])
+    def test_non_finite_input_rejected(self, call):
+        with pytest.raises(InvalidMatrix):
+            call(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 class TestSolveConsistent:
@@ -247,12 +299,3 @@ class TestLogdetHpdStack:
         assert isinstance(logdet_hpd(np.eye(3)), float)
         assert logdet_hpd(np.zeros((0, 0))) == 0.0
 
-
-class TestSubspace:
-    def test_rejects_non_orthonormal_basis(self):
-        with pytest.raises(InvalidMatrix):
-            Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_rejects_oversized(self):
-        with pytest.raises(DimensionMismatch):
-            Subspace(1, np.eye(2, dtype=complex))

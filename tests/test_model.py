@@ -43,44 +43,44 @@ class TestPowerPolicy:
 
 class TestSampleChannels:
     def test_shape_contract(self):
-        ch = sample_channels(AntennaConfig(2, 2, 3, 1), [1], 1.0, 7)
+        ch = sample_channels(AntennaConfig(2, 2, 3, 1), [1], 7)
         assert ch.h1.shape == (3, 2) and ch.h2.shape == (3, 2)
         assert len(ch.eves) == 1
         g1, g2 = ch.eves[0]
         assert g1.shape == (1, 2) and g2.shape == (1, 2)
 
     def test_multiple_eavesdroppers(self):
-        ch = sample_channels(AntennaConfig(3, 2, 2, 2), [2, 1], 1.0, 7)
+        ch = sample_channels(AntennaConfig(3, 2, 2, 2), [2, 1], 7)
         assert ch.eves[0][0].shape == (2, 3) and ch.eves[0][1].shape == (2, 2)
         assert ch.eves[1][0].shape == (1, 3) and ch.eves[1][1].shape == (1, 2)
 
     def test_deterministic_given_seed(self):
         cfg = AntennaConfig(2, 2, 3, 1)
-        a = sample_channels(cfg, [1], 1.0, 7)
-        b = sample_channels(cfg, [1], 1.0, 7)
+        a = sample_channels(cfg, [1], 7)
+        b = sample_channels(cfg, [1], 7)
         assert np.array_equal(a.h1, b.h1) and np.array_equal(a.h2, b.h2)
         assert np.array_equal(a.eves[0][0], b.eves[0][0])
 
     def test_different_seeds_differ(self):
         cfg = AntennaConfig(2, 2, 3, 1)
-        a = sample_channels(cfg, [1], 1.0, 7)
-        b = sample_channels(cfg, [1], 1.0, 8)
+        a = sample_channels(cfg, [1], 7)
+        b = sample_channels(cfg, [1], 8)
         assert not np.array_equal(a.h1, b.h1)
 
     def test_full_rank_every_draw(self):
         cfg = AntennaConfig(4, 3, 3, 2)
         for seed in range(25):
-            ch = sample_channels(cfg, [], 1.0, seed)
+            ch = sample_channels(cfg, [], seed)
             for h in (ch.h1, ch.h2):
                 s = np.linalg.svd(h, compute_uv=False)
                 assert s[-1] > 1e-9 * s[0]
 
     def test_eve_count_exceeding_ne(self):
         with pytest.raises(InvalidEveCount):
-            sample_channels(AntennaConfig(2, 2, 3, 1), [2], 1.0, 7)
+            sample_channels(AntennaConfig(2, 2, 3, 1), [2], 7)
 
     def test_unit_variance_entries(self):
-        ch = sample_channels(AntennaConfig(8, 8, 8, 1), [], 1.0, 3)
+        ch = sample_channels(AntennaConfig(8, 8, 8, 1), [], 3)
         pooled = np.concatenate([ch.h1.ravel(), ch.h2.ravel()])
         assert abs(np.mean(np.abs(pooled) ** 2) - 1.0) < 0.2
 

@@ -18,7 +18,7 @@ GEOMETRY_CONFIGS = [(2, 2, 4, 1), (2, 2, 3, 1), (3, 3, 2, 1),
 def built(cfg_tuple, seed=0):
     cfg = AntennaConfig(*cfg_tuple)
     plan = jamming_plan(cfg)
-    ch = sample_channels(cfg, [], 1.0, seed)
+    ch = sample_channels(cfg, [], seed)
     ps = build_precoder_set(plan, ch.h1, ch.h2, seed + 10_000)
     return cfg, plan, ch, ps
 
@@ -62,7 +62,7 @@ class TestBuildJamming:
     def test_alignment_infeasible_budget(self):
         # intersection of two 2-dim spaces in ambient 3 has dimension 1 < 2
         cfg = AntennaConfig(2, 2, 3, 1)
-        ch = sample_channels(cfg, [], 1.0, 3)
+        ch = sample_channels(cfg, [], 3)
         bad = JammingPlan(extension=1,
                           tx1_parts=(JammingPart(ALIGNED, 2),),
                           tx2_parts=(JammingPart(ALIGNED, 2),),
@@ -201,7 +201,7 @@ class TestEavesdropperCoverage:
 
 def test_unjammed_set_shapes():
     cfg = AntennaConfig(2, 2, 4, 1)
-    ch = sample_channels(cfg, [], 1.0, 1)
+    ch = sample_channels(cfg, [], 1)
     ps = build_unjammed_set(ch.h1, ch.h2)
     assert ps.v1l.shape == (2, 2) and ps.v2l.shape == (2, 2)
     assert ps.v1j.shape == (2, 0) and ps.u.shape == (4, 4)
@@ -219,7 +219,7 @@ def test_every_construction_shape_up_to_four_antennas():
                 for ne in range(m1 + m2):
                     cfg = AntennaConfig(m1, m2, n, ne)
                     plan = jamming_plan(cfg)
-                    ch = sample_channels(cfg, [], 1.0, 3)
+                    ch = sample_channels(cfg, [], 3)
                     ps = build_precoder_set(plan, ch.h1, ch.h2, 80)
                     assert ps.geometry.passed, (cfg, ps.geometry.summary())
                     if cfg.ne:

@@ -29,7 +29,7 @@ def scalar_precoder_set():
 
 def scalar_channel(eves=()):
     one = np.ones((1, 1), dtype=complex)
-    return ChannelRealization(one, one, list(eves), 1.0)
+    return ChannelRealization(one, one, list(eves))
 
 
 class TestReceiverRate:
@@ -53,7 +53,7 @@ class TestReceiverRate:
 
     def test_monotone_in_power(self):
         cfg = AntennaConfig(2, 2, 4, 1)
-        ch = sample_channels(cfg, [], 1.0, 4)
+        ch = sample_channels(cfg, [], 4)
         ps = build_precoder_set(jamming_plan(cfg), ch.h1, ch.h2, 5)
         rates = [receiver_rate(ps, ch, PowerPolicy(p=p, alpha=0.5))
                  for p in P_GRID]
@@ -64,7 +64,7 @@ class TestEavesdropperLeakage:
     def test_zero_legitimate_power(self):
         cfg = AntennaConfig(2, 2, 4, 1)
         plan = jamming_plan(cfg)
-        ch = sample_channels(cfg, [1], 1.0, 4)
+        ch = sample_channels(cfg, [1], 4)
         ps = build_precoder_set(plan, ch.h1, ch.h2, 5)
         silent = PrecoderSet(v1l=ps.v1l[:, :0], v2l=ps.v2l[:, :0],
                              v1j=ps.v1j, v2j=ps.v2j, u=ps.u,
@@ -76,7 +76,7 @@ class TestEavesdropperLeakage:
         # negative control: without jamming a single-antenna eavesdropper
         # gains one bit per doubling of power
         cfg = AntennaConfig(1, 1, 1, 1)
-        ch = sample_channels(cfg, [1], 1.0, 8)
+        ch = sample_channels(cfg, [1], 8)
         ps = build_unjammed_set(ch.h1, ch.h2)
         pol_lo, pol_hi = PowerPolicy(p=1e6), PowerPolicy(p=1e8)
         gain = (eavesdropper_leakage(ps, ch, pol_hi, 0)
@@ -85,7 +85,7 @@ class TestEavesdropperLeakage:
 
     def test_extension_mismatch_rejected(self):
         cfg = AntennaConfig(2, 2, 3, 1)
-        ch = sample_channels(cfg, [1], 1.0, 4)  # unextended eavesdropper
+        ch = sample_channels(cfg, [1], 4)  # unextended eavesdropper
         ps = build_precoder_set(jamming_plan(cfg), ch.h1, ch.h2, 5)
         with pytest.raises(ValueError):
             eavesdropper_leakage(ps, ch, PowerPolicy(p=1e3), 0)
@@ -198,6 +198,14 @@ class TestTrialEngine:
             sweep(AntennaConfig(3, 1, 2, 2), 0.5, P_GRID, 3, 5,
                   eve_counts=eve_counts)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_too_few_trials_rejected(self, trials):
+        cfg = AntennaConfig(3, 1, 2, 2)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            sweep(cfg, 0.5, P_GRID, trials, 5)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            leakage_saturation(cfg, 0.5, P_GRID[0], P_GRID[-1], trials, 5)
+
     def test_degenerate_control_runs(self):
         cfg = AntennaConfig(2, 2, 3, 4)
         res = sweep(cfg, 0.5, P_GRID, 3, 5, jamming=False)
@@ -215,13 +223,13 @@ def scalar_trial_results(cfg, p_values, trials, seed, eve_counts, jamming):
     out = []
     for trial_ss in np.random.SeedSequence(seed).spawn(trials):
         ch_ss, pc_ss, eve_ss = trial_ss.spawn(3)
-        ch = sample_channels(cfg, [], 1.0, ch_ss)
+        ch = sample_channels(cfg, [], ch_ss)
         ps = (build_precoder_set(plan, ch.h1, ch.h2, pc_ss) if jamming
               else build_unjammed_set(ch.h1, ch.h2))
         eve_rng = np.random.default_rng(eve_ss)
         draws = [ChannelRealization(ch.h1, ch.h2,
                                     sample_eves(cfg, eve_counts, eve_rng,
-                                                slots=ext), 1.0)
+                                                slots=ext))
                  for _ in pols]
         rates = [receiver_rate(ps, c, pol) for c, pol in zip(draws, pols)]
         leaks = [[eavesdropper_leakage(ps, c, pol, j)
