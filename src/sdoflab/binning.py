@@ -118,8 +118,15 @@ def build_code(n, rate_total, rate_secret, seed):
         If the codebook cannot be distinct (``rate_total > 1``) or the
         block length exceeds the construction budget.
     ValueError
-        If ``n * rate`` is not an integer or ``rate_secret > rate_total``.
+        If ``n < 1``, a rate is negative, ``n * rate`` is not an integer
+        or ``rate_secret > rate_total``.
     """
+    if n < 1:
+        raise ValueError(f"block length must be at least 1, got {n}")
+    for name, rate in (("rate_total", rate_total),
+                       ("rate_secret", rate_secret)):
+        if rate < 0:
+            raise ValueError(f"{name} must be nonnegative, got {rate}")
     k_total = _integral_bits(n, rate_total, "rate_total")
     k_secret = _integral_bits(n, rate_secret, "rate_secret")
     if k_secret > k_total:
@@ -283,16 +290,3 @@ def equivocation_table(n_list, delta, rate_total, rate_secret, seeds):
         table.append((n, rows, mean))
     return table
 
-
-def secrecy_trend(n_list, delta, rate_total, rate_secret, seeds):
-    """Mean normalized equivocation per block length.
-
-    Returns a list of ``(n, mean)`` pairs averaged over fresh codes
-    built from ``seeds``; the value is ``None`` when the code carries no
-    secret message (``rate_secret = 0``).  Exhibits the convergence of
-    the normalized equivocation toward 1 as the block length grows,
-    provided the in-bin randomness rate covers the eavesdropper's
-    capacity ``1 - delta``.
-    """
-    return [(n, mean[1] if mean else None) for n, _, mean in
-            equivocation_table(n_list, delta, rate_total, rate_secret, seeds)]

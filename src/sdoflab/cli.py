@@ -16,6 +16,7 @@ included), 2 verification failure.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -292,7 +293,10 @@ def cmd_binning(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process and reused by every
+    :func:`main` call (parsing leaves no state on it)."""
     parser = _Parser(
         prog="sdoflab",
         description="Secure-degrees-of-freedom laboratory for the jammed "

@@ -4,9 +4,9 @@ The network has two transmitters with ``m1`` and ``m2`` antennas, one
 legitimate receiver with ``n`` antennas, and any number of passive
 eavesdroppers with at most ``ne`` antennas each.  Legitimate channels
 are held constant for the duration of an experiment trial; eavesdropper
-channels are time varying and get redrawn for every Monte-Carlo sample
-(and, under a time extension, independently for every symbol slot of
-the extended block).
+channels are time varying: each Monte-Carlo trial draws them afresh,
+independently for every symbol slot of an extended block, and a power
+sweep evaluates that one draw at every power.
 
 All entries are i.i.d. circularly-symmetric complex Gaussian, so every
 sampled channel is full rank with probability one; this is asserted on
@@ -132,40 +132,36 @@ def _assert_full_rank(h, tol=1e-9):
         raise RuntimeError("sampled channel is numerically rank deficient")
 
 
-def sample_eves(cfg, eve_counts, rng, slots=1, mean=0.0, var=1.0, draws=None):
+def sample_eves(cfg, eve_counts, rng, slots=1, mean=0.0, var=1.0):
     """Draw eavesdropper channel pairs, one per entry of ``eve_counts``.
 
     Each pair is returned already lifted to ``slots`` symbol slots as a
     block-diagonal matrix with an independent draw per slot, which is
     the time-varying eavesdropper model: over an extended block the
-    eavesdropper sees a fresh channel every channel use.
-
-    With ``draws=k`` every matrix gains a leading axis of ``k``
-    independent draws, taken from one RNG call.  Draw ``i`` equals what
-    the ``i``-th of ``k`` successive ``draws=None`` calls would return.
+    eavesdropper sees a fresh channel every channel use.  All entries
+    come from one RNG call.
     """
     for nej in eve_counts:
         if not 0 <= nej <= cfg.ne:
             raise InvalidEveCount(
                 f"eavesdropper antenna count {nej} outside [0, {cfg.ne}]")
-    k = 1 if draws is None else draws
-    # Per draw the normals run eavesdropper, transmitter, slot, then the
-    # real and imaginary parts, as in successive complex_gaussian calls.
+    # The normals run eavesdropper, transmitter, slot, then the real and
+    # imaginary parts, as in successive complex_gaussian calls.
     sizes = [2 * nej * mi for nej in eve_counts for mi in (cfg.m1, cfg.m2)]
-    z = rng.standard_normal((k, slots * sum(sizes)))
+    z = rng.standard_normal(slots * sum(sizes))
     scale = np.sqrt(var / 2.0)
     eves = []
     offset = 0
     for nej in eve_counts:
         pair = []
         for mi in (cfg.m1, cfg.m2):
-            g = np.zeros((k, slots * nej, slots * mi), dtype=complex)
+            g = np.zeros((slots * nej, slots * mi), dtype=complex)
             for s in range(slots):
-                part = z[:, offset:offset + 2 * nej * mi].reshape(k, 2, nej, mi)
+                part = z[offset:offset + 2 * nej * mi].reshape(2, nej, mi)
                 offset += 2 * nej * mi
-                g[:, s * nej:(s + 1) * nej, s * mi:(s + 1) * mi] = \
-                    mean + scale * (part[:, 0] + 1j * part[:, 1])
-            pair.append(g if draws is not None else g[0])
+                g[s * nej:(s + 1) * nej, s * mi:(s + 1) * mi] = \
+                    mean + scale * (part[0] + 1j * part[1])
+            pair.append(g)
         eves.append((pair[0], pair[1]))
     return eves
 

@@ -24,11 +24,11 @@ streams).  Trials use independently derived seeds, so results do not
 depend on evaluation order.
 
 The trial engine behind :func:`sweep` and :func:`leakage_saturation`
-builds each trial's channels and precoder set alone, then evaluates
-blocks of ``TRIAL_BLOCK`` trials at once: the receiver grams (of the
-images ``U H_i V_i^L`` kept on the precoder set), the eavesdropper
-covariances and their log-dets are stacked over trials, powers and
-draws, and the per-trial results are summed in trial order.
+builds each trial's channels, precoder set and eavesdropper draw alone,
+then evaluates blocks of ``TRIAL_BLOCK`` trials at once: the receiver
+grams (of the images ``U H_i V_i^L`` kept on the precoder set), the
+eavesdropper covariances and their log-dets are stacked over trials and
+powers, and the per-trial results are summed in trial order.
 Only one block is held at a time, so the working set does not grow with
 the number of trials.  :func:`receiver_rate` and
 :func:`eavesdropper_leakage` are the one-trial, one-power reference
@@ -41,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matlin import as_matrix, logdet_hpd
-from .model import (PowerPolicy, canonical, sample_channels, sample_eves,
-                    validate)
+from .model import PowerPolicy, canonical, sample_channels, sample_eves
 from .precoders import build_precoder_set, build_unjammed_set, extend_channel
 from .regions import jamming_plan
 
@@ -206,16 +205,15 @@ def _ct(x):
     return x.conj().swapaxes(-2, -1)
 
 
-def _build_block(cfg, plan, ext, seeds, eve_counts, n_pow, eve_mean,
-                 eve_var):
+def _build_block(cfg, plan, ext, seeds, eve_counts, eve_mean, eve_var):
     """Build one block of trials and stack what the rate algebra needs.
 
     Returns ``(vl, vj, grams, eves)``.  Per transmitter ``i``, ``vl[i]``
     and ``vj[i]`` stack the trials' legitimate and jamming precoders with
     an axis for the powers, shape ``(trials, 1, rows, cols)``, and
     ``grams[i]`` stacks the grams ``W W'`` of ``W = ps.rx_images[i]``.
-    ``eves[j][i]`` stacks eavesdropper ``j``'s draws for every power,
-    shape ``(trials, powers, rows, cols)``.
+    ``eves[j][i]`` stacks eavesdropper ``j``'s one draw per trial with
+    the same axis for the powers, shape ``(trials, 1, rows, cols)``.
     """
     vl, vj, grams, eves = ([], []), ([], []), ([], []), []
     for trial_ss in seeds:
@@ -231,11 +229,11 @@ def _build_block(cfg, plan, ext, seeds, eve_counts, n_pow, eve_mean,
             vj[i].append(v_j)
         eves.append(sample_eves(cfg, eve_counts,
                                 np.random.default_rng(eve_ss), slots=ext,
-                                mean=eve_mean, var=eve_var, draws=n_pow))
+                                mean=eve_mean, var=eve_var))
     return ([np.stack(v)[:, None] for v in vl],
             [np.stack(v)[:, None] for v in vj],
             [np.stack(g) for g in grams],
-            [[np.stack([tr[j][i] for tr in eves]) for i in (0, 1)]
+            [[np.stack([tr[j][i] for tr in eves])[:, None] for i in (0, 1)]
              for j in range(len(eve_counts))])
 
 
@@ -259,12 +257,12 @@ def _block_receiver_rates(vl, grams, ext, legit_p):
     return logdet_hpd(gram) / (ext * math.log(2))
 
 
-def _block_leakage(vl, vj, g_pair, draw_of, ext, alpha, p, legit_p):
+def _block_leakage(vl, vj, g_pair, ext, alpha, p, legit_p):
     """Leakage of one eavesdropper over a block, shape ``(trials, len(p))``.
 
-    Column ``k`` evaluates draw ``draw_of[k]`` at power ``p[k]``, of
-    which ``legit_p[k]`` goes to the streams.  The arithmetic is
-    :func:`eavesdropper_leakage`'s, stacked over trials and draws.
+    Column ``k`` evaluates each trial's draw at power ``p[k]``, of which
+    ``legit_p[k]`` goes to the streams.  The arithmetic is
+    :func:`eavesdropper_leakage`'s, stacked over trials and powers.
     """
     if any(g.shape[-1] != v.shape[-2] for g, v in zip(g_pair, vl)):
         raise ValueError("eavesdropper matrices do not match the precoder "
@@ -278,12 +276,11 @@ def _block_leakage(vl, vj, g_pair, draw_of, ext, alpha, p, legit_p):
         cols = [np.zeros(lead + (0,), dtype=complex)]
         for g, v in zip(g_pair, vs):
             if v.shape[-1]:
-                img = np.take(g @ v, draw_of, axis=1)
-                img *= np.sqrt(scale / v.shape[-1])[:, None, None]
-                cols.append(img)
+                scale_v = np.sqrt(scale / v.shape[-1])[:, None, None]
+                cols.append((g @ v) * scale_v)
         return np.concatenate(cols, axis=-1)
 
-    # In place, so that few (trials, draws, rows, rows) arrays are held
+    # In place, so that few (trials, powers, rows, rows) arrays are held
     # at once.  Each sum keeps eavesdropper_leakage's operands.
     bj = images(vj, ext * alpha * p)
     k0 = bj @ _ct(bj)
@@ -305,35 +302,32 @@ def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
                    eve_mean, eve_var):
     """Per-trial rates and leakage, yielded as ``(rates, leaks)`` in trial order.
 
-    Each trial builds its legitimate channel and precoder set once and
-    draws fresh eavesdroppers for every power in one RNG call.
-    ``rates[k]`` is the receiver rate at ``p_values[k]``; ``leaks[k, j]``
-    is eavesdropper ``j``'s leakage on draw ``k`` at ``p_values[k]``, and
-    the extra last row ``leaks[-1]`` evaluates the first draw at the last
-    power, which pairs the two grid endpoints on the same eavesdroppers.
-    Trials are built one by one and evaluated in blocks of
-    ``TRIAL_BLOCK``.
+    Each trial builds its legitimate channel and precoder set once, draws
+    its eavesdroppers once in one RNG call, and evaluates that draw at
+    every power.  ``rates[k]`` is the receiver rate at
+    ``p_values[k]`` and ``leaks[k, j]`` is eavesdropper ``j``'s leakage
+    at ``p_values[k]``.  Trials are built one by one and evaluated in
+    blocks of ``TRIAL_BLOCK``.
     """
     cfg = canonical(cfg)
     plan = jamming_plan(cfg) if jamming else None
     ext = plan.extension if jamming else 1
     for p in p_values:
         PowerPolicy(p=p, alpha=alpha)  # raises on a bad power or alpha
-    p_all = np.array(list(p_values) + [p_values[-1]], dtype=float)
-    draw_of = list(range(len(p_values))) + [0]
+    powers = np.array(p_values, dtype=float)
 
     root = np.random.SeedSequence(seed)
     for start in range(0, trials, TRIAL_BLOCK):
         seeds = root.spawn(min(TRIAL_BLOCK, trials - start))
         vl, vj, grams, eves = _build_block(cfg, plan, ext, seeds, eve_counts,
-                                           len(p_values), eve_mean, eve_var)
+                                           eve_mean, eve_var)
         has_jam = vj[0].shape[-1] + vj[1].shape[-1] > 0
-        legit_p = (1.0 - alpha) * p_all if has_jam else p_all
-        rates = _block_receiver_rates(vl, grams, ext, legit_p[:-1])
-        leaks = np.zeros((len(seeds), len(p_all), len(eve_counts)))
+        legit_p = (1.0 - alpha) * powers if has_jam else powers
+        rates = _block_receiver_rates(vl, grams, ext, legit_p)
+        leaks = np.zeros((len(seeds), len(powers), len(eve_counts)))
         for j, g_pair in enumerate(eves):
-            leaks[:, :, j] = _block_leakage(vl, vj, g_pair, draw_of, ext,
-                                            alpha, p_all, legit_p)
+            leaks[:, :, j] = _block_leakage(vl, vj, g_pair, ext, alpha,
+                                            powers, legit_p)
         del vl, vj, grams, eves  # hold one block's stacks at a time
         yield from zip(rates, leaks)
 
@@ -354,7 +348,7 @@ def _run_trials(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
                                        eve_counts, jamming, eve_mean, eve_var):
         rate_sum += rates
         if eve_counts:
-            leak_sum += leaks[:n_pow].max(axis=1)
+            leak_sum += leaks.max(axis=1)
         lo_sum += leaks[0]
         hi_sum += leaks[-1]
 
@@ -373,15 +367,14 @@ def sweep(cfg, alpha, p_grid, trials, seed, *,
           eve_counts=None, jamming=True, eve_mean=0.0, eve_var=1.0):
     """Monte-Carlo secrecy-rate sweep over a power grid.
 
-    For each trial a fresh legitimate channel is drawn and held constant
-    across the sweep; eavesdropper channels are redrawn at every power
-    level (time-varying model).  The per-power secrecy surrogate is the
-    trial average of ``receiver_rate - max_j leakage_j``; its slope over
-    ``log2 P`` estimates the sum secure DoF.  ``leakage_delta`` equals
-    ``leakage_saturation`` between ``p_grid[0]`` and ``p_grid[-1]``.
-
-    With jamming, degenerate configurations return a flat all-zero curve
-    and ``leakage_delta`` 0; the jamming-free control runs as usual.
+    Each trial draws a fresh legitimate channel and fresh eavesdroppers
+    (one draw per symbol slot) and evaluates both at every power, so the
+    powers share their random numbers and each power's mean is still
+    unbiased.  The per-power secrecy surrogate is the trial average of
+    ``receiver_rate - max_j leakage_j``; its slope over ``log2 P``
+    estimates the sum secure DoF.  ``leakage_delta`` is the mean leakage
+    at ``p_grid[-1]`` minus that at ``p_grid[0]``, maximized over
+    eavesdroppers, and equals ``leakage_saturation`` between them.
 
     Parameters
     ----------
@@ -392,6 +385,8 @@ def sweep(cfg, alpha, p_grid, trials, seed, *,
         At least 4 strictly increasing powers spanning >= 4 decades.
     trials : int
         At least 1, checked before the first trial runs (``ValueError``).
+        With jamming, a degenerate configuration then raises
+        :class:`~sdoflab.regions.DegenerateConfig`.
     seed : int
     eve_counts : sequence of int, optional
         Defaults to a single worst-case eavesdropper with ``cfg.ne``
@@ -400,13 +395,8 @@ def sweep(cfg, alpha, p_grid, trials, seed, *,
         With ``False``, builds the jamming-free negative control: every
         transmit dimension carries a stream and no zero-forcing is done.
     """
-    p_values = _check_grid(p_grid)
-    if validate(cfg) == "degenerate" and jamming:
-        flat = RateCurve(tuple((p, 0.0) for p in p_values), 0.0, 0.0)
-        return SweepResult(tuple(SweepPoint(p, 0.0, 0.0, 0.0) for p in p_values),
-                           flat, leakage_delta=0.0)
-    return _run_trials(cfg, alpha, p_values, trials, seed, eve_counts,
-                       jamming, eve_mean, eve_var)
+    return _run_trials(cfg, alpha, _check_grid(p_grid), trials, seed,
+                       eve_counts, jamming, eve_mean, eve_var)
 
 
 def leakage_saturation(cfg, alpha, p_lo, p_hi, trials, seed, *,
@@ -415,9 +405,9 @@ def leakage_saturation(cfg, alpha, p_lo, p_hi, trials, seed, *,
     """Leakage growth between two power levels, maximized over eavesdroppers.
 
     Returns ``mean leakage(p_hi) - mean leakage(p_lo)`` over ``trials``
-    paired eavesdropper draws.  With jamming on, the jamming power
-    tracks the signal power, so the eavesdropper's rate saturates and
-    the delta stays small; without jamming it grows like
+    eavesdropper draws, each evaluated at both powers.  With jamming on,
+    the jamming power tracks the signal power, so the eavesdropper's rate
+    saturates and the delta stays small; without jamming it grows like
     ``ne * log2(p_hi / p_lo)``.
     """
     if p_hi < 100.0 * p_lo:

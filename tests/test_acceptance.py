@@ -123,8 +123,8 @@ def test_criterion_6_binning_equivocation():
             == 0.0
         # delta = 0.5 with randomness rate 0.5 covering the eavesdropper
         # capacity: mean normalized equivocation over 10 seeds at n = 12
-        trend = binning.secrecy_trend([4, 8, 12], 0.5, 1.0, 0.5, seeds)
-        values = dict(trend)
+        values = {n: mean[1] for n, _, mean in binning.equivocation_table(
+            [4, 8, 12], 0.5, 1.0, 0.5, seeds)}
         assert values[12] >= 0.8, values
         assert all(b >= a - 0.05 for a, b in
                    zip([values[4], values[8], values[12]],

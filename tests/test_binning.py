@@ -7,8 +7,7 @@ from sdoflab.binning import (CodeTooLarge, DecodeFailure, EnumerationBudgetExcee
                              EraseChannel, InvalidMessage, WiretapCode,
                              bits_from_int, build_code, decode_main, encode,
                              equivocation_exact, equivocation_table,
-                             int_from_bits, normalized_equivocation,
-                             secrecy_trend)
+                             int_from_bits, normalized_equivocation)
 
 
 def equivocation_oracle(code, delta):
@@ -66,6 +65,17 @@ class TestBuildCode:
     def test_non_integral_sizes(self):
         with pytest.raises(ValueError):
             build_code(6, 0.75, 0.25, 0)
+
+    @pytest.mark.parametrize("n,rate_total,rate_secret,message", [
+        (-4, 0.75, 0.25, "block length must be at least 1, got -4"),
+        (0, 0.75, 0.25, "block length must be at least 1, got 0"),
+        (4, -1.0, -2.0, "rate_total must be nonnegative, got -1.0"),
+        (4, 0.5, -0.25, "rate_secret must be nonnegative, got -0.25"),
+    ])
+    def test_bad_sizes_rejected_first(self, n, rate_total, rate_secret,
+                                      message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_code(n, rate_total, rate_secret, 0)
 
     def test_deterministic(self):
         a = build_code(8, 0.75, 0.25, 3)
@@ -178,32 +188,33 @@ class TestRandomnessRateLaw:
 
 class TestSecrecyTrend:
     def test_non_decreasing(self):
-        trend = secrecy_trend([4, 8, 12], 0.5, 0.75, 0.25, list(range(5)))
-        values = [v for _, v in trend]
+        values = [mean[1] for _, _, mean in equivocation_table(
+            [4, 8, 12], 0.5, 0.75, 0.25, list(range(5)))]
         assert all(b >= a - 0.05 for a, b in zip(values, values[1:]))
 
     def test_rate_pair_from_operation_example_falls_short(self):
         # the (0.75, 0.25) family at n=12 sits near 0.70, not >= 0.8:
         # frozen from the exact enumeration (verified against the
         # brute-force oracle above)
-        trend = secrecy_trend([12], 0.5, 0.75, 0.25, list(range(10)))
-        assert trend[0][1] == pytest.approx(0.698, abs=0.02)
+        [(_, _, mean)] = equivocation_table([12], 0.5, 0.75, 0.25,
+                                            list(range(10)))
+        assert mean[1] == pytest.approx(0.698, abs=0.02)
 
     def test_full_erasure_all_ones(self):
-        trend = secrecy_trend([4, 8], 1.0, 0.75, 0.25, list(range(3)))
-        assert all(v == pytest.approx(1.0, abs=1e-12) for _, v in trend)
+        table = equivocation_table([4, 8], 1.0, 0.75, 0.25, list(range(3)))
+        assert all(mean[1] == pytest.approx(1.0, abs=1e-12)
+                   for _, _, mean in table)
 
     def test_no_secret_message_entry(self):
-        trend = secrecy_trend([4], 0.5, 0.5, 0.0, [0])
-        assert trend == [(4, None)]
+        [(n, _, mean)] = equivocation_table([4], 0.5, 0.5, 0.0, [0])
+        assert (n, mean) == (4, None)
 
 
 class TestEquivocationTable:
     def test_rows_and_means(self):
         ch = EraseChannel(0.5)
         table = equivocation_table([4, 8], 0.5, 0.75, 0.25, [0, 1, 2])
-        for (n, rows, mean), (tn, trend) in zip(
-                table, secrecy_trend([4, 8], 0.5, 0.75, 0.25, [0, 1, 2])):
+        for (n, rows, mean), tn in zip(table, [4, 8]):
             assert n == tn and [s for s, _, _ in rows] == [0, 1, 2]
             for s, h, norm in rows:
                 code = build_code(n, 0.75, 0.25, s)
@@ -211,7 +222,6 @@ class TestEquivocationTable:
                 assert norm == normalized_equivocation(code, ch)
             assert mean == (sum(r[1] for r in rows) / 3,
                             sum(r[2] for r in rows) / 3)
-            assert trend == mean[1]
 
     def test_no_secret_message(self):
         [(n, rows, mean)] = equivocation_table([4], 0.5, 0.5, 0.0, [0, 1])

@@ -261,7 +261,11 @@ class TestBinningCommand:
         ["--rate-total", "inf"],
         ["--rate-secret", "inf"],
         ["--num-seeds", str(cli.MAX_SEEDS + 1)],
-    ], ids=["rate-total=inf", "rate-secret=inf", "num-seeds-over-limit"])
+        ["--n-list", "-4"],
+        ["--rate-total", "-1", "--rate-secret=-2"],
+        ["--n-list", "0"],
+    ], ids=["rate-total=inf", "rate-secret=inf", "num-seeds-over-limit",
+            "n-list=-4", "negative-rates", "n-list=0"])
     def test_bad_input_one_line(self, tmp_path, capsys, extra):
         out = tmp_path / "bins.csv"
         assert cli.main(["binning", "--n-list", "4", "--out", str(out)]

@@ -12,7 +12,7 @@ from sdoflab.precoders import GeometryReport, PrecoderSet, build_precoder_set, \
 from sdoflab.rates import (GeometryNotVerified, RateCurve, eavesdropper_leakage,
                            fit_slope, leakage_saturation, make_curve,
                            receiver_rate, sweep)
-from sdoflab.regions import jamming_plan
+from sdoflab.regions import DegenerateConfig, jamming_plan
 
 P_GRID = [10.0 ** k for k in range(3, 10)]
 
@@ -123,10 +123,9 @@ class TestSweep:
             assert pt.rate_rx >= pt.secrecy
 
     def test_degenerate_flat_curve(self):
-        res = sweep(AntennaConfig(2, 2, 3, 4), 0.5, P_GRID, 5, 42)
-        assert res.curve.slope == 0.0
-        assert all(pt.secrecy == 0.0 for pt in res.points)
-        assert res.leakage_delta == 0.0
+        # no secure DoF to jam for: rejected like leakage_saturation does
+        with pytest.raises(DegenerateConfig):
+            sweep(AntennaConfig(2, 2, 3, 4), 0.5, P_GRID, 5, 42)
 
     def test_deterministic_given_seed(self):
         a = sweep(AntennaConfig(2, 2, 3, 1), 0.5, P_GRID, 3, 7)
@@ -200,11 +199,22 @@ class TestTrialEngine:
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_too_few_trials_rejected(self, trials):
+        # the degenerate row: the trial count is checked before the config
+        for cfg in (AntennaConfig(3, 1, 2, 2), AntennaConfig(2, 2, 3, 4)):
+            with pytest.raises(ValueError, match="trials must be at least 1"):
+                sweep(cfg, 0.5, P_GRID, trials, 5)
+            with pytest.raises(ValueError, match="trials must be at least 1"):
+                leakage_saturation(cfg, 0.5, P_GRID[0], P_GRID[-1], trials, 5)
+
+    @pytest.mark.parametrize("jamming", [True, False])
+    def test_delta_from_swept_endpoints(self, jamming):
+        # one eavesdropper draw per trial serves every power, so the
+        # endpoint difference of the swept means is the leakage delta
         cfg = AntennaConfig(3, 1, 2, 2)
-        with pytest.raises(ValueError, match="trials must be at least 1"):
-            sweep(cfg, 0.5, P_GRID, trials, 5)
-        with pytest.raises(ValueError, match="trials must be at least 1"):
-            leakage_saturation(cfg, 0.5, P_GRID[0], P_GRID[-1], trials, 5)
+        res = sweep(cfg, 0.5, P_GRID, 3, 5, eve_counts=[cfg.ne],
+                    jamming=jamming)
+        assert res.leakage_delta == pytest.approx(
+            res.points[-1].leak_max - res.points[0].leak_max, rel=1e-12)
 
     def test_degenerate_control_runs(self):
         cfg = AntennaConfig(2, 2, 3, 4)
@@ -216,7 +226,8 @@ class TestTrialEngine:
 
 def scalar_trial_results(cfg, p_values, trials, seed, eve_counts, jamming):
     """The trial engine's per-trial output, rebuilt from the one-trial,
-    one-power reference functions on the same seeded draws."""
+    one-power reference functions on the same seeded draws: one
+    eavesdropper draw per trial, evaluated at every power."""
     plan = jamming_plan(cfg) if jamming else None
     ext = plan.extension if jamming else 1
     pols = [PowerPolicy(p=p, alpha=0.5) for p in p_values]
@@ -226,15 +237,11 @@ def scalar_trial_results(cfg, p_values, trials, seed, eve_counts, jamming):
         ch = sample_channels(cfg, [], ch_ss)
         ps = (build_precoder_set(plan, ch.h1, ch.h2, pc_ss) if jamming
               else build_unjammed_set(ch.h1, ch.h2))
-        eve_rng = np.random.default_rng(eve_ss)
-        draws = [ChannelRealization(ch.h1, ch.h2,
-                                    sample_eves(cfg, eve_counts, eve_rng,
-                                                slots=ext))
-                 for _ in pols]
-        rates = [receiver_rate(ps, c, pol) for c, pol in zip(draws, pols)]
+        c = ChannelRealization(ch.h1, ch.h2, sample_eves(
+            cfg, eve_counts, np.random.default_rng(eve_ss), slots=ext))
+        rates = [receiver_rate(ps, c, pol) for pol in pols]
         leaks = [[eavesdropper_leakage(ps, c, pol, j)
-                  for j in range(len(eve_counts))]
-                 for c, pol in zip(draws + draws[:1], pols + pols[-1:])]
+                  for j in range(len(eve_counts))] for pol in pols]
         out.append((rates, leaks))
     return out
 
