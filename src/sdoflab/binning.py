@@ -8,12 +8,19 @@ observation pins down (at most) the in-bin index and reveals almost
 nothing about the bin itself.
 
 The codec here is deliberately small so that secrecy can be *measured*
-instead of bounded: the main channel is noiseless (decoding is exact
-lookup over distinct codewords) and the eavesdropper sees the codeword
-through a per-bit erasure channel.  The equivocation ``H(W | Z)`` - the
-conditional entropy of the bin index given the eavesdropper observation
-- is computed exactly by marginalizing over all erasure patterns, which
-is feasible up to ``n = 12`` bits.
+instead of bounded: the main channel is noiseless (all codewords are
+distinct) and the eavesdropper sees the codeword through a per-bit
+erasure channel.  The equivocation ``H(W | Z)`` - the conditional
+entropy of the bin index given the eavesdropper observation - is
+computed exactly by marginalizing over all ``2^n`` erasure patterns,
+which is feasible up to ``n = 12`` bits.
+
+The enumeration is integer counting: patterns with the same number of
+erasures share one weight and are batched together, ``uint16`` sorts of
+the masked codebook and of each masked bin give the group sizes as run
+lengths, and these go into integer histograms.  Only the final
+contraction with ``x log2 x`` is floating point, so the result does not
+depend on the batch size.
 """
 
 import math
@@ -23,18 +30,11 @@ import numpy as np
 
 MAX_BLOCK_BITS = 16   # construction budget (distinct codewords over {0,1}^n)
 MAX_ENUM_BITS = 12    # exact-equivocation budget (2^n erasure patterns)
+_BATCH_PAIRS = 1 << 16  # (erasure pattern, codeword) pairs masked and sorted at once
 
 
 class CodeTooLarge(ValueError):
     """Requested codebook does not fit the block length or budget."""
-
-
-class InvalidMessage(ValueError):
-    """Message index outside the code's message set."""
-
-
-class DecodeFailure(ValueError):
-    """Received word is not a codeword."""
 
 
 class EnumerationBudgetExceeded(ValueError):
@@ -86,23 +86,28 @@ class WiretapCode:
     def num_codewords(self):
         return self.bins.size
 
-    def lookup(self):
-        """Map from codeword integer to ``(w, v)``."""
-        return {int(x): divmod(i, self.bin_size)
-                for i, x in enumerate(self.bins.ravel())}
 
+def _code_bits(n, rate_total, rate_secret):
+    """``(n * rate_total, n * rate_secret)`` as integers, once the sizes check out.
 
-def bits_from_int(x, n):
-    """MSB-first bit vector of an ``n``-bit codeword integer."""
-    return np.array([(x >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
-
-
-def int_from_bits(bits):
-    bits = np.asarray(bits, dtype=np.uint8)
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
+    Raises the errors :func:`build_code` documents.
+    """
+    if n < 1:
+        raise ValueError(f"block length must be at least 1, got {n}")
+    for name, rate in (("rate_total", rate_total),
+                       ("rate_secret", rate_secret)):
+        if rate < 0:
+            raise ValueError(f"{name} must be nonnegative, got {rate}")
+    k_total = _integral_bits(n, rate_total, "rate_total")
+    k_secret = _integral_bits(n, rate_secret, "rate_secret")
+    if k_secret > k_total:
+        raise ValueError("rate_secret exceeds rate_total")
+    if n > MAX_BLOCK_BITS:
+        raise CodeTooLarge(f"block length {n} exceeds budget {MAX_BLOCK_BITS}")
+    if k_total > n:
+        raise CodeTooLarge(
+            f"2^{k_total} distinct codewords do not fit in {{0,1}}^{n}")
+    return k_total, k_secret
 
 
 def build_code(n, rate_total, rate_secret, seed):
@@ -121,22 +126,7 @@ def build_code(n, rate_total, rate_secret, seed):
         If ``n < 1``, a rate is negative, ``n * rate`` is not an integer
         or ``rate_secret > rate_total``.
     """
-    if n < 1:
-        raise ValueError(f"block length must be at least 1, got {n}")
-    for name, rate in (("rate_total", rate_total),
-                       ("rate_secret", rate_secret)):
-        if rate < 0:
-            raise ValueError(f"{name} must be nonnegative, got {rate}")
-    k_total = _integral_bits(n, rate_total, "rate_total")
-    k_secret = _integral_bits(n, rate_secret, "rate_secret")
-    if k_secret > k_total:
-        raise ValueError("rate_secret exceeds rate_total")
-    if n > MAX_BLOCK_BITS:
-        raise CodeTooLarge(f"block length {n} exceeds budget {MAX_BLOCK_BITS}")
-    if k_total > n:
-        raise CodeTooLarge(
-            f"2^{k_total} distinct codewords do not fit in {{0,1}}^{n}")
-
+    k_total, k_secret = _code_bits(n, rate_total, rate_secret)
     rng = np.random.default_rng(seed)
     total = 1 << k_total
     # Uniform distinct codewords. Sampling without replacement has the
@@ -148,33 +138,22 @@ def build_code(n, rate_total, rate_secret, seed):
                        rate_secret=float(rate_secret), bins=bins)
 
 
-def encode(code, w, seed):
-    """Stochastic encoding: a uniformly chosen codeword from bin ``w``.
-
-    Returns the codeword as an MSB-first bit vector; deterministic given
-    ``seed``.
-    """
-    if not 0 <= w < code.num_bins:
-        raise InvalidMessage(f"message {w} outside [0, {code.num_bins})")
-    rng = np.random.default_rng(seed)
-    v = int(rng.integers(0, code.bin_size))
-    return bits_from_int(int(code.bins[w, v]), code.n)
+def _check_enumerable(n):
+    if n > MAX_ENUM_BITS:
+        raise EnumerationBudgetExceeded(
+            f"block length {n} exceeds enumeration budget {MAX_ENUM_BITS}")
 
 
-def decode_main(code, y):
-    """Noiseless-main-channel decoding: exact codeword lookup.
-
-    Returns ``(w, v)`` for the received bit vector ``y``; raises
-    :class:`DecodeFailure` when ``y`` is not a codeword.
-    """
-    y = np.asarray(y, dtype=np.uint8)
-    if y.shape != (code.n,):
-        raise DecodeFailure(f"expected {code.n} bits, got shape {y.shape}")
-    word = int_from_bits(y)
-    hit = np.flatnonzero(code.bins.ravel() == word)
-    if hit.size == 0:
-        raise DecodeFailure(f"word {word:#0{code.n + 2}b} is not a codeword")
-    return divmod(int(hit[0]), code.bin_size)
+def _add_run_lengths(rows, hist):
+    """Add the lengths of the runs of equal values in each row of the
+    sorted ``rows`` (runs along the last axis) into ``hist``."""
+    width = rows.shape[-1]
+    flat = rows.reshape(-1)
+    edge = np.empty(flat.size + 1, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=edge[1:-1])
+    edge[::width] = True  # every row start, and the end sentinel
+    starts = np.flatnonzero(edge)
+    hist += np.bincount(starts[1:] - starts[:-1], minlength=hist.size)
 
 
 def equivocation_exact(code, ch):
@@ -185,78 +164,54 @@ def equivocation_exact(code, ch):
     independently with probability ``delta``.  The entropy is computed
     by enumerating erasure patterns: conditioned on a pattern, ``Z``
     reveals the unerased bits, so the posterior on ``W`` is proportional
-    to how many codewords of each bin match them.  Writing ``c_gw`` for
-    the number of bin-``w`` codewords matching observation ``g``, the
-    pattern's contribution is
-    ``(sum_g c_g log2 c_g - sum_gw c_gw log2 c_gw) / total``.
+    to how many codewords of each bin match them.  Writing ``c_g`` for
+    the number of codewords matching observation ``g`` and ``c_gw`` for
+    the number of bin-``w`` codewords among them, the pattern's
+    contribution is ``(sum_g c_g log2 c_g - sum_gw c_gw log2 c_gw) / total``.
 
-    Patterns are processed in batches: each ``(observation, bin)`` pair
-    is packed into one integer key and the ``c_gw`` come out as run
-    lengths of the row-sorted key matrix, so the whole enumeration is a
-    handful of vectorized passes.
+    A pattern's weight ``delta^k (1 - delta)^(n - k)`` depends only on
+    its number ``k`` of erasures, so the counts of all patterns with the
+    same ``k`` are pooled.  Batches of patterns mask the codebook to
+    their observed bits; a ``uint16`` sort of each masked codebook turns
+    the ``c_g`` into run lengths, and a sort of each masked bin the
+    ``c_gw``.  The run lengths go into integer histograms per ``k``
+    (how many groups of each size), and the entropy is the one
+    contraction ``weight @ ((group_hist - joint_hist) @ xlogx) / total``.
+    The histograms are exact integers, so the result does not depend on
+    the batch size or the order in which patterns are visited.
+    Patterns of weight 0 are skipped.
 
     Exact at the endpoints: ``delta = 1`` gives ``n * rate_secret``
     and ``delta = 0`` gives ``0``.
     """
-    if code.n > MAX_ENUM_BITS:
-        raise EnumerationBudgetExceeded(
-            f"block length {code.n} exceeds enumeration budget {MAX_ENUM_BITS}")
+    _check_enumerable(code.n)
     n = code.n
     delta = ch.delta
-    words = code.bins.reshape(-1).astype(np.int32)
+    words = code.bins.astype(np.uint16)  # (bins, bin_size); n <= 12 bits
     total = words.size
-    b_bits = (code.num_bins - 1).bit_length()
-    bin_of = np.repeat(np.arange(code.num_bins, dtype=np.int32), code.bin_size)
-
-    # weight of an erasure pattern depends only on its popcount
     pattern_weight = np.array(
         [delta ** k * (1.0 - delta) ** (n - k) for k in range(n + 1)])
-    masks = np.arange(1 << n, dtype=np.int64)
-    weights = pattern_weight[[int(m).bit_count() for m in range(1 << n)]]
-    live = np.flatnonzero(weights > 0.0)
+    # erasure count (popcount) of every pattern 0 .. 2^n - 1
+    erasures = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        erasures = np.concatenate([erasures, erasures + 1])
 
-    xlogx = np.zeros(total + 1)
-    counts = np.arange(1, total + 1)
-    xlogx[1:] = counts * np.log2(counts)
-
+    # hist[k, c]: groups of c codewords, over all patterns with k erasures
+    group_hist = np.zeros((n + 1, total + 1), dtype=np.int64)
+    joint_hist = np.zeros_like(group_hist)
+    batch = max(1, _BATCH_PAIRS // total)
     full = (1 << n) - 1
-    entropy = 0.0
-    batch = max(1, (1 << 22) // total)
-    for start in range(0, live.size, batch):
-        sel = live[start:start + batch]
-        rows = sel.size
-        obs_masks = (full ^ masks[sel]).astype(np.int32)[:, None]
-        keys = ((words[None, :] & obs_masks) << b_bits) | bin_of[None, :]
-        keys.sort(axis=1)
-        flat = keys.ravel()
+    for k in np.flatnonzero(pattern_weight > 0.0):
+        observed = (full ^ np.flatnonzero(erasures == k)).astype(np.uint16)
+        for start in range(0, observed.size, batch):
+            masked = words & observed[start:start + batch, None, None]
+            _add_run_lengths(np.sort(masked, axis=-1), joint_hist[k])
+            _add_run_lengths(np.sort(masked.reshape(len(masked), -1), axis=-1),
+                             group_hist[k])
 
-        # run lengths of equal (observation, bin) keys; row-sorted, so
-        # runs never cross row boundaries once those are forced
-        boundary = np.empty(flat.size, dtype=bool)
-        boundary[0] = True
-        np.not_equal(flat[1:], flat[:-1], out=boundary[1:])
-        boundary[::total] = True
-        run_start = np.flatnonzero(boundary)
-        run_len = np.diff(run_start, append=flat.size)
-        run_row = run_start // total
-        term_joint = np.bincount(run_row, weights=xlogx[run_len],
-                                 minlength=rows)
-
-        # collapse the bin bits: runs of equal observation value
-        group_val = flat[run_start] >> b_bits
-        gboundary = np.empty(group_val.size, dtype=bool)
-        gboundary[0] = True
-        np.not_equal(group_val[1:], group_val[:-1], out=gboundary[1:])
-        gboundary[1:] |= run_row[1:] != run_row[:-1]
-        gstart = np.flatnonzero(gboundary)
-        cum = np.concatenate([[0], np.cumsum(run_len)])
-        gend = np.append(gstart[1:], run_len.size)
-        group_len = cum[gend] - cum[gstart]
-        term_group = np.bincount(run_row[gstart], weights=xlogx[group_len],
-                                 minlength=rows)
-
-        entropy += float(weights[sel] @ (term_group - term_joint)) / total
-    return entropy
+    counts = np.arange(total + 1)
+    xlogx = counts * np.log2(np.maximum(counts, 1))
+    return float(pattern_weight @ ((group_hist - joint_hist) @ xlogx)) / total
 
 
 def normalized_equivocation(code, ch):
@@ -274,19 +229,25 @@ def equivocation_table(n_list, delta, rate_total, rate_secret, seeds):
     ``(seed, h, normalized)`` per seed and ``mean`` the ``(h, normalized)``
     seed average.  ``normalized`` and ``mean`` are ``None`` when there
     is no secret message (``rate_secret = 0``) or, for ``mean``, no seed.
+
+    Every block length is checked against the code sizes and the
+    enumeration budget before any code is enumerated, so a bad entry
+    anywhere in ``n_list`` fails at once.
     """
     ch = EraseChannel(delta)
-    table = []
+    secret_bits = []
     for n in n_list:
+        secret_bits.append(_code_bits(n, rate_total, rate_secret)[1])
+        _check_enumerable(n)
+    table = []
+    for n, bits in zip(n_list, secret_bits):
         rows = []
         for s in seeds:
             h = equivocation_exact(build_code(n, rate_total, rate_secret, s), ch)
-            secret_bits = _integral_bits(n, rate_secret, "rate_secret")
-            rows.append((s, h, h / secret_bits if secret_bits else None))
+            rows.append((s, h, h / bits if bits else None))
         mean = None
         if rows and rows[0][2] is not None:
             mean = (sum(h for _, h, _ in rows) / len(rows),
                     sum(x for _, _, x in rows) / len(rows))
         table.append((n, rows, mean))
     return table
-

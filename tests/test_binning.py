@@ -2,34 +2,29 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdoflab.binning import (CodeTooLarge, DecodeFailure, EnumerationBudgetExceeded,
-                             EraseChannel, InvalidMessage, WiretapCode,
-                             bits_from_int, build_code, decode_main, encode,
-                             equivocation_exact, equivocation_table,
-                             int_from_bits, normalized_equivocation)
+from sdoflab import binning
+from sdoflab.binning import (CodeTooLarge, EnumerationBudgetExceeded, EraseChannel,
+                             WiretapCode, build_code, equivocation_exact,
+                             equivocation_table, normalized_equivocation)
 
 
 def equivocation_oracle(code, delta):
     """Brute-force H(W|Z): enumerate every observation z in {0,1,?}^n."""
     n = code.n
-    words = [bits_from_int(int(x), n) for x in code.bins.reshape(-1)]
+    words = code.bins.reshape(-1)
+    bits = (words[:, None] >> np.arange(n - 1, -1, -1)) & 1  # MSB first
     bins_of = np.repeat(np.arange(code.num_bins), code.bin_size)
-    total = len(words)
+    total = words.size
     entropy = 0.0
     for z in itertools.product((0, 1, 2), repeat=n):  # 2 marks an erasure
-        likelihood = np.empty(total)
-        for i, x in enumerate(words):
-            p = 1.0
-            for zi, xi in zip(z, x):
-                if zi == 2:
-                    p *= delta
-                elif zi == xi:
-                    p *= 1.0 - delta
-                else:
-                    p = 0.0
-                    break
-            likelihood[i] = p
+        z = np.array(z)
+        # P(z | x) per codeword: delta per erased bit, 1 - delta per
+        # matching bit, 0 on any mismatch
+        per_bit = np.where(z == 2, delta, np.where(bits == z, 1.0 - delta, 0.0))
+        likelihood = per_bit.prod(axis=1)
         pz = likelihood.sum() / total
         if pz <= 0.0:
             continue
@@ -83,50 +78,6 @@ class TestBuildCode:
         assert np.array_equal(a.bins, b.bins)
 
 
-class TestEncodeDecode:
-    def test_single_codeword_bins(self):
-        code = build_code(4, 0.5, 0.5, 0)
-        for w in range(code.num_bins):
-            y = encode(code, w, seed=99)
-            assert int_from_bits(y) == code.bins[w, 0]
-
-    def test_deterministic_given_seed(self):
-        code = build_code(8, 0.75, 0.25, 1)
-        assert np.array_equal(encode(code, 3, 7), encode(code, 3, 7))
-
-    def test_round_trip_exhaustive(self):
-        code = build_code(8, 0.75, 0.25, 5)
-        for w in range(code.num_bins):
-            for v in range(code.bin_size):
-                got_w, got_v = decode_main(code, bits_from_int(int(code.bins[w, v]), 8))
-                assert (got_w, got_v) == (w, v)
-
-    def test_in_bin_selection_uniform(self):
-        # chi-square style check: each in-bin index within 3 sigma of uniform
-        code = build_code(6, 0.5, 1 / 6, 2)
-        draws = 10_000
-        lookup = code.lookup()
-        counts = np.zeros(code.bin_size)
-        for k in range(draws):
-            _, v = lookup[int_from_bits(encode(code, 1, seed=k))]
-            counts[v] += 1
-        mean = draws / code.bin_size
-        sigma = np.sqrt(draws * (1 / code.bin_size) * (1 - 1 / code.bin_size))
-        assert np.abs(counts - mean).max() <= 3 * sigma
-
-    def test_invalid_message(self):
-        code = build_code(4, 0.75, 0.25, 0)
-        with pytest.raises(InvalidMessage):
-            encode(code, code.num_bins, 0)
-
-    def test_decode_failure_on_corruption(self):
-        code = build_code(8, 0.5, 0.25, 4)
-        in_book = set(int(x) for x in code.bins.reshape(-1))
-        stranger = next(x for x in range(256) if x not in in_book)
-        with pytest.raises(DecodeFailure):
-            decode_main(code, bits_from_int(stranger, 8))
-
-
 class TestEquivocation:
     def test_full_erasure_exact(self):
         code = build_code(8, 0.75, 0.25, 3)
@@ -145,6 +96,38 @@ class TestEquivocation:
         fast = equivocation_exact(code, EraseChannel(delta))
         assert fast == pytest.approx(equivocation_oracle(code, delta),
                                      abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+           delta=st.floats(0.0, 1.0))
+    def test_random_codes_match_oracle(self, n, data, seed, delta):
+        k_total = data.draw(st.integers(0, n), label="k_total")
+        k_secret = data.draw(st.integers(0, k_total), label="k_secret")
+        code = build_code(n, k_total / n, k_secret / n, seed)
+        assert equivocation_exact(code, EraseChannel(delta)) == \
+            pytest.approx(equivocation_oracle(code, delta), abs=1e-9)
+
+    @pytest.mark.parametrize("rt,rs", [(1.0, 0.5), (0.75, 0.25)])
+    def test_independent_of_batch_size(self, monkeypatch, rt, rs):
+        # uneven batches: 3 patterns per sort at rate 1, 24 at rate 0.75
+        code = build_code(12, rt, rs, 0)
+        ch = EraseChannel(0.5)
+        values = []
+        for pairs in (3 * 4096, 1 << 20):
+            monkeypatch.setattr(binning, "_BATCH_PAIRS", pairs)
+            values.append(equivocation_exact(code, ch))
+        assert values[0] == values[1]
+
+    @pytest.mark.parametrize("rt,rs,expected", [
+        (1.0, 0.5, [4.918908799157569, 4.92218098488163, 4.918375800227977]),
+        (0.75, 0.25, [2.088923445150786, 2.0988234652414963, 2.09959132497197]),
+    ])
+    def test_n12_values_pinned(self, rt, rs, expected):
+        # frozen from the earlier per-pattern kernel (n = 12, delta = 0.5,
+        # code seeds 0-2); integer counting must agree to the last bits
+        got = [equivocation_exact(build_code(12, rt, rs, s), EraseChannel(0.5))
+               for s in range(3)]
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_hand_computed_structured_partition(self):
         # codebook = all 2-bit words; bins {00,01} and {10,11}: erasing

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from sdoflab import cli, rates
+from sdoflab import binning, cli, rates
 from sdoflab.model import AntennaConfig
 
 SMALL_EXPERIMENT = {
@@ -264,8 +264,11 @@ class TestBinningCommand:
         ["--n-list", "-4"],
         ["--rate-total", "-1", "--rate-secret=-2"],
         ["--n-list", "0"],
+        ["--n-list", "12,0"],
+        ["--n-list", "12,13", "--rate-total", "1.0", "--rate-secret", "1.0"],
     ], ids=["rate-total=inf", "rate-secret=inf", "num-seeds-over-limit",
-            "n-list=-4", "negative-rates", "n-list=0"])
+            "n-list=-4", "negative-rates", "n-list=0", "n-list=12,0",
+            "n-list=12,13-over-budget"])
     def test_bad_input_one_line(self, tmp_path, capsys, extra):
         out = tmp_path / "bins.csv"
         assert cli.main(["binning", "--n-list", "4", "--out", str(out)]
@@ -273,6 +276,19 @@ class TestBinningCommand:
         err = capsys.readouterr().err
         assert err.startswith("binning failed") and err.count("\n") == 1, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--n-list", "12,0"],
+        ["--n-list", "12,13", "--rate-total", "1.0", "--rate-secret", "1.0"],
+    ])
+    def test_bad_late_block_length_enumerates_nothing(self, monkeypatch,
+                                                      capsys, extra):
+        calls = []
+        monkeypatch.setattr(binning, "equivocation_exact",
+                            lambda code, ch: calls.append(code.n) or 0.0)
+        assert cli.main(["binning"] + extra) == 1
+        assert "binning failed" in capsys.readouterr().err
+        assert calls == []
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
