@@ -2,19 +2,18 @@
 
 Everything downstream (channel models, precoder synthesis, rate
 computations) is built on a handful of primitives collected here:
-orthonormalization, numerical rank, nullspaces, subspace intersection
-and orthogonal complement, consistent least-squares solves, and the
-log-determinant of Hermitian positive-definite matrices.
+orthonormalization, numerical rank, nullspaces, orthogonal complement,
+and the log-determinant of Hermitian positive-definite matrices.
 
 Conventions
 -----------
 Matrices are plain ``numpy.ndarray`` objects with dtype complex128 and
 exactly two axes; :func:`logdet_hpd` also takes ``(..., d, d)`` stacks.
 A subspace is the column space of a matrix.  The subspace primitives
-(:func:`orthonormal_basis`, :func:`nullspace`, :func:`complement`,
-:func:`intersect`) take any finite matrix, check it once with
-:func:`as_matrix`, and return a plain ``(rows, k)`` array whose
-orthonormal columns span the result; an empty subspace has ``k = 0``.
+(:func:`orthonormal_basis`, :func:`nullspace`, :func:`complement`) take
+any finite matrix, check it once with :func:`as_matrix`, compute one
+SVD, and return a plain ``(rows, k)`` array whose orthonormal columns
+span the result; an empty subspace has ``k = 0``.
 
 Numerical rank uses a *relative* singular-value cutoff: singular values
 below ``tol`` times the largest singular value count as zero.  The
@@ -32,14 +31,6 @@ DEFAULT_TOL = 1e-9
 
 class InvalidMatrix(ValueError):
     """Input is not a finite 2-D complex matrix."""
-
-
-class DimensionMismatch(ValueError):
-    """Operands have incompatible shapes or ambient dimensions."""
-
-
-class InconsistentSystem(ValueError):
-    """Right-hand side is not in the column space of the coefficient matrix."""
 
 
 class NotPositiveDefinite(ValueError):
@@ -115,54 +106,6 @@ def complement(m):
         return np.eye(m.shape[0], dtype=complex)
     u, s, _ = np.linalg.svd(m, full_matrices=True)
     return u[:, _rank_from_singvals(s, DEFAULT_TOL):]
-
-
-def intersect(m1, m2, tol=DEFAULT_TOL):
-    """Orthonormal basis of the intersection of the spans of ``m1`` and ``m2``.
-
-    Both inputs are orthonormalized to ``B1, B2``; a null vector
-    ``(x; y)`` of the stacked matrix ``[B1 | -B2]`` satisfies
-    ``B1 x = B2 y``, which is a point of the intersection.  The result
-    is re-orthonormalized.
-
-    Raises
-    ------
-    DimensionMismatch
-        If ``m1`` and ``m2`` have different row counts.
-    """
-    b1 = orthonormal_basis(m1, tol)
-    b2 = orthonormal_basis(m2, tol)
-    if b1.shape[0] != b2.shape[0]:
-        raise DimensionMismatch(
-            f"row counts differ: {b1.shape[0]} vs {b2.shape[0]}")
-    coeffs = nullspace(np.hstack([b1, -b2]), tol)
-    return orthonormal_basis(b1 @ coeffs[: b1.shape[1]], tol)
-
-
-def solve_consistent(a, b, tol=1e-8):
-    """Least-squares solve of ``a @ X = b`` that must be consistent.
-
-    Returns the minimizer of ``||a X - b||_F`` and raises
-    :class:`InconsistentSystem` when the relative residual
-    ``||a X - b|| / ||b||`` exceeds ``tol`` (i.e. ``b`` is not in the
-    column space of ``a``).
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(
-            f"row counts differ: {a.shape[0]} vs {b.shape[0]}")
-    if b.shape[1] == 0:
-        return np.zeros((a.shape[1], 0), dtype=complex)
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0.0:
-        return x
-    rel = np.linalg.norm(a @ x - b) / b_norm
-    if rel > tol:
-        raise InconsistentSystem(
-            f"relative residual {rel:.3e} exceeds tolerance {tol:.3e}")
-    return x
 
 
 def _frobenius(m):

@@ -132,6 +132,17 @@ def _assert_full_rank(h, tol=1e-9):
         raise RuntimeError("sampled channel is numerically rank deficient")
 
 
+def _block_diagonal(blocks):
+    """Block-diagonal ``(slots*r, slots*c)`` matrix of ``(slots, r, c)`` blocks."""
+    slots, r, c = blocks.shape
+    if slots == 1:
+        return blocks[0]
+    g = np.zeros((slots, r, slots, c), dtype=blocks.dtype)
+    diag = np.arange(slots)
+    g[diag, :, diag, :] = blocks
+    return g.reshape(slots * r, slots * c)
+
+
 def sample_eves(cfg, eve_counts, rng, slots=1, mean=0.0, var=1.0):
     """Draw eavesdropper channel pairs, one per entry of ``eve_counts``.
 
@@ -155,13 +166,11 @@ def sample_eves(cfg, eve_counts, rng, slots=1, mean=0.0, var=1.0):
     for nej in eve_counts:
         pair = []
         for mi in (cfg.m1, cfg.m2):
-            g = np.zeros((slots * nej, slots * mi), dtype=complex)
-            for s in range(slots):
-                part = z[offset:offset + 2 * nej * mi].reshape(2, nej, mi)
-                offset += 2 * nej * mi
-                g[s * nej:(s + 1) * nej, s * mi:(s + 1) * mi] = \
-                    mean + scale * (part[0] + 1j * part[1])
-            pair.append(g)
+            size = slots * 2 * nej * mi
+            part = z[offset:offset + size].reshape(slots, 2, nej, mi)
+            offset += size
+            pair.append(_block_diagonal(
+                mean + scale * (part[:, 0] + 1j * part[:, 1])))
         eves.append((pair[0], pair[1]))
     return eves
 

@@ -4,9 +4,8 @@ Given a jamming plan and a channel realization this module synthesizes:
 
 * jamming precoders ``v1j``/``v2j`` whose columns are, per plan part,
   random (Gaussian, orthonormalized), nullspace columns of the lifted
-  channel, or aligned columns solving ``H1 @ v1 = H2 @ v2 = i`` for
-  shared directions ``i`` drawn from the intersection of the two
-  received signal spaces;
+  channel, or aligned pairs ``(x, y)`` with ``H1 x = H2 y``, taken from
+  one null space over the two channels' row spaces;
 * a receiver matrix ``u`` whose orthonormal rows span the orthogonal
   complement of the received jamming space (zero-forcing);
 * legitimate precoders ``v1l``/``v2l`` with orthonormal columns taken
@@ -14,12 +13,13 @@ Given a jamming plan and a channel realization this module synthesizes:
 
 A plan with ``extension == 2`` lifts the constant legitimate channel
 block-diagonally over two symbol slots, once, in `build_precoder_set`;
-the sub-builders take the lifted pair, and the intersection, nullspace
-and complement computations happen in the lifted space.  Aligned
-directions are drawn generically from the lifted intersection (a seeded
-unitary mix) so that their per-slot components are not degenerate: a
-slot-pure direction would present rank-deficient jamming to a
-time-varying eavesdropper.
+the sub-builders take the lifted pair, and the null-space and
+complement computations happen in the lifted space.  Aligned pairs are
+drawn generically from that null space (a seeded unitary mix) so that
+their per-slot components are not degenerate: a slot-pure pair would
+present rank-deficient jamming to a time-varying eavesdropper.  Keeping
+them in the row spaces keeps them free of channel-nullspace components,
+which the receiver never sees but an eavesdropper would.
 
 All tolerances are relative.  `verify_geometry` aggregates the
 construction contracts into a machine-checkable report and keeps the
@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matlin
-from .matlin import (as_matrix, complement, intersect, nullspace,
-                     orthonormal_basis, solve_consistent)
+from .matlin import as_matrix, complement, nullspace, orthonormal_basis
 from .model import complex_gaussian
 from .regions import ALIGNED, NULLSPACE, RANDOM
 
@@ -43,7 +42,7 @@ RANK_TOL = 1e-9
 
 
 class AlignmentInfeasible(RuntimeError):
-    """The signal-space intersection is smaller than the aligned budget."""
+    """Received signal spaces share too few dimensions for the aligned budget."""
 
 
 class PlanMismatch(RuntimeError):
@@ -60,13 +59,6 @@ class GeometryReport:
     decode_rank: int
     expected_rank: int
     passed: bool
-
-    def summary(self):
-        return (f"align={self.alignment_residual:.2e} "
-                f"null={self.nullspace_residual:.2e} "
-                f"zf={self.zf_residual:.2e} "
-                f"rank={self.decode_rank}/{self.expected_rank} "
-                f"{'pass' if self.passed else 'FAIL'}")
 
 
 @dataclass
@@ -112,19 +104,28 @@ def _normalize_columns(v):
     return v / np.linalg.norm(v, axis=0)
 
 
-def _aligned_directions(plan, h1e, h2e, rng):
-    """Shared receiver directions for the aligned parts of both transmitters."""
+def _aligned_pairs(plan, h1e, h2e, rng):
+    """Aligned jamming columns of both transmitters, stacked ``(x; y)``.
+
+    With ``R_i`` orthonormal bases of the row spaces of ``h_ie``, each
+    null vector ``(c1; c2)`` of ``[h1e R1 | -h2e R2]`` gives
+    ``x = R1 c1``, ``y = R2 c2`` with ``h1e x = h2e y`` exactly.  A
+    seeded unitary mixes the null vectors generically.
+    """
     a1, a2 = plan.aligned_dims(1), plan.aligned_dims(2)
     if a1 != a2:
         raise PlanMismatch(f"aligned budgets differ: {a1} vs {a2}")
     if a1 == 0:
         return None
-    space = intersect(h1e, h2e)
-    if space.shape[1] < a1:
+    r1 = orthonormal_basis(h1e.conj().T)
+    r2 = orthonormal_basis(h2e.conj().T)
+    c = nullspace(np.hstack([h1e @ r1, -(h2e @ r2)]))
+    if c.shape[1] < a1:
         raise AlignmentInfeasible(
-            f"intersection has dimension {space.shape[1]}, need {a1}")
-    mix = _random_unitary(space.shape[1], rng)
-    return space @ mix[:, :a1]
+            f"received signal spaces share {c.shape[1]} dimensions, "
+            f"need {a1}")
+    pairs = np.vstack([r1 @ c[:r1.shape[1]], r2 @ c[r1.shape[1]:]])
+    return pairs @ _random_unitary(c.shape[1], rng)[:, :a1]
 
 
 def build_jamming(plan, h1e, h2e, seed):
@@ -132,22 +133,24 @@ def build_jamming(plan, h1e, h2e, seed):
 
     ``h1e``/``h2e`` are the channels lifted to ``plan.extension`` slots.
     Columns are laid out in plan-part order per transmitter and
-    normalized to unit norm.  Aligned parts share one set of generic
-    intersection directions, so both transmitters' aligned columns map
-    to the same receiver subspace; nullspace parts are invisible to the
-    receiver; random parts are generic.
+    normalized to unit norm.  Aligned parts take their columns from one
+    null space over the two channels' row spaces (`_aligned_pairs`), so
+    both transmitters' aligned columns map to the same receiver
+    subspace; nullspace parts are invisible to the receiver; random
+    parts are generic.
 
     Raises
     ------
     AlignmentInfeasible
-        When the intersection of the received signal spaces is smaller
-        than the aligned budget (a plan/region mismatch).
+        When the received signal spaces share fewer dimensions than the
+        aligned budget (a plan/region mismatch).
     """
     rng = np.random.default_rng(seed)
-    shared = _aligned_directions(plan, h1e, h2e, rng)
+    pairs = _aligned_pairs(plan, h1e, h2e, rng)
 
     out = []
-    for parts, he in ((plan.tx1_parts, h1e), (plan.tx2_parts, h2e)):
+    for parts, he, rows in ((plan.tx1_parts, h1e, slice(0, h1e.shape[1])),
+                            (plan.tx2_parts, h2e, slice(h1e.shape[1], None))):
         cols = [np.zeros((he.shape[1], 0), dtype=complex)]
         for part in parts:
             if part.method == RANDOM:
@@ -163,7 +166,7 @@ def build_jamming(plan, h1e, h2e, seed):
                 mixed = ns @ _random_unitary(ns.shape[1], rng)
                 cols.append(mixed[:, :part.dims])
             else:  # aligned
-                cols.append(solve_consistent(he, shared[:, :part.dims]))
+                cols.append(pairs[rows, :part.dims])
         out.append(_normalize_columns(np.hstack(cols)))
     return out[0], out[1]
 

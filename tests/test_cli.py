@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdoflab import binning, cli, rates
 from sdoflab.model import AntennaConfig
@@ -182,6 +188,74 @@ class TestSimulateBadInput:
         cfg.write_text("[1, 2]")
         assert cli.main(["simulate", "--config", str(cfg)]) == 1
         assert "JSON object" in capsys.readouterr().err
+
+
+MISSING_KEY = object()  # fuzz marker: leave the key out of the config
+
+# one bad value of each kind for any config key
+BAD_SCALARS = ["x", None, True, [], {}, math.nan, math.inf, -math.inf,
+               -1, -0.5, 0, 10**6, 1e300, 2**64, MISSING_KEY]
+BAD_LISTS = [[math.nan], [1, math.inf], [-1], [10**6], [1e308] * 4,
+             ["1"], [[1]], [True]]
+
+
+# a small, valid value for every ``simulate`` config key
+VALID_VALUES = {
+    "m1": st.integers(1, 3), "m2": st.integers(1, 3),
+    "n": st.integers(1, 3), "ne": st.integers(0, 3),
+    "eve_counts": st.lists(st.integers(0, 3), max_size=2),
+    "alpha": st.floats(0.05, 0.95),
+    "p_grid": st.builds(
+        lambda p0, decades, k: [p0 * 10.0 ** (decades * i / (k - 1))
+                                for i in range(k)],
+        st.floats(1e-2, 1e3), st.integers(4, 8), st.integers(4, 6)),
+    "trials": st.integers(1, 2), "seed": st.integers(0, 2**32),
+    "eve_mean": st.floats(-2, 2), "eve_var": st.floats(0.1, 10),
+    "output_path": st.text(max_size=8),  # unused: --out is always given
+}
+
+
+@st.composite
+def fuzzed_configs(draw):
+    data = {k: draw(v) for k, v in VALID_VALUES.items()}
+    bad_keys = draw(st.sets(st.sampled_from(sorted(VALID_VALUES)), max_size=2))
+    for key in bad_keys:
+        data[key] = draw(st.sampled_from(BAD_SCALARS + BAD_LISTS))
+    if draw(st.booleans()) and draw(st.booleans()):
+        data["unknown_key"] = 1
+    return {k: v for k, v in data.items() if v is not MISSING_KEY}
+
+
+def assert_finite_outputs(stem):
+    with open(f"{stem}.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows and all(math.isfinite(float(x)) for r in rows for x in r)
+    summary = json.loads(Path(f"{stem}.json").read_text())
+    assert all(math.isfinite(v) for v in summary.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=fuzzed_configs(), no_jamming=st.booleans())
+def test_simulate_fuzzed_config(data, no_jamming):
+    """Any config gives exit 0 with finite outputs or exit 1 with one line."""
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "exp.json"
+        cfg.write_text(json.dumps(data))
+        stem = Path(tmp) / "run"
+        with contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["simulate", "--config", str(cfg),
+                             "--out", str(stem)]
+                            + ["--no-jamming"] * no_jamming)
+        err = stderr.getvalue()
+        assert code in (0, 1), err
+        if code:
+            assert err.strip() and err.count("\n") == 1, err
+            assert not Path(f"{stem}.csv").exists()
+        else:
+            assert err == ""
+            assert_finite_outputs(stem)
 
 
 class TestSimulateDegenerate:

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdoflab import matlin
-from sdoflab.matlin import (DimensionMismatch, InconsistentSystem,
-                            InvalidMatrix, NotPositiveDefinite, complement,
-                            intersect, logdet_hpd, nullspace,
-                            orthonormal_basis, solve_consistent)
+from sdoflab.matlin import (InvalidMatrix, NotPositiveDefinite, complement,
+                            logdet_hpd, nullspace, orthonormal_basis)
 
 
 def crandn(rng, rows, cols):
@@ -88,42 +86,6 @@ class TestNullspace:
                 assert nullspace(low).shape[1] + matlin.rank(low) == cols
 
 
-class TestIntersect:
-    def test_coordinate_planes(self):
-        e = np.eye(3, dtype=complex)
-        inter = intersect(e[:, :2], e[:, 1:])   # span{e1, e2} and span{e2, e3}
-        assert inter.shape == (3, 1)
-        assert distance(inter, e[:, 1:2]) <= 1e-10
-
-    def test_idempotence(self):
-        rng = np.random.default_rng(2)
-        s = orthonormal_basis(crandn(rng, 5, 2))
-        assert span_equal(intersect(s, s), s)
-
-    def test_symmetry_on_seeded_draws(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            s1 = orthonormal_basis(crandn(rng, 4, 2))
-            s2 = orthonormal_basis(crandn(rng, 4, 3))
-            assert span_equal(intersect(s1, s2), intersect(s2, s1))
-
-    @pytest.mark.parametrize("m1,m2,n", [(2, 2, 3), (3, 2, 4), (2, 1, 2),
-                                         (3, 3, 4), (4, 3, 5)])
-    def test_generic_dimension(self, m1, m2, n):
-        # generic column spaces intersect in max(0, m1 + m2 - n) dimensions
-        rng = np.random.default_rng(100 * m1 + 10 * m2 + n)
-        expected = max(0, m1 + m2 - n)
-        for _ in range(100):
-            s1 = orthonormal_basis(crandn(rng, n, m1))
-            s2 = orthonormal_basis(crandn(rng, n, m2))
-            assert intersect(s1, s2).shape[1] == expected
-
-    def test_ambient_mismatch(self):
-        # the ambient dimension is the row count
-        with pytest.raises(DimensionMismatch):
-            intersect(np.eye(2), np.eye(3))
-
-
 class TestComplement:
     def test_line_in_plane(self):
         c = complement(np.array([[1.0], [0.0]], dtype=complex))
@@ -167,58 +129,10 @@ class TestSubspaceContract:
         assert np.linalg.norm(c.conj().T @ c - np.eye(rows - rank)) <= 1e-10
         assert np.linalg.norm(c.conj().T @ m) <= 1e-10 * np.linalg.norm(m)
 
-    @settings(max_examples=150, deadline=None)
-    @given(rows=st.integers(1, 8), cols=st.tuples(st.integers(0, 8),
-                                                  st.integers(0, 8)),
-           ranks=st.tuples(st.integers(0, 8), st.integers(0, 8)),
-           shared=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
-           scale=st.sampled_from([1e-3, 1.0, 1e4]))
-    def test_intersect(self, rows, cols, ranks, shared, seed, scale):
-        rng = np.random.default_rng(seed)
-        r1 = min(ranks[0], rows, cols[0])
-        r2 = min(ranks[1], rows, cols[1])
-        shared = min(shared, r1, r2)
-        m1 = low_rank(rng, rows, cols[0], r1, scale)
-        # m2 takes `shared` of its directions from the column space of m1
-        basis2 = np.hstack([m1 @ crandn(rng, cols[0], shared),
-                            crandn(rng, rows, r2 - shared)])
-        m2 = basis2 @ crandn(rng, r2, cols[1])
-        inter = intersect(m1, m2)
-        want = r1 + r2 - matlin.rank(np.hstack([m1, m2]))
-        assert inter.shape == (rows, want)
-        assert np.linalg.norm(inter.conj().T @ inter - np.eye(want)) <= 1e-10
-        assert distance(orthonormal_basis(m1), inter) <= 1e-8
-        assert distance(orthonormal_basis(m2), inter) <= 1e-8
-        assert span_equal(inter, intersect(m2, m1), 1e-8)
-
-    @pytest.mark.parametrize("call", [
-        orthonormal_basis, nullspace, complement,
-        lambda m: intersect(m, np.eye(2)), lambda m: intersect(np.eye(2), m),
-    ])
+    @pytest.mark.parametrize("call", [orthonormal_basis, nullspace, complement])
     def test_non_finite_input_rejected(self, call):
         with pytest.raises(InvalidMatrix):
             call(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-
-class TestSolveConsistent:
-    def test_identity(self):
-        rng = np.random.default_rng(1)
-        b = crandn(rng, 3, 2)
-        x = solve_consistent(np.eye(3), b, 1e-10)
-        assert np.abs(x - b).max() <= 1e-12
-
-    def test_constructed_consistent_system(self):
-        rng = np.random.default_rng(13)
-        a = crandn(rng, 3, 2)
-        x_true = np.array([[1.0], [1.0]], dtype=complex)
-        x = solve_consistent(a, a @ x_true, 1e-9)
-        assert np.abs(x - x_true).max() <= 1e-9
-
-    def test_orthogonal_target_rejected(self):
-        a = np.array([[1.0], [0.0]], dtype=complex)
-        b = np.array([[0.0], [1.0]], dtype=complex)
-        with pytest.raises(InconsistentSystem):
-            solve_consistent(a, b, 1e-8)
 
 
 class TestLogdetHpd:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from sdoflab.cli import iter_canonical_configs
+from sdoflab.matlin import nullspace
 from sdoflab.model import AntennaConfig, sample_channels, sample_eves
 from sdoflab.precoders import (AlignmentInfeasible, PlanMismatch,
                                PrecoderSet, build_jamming, build_legit,
@@ -60,7 +62,7 @@ class TestBuildJamming:
                                        atol=1e-10)
 
     def test_alignment_infeasible_budget(self):
-        # intersection of two 2-dim spaces in ambient 3 has dimension 1 < 2
+        # two 2-dim received spaces in ambient 3 share 1 dimension < 2
         cfg = AntennaConfig(2, 2, 3, 1)
         ch = sample_channels(cfg, [], 3)
         bad = JammingPlan(extension=1,
@@ -69,6 +71,24 @@ class TestBuildJamming:
                           j_s=2, d1=0, d2=0)
         with pytest.raises(AlignmentInfeasible):
             build_jamming(bad, ch.h1, ch.h2, 0)
+
+    @pytest.mark.parametrize("cfg_tuple", [(3, 1, 2, 2), (3, 1, 2, 3),
+                                           (4, 3, 2, 4), (5, 4, 3, 6)])
+    def test_aligned_columns_avoid_channel_nullspace(self, cfg_tuple):
+        # A nullspace component of an aligned column is invisible at the
+        # receiver but not at an eavesdropper; wide channels (m_i > n)
+        # have such components to pick up.
+        for seed in range(5):
+            _, plan, ch, ps = built(cfg_tuple, seed)
+            for parts, he, vj in ((plan.tx1_parts, ch.h1, ps.v1j),
+                                  (plan.tx2_parts, ch.h2, ps.v2j)):
+                starts = np.cumsum([0] + [p.dims for p in parts])
+                aligned = np.hstack([vj[:, a:b] for p, a, b in
+                                     zip(parts, starts, starts[1:])
+                                     if p.method == ALIGNED])
+                ns = nullspace(extend_channel(he, plan.extension))
+                assert aligned.shape[1]
+                assert np.abs(ns.conj().T @ aligned).max(initial=0.0) <= 1e-12
 
     def test_deterministic_given_seed(self):
         _, plan, ch, _ = built((2, 2, 3, 1))
@@ -139,7 +159,7 @@ class TestVerifyGeometry:
         for seed in range(5):
             _, _, _, ps = built(cfg_tuple, seed)
             rep = ps.geometry
-            assert rep.passed, rep.summary()
+            assert rep.passed, rep
             assert rep.alignment_residual <= 1e-8
             assert rep.nullspace_residual <= 1e-8
             assert rep.zf_residual <= 1e-8
@@ -210,21 +230,18 @@ def test_unjammed_set_shapes():
                for w, h in zip(ps.rx_images, (ch.h1, ch.h2)))
 
 
-def test_every_construction_shape_up_to_four_antennas():
+def test_every_construction_shape_up_to_six_antennas():
     # every case region, including boundaries (m_i = n) and random-spill
     # corners, must build, verify, and cover the eavesdropper
-    for m1 in range(1, 5):
-        for m2 in range(1, m1 + 1):
-            for n in range(1, 5):
-                for ne in range(m1 + m2):
-                    cfg = AntennaConfig(m1, m2, n, ne)
-                    plan = jamming_plan(cfg)
-                    ch = sample_channels(cfg, [], 3)
-                    ps = build_precoder_set(plan, ch.h1, ch.h2, 80)
-                    assert ps.geometry.passed, (cfg, ps.geometry.summary())
-                    if cfg.ne:
-                        rng = np.random.default_rng(999)
-                        (g1, g2), = sample_eves(cfg, [cfg.ne], rng,
-                                                slots=plan.extension)
-                        assert jamming_coverage_rank(ps, g1, g2) == \
-                            plan.extension * cfg.ne, cfg
+    configs = list(iter_canonical_configs(6))
+    assert len(configs) == 882
+    for cfg in configs:
+        plan = jamming_plan(cfg)
+        ch = sample_channels(cfg, [], 3)
+        ps = build_precoder_set(plan, ch.h1, ch.h2, 80)
+        assert ps.geometry.passed, (cfg, ps.geometry)
+        if cfg.ne:
+            rng = np.random.default_rng(999)
+            (g1, g2), = sample_eves(cfg, [cfg.ne], rng, slots=plan.extension)
+            assert jamming_coverage_rank(ps, g1, g2) == \
+                plan.extension * cfg.ne, (cfg, ps.geometry)
