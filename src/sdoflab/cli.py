@@ -237,7 +237,7 @@ def cmd_simulate(args):
                                  jamming=jamming, eve_mean=exp.eve_mean,
                                  eve_var=exp.eve_var)
     except (rates.GeometryNotVerified, precoders.PlanMismatch,
-            precoders.AlignmentInfeasible) as exc:
+            precoders.AlignmentInfeasible, matlin.RaggedRank) as exc:
         return _fail(f"geometry verification failed: {exc}", 2)
     except (FloatingPointError, matlin.NotPositiveDefinite) as exc:
         return _fail(f"bad config: numerical failure in the rate algebra "
@@ -269,6 +269,8 @@ def cmd_binning(args):
         return _fail(f"binning failed: num-seeds must be in [0, {MAX_SEEDS}]", 1)
     try:
         n_list = [int(v) for v in args.n_list.split(",") if v]
+        if not n_list:
+            raise ValueError("--n-list names no block length")
         seeds = [args.seed + k for k in range(args.num_seeds)]
         table = binning.equivocation_table(n_list, args.delta, args.rate_total,
                                            args.rate_secret, seeds)

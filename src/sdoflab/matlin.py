@@ -7,13 +7,15 @@ and the log-determinant of Hermitian positive-definite matrices.
 
 Conventions
 -----------
-Matrices are plain ``numpy.ndarray`` objects with dtype complex128 and
-exactly two axes; :func:`logdet_hpd` also takes ``(..., d, d)`` stacks.
+Matrices are plain ``numpy.ndarray`` objects with dtype complex128, and
+every function here also takes a ``(..., rows, cols)`` stack of them.
 A subspace is the column space of a matrix.  The subspace primitives
 (:func:`orthonormal_basis`, :func:`nullspace`, :func:`complement`) take
-any finite matrix, check it once with :func:`as_matrix`, compute one
-SVD, and return a plain ``(rows, k)`` array whose orthonormal columns
-span the result; an empty subspace has ``k = 0``.
+any finite matrix or stack, check it once with :func:`as_matrix`,
+compute one SVD, and return a plain ``(..., rows, k)`` array whose
+orthonormal columns span the result; an empty subspace has ``k = 0``.
+A stack is one array, so ``k`` must be the same for every matrix in it;
+when the ranks differ they raise :class:`RaggedRank`.
 
 Numerical rank uses a *relative* singular-value cutoff: singular values
 below ``tol`` times the largest singular value count as zero.  The
@@ -37,24 +39,38 @@ class NotPositiveDefinite(ValueError):
     """Matrix is not Hermitian positive definite."""
 
 
-def as_matrix(m, stacked=False):
-    """Coerce ``m`` to a 2-D complex128 array, rejecting non-finite entries.
+class RaggedRank(ValueError):
+    """The matrices of a stack differ in numerical rank."""
 
-    With ``stacked=True`` any leading axes are kept: ``m`` is a
-    ``(..., rows, cols)`` stack of matrices.
-    """
+
+def as_matrix(m):
+    """Coerce ``m`` to a complex128 matrix or ``(..., rows, cols)`` stack,
+    rejecting non-finite entries."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 and not (stacked and a.ndim > 2):
-        raise InvalidMatrix(f"expected a 2-D matrix, got ndim={a.ndim}")
+    if a.ndim < 2:
+        raise InvalidMatrix(f"expected a matrix, got ndim={a.ndim}")
     if a.size and not (np.isfinite(a.real).all() and np.isfinite(a.imag).all()):
         raise InvalidMatrix("matrix has non-finite entries")
     return a
 
 
-def _rank_from_singvals(s, tol):
-    if s.size == 0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+def ct(x):
+    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    return x.conj().swapaxes(-2, -1)
+
+
+def _ranks(s, tol):
+    """Numerical rank of each matrix from its singular values ``(..., k)``."""
+    return np.count_nonzero(s > tol * s[..., :1], axis=-1)
+
+
+def _one_rank(s, tol):
+    """The numerical rank shared by every matrix of a stack."""
+    r = _ranks(s, tol)
+    if r.size and r.min() != r.max():
+        raise RaggedRank(f"numerical ranks differ across the stack: "
+                         f"{r.min()} to {r.max()}")
+    return int(r.max(initial=0))
 
 
 def orthonormal_basis(m, tol=DEFAULT_TOL):
@@ -63,22 +79,20 @@ def orthonormal_basis(m, tol=DEFAULT_TOL):
     Parameters
     ----------
     m : array_like
-        Matrix whose column space is wanted.
+        Matrix, or stack of matrices, whose column space is wanted.
     tol : float
         Relative singular-value cutoff for the numerical rank.
 
     Returns
     -------
-    ndarray, shape (rows, rank)
+    ndarray, shape (..., rows, rank)
         Orthonormal columns, as many as the numerical rank of ``m``.
     """
     m = as_matrix(m)
-    if m.shape[0] == 0:
+    if m.shape[-2] == 0:
         raise InvalidMatrix("matrix has no rows")
-    if m.shape[1] == 0:
-        return np.zeros((m.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, :_rank_from_singvals(s, tol)]
+    return u[..., :_one_rank(s, tol)]
 
 
 def nullspace(m, tol=DEFAULT_TOL):
@@ -88,11 +102,8 @@ def nullspace(m, tol=DEFAULT_TOL):
     columns and ``m @ basis`` is zero to within ``tol * ||m||``.
     """
     m = as_matrix(m)
-    if m.size == 0:
-        # No constraints: the nullspace is the whole domain.
-        return np.eye(m.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    return vh[_rank_from_singvals(s, tol):].conj().T
+    return ct(vh[..., _one_rank(s, tol):, :])
 
 
 def complement(m):
@@ -102,13 +113,11 @@ def complement(m):
     ``DEFAULT_TOL``.
     """
     m = as_matrix(m)
-    if m.size == 0:
-        return np.eye(m.shape[0], dtype=complex)
     u, s, _ = np.linalg.svd(m, full_matrices=True)
-    return u[:, _rank_from_singvals(s, DEFAULT_TOL):]
+    return u[..., _one_rank(s, DEFAULT_TOL):]
 
 
-def _frobenius(m):
+def frobenius(m):
     """Frobenius norm of each matrix in a stack, without complex temporaries."""
     return np.sqrt(sum(np.einsum("...ij,...ij->...", x, x)
                        for x in (m.real, m.imag)))
@@ -126,14 +135,14 @@ def logdet_hpd(m):
     and the result is an array of shape ``m.shape[:-2]`` whose entries
     equal the per-matrix results.  A 2-D input gives a float.
     """
-    m = as_matrix(m, stacked=True)
+    m = as_matrix(m)
     if m.shape[-2] != m.shape[-1]:
         raise NotPositiveDefinite("matrix is not square")
     if m.shape[-1] == 0:
         return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
     skew = m.conj().swapaxes(-2, -1)
     np.subtract(m, skew, out=skew)
-    skewed = np.any(_frobenius(skew) > 1e-10 * np.maximum(1.0, _frobenius(m)))
+    skewed = np.any(frobenius(skew) > 1e-10 * np.maximum(1.0, frobenius(m)))
     del skew
     if skewed:
         raise NotPositiveDefinite("matrix is not Hermitian")
@@ -147,9 +156,7 @@ def logdet_hpd(m):
 
 
 def rank(m, tol=DEFAULT_TOL):
-    """Numerical rank at the relative singular-value cutoff ``tol``."""
-    m = as_matrix(m)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return _rank_from_singvals(s, tol)
+    """Numerical rank at the relative singular-value cutoff ``tol``: an
+    int for a matrix, an int array of shape ``m.shape[:-2]`` for a stack."""
+    r = _ranks(np.linalg.svd(as_matrix(m), compute_uv=False), tol)
+    return int(r) if r.ndim == 0 else r

@@ -104,12 +104,13 @@ class PowerPolicy:
 
 @dataclass
 class ChannelRealization:
-    """One draw of all channel matrices.
+    """Channel draws of a stack of trials, one per leading index.
 
-    ``h1``/``h2`` are the legitimate channels (``n x m_i``); ``eves`` is
-    a list of per-eavesdropper pairs ``(g1, g2)``.  For a ``slots``-fold
-    time extension the eavesdropper matrices are block diagonal with one
-    independent block per slot (shape ``slots*nej x slots*m_i``).
+    ``h1``/``h2`` are the legitimate channels, ``(trials, n, m_i)``;
+    ``eves`` is a list of per-eavesdropper pairs ``(g1, g2)`` of
+    ``(trials, rows, cols)`` stacks.  For a ``slots``-fold time
+    extension the eavesdropper matrices are block diagonal with one
+    independent block per slot (``rows = slots*nej``, ``cols = slots*m_i``).
     """
 
     h1: np.ndarray
@@ -117,19 +118,27 @@ class ChannelRealization:
     eves: list = field(default_factory=list)
 
 
-def complex_gaussian(rng, rows, cols, mean=0.0, var=1.0):
-    """Matrix of i.i.d. circularly-symmetric complex Gaussian entries."""
+def complex_gaussian(rngs, rows, cols, mean=0.0, var=1.0):
+    """``(len(rngs), rows, cols)`` stack of i.i.d. circularly-symmetric
+    complex Gaussian matrices, one drawn from each generator."""
     scale = np.sqrt(var / 2.0)
-    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    z = np.stack([rng.standard_normal((rows, cols))
+                  + 1j * rng.standard_normal((rows, cols)) for rng in rngs])
     return mean + scale * z
 
 
 def _assert_full_rank(h, tol=1e-9):
-    if min(h.shape) == 0:
+    """Raise unless every matrix of the stack ``h`` is numerically full rank."""
+    if min(h.shape[-2:]) == 0:
         return
     s = np.linalg.svd(h, compute_uv=False)
-    if s[-1] <= tol * s[0]:
+    if np.any(s[..., -1] <= tol * s[..., 0]):
         raise RuntimeError("sampled channel is numerically rank deficient")
+
+
+def stack_eves(draws):
+    """Per-eavesdropper ``(g1, g2)`` stacks of per-trial `sample_eves` lists."""
+    return [tuple(np.stack(g) for g in zip(*pairs)) for pairs in zip(*draws)]
 
 
 def _block_diagonal(blocks):
@@ -175,9 +184,13 @@ def sample_eves(cfg, eve_counts, rng, slots=1, mean=0.0, var=1.0):
     return eves
 
 
-def sample_channels(cfg, eve_counts, seed, *,
+def sample_channels(cfg, eve_counts, seeds, *,
                     eve_mean=0.0, eve_var=1.0, slots=1):
-    """Draw a full channel realization, deterministic given ``seed``.
+    """Draw one channel realization per seed, stacked over the seeds.
+
+    Each trial's draws are deterministic given its seed and do not
+    depend on the other seeds: ``h1``, then ``h2``, then the
+    eavesdroppers, from one generator per seed.
 
     Parameters
     ----------
@@ -185,8 +198,8 @@ def sample_channels(cfg, eve_counts, seed, *,
     eve_counts : sequence of int
         Antenna count of each eavesdropper; every entry must be at most
         ``cfg.ne``.
-    seed : int or numpy seed-like
-        Anything accepted by ``numpy.random.default_rng``.
+    seeds : sequence of numpy seed-likes
+        One per trial; anything accepted by ``numpy.random.default_rng``.
     eve_mean, eve_var : float
         First and second moments of the eavesdropper channel entries.
         Nothing downstream depends on the mean; it is exposed only as a
@@ -197,11 +210,12 @@ def sample_channels(cfg, eve_counts, seed, *,
         block-diagonally as needed).
     """
     validate(cfg)
-    rng = np.random.default_rng(seed)
-    h1 = complex_gaussian(rng, cfg.n, cfg.m1)
-    h2 = complex_gaussian(rng, cfg.n, cfg.m2)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    h1 = complex_gaussian(rngs, cfg.n, cfg.m1)
+    h2 = complex_gaussian(rngs, cfg.n, cfg.m2)
     _assert_full_rank(h1)
     _assert_full_rank(h2)
-    eves = sample_eves(cfg, eve_counts, rng, slots=slots,
-                       mean=eve_mean, var=eve_var) if len(eve_counts) else []
+    eves = stack_eves([sample_eves(cfg, eve_counts, rng, slots=slots,
+                                   mean=eve_mean, var=eve_var)
+                       for rng in rngs]) if len(eve_counts) else []
     return ChannelRealization(h1, h2, eves)

@@ -1,6 +1,7 @@
 """Jamming precoders, legitimate precoders, and zero-forcing reception.
 
-Given a jamming plan and a channel realization this module synthesizes:
+Given a jamming plan and a stack of channel realizations, one per
+trial, this module synthesizes for every trial:
 
 * jamming precoders ``v1j``/``v2j`` whose columns are, per plan part,
   random (Gaussian, orthonormalized), nullspace columns of the lifted
@@ -21,9 +22,13 @@ present rank-deficient jamming to a time-varying eavesdropper.  Keeping
 them in the row spaces keeps them free of channel-nullspace components,
 which the receiver never sees but an eavesdropper would.
 
-All tolerances are relative.  `verify_geometry` aggregates the
-construction contracts into a machine-checkable report and keeps the
-receiver images ``U H_i V_i^L`` that the rate engine reads.
+Every step works on ``(trials, rows, cols)`` stacks: one SVD, QR or
+product call per step serves the whole stack, while each trial draws
+its random matrices from its own seeded stream.  A single trial is a
+stack of one.  All tolerances are relative.  `verify_geometry`
+aggregates the construction contracts into one machine-checkable report
+per stack and keeps the receiver images ``U H_i V_i^L`` that the rate
+engine reads.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matlin
-from .matlin import as_matrix, complement, nullspace, orthonormal_basis
+from .matlin import (as_matrix, complement, ct, frobenius, nullspace,
+                     orthonormal_basis)
 from .model import complex_gaussian
 from .regions import ALIGNED, NULLSPACE, RANDOM
 
@@ -65,11 +71,12 @@ class GeometryReport:
 class PrecoderSet:
     """Legitimate precoders, jamming precoders, and the receiver matrix.
 
-    Shapes (``e`` the extension factor): ``v_il`` is ``(e*m_i, d_i)``
-    with orthonormal columns orthogonal to ``v_ij``; ``v_ij`` is
-    ``(e*m_i, jam_i)`` with unit-norm columns; ``u`` is
-    ``(e*n - j_s, e*n)`` with orthonormal rows.  :func:`verify_geometry`
-    sets ``geometry`` and the receiver images ``rx_images`` = ``U H_i V_i^L``.
+    Each field stacks one matrix per trial.  Shapes (``e`` the extension
+    factor): ``v_il`` is ``(e*m_i, d_i)`` with orthonormal columns
+    orthogonal to ``v_ij``; ``v_ij`` is ``(e*m_i, jam_i)`` with unit-norm
+    columns; ``u`` is ``(e*n - j_s, e*n)`` with orthonormal rows.
+    :func:`verify_geometry` sets ``geometry``, one report for the stack,
+    and the receiver images ``rx_images`` = ``U H_i V_i^L``.
     """
 
     v1l: np.ndarray
@@ -81,30 +88,41 @@ class PrecoderSet:
     geometry: GeometryReport | None = field(default=None, compare=False)
     rx_images: tuple | None = field(default=None, compare=False)
 
+    def trial(self, t):
+        """Trial ``t`` alone, as plain matrices; keeps the stack's report."""
+        return PrecoderSet(
+            self.v1l[t], self.v2l[t], self.v1j[t], self.v2j[t], self.u[t],
+            self.extension, self.geometry,
+            self.rx_images and tuple(w[t] for w in self.rx_images))
+
 
 def extend_channel(h, factor):
-    """Block-diagonal lift of ``h`` over ``factor`` symbol slots."""
+    """Block-diagonal lift of ``h`` (a matrix or a stack) over ``factor`` slots.
+
+    This is ``kron``'s broadcast product, so it writes the same signed
+    zeros: the lift has repeated singular values, and its null-space
+    basis, with every precoder after it, depends on those signs.
+    """
     h = as_matrix(h)
     if factor == 1:
         return h
-    return np.kron(np.eye(factor), h)
+    *lead, n, m = h.shape
+    lifted = np.eye(factor)[:, None, :, None] * h[..., None, :, None, :]
+    return lifted.reshape(*lead, factor * n, factor * m)
 
 
-def _random_unitary(k, rng):
-    """Haar-ish random unitary via QR of a complex Gaussian draw."""
-    if k == 0:
-        return np.zeros((0, 0), dtype=complex)
-    q, r = np.linalg.qr(complex_gaussian(rng, k, k))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def _random_unitary(k, rngs):
+    """Haar-ish random unitaries, one per generator, via QR of Gaussians."""
+    q, r = np.linalg.qr(complex_gaussian(rngs, k, k))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _normalize_columns(v):
-    if v.shape[1] == 0:
-        return v
-    return v / np.linalg.norm(v, axis=0)
+    return v / np.linalg.norm(v, axis=-2)[..., None, :]
 
 
-def _aligned_pairs(plan, h1e, h2e, rng):
+def _aligned_pairs(plan, h1e, h2e, rngs):
     """Aligned jamming columns of both transmitters, stacked ``(x; y)``.
 
     With ``R_i`` orthonormal bases of the row spaces of ``h_ie``, each
@@ -117,21 +135,23 @@ def _aligned_pairs(plan, h1e, h2e, rng):
         raise PlanMismatch(f"aligned budgets differ: {a1} vs {a2}")
     if a1 == 0:
         return None
-    r1 = orthonormal_basis(h1e.conj().T)
-    r2 = orthonormal_basis(h2e.conj().T)
-    c = nullspace(np.hstack([h1e @ r1, -(h2e @ r2)]))
-    if c.shape[1] < a1:
+    r1 = orthonormal_basis(ct(h1e))
+    r2 = orthonormal_basis(ct(h2e))
+    k = r1.shape[-1]
+    c = nullspace(np.concatenate([h1e @ r1, -(h2e @ r2)], axis=-1))
+    if c.shape[-1] < a1:
         raise AlignmentInfeasible(
-            f"received signal spaces share {c.shape[1]} dimensions, "
+            f"received signal spaces share {c.shape[-1]} dimensions, "
             f"need {a1}")
-    pairs = np.vstack([r1 @ c[:r1.shape[1]], r2 @ c[r1.shape[1]:]])
-    return pairs @ _random_unitary(c.shape[1], rng)[:, :a1]
+    pairs = np.concatenate([r1 @ c[..., :k, :], r2 @ c[..., k:, :]], axis=-2)
+    return pairs @ _random_unitary(c.shape[-1], rngs)[..., :a1]
 
 
-def build_jamming(plan, h1e, h2e, seed):
-    """Jamming precoders ``(v1j, v2j)`` for a plan on a channel realization.
+def build_jamming(plan, h1e, h2e, seeds):
+    """Jamming precoders ``(v1j, v2j)`` for a plan on a stack of channels.
 
-    ``h1e``/``h2e`` are the channels lifted to ``plan.extension`` slots.
+    ``h1e``/``h2e`` are the channels lifted to ``plan.extension`` slots,
+    ``(trials, rows, cols)``, and ``seeds`` holds one seed per trial.
     Columns are laid out in plan-part order per transmitter and
     normalized to unit norm.  Aligned parts take their columns from one
     null space over the two channels' row spaces (`_aligned_pairs`), so
@@ -145,81 +165,81 @@ def build_jamming(plan, h1e, h2e, seed):
         When the received signal spaces share fewer dimensions than the
         aligned budget (a plan/region mismatch).
     """
-    rng = np.random.default_rng(seed)
-    pairs = _aligned_pairs(plan, h1e, h2e, rng)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    pairs = _aligned_pairs(plan, h1e, h2e, rngs)
 
     out = []
-    for parts, he, rows in ((plan.tx1_parts, h1e, slice(0, h1e.shape[1])),
-                            (plan.tx2_parts, h2e, slice(h1e.shape[1], None))):
-        cols = [np.zeros((he.shape[1], 0), dtype=complex)]
+    for parts, he, rows in ((plan.tx1_parts, h1e, slice(0, h1e.shape[-1])),
+                            (plan.tx2_parts, h2e, slice(h1e.shape[-1], None))):
+        cols = [np.zeros((len(rngs), he.shape[-1], 0), dtype=complex)]
         for part in parts:
             if part.method == RANDOM:
-                draw = complex_gaussian(rng, he.shape[1], part.dims)
+                draw = complex_gaussian(rngs, he.shape[-1], part.dims)
                 q, _ = np.linalg.qr(draw)
-                cols.append(q[:, :part.dims])
+                cols.append(q[..., :part.dims])
             elif part.method == NULLSPACE:
                 ns = nullspace(he)
-                if ns.shape[1] < part.dims:
+                if ns.shape[-1] < part.dims:
                     raise PlanMismatch(
-                        f"channel nullspace has dimension {ns.shape[1]}, "
+                        f"channel nullspace has dimension {ns.shape[-1]}, "
                         f"plan wants {part.dims}")
-                mixed = ns @ _random_unitary(ns.shape[1], rng)
-                cols.append(mixed[:, :part.dims])
+                mixed = ns @ _random_unitary(ns.shape[-1], rngs)
+                cols.append(mixed[..., :part.dims])
             else:  # aligned
-                cols.append(pairs[rows, :part.dims])
-        out.append(_normalize_columns(np.hstack(cols)))
+                cols.append(pairs[..., rows, :part.dims])
+        out.append(_normalize_columns(np.concatenate(cols, axis=-1)))
     return out[0], out[1]
 
 
 def build_zero_forcing(h1e, h2e, v1j, v2j, plan):
-    """Receiver zero-forcing matrix for the given jamming precoders.
+    """Receiver zero-forcing matrices for the given jamming precoders.
 
-    ``h1e``/``h2e`` are the channels lifted to ``plan.extension`` slots.
-    The rows form an orthonormal basis of the orthogonal complement of
-    the received jamming space (the union of both transmitters' jamming
-    images), so ``u @ (H_i v_ij) = 0``.  With no jamming at the receiver
-    the result is a full square unitary.
+    ``h1e``/``h2e`` are the channel stacks lifted to ``plan.extension``
+    slots.  The rows form an orthonormal basis of the orthogonal
+    complement of the received jamming space (the union of both
+    transmitters' jamming images), so ``u @ (H_i v_ij) = 0``.  With no
+    jamming at the receiver the result is a full square unitary.
 
     Raises
     ------
     PlanMismatch
-        When the received jamming space does not have dimension
-        ``plan.j_s``.
+        When the received jamming space of a trial does not have
+        dimension ``plan.j_s``.
     """
-    image = np.hstack([h1e @ v1j, h2e @ v2j])
-    if image.shape[1]:
-        # Nullspace jamming leaves an image that is zero up to roundoff,
-        # so the occupied-dimension cutoff must be relative to the
-        # channel scale, not to the image's own largest singular value.
-        u_img, svals, _ = np.linalg.svd(image, full_matrices=False)
-        scale = max(np.linalg.norm(h1e, 2), np.linalg.norm(h2e, 2))
-        dim = int(np.count_nonzero(svals > matlin.DEFAULT_TOL * scale))
-        image = u_img[:, :dim]
-    if image.shape[1] != plan.j_s:
+    image = np.concatenate([h1e @ v1j, h2e @ v2j], axis=-1)
+    # Nullspace jamming leaves an image that is zero up to roundoff,
+    # so the occupied-dimension cutoff must be relative to the
+    # channel scale, not to the image's own largest singular value.
+    u_img, svals, _ = np.linalg.svd(image, full_matrices=False)
+    scale = np.maximum(np.linalg.norm(h1e, 2, axis=(-2, -1)),
+                       np.linalg.norm(h2e, 2, axis=(-2, -1)))
+    dims = np.count_nonzero(svals > matlin.DEFAULT_TOL * scale[:, None],
+                            axis=-1)
+    if np.any(dims != plan.j_s):
         raise PlanMismatch(
-            f"received jamming space has dimension {image.shape[1]}, "
-            f"plan says {plan.j_s}")
-    return complement(image).conj().T
+            f"received jamming space has dimension "
+            f"{dims[dims != plan.j_s][0]}, plan says {plan.j_s}")
+    return ct(complement(u_img[..., :plan.j_s]))
 
 
-def build_legit(plan, v1j, v2j, seed):
-    """Legitimate precoders ``(v1l, v2l)``.
+def build_legit(plan, v1j, v2j, seeds):
+    """Legitimate precoders ``(v1l, v2l)``, stacked like the jamming.
 
     Each is ``d_i`` orthonormal columns of a generically rotated
     orthonormal basis of the orthogonal complement of the transmitter's
     jamming columns, so legitimate streams never leak power into the
     jamming directions.
     """
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(s) for s in seeds]
     out = []
     for vj, d in ((v1j, plan.d1), (v2j, plan.d2)):
         comp = complement(orthonormal_basis(vj))
-        if comp.shape[1] < d:
+        if comp.shape[-1] < d:
             raise PlanMismatch(
                 f"complement of the jamming span has dimension "
-                f"{comp.shape[1]}, plan wants {d} streams")
-        mixed = comp @ _random_unitary(comp.shape[1], rng)
-        out.append(mixed[:, :d])
+                f"{comp.shape[-1]}, plan wants {d} streams")
+        mixed = comp @ _random_unitary(comp.shape[-1], rngs)
+        out.append(mixed[..., :d])
     return out[0], out[1]
 
 
@@ -234,28 +254,28 @@ def _part_slices(parts):
 
 
 def _columns(v, slices, method):
-    picks = [v[:, s] for s in slices.get(method, [])]
-    if not picks:
-        return v[:, 0:0]
-    return np.hstack(picks)
+    picks = [v[..., s] for s in slices.get(method, [])]
+    return np.concatenate([v[..., 0:0]] + picks, axis=-1)
 
 
 def verify_geometry(ps, h1e, h2e, plan):
     """Measure the construction residuals and attach a report to ``ps``.
 
-    ``h1e``/``h2e`` are the channels lifted to ``plan.extension`` slots;
-    other column counts raise :class:`PlanMismatch`.
+    ``h1e``/``h2e`` are the channel stacks lifted to ``plan.extension``
+    slots; other column counts raise :class:`PlanMismatch`.  Residuals
+    are the worst over the trials:
 
     * alignment: per-column difference of the unit-normalized jamming
       images of the two transmitters' aligned parts;
     * nullspace: ``||H_i v|| / ||H_i||`` over nullspace columns;
     * zero-forcing: ``||u (H_i v_ij)|| / ||H_i||``;
-    * decodability: rank of ``u [H1 v1l | H2 v2l]`` versus ``d1 + d2``.
+    * decodability: rank of ``u [H1 v1l | H2 v2l]`` versus ``d1 + d2``,
+      the smallest over the trials.
 
-    The report passes when all residuals are within 1e-8 and the rank
+    The report passes when all residuals are within 1e-8 and every rank
     matches exactly.  The images ``u (H_i v_il)`` go to ``ps.rx_images``.
     """
-    if (h1e.shape[1], h2e.shape[1]) != (ps.v1l.shape[0], ps.v2l.shape[0]):
+    if (h1e.shape[-1], h2e.shape[-1]) != (ps.v1l.shape[-2], ps.v2l.shape[-2]):
         raise PlanMismatch("channel columns do not match precoder rows")
     s1 = _part_slices(plan.tx1_parts)
     s2 = _part_slices(plan.tx2_parts)
@@ -263,28 +283,29 @@ def verify_geometry(ps, h1e, h2e, plan):
     align_res = 0.0
     al1 = _columns(ps.v1j, s1, ALIGNED)
     al2 = _columns(ps.v2j, s2, ALIGNED)
-    if al1.shape[1] or al2.shape[1]:
-        if al1.shape[1] != al2.shape[1]:
+    if al1.shape[-1] or al2.shape[-1]:
+        if al1.shape[-1] != al2.shape[-1]:
             raise PlanMismatch("aligned column counts differ between transmitters")
         img1 = _normalize_columns(h1e @ al1)
         img2 = _normalize_columns(h2e @ al2)
-        align_res = float(np.linalg.norm(img1 - img2, axis=0).max())
+        align_res = float(np.linalg.norm(img1 - img2, axis=-2).max())
 
     null_res = 0.0
     for he, v, slices in ((h1e, ps.v1j, s1), (h2e, ps.v2j, s2)):
         nsc = _columns(v, slices, NULLSPACE)
-        if nsc.shape[1]:
+        if nsc.shape[-1]:
             null_res = max(null_res,
-                           float(np.linalg.norm(he @ nsc) / np.linalg.norm(he)))
+                           float((frobenius(he @ nsc) / frobenius(he)).max()))
 
     zf_res = 0.0
     for he, v in ((h1e, ps.v1j), (h2e, ps.v2j)):
-        if v.shape[1]:
+        if v.shape[-1]:
             zf_res = max(zf_res,
-                         float(np.linalg.norm(ps.u @ (he @ v)) / np.linalg.norm(he)))
+                         float((frobenius(ps.u @ (he @ v)) / frobenius(he)).max()))
 
     images = (ps.u @ (h1e @ ps.v1l), ps.u @ (h2e @ ps.v2l))
-    decode_rank = matlin.rank(np.hstack(images), RANK_TOL)
+    decode_rank = int(np.min(matlin.rank(np.concatenate(images, axis=-1),
+                                         RANK_TOL)))
     expected = plan.d1 + plan.d2
 
     report = GeometryReport(
@@ -301,19 +322,28 @@ def verify_geometry(ps, h1e, h2e, plan):
     return report
 
 
-def build_precoder_set(plan, h1, h2, seed):
+def build_precoder_set(plan, h1, h2, seeds):
     """Build jamming, zero-forcing and legitimate precoders, then verify.
 
-    ``h1``/``h2`` are lifted here, once, for every sub-builder.  One
-    seeded stream drives all random choices, so the whole set is
-    deterministic given ``(plan, h1, h2, seed)``.
+    ``h1``/``h2`` are ``(trials, n, m_i)`` channel stacks, lifted here
+    once for every sub-builder, and ``seeds`` holds one seed per trial.
+    Each trial draws from its own seeded stream, and numpy factors and
+    multiplies each matrix of a stack alone, so trial ``t``'s set equals
+    its own build as a stack of one.  Trials whose dimensions differ on
+    the way fail the stack, with the error of the first trial whose own
+    build fails, or else :class:`~sdoflab.matlin.RaggedRank`.
     """
-    rng = np.random.default_rng(seed)
-    h1e = extend_channel(h1, plan.extension)
-    h2e = extend_channel(h2, plan.extension)
-    v1j, v2j = build_jamming(plan, h1e, h2e, rng)
-    u = build_zero_forcing(h1e, h2e, v1j, v2j, plan)
-    v1l, v2l = build_legit(plan, v1j, v2j, rng)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    try:
+        h1e = extend_channel(h1, plan.extension)
+        h2e = extend_channel(h2, plan.extension)
+        v1j, v2j = build_jamming(plan, h1e, h2e, rngs)
+        u = build_zero_forcing(h1e, h2e, v1j, v2j, plan)
+        v1l, v2l = build_legit(plan, v1j, v2j, rngs)
+    except matlin.RaggedRank:
+        for t in range(len(seeds)):
+            build_precoder_set(plan, h1[t:t + 1], h2[t:t + 1], seeds[t:t + 1])
+        raise
     ps = PrecoderSet(v1l=v1l, v2l=v2l, v1j=v1j, v2j=v2j, u=u,
                      extension=plan.extension)
     verify_geometry(ps, h1e, h2e, plan)
@@ -321,24 +351,19 @@ def build_precoder_set(plan, h1, h2, seed):
 
 
 def build_unjammed_set(h1, h2):
-    """Jamming-free precoder set (negative control).
+    """Jamming-free precoder sets for channel stacks (negative control).
 
     Every transmit dimension carries a legitimate stream, the receiver
     applies no zero-forcing, and the geometry report passes trivially.
     """
     h1 = as_matrix(h1)
     h2 = as_matrix(h2)
-    n, m1 = h1.shape
-    m2 = h2.shape[1]
-    ps = PrecoderSet(
-        v1l=np.eye(m1, dtype=complex),
-        v2l=np.eye(m2, dtype=complex),
-        v1j=np.zeros((m1, 0), dtype=complex),
-        v2j=np.zeros((m2, 0), dtype=complex),
-        u=np.eye(n, dtype=complex),
-        extension=1,
-    )
-    decode_rank = matlin.rank(np.hstack([h1, h2]), RANK_TOL)
+    v1l, v2l, u = (np.tile(np.eye(k, dtype=complex), (len(h1), 1, 1))
+                   for k in (h1.shape[-1], h2.shape[-1], h1.shape[-2]))
+    ps = PrecoderSet(v1l=v1l, v2l=v2l, v1j=v1l[..., :0], v2j=v2l[..., :0],
+                     u=u, extension=1)
+    decode_rank = int(np.min(matlin.rank(np.concatenate([h1, h2], axis=-1),
+                                         RANK_TOL)))
     ps.geometry = GeometryReport(0.0, 0.0, 0.0, decode_rank, decode_rank, True)
     ps.rx_images = (h1, h2)  # U (H_i V_i^L) with U, V_i^L identities
     return ps
@@ -348,9 +373,11 @@ def jamming_coverage_rank(ps, g1, g2):
     """Rank of the jamming image at an eavesdropper with channels ``g1, g2``.
 
     ``g1``/``g2`` must already be lifted to the precoder extension
-    (block diagonal with one independent block per slot).  For generic
-    draws the rank equals the total number of jamming columns, i.e. the
-    jamming overwhelms the eavesdropper's signal space.
+    (block diagonal with one independent block per slot).  For a stacked
+    ``ps`` the result holds one rank per trial.  For generic draws the
+    rank equals the total number of jamming columns, i.e. the jamming
+    overwhelms the eavesdropper's signal space.
     """
-    image = np.hstack([as_matrix(g1) @ ps.v1j, as_matrix(g2) @ ps.v2j])
+    image = np.concatenate([as_matrix(g1) @ ps.v1j, as_matrix(g2) @ ps.v2j],
+                           axis=-1)
     return matlin.rank(image, RANK_TOL)

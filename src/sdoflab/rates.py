@@ -24,15 +24,17 @@ streams).  Trials use independently derived seeds, so results do not
 depend on evaluation order.
 
 The trial engine behind :func:`sweep` and :func:`leakage_saturation`
-builds each trial's channels, precoder set and eavesdropper draw alone,
-then evaluates blocks of ``TRIAL_BLOCK`` trials at once: the receiver
-grams (of the images ``U H_i V_i^L`` kept on the precoder set), the
-eavesdropper covariances and their log-dets are stacked over trials and
-powers, and the per-trial results are summed in trial order.
-Only one block is held at a time, so the working set does not grow with
-the number of trials.  :func:`receiver_rate` and
-:func:`eavesdropper_leakage` are the one-trial, one-power reference
-that the engine reproduces bit for bit.
+works in blocks of ``TRIAL_BLOCK`` trials.  It samples a block's
+channels and synthesizes its precoder sets as ``(trials, rows, cols)``
+stacks (see :func:`~sdoflab.precoders.build_precoder_set`), then stacks
+the receiver grams (of the images ``U H_i V_i^L`` kept on the precoder
+set), the eavesdropper covariances and their log-dets over trials and
+powers, and sums the per-trial results in trial order.  Only one block
+is held at a time, so the working set does not grow with the number of
+trials.  Every trial keeps its own seeds and numpy factors each matrix
+of a stack alone, so the results do not depend on ``TRIAL_BLOCK``.
+:func:`receiver_rate` and :func:`eavesdropper_leakage` are the
+one-trial, one-power reference that the engine reproduces bit for bit.
 """
 
 import math
@@ -40,8 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matlin import as_matrix, logdet_hpd
-from .model import PowerPolicy, canonical, sample_channels, sample_eves
+from .matlin import as_matrix, ct, logdet_hpd
+from .model import (PowerPolicy, canonical, sample_channels, sample_eves,
+                    stack_eves)
 from .precoders import build_precoder_set, build_unjammed_set, extend_channel
 from .regions import jamming_plan
 
@@ -200,13 +203,8 @@ def _check_grid(p_grid):
     return p
 
 
-def _ct(x):
-    """Conjugate transpose of a matrix or of every matrix in a stack."""
-    return x.conj().swapaxes(-2, -1)
-
-
 def _build_block(cfg, plan, ext, seeds, eve_counts, eve_mean, eve_var):
-    """Build one block of trials and stack what the rate algebra needs.
+    """Build one block of trials as stacks, and what the rate algebra needs.
 
     Returns ``(vl, vj, grams, eves)``.  Per transmitter ``i``, ``vl[i]``
     and ``vj[i]`` stack the trials' legitimate and jamming precoders with
@@ -215,26 +213,18 @@ def _build_block(cfg, plan, ext, seeds, eve_counts, eve_mean, eve_var):
     ``eves[j][i]`` stacks eavesdropper ``j``'s one draw per trial with
     the same axis for the powers, shape ``(trials, 1, rows, cols)``.
     """
-    vl, vj, grams, eves = ([], []), ([], []), ([], []), []
-    for trial_ss in seeds:
-        ch_ss, pc_ss, eve_ss = trial_ss.spawn(3)
-        ch = sample_channels(cfg, [], ch_ss)
-        ps = (build_precoder_set(plan, ch.h1, ch.h2, pc_ss)
-              if plan is not None else build_unjammed_set(ch.h1, ch.h2))
-        _require_geometry(ps)
-        for i, (w, v_l, v_j) in enumerate(zip(ps.rx_images, (ps.v1l, ps.v2l),
-                                              (ps.v1j, ps.v2j))):
-            grams[i].append(w @ w.conj().T)
-            vl[i].append(v_l)
-            vj[i].append(v_j)
-        eves.append(sample_eves(cfg, eve_counts,
-                                np.random.default_rng(eve_ss), slots=ext,
-                                mean=eve_mean, var=eve_var))
-    return ([np.stack(v)[:, None] for v in vl],
-            [np.stack(v)[:, None] for v in vj],
-            [np.stack(g) for g in grams],
-            [[np.stack([tr[j][i] for tr in eves])[:, None] for i in (0, 1)]
-             for j in range(len(eve_counts))])
+    ch_ss, pc_ss, eve_ss = zip(*(trial_ss.spawn(3) for trial_ss in seeds))
+    ch = sample_channels(cfg, [], ch_ss)
+    ps = (build_precoder_set(plan, ch.h1, ch.h2, pc_ss)
+          if plan is not None else build_unjammed_set(ch.h1, ch.h2))
+    _require_geometry(ps)
+    eves = stack_eves([sample_eves(cfg, eve_counts, np.random.default_rng(ss),
+                                   slots=ext, mean=eve_mean, var=eve_var)
+                       for ss in eve_ss])
+    return ([v[:, None] for v in (ps.v1l, ps.v2l)],
+            [v[:, None] for v in (ps.v1j, ps.v2j)],
+            [w @ ct(w) for w in ps.rx_images],
+            [[g[:, None] for g in pair] for pair in eves])
 
 
 def _block_receiver_rates(vl, grams, ext, legit_p):
@@ -252,7 +242,7 @@ def _block_receiver_rates(vl, grams, ext, legit_p):
             term = (ext * legit_p / d)[:, None, None] * g[:, None]
             term += gram
             gram = term
-    gram += _ct(gram)
+    gram += ct(gram)
     gram *= 0.5
     return logdet_hpd(gram) / (ext * math.log(2))
 
@@ -283,15 +273,15 @@ def _block_leakage(vl, vj, g_pair, ext, alpha, p, legit_p):
     # In place, so that few (trials, powers, rows, rows) arrays are held
     # at once.  Each sum keeps eavesdropper_leakage's operands.
     bj = images(vj, ext * alpha * p)
-    k0 = bj @ _ct(bj)
+    k0 = bj @ ct(bj)
     del bj
     k0 += np.eye(lead[-1], dtype=complex)
     bl = images(vl, ext * legit_p)
-    k1 = bl @ _ct(bl)
+    k1 = bl @ ct(bl)
     del bl
     k1 += k0
     for k in (k0, k1):
-        k += _ct(k)
+        k += ct(k)
         k *= 0.5
     ld1 = logdet_hpd(k1)
     del k1
@@ -306,8 +296,8 @@ def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
     its eavesdroppers once in one RNG call, and evaluates that draw at
     every power.  ``rates[k]`` is the receiver rate at
     ``p_values[k]`` and ``leaks[k, j]`` is eavesdropper ``j``'s leakage
-    at ``p_values[k]``.  Trials are built one by one and evaluated in
-    blocks of ``TRIAL_BLOCK``.
+    at ``p_values[k]``.  Trials are built and evaluated in blocks of
+    ``TRIAL_BLOCK``.
     """
     cfg = canonical(cfg)
     plan = jamming_plan(cfg) if jamming else None

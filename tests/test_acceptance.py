@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from sdoflab import binning, cli, rates
-from sdoflab.model import AntennaConfig, sample_channels, sample_eves
+from sdoflab.model import (AntennaConfig, sample_channels, sample_eves,
+                           stack_eves)
 from sdoflab.precoders import build_precoder_set, jamming_coverage_rank
 from sdoflab.regions import (classify_case, jamming_plan, sum_sdof,
                              upper_bound_terms, verify_plan_arithmetic)
@@ -76,19 +77,20 @@ def test_criterion_3_geometry_suite():
         for cfg_tuple, _ in ACCEPTANCE_CONFIGS:
             cfg = AntennaConfig(*cfg_tuple)
             plan = jamming_plan(cfg)
-            for seed in range(20):
-                ch = sample_channels(cfg, [], seed)
-                ps = build_precoder_set(plan, ch.h1, ch.h2, 1000 + seed)
-                rep = ps.geometry
-                assert rep.alignment_residual <= 1e-8, (cfg_tuple, seed)
-                assert rep.nullspace_residual <= 1e-8, (cfg_tuple, seed)
-                assert rep.zf_residual <= 1e-8, (cfg_tuple, seed)
-                assert rep.decode_rank == plan.d1 + plan.d2, (cfg_tuple, seed)
-                eve_rng = np.random.default_rng(5000 + seed)
-                (g1, g2), = sample_eves(cfg, [cfg.ne], eve_rng,
-                                        slots=plan.extension)
-                assert jamming_coverage_rank(ps, g1, g2) == \
-                    plan.extension * cfg.ne, (cfg_tuple, seed)
+            seeds = range(20)
+            ch = sample_channels(cfg, [], seeds)
+            ps = build_precoder_set(plan, ch.h1, ch.h2,
+                                    [1000 + seed for seed in seeds])
+            rep = ps.geometry  # the worst of the 20 trials
+            assert rep.alignment_residual <= 1e-8, cfg_tuple
+            assert rep.nullspace_residual <= 1e-8, cfg_tuple
+            assert rep.zf_residual <= 1e-8, cfg_tuple
+            assert rep.decode_rank == plan.d1 + plan.d2, cfg_tuple
+            (g1, g2), = stack_eves([
+                sample_eves(cfg, [cfg.ne], np.random.default_rng(5000 + seed),
+                            slots=plan.extension) for seed in seeds])
+            assert jamming_coverage_rank(ps, g1, g2).tolist() == \
+                [plan.extension * cfg.ne] * 20, cfg_tuple
 
 
 def test_criterion_4_slope_reproduction():

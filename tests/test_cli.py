@@ -287,18 +287,21 @@ class TestSimulateDegenerate:
 
 
 def test_simulate_builds_each_jammed_trial_once(tmp_path, monkeypatch):
-    calls = []
+    # The engine builds stacks of trials: count the trials in them.
+    sizes, seeds = [], []
     build = rates.build_precoder_set
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return build(*args, **kwargs)
+    def counting(plan, h1, h2, trial_seeds):
+        sizes.append(len(h1))
+        seeds.extend((s.entropy, s.spawn_key) for s in trial_seeds)
+        return build(plan, h1, h2, trial_seeds)
 
     monkeypatch.setattr(rates, "build_precoder_set", counting)
-    cfg = write_config(tmp_path / "exp.json")
+    cfg = write_config(tmp_path / "exp.json", trials=rates.TRIAL_BLOCK + 2)
     assert cli.main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "run")]) == 0
-    assert len(calls) == SMALL_EXPERIMENT["trials"]
+    assert sum(sizes) == rates.TRIAL_BLOCK + 2 and len(sizes) == 2
+    assert len(set(seeds)) == len(seeds) == sum(sizes)
 
 
 class TestBinningCommand:
@@ -340,9 +343,10 @@ class TestBinningCommand:
         ["--n-list", "0"],
         ["--n-list", "12,0"],
         ["--n-list", "12,13", "--rate-total", "1.0", "--rate-secret", "1.0"],
+        ["--n-list", ","],
     ], ids=["rate-total=inf", "rate-secret=inf", "num-seeds-over-limit",
             "n-list=-4", "negative-rates", "n-list=0", "n-list=12,0",
-            "n-list=12,13-over-budget"])
+            "n-list=12,13-over-budget", "n-list=,"])
     def test_bad_input_one_line(self, tmp_path, capsys, extra):
         out = tmp_path / "bins.csv"
         assert cli.main(["binning", "--n-list", "4", "--out", str(out)]
@@ -350,6 +354,11 @@ class TestBinningCommand:
         err = capsys.readouterr().err
         assert err.startswith("binning failed") and err.count("\n") == 1, err
         assert not out.exists()
+
+    def test_n_list_without_block_length(self, capsys):
+        assert cli.main(["binning", "--n-list", ","]) == 1
+        assert capsys.readouterr() == (
+            "", "binning failed: --n-list names no block length\n")
 
     @pytest.mark.parametrize("extra", [
         ["--n-list", "12,0"],

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from sdoflab.model import (AntennaConfig, InvalidConfig, InvalidEveCount,
-                           PowerPolicy, canonical, is_degenerate,
-                           sample_channels, sample_eves, validate)
+                           PowerPolicy, _assert_full_rank, canonical,
+                           is_degenerate, sample_channels, sample_eves,
+                           validate)
 
 
 class TestValidate:
@@ -43,44 +44,63 @@ class TestPowerPolicy:
 
 class TestSampleChannels:
     def test_shape_contract(self):
-        ch = sample_channels(AntennaConfig(2, 2, 3, 1), [1], 7)
-        assert ch.h1.shape == (3, 2) and ch.h2.shape == (3, 2)
+        ch = sample_channels(AntennaConfig(2, 2, 3, 1), [1], [7, 8])
+        assert ch.h1.shape == (2, 3, 2) and ch.h2.shape == (2, 3, 2)
         assert len(ch.eves) == 1
         g1, g2 = ch.eves[0]
-        assert g1.shape == (1, 2) and g2.shape == (1, 2)
+        assert g1.shape == (2, 1, 2) and g2.shape == (2, 1, 2)
+
+    def test_each_trial_depends_on_its_own_seed_only(self):
+        cfg = AntennaConfig(3, 2, 2, 2)
+        stacked = sample_channels(cfg, [2, 1], [7, 8, 9], slots=2)
+        for t, seed in enumerate([7, 8, 9]):
+            own = sample_channels(cfg, [2, 1], [seed], slots=2)
+            for a, b in zip((stacked.h1, stacked.h2, *stacked.eves[0],
+                             *stacked.eves[1]),
+                            (own.h1, own.h2, *own.eves[0], *own.eves[1])):
+                assert a[t].tobytes() == b[0].tobytes()
+
+    def test_rank_deficient_trial_fails_the_stack(self):
+        h = sample_channels(AntennaConfig(2, 2, 3, 1), [], [1, 2, 3]).h1
+        h[1, :, 1] = h[1, :, 0]
+        for stack in (h[1:2], h):
+            with pytest.raises(RuntimeError, match="^sampled channel is "
+                               "numerically rank deficient$"):
+                _assert_full_rank(stack)
 
     def test_multiple_eavesdroppers(self):
-        ch = sample_channels(AntennaConfig(3, 2, 2, 2), [2, 1], 7)
-        assert ch.eves[0][0].shape == (2, 3) and ch.eves[0][1].shape == (2, 2)
-        assert ch.eves[1][0].shape == (1, 3) and ch.eves[1][1].shape == (1, 2)
+        ch = sample_channels(AntennaConfig(3, 2, 2, 2), [2, 1], [7])
+        assert ch.eves[0][0].shape == (1, 2, 3)
+        assert ch.eves[0][1].shape == (1, 2, 2)
+        assert ch.eves[1][0].shape == (1, 1, 3)
+        assert ch.eves[1][1].shape == (1, 1, 2)
 
     def test_deterministic_given_seed(self):
         cfg = AntennaConfig(2, 2, 3, 1)
-        a = sample_channels(cfg, [1], 7)
-        b = sample_channels(cfg, [1], 7)
+        a = sample_channels(cfg, [1], [7])
+        b = sample_channels(cfg, [1], [7])
         assert np.array_equal(a.h1, b.h1) and np.array_equal(a.h2, b.h2)
         assert np.array_equal(a.eves[0][0], b.eves[0][0])
 
     def test_different_seeds_differ(self):
         cfg = AntennaConfig(2, 2, 3, 1)
-        a = sample_channels(cfg, [1], 7)
-        b = sample_channels(cfg, [1], 8)
+        a = sample_channels(cfg, [1], [7])
+        b = sample_channels(cfg, [1], [8])
         assert not np.array_equal(a.h1, b.h1)
 
     def test_full_rank_every_draw(self):
         cfg = AntennaConfig(4, 3, 3, 2)
-        for seed in range(25):
-            ch = sample_channels(cfg, [], seed)
-            for h in (ch.h1, ch.h2):
-                s = np.linalg.svd(h, compute_uv=False)
-                assert s[-1] > 1e-9 * s[0]
+        ch = sample_channels(cfg, [], range(25))
+        for h in (ch.h1, ch.h2):
+            s = np.linalg.svd(h, compute_uv=False)
+            assert np.all(s[:, -1] > 1e-9 * s[:, 0])
 
     def test_eve_count_exceeding_ne(self):
         with pytest.raises(InvalidEveCount):
-            sample_channels(AntennaConfig(2, 2, 3, 1), [2], 7)
+            sample_channels(AntennaConfig(2, 2, 3, 1), [2], [7])
 
     def test_unit_variance_entries(self):
-        ch = sample_channels(AntennaConfig(8, 8, 8, 1), [], 3)
+        ch = sample_channels(AntennaConfig(8, 8, 8, 1), [], [3])
         pooled = np.concatenate([ch.h1.ravel(), ch.h2.ravel()])
         assert abs(np.mean(np.abs(pooled) ** 2) - 1.0) < 0.2
 

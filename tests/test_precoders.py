@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from sdoflab.cli import iter_canonical_configs
-from sdoflab.matlin import nullspace
-from sdoflab.model import AntennaConfig, sample_channels, sample_eves
+from sdoflab.matlin import RaggedRank, nullspace
+from sdoflab.model import (AntennaConfig, ChannelRealization,
+                           sample_channels, sample_eves)
 from sdoflab.precoders import (AlignmentInfeasible, PlanMismatch,
                                PrecoderSet, build_jamming, build_legit,
                                build_precoder_set, build_unjammed_set,
@@ -18,11 +19,12 @@ GEOMETRY_CONFIGS = [(2, 2, 4, 1), (2, 2, 3, 1), (3, 3, 2, 1),
 
 
 def built(cfg_tuple, seed=0):
+    """One trial, built as a stack of one and returned as plain matrices."""
     cfg = AntennaConfig(*cfg_tuple)
     plan = jamming_plan(cfg)
-    ch = sample_channels(cfg, [], seed)
-    ps = build_precoder_set(plan, ch.h1, ch.h2, seed + 10_000)
-    return cfg, plan, ch, ps
+    ch = sample_channels(cfg, [], [seed])
+    ps = build_precoder_set(plan, ch.h1, ch.h2, [seed + 10_000])
+    return cfg, plan, ChannelRealization(ch.h1[0], ch.h2[0]), ps.trial(0)
 
 
 def lifted(ch, plan):
@@ -64,13 +66,13 @@ class TestBuildJamming:
     def test_alignment_infeasible_budget(self):
         # two 2-dim received spaces in ambient 3 share 1 dimension < 2
         cfg = AntennaConfig(2, 2, 3, 1)
-        ch = sample_channels(cfg, [], 3)
+        ch = sample_channels(cfg, [], [3])
         bad = JammingPlan(extension=1,
                           tx1_parts=(JammingPart(ALIGNED, 2),),
                           tx2_parts=(JammingPart(ALIGNED, 2),),
                           j_s=2, d1=0, d2=0)
         with pytest.raises(AlignmentInfeasible):
-            build_jamming(bad, ch.h1, ch.h2, 0)
+            build_jamming(bad, ch.h1, ch.h2, [0])
 
     @pytest.mark.parametrize("cfg_tuple", [(3, 1, 2, 2), (3, 1, 2, 3),
                                            (4, 3, 2, 4), (5, 4, 3, 6)])
@@ -93,8 +95,8 @@ class TestBuildJamming:
     def test_deterministic_given_seed(self):
         _, plan, ch, _ = built((2, 2, 3, 1))
         h1e, h2e = lifted(ch, plan)
-        a = build_jamming(plan, h1e, h2e, 5)
-        b = build_jamming(plan, h1e, h2e, 5)
+        a = build_jamming(plan, h1e[None], h2e[None], [5])
+        b = build_jamming(plan, h1e[None], h2e[None], [5])
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -121,7 +123,8 @@ class TestZeroForcing:
         cfg, plan, ch, ps = built((2, 2, 4, 1))
         wrong = jamming_plan(AntennaConfig(2, 2, 4, 2))
         with pytest.raises(PlanMismatch):
-            build_zero_forcing(ch.h1, ch.h2, ps.v1j, ps.v2j, wrong)
+            build_zero_forcing(ch.h1[None], ch.h2[None], ps.v1j[None],
+                               ps.v2j[None], wrong)
 
 
 class TestBuildLegit:
@@ -150,7 +153,7 @@ class TestBuildLegit:
         from dataclasses import replace
         greedy = replace(plan, d1=plan.extension * cfg.m1)
         with pytest.raises(PlanMismatch):
-            build_legit(greedy, ps.v1j, ps.v2j, 0)
+            build_legit(greedy, ps.v1j[None], ps.v2j[None], [0])
 
 
 class TestVerifyGeometry:
@@ -221,10 +224,10 @@ class TestEavesdropperCoverage:
 
 def test_unjammed_set_shapes():
     cfg = AntennaConfig(2, 2, 4, 1)
-    ch = sample_channels(cfg, [], 1)
+    ch = sample_channels(cfg, [], [1, 2])
     ps = build_unjammed_set(ch.h1, ch.h2)
-    assert ps.v1l.shape == (2, 2) and ps.v2l.shape == (2, 2)
-    assert ps.v1j.shape == (2, 0) and ps.u.shape == (4, 4)
+    assert ps.v1l.shape == (2, 2, 2) and ps.v2l.shape == (2, 2, 2)
+    assert ps.v1j.shape == (2, 2, 0) and ps.u.shape == (2, 4, 4)
     assert ps.geometry.passed
     assert all(np.array_equal(w, h)
                for w, h in zip(ps.rx_images, (ch.h1, ch.h2)))
@@ -237,11 +240,77 @@ def test_every_construction_shape_up_to_six_antennas():
     assert len(configs) == 882
     for cfg in configs:
         plan = jamming_plan(cfg)
-        ch = sample_channels(cfg, [], 3)
-        ps = build_precoder_set(plan, ch.h1, ch.h2, 80)
+        ch = sample_channels(cfg, [], [3])
+        ps = build_precoder_set(plan, ch.h1, ch.h2, [80])
         assert ps.geometry.passed, (cfg, ps.geometry)
         if cfg.ne:
             rng = np.random.default_rng(999)
             (g1, g2), = sample_eves(cfg, [cfg.ne], rng, slots=plan.extension)
-            assert jamming_coverage_rank(ps, g1, g2) == \
-                plan.extension * cfg.ne, (cfg, ps.geometry)
+            assert jamming_coverage_rank(ps, g1, g2).tolist() == \
+                [plan.extension * cfg.ne], (cfg, ps.geometry)
+
+
+class TestStackedBuild:
+    """A block of trials is built as one stack of each matrix."""
+
+    def test_lift_matches_kron_bytes(self):
+        # The lifted channel has repeated singular values, so its null-space
+        # basis, and every precoder after it, depends on the sign of each
+        # zero that kron writes off the diagonal blocks.  array_equal treats
+        # -0.0 and 0.0 as equal, so only the bytes tell the lifts apart.
+        rng = np.random.default_rng(4)
+        for trials, n, m in [(1, 1, 1), (3, 2, 3), (5, 4, 2)]:
+            h = (rng.standard_normal((trials, n, m))
+                 + 1j * rng.standard_normal((trials, n, m)))
+            for ext in (1, 2):
+                lift = extend_channel(h, ext)
+                for t in range(trials):
+                    assert lift[t].tobytes() == \
+                        np.kron(np.eye(ext), h[t]).tobytes()
+        zeros = lift[lift == 0]
+        assert np.signbit(zeros.real).any() and np.signbit(zeros.imag).any()
+
+    @pytest.mark.parametrize("cfg_tuple", GEOMETRY_CONFIGS)
+    def test_each_trial_equals_its_own_build(self, cfg_tuple):
+        cfg = AntennaConfig(*cfg_tuple)
+        plan = jamming_plan(cfg)
+        ch = sample_channels(cfg, [], [1, 2, 3])
+        stacked = build_precoder_set(plan, ch.h1, ch.h2, [10, 11, 12])
+        for t, seed in enumerate([10, 11, 12]):
+            own = build_precoder_set(plan, ch.h1[t:t + 1], ch.h2[t:t + 1],
+                                     [seed])
+            for name in ("v1l", "v2l", "v1j", "v2j", "u"):
+                assert getattr(stacked, name)[t].tobytes() == \
+                    getattr(own, name)[0].tobytes(), name
+
+    @pytest.mark.parametrize("cfg_tuple,error", [
+        ((2, 1, 2, 1), AlignmentInfeasible),
+        ((2, 1, 3, 2), PlanMismatch),
+    ])
+    def test_odd_trial_raises_its_own_error(self, cfg_tuple, error):
+        # A repeated column drops trial 1's channel rank, so its
+        # dimensions differ from the other trials' on the way.
+        cfg = AntennaConfig(*cfg_tuple)
+        plan = jamming_plan(cfg)
+        ch = sample_channels(cfg, [], [1, 2, 3])
+        h1 = ch.h1.copy()
+        h1[1, :, 1] = h1[1, :, 0]
+        seeds = [10, 11, 12]
+        with pytest.raises(error) as own:
+            build_precoder_set(plan, h1[1:2], ch.h2[1:2], seeds[1:2])
+        with pytest.raises(error) as stacked:
+            build_precoder_set(plan, h1, ch.h2, seeds)
+        assert str(stacked.value) == str(own.value)
+
+    def test_ragged_ranks_fail_the_stack(self):
+        # Here the odd trial builds alone (its geometry report fails),
+        # but its null space is wider than the other trials'.
+        cfg = AntennaConfig(2, 2, 2, 1)
+        plan = jamming_plan(cfg)
+        ch = sample_channels(cfg, [], [1, 2, 3])
+        h1 = ch.h1.copy()
+        h1[1, :, 1] = h1[1, :, 0]
+        own = build_precoder_set(plan, h1[1:2], ch.h2[1:2], [11])
+        assert not own.geometry.passed
+        with pytest.raises(RaggedRank):
+            build_precoder_set(plan, h1, ch.h2, [10, 11, 12])

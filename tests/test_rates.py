@@ -27,6 +27,15 @@ def scalar_precoder_set():
     return ps
 
 
+def one_trial(cfg, eve_counts, ch_seed, pc_seed, jamming=True):
+    """One trial's realization and precoder set, as plain matrices."""
+    ch = sample_channels(cfg, eve_counts, [ch_seed])
+    ps = (build_precoder_set(jamming_plan(cfg), ch.h1, ch.h2, [pc_seed])
+          if jamming else build_unjammed_set(ch.h1, ch.h2))
+    eves = [(g1[0], g2[0]) for g1, g2 in ch.eves]
+    return ChannelRealization(ch.h1[0], ch.h2[0], eves), ps.trial(0)
+
+
 def scalar_channel(eves=()):
     one = np.ones((1, 1), dtype=complex)
     return ChannelRealization(one, one, list(eves))
@@ -52,9 +61,7 @@ class TestReceiverRate:
             receiver_rate(ps, scalar_channel(), PowerPolicy(p=1.0))
 
     def test_monotone_in_power(self):
-        cfg = AntennaConfig(2, 2, 4, 1)
-        ch = sample_channels(cfg, [], 4)
-        ps = build_precoder_set(jamming_plan(cfg), ch.h1, ch.h2, 5)
+        ch, ps = one_trial(AntennaConfig(2, 2, 4, 1), [], 4, 5)
         rates = [receiver_rate(ps, ch, PowerPolicy(p=p, alpha=0.5))
                  for p in P_GRID]
         assert all(b >= a for a, b in zip(rates, rates[1:]))
@@ -62,10 +69,7 @@ class TestReceiverRate:
 
 class TestEavesdropperLeakage:
     def test_zero_legitimate_power(self):
-        cfg = AntennaConfig(2, 2, 4, 1)
-        plan = jamming_plan(cfg)
-        ch = sample_channels(cfg, [1], 4)
-        ps = build_precoder_set(plan, ch.h1, ch.h2, 5)
+        ch, ps = one_trial(AntennaConfig(2, 2, 4, 1), [1], 4, 5)
         silent = PrecoderSet(v1l=ps.v1l[:, :0], v2l=ps.v2l[:, :0],
                              v1j=ps.v1j, v2j=ps.v2j, u=ps.u,
                              extension=ps.extension, geometry=ps.geometry)
@@ -75,18 +79,16 @@ class TestEavesdropperLeakage:
     def test_unjammed_leakage_grows_with_power(self):
         # negative control: without jamming a single-antenna eavesdropper
         # gains one bit per doubling of power
-        cfg = AntennaConfig(1, 1, 1, 1)
-        ch = sample_channels(cfg, [1], 8)
-        ps = build_unjammed_set(ch.h1, ch.h2)
+        ch, ps = one_trial(AntennaConfig(1, 1, 1, 1), [1], 8, None,
+                           jamming=False)
         pol_lo, pol_hi = PowerPolicy(p=1e6), PowerPolicy(p=1e8)
         gain = (eavesdropper_leakage(ps, ch, pol_hi, 0)
                 - eavesdropper_leakage(ps, ch, pol_lo, 0))
         assert gain == pytest.approx(math.log2(1e2), rel=0.01)
 
     def test_extension_mismatch_rejected(self):
-        cfg = AntennaConfig(2, 2, 3, 1)
-        ch = sample_channels(cfg, [1], 4)  # unextended eavesdropper
-        ps = build_precoder_set(jamming_plan(cfg), ch.h1, ch.h2, 5)
+        # unextended eavesdropper
+        ch, ps = one_trial(AntennaConfig(2, 2, 3, 1), [1], 4, 5)
         with pytest.raises(ValueError):
             eavesdropper_leakage(ps, ch, PowerPolicy(p=1e3), 0)
 
@@ -234,9 +236,7 @@ def scalar_trial_results(cfg, p_values, trials, seed, eve_counts, jamming):
     out = []
     for trial_ss in np.random.SeedSequence(seed).spawn(trials):
         ch_ss, pc_ss, eve_ss = trial_ss.spawn(3)
-        ch = sample_channels(cfg, [], ch_ss)
-        ps = (build_precoder_set(plan, ch.h1, ch.h2, pc_ss) if jamming
-              else build_unjammed_set(ch.h1, ch.h2))
+        ch, ps = one_trial(cfg, [], ch_ss, pc_ss, jamming)
         c = ChannelRealization(ch.h1, ch.h2, sample_eves(
             cfg, eve_counts, np.random.default_rng(eve_ss), slots=ext))
         rates = [receiver_rate(ps, c, pol) for pol in pols]
@@ -267,6 +267,36 @@ class TestBlockEngineOracle:
         for (rates, leaks), (ref_rates, ref_leaks) in zip(got, want):
             assert rates.tolist() == ref_rates
             assert leaks.tolist() == ref_leaks
+
+    @pytest.mark.parametrize("jamming", [True, False])
+    @pytest.mark.parametrize("cfg_tuple", [(3, 1, 2, 2), (2, 2, 3, 1)])
+    def test_independent_of_block_size(self, monkeypatch, cfg_tuple,
+                                       jamming):
+        # (3, 1, 2, 2) lifts to two slots and has nullspace and aligned
+        # parts, so its precoders depend on the lift's signed zeros.
+        cfg = AntennaConfig(*cfg_tuple)
+        default = rates_mod.TRIAL_BLOCK
+        trials = 2 * default + 1
+        results = []
+        for block in (1, 3, default):
+            monkeypatch.setattr(rates_mod, "TRIAL_BLOCK", block)
+            results.append(sweep(cfg, 0.5, P_GRID, trials, 17,
+                                 jamming=jamming))
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("cfg_tuple,slope,delta,secrecy", [
+        ((3, 1, 2, 2), 1.4641527710920499, 0.8127826614689646,
+         40.31756668555925),
+        ((2, 2, 4, 1), 2.992623458646663, 0.0007017269698595286,
+         83.96866324439183),
+    ])
+    def test_values_pinned(self, cfg_tuple, slope, delta, secrecy):
+        # Seed 42 pinned: a change to any trial's random stream, or to the
+        # order of its draws, moves these far beyond rel.
+        res = sweep(AntennaConfig(*cfg_tuple), 0.5, P_GRID, 5, 42)
+        assert res.curve.slope == pytest.approx(slope, rel=1e-12)
+        assert res.leakage_delta == pytest.approx(delta, rel=1e-12)
+        assert res.points[-1].secrecy == pytest.approx(secrecy, rel=1e-12)
 
     def test_working_set_independent_of_trials(self):
         cfg = AntennaConfig(2, 2, 3, 1)
