@@ -32,7 +32,7 @@ DEFAULT_TOL = 1e-9
 
 
 class InvalidMatrix(ValueError):
-    """Input is not a finite 2-D complex matrix."""
+    """Input is not a finite complex matrix or stack of matrices."""
 
 
 class NotPositiveDefinite(ValueError):

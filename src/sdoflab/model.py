@@ -104,13 +104,15 @@ class PowerPolicy:
 
 @dataclass
 class ChannelRealization:
-    """Channel draws of a stack of trials, one per leading index.
+    """Channel draws: legitimate channels ``h1``/``h2`` and a list
+    ``eves`` of per-eavesdropper pairs ``(g1, g2)``.
 
-    ``h1``/``h2`` are the legitimate channels, ``(trials, n, m_i)``;
-    ``eves`` is a list of per-eavesdropper pairs ``(g1, g2)`` of
-    ``(trials, rows, cols)`` stacks.  For a ``slots``-fold time
-    extension the eavesdropper matrices are block diagonal with one
-    independent block per slot (``rows = slots*nej``, ``cols = slots*m_i``).
+    `sample_channels` stacks them over trials: ``h1``/``h2`` are
+    ``(trials, n, m_i)`` and each ``g_i`` is ``(trials, rows, cols)``.
+    The one-trial rate references take plain matrices.  For a
+    ``slots``-fold time extension the eavesdropper matrices are block
+    diagonal with one independent block per slot (``rows = slots*nej``,
+    ``cols = slots*m_i``).
     """
 
     h1: np.ndarray

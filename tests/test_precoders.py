@@ -304,7 +304,7 @@ class TestStackedBuild:
 
     def test_ragged_ranks_fail_the_stack(self):
         # Here the odd trial builds alone (its geometry report fails),
-        # but its null space is wider than the other trials'.
+        # but its channel's row space is narrower than the other trials'.
         cfg = AntennaConfig(2, 2, 2, 1)
         plan = jamming_plan(cfg)
         ch = sample_channels(cfg, [], [1, 2, 3])
