@@ -107,12 +107,10 @@ class ChannelRealization:
     """Channel draws: legitimate channels ``h1``/``h2`` and a list
     ``eves`` of per-eavesdropper pairs ``(g1, g2)``.
 
-    `sample_channels` stacks them over trials: ``h1``/``h2`` are
-    ``(trials, n, m_i)`` and each ``g_i`` is ``(trials, rows, cols)``.
-    The one-trial rate references take plain matrices.  For a
-    ``slots``-fold time extension the eavesdropper matrices are block
-    diagonal with one independent block per slot (``rows = slots*nej``,
-    ``cols = slots*m_i``).
+    `sample_channels` stacks ``h1``/``h2`` over trials; the one-trial
+    rate references take plain matrices.  Over a ``slots``-fold time
+    extension each eavesdropper matrix is block diagonal, one
+    independent ``nej x m_i`` block per slot.
     """
 
     h1: np.ndarray
@@ -131,8 +129,6 @@ def complex_gaussian(rngs, rows, cols, mean=0.0, var=1.0):
 
 def _assert_full_rank(h, tol=1e-9):
     """Raise unless every matrix of the stack ``h`` is numerically full rank."""
-    if min(h.shape[-2:]) == 0:
-        return
     s = np.linalg.svd(h, compute_uv=False)
     if np.any(s[..., -1] <= tol * s[..., 0]):
         raise RuntimeError("sampled channel is numerically rank deficient")
@@ -186,30 +182,12 @@ def sample_eves(cfg, eve_counts, rng, slots=1, mean=0.0, var=1.0):
     return eves
 
 
-def sample_channels(cfg, eve_counts, seeds, *,
-                    eve_mean=0.0, eve_var=1.0, slots=1):
-    """Draw one channel realization per seed, stacked over the seeds.
+def sample_channels(cfg, seeds):
+    """Legitimate channels ``h1``, then ``h2``, stacked ``(trials, n, m_i)``.
 
-    Each trial's draws are deterministic given its seed and do not
-    depend on the other seeds: ``h1``, then ``h2``, then the
-    eavesdroppers, from one generator per seed.
-
-    Parameters
-    ----------
-    cfg : AntennaConfig
-    eve_counts : sequence of int
-        Antenna count of each eavesdropper; every entry must be at most
-        ``cfg.ne``.
-    seeds : sequence of numpy seed-likes
-        One per trial; anything accepted by ``numpy.random.default_rng``.
-    eve_mean, eve_var : float
-        First and second moments of the eavesdropper channel entries.
-        Nothing downstream depends on the mean; it is exposed only as a
-        modeling knob and defaults to zero.
-    slots : int
-        Time-extension factor for the eavesdropper lift (legitimate
-        channels are returned unextended; the precoder layer lifts them
-        block-diagonally as needed).
+    Each trial draws from its own ``numpy.random.default_rng(seed)``, so
+    its draws do not depend on the other seeds.  Eavesdroppers are drawn
+    apart, with `sample_eves`.
     """
     validate(cfg)
     rngs = [np.random.default_rng(s) for s in seeds]
@@ -217,7 +195,4 @@ def sample_channels(cfg, eve_counts, seeds, *,
     h2 = complex_gaussian(rngs, cfg.n, cfg.m2)
     _assert_full_rank(h1)
     _assert_full_rank(h2)
-    eves = stack_eves([sample_eves(cfg, eve_counts, rng, slots=slots,
-                                   mean=eve_mean, var=eve_var)
-                       for rng in rngs]) if len(eve_counts) else []
-    return ChannelRealization(h1, h2, eves)
+    return ChannelRealization(h1, h2)

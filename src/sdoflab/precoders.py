@@ -22,13 +22,11 @@ present rank-deficient jamming to a time-varying eavesdropper.  Keeping
 them in the row spaces keeps them free of channel-nullspace components,
 which the receiver never sees but an eavesdropper would.
 
-Every step works on ``(trials, rows, cols)`` stacks: one SVD, QR or
-product call per step serves the whole stack, while each trial draws
-its random matrices from its own seeded stream.  A single trial is a
-stack of one.  All tolerances are relative.  `verify_geometry`
-aggregates the construction contracts into one machine-checkable report
-per stack and keeps the receiver images ``U H_i V_i^L`` that the rate
-engine reads.
+Every step makes one SVD, QR or product call per ``(trials, rows,
+cols)`` stack, and each trial draws from its own seeded stream; a single
+trial is a stack of one.  All tolerances are relative.  `verify_geometry`
+writes one machine-checkable report per stack and keeps the receiver
+images ``U H_i V_i^L`` that the rate engine reads.
 """
 
 from dataclasses import dataclass, field
@@ -88,20 +86,12 @@ class PrecoderSet:
     geometry: GeometryReport | None = field(default=None, compare=False)
     rx_images: tuple | None = field(default=None, compare=False)
 
-    def trial(self, t):
-        """Trial ``t`` alone, as plain matrices; keeps the stack's report."""
-        return PrecoderSet(
-            self.v1l[t], self.v2l[t], self.v1j[t], self.v2j[t], self.u[t],
-            self.extension, self.geometry,
-            self.rx_images and tuple(w[t] for w in self.rx_images))
-
 
 def extend_channel(h, factor):
     """Block-diagonal lift of ``h`` (a matrix or a stack) over ``factor`` slots.
 
-    This is ``kron``'s broadcast product, so it writes the same signed
-    zeros: the lift has repeated singular values, and its null-space
-    basis, with every precoder after it, depends on those signs.
+    ``kron``'s broadcast product, with its signed zeros: the lift has
+    repeated singular values, so every precoder after it depends on them.
     """
     h = as_matrix(h)
     if factor == 1:
@@ -213,7 +203,7 @@ def build_zero_forcing(h1e, h2e, v1j, v2j, plan):
     u_img, svals, _ = np.linalg.svd(image, full_matrices=False)
     scale = np.maximum(np.linalg.norm(h1e, 2, axis=(-2, -1)),
                        np.linalg.norm(h2e, 2, axis=(-2, -1)))
-    dims = np.count_nonzero(svals > matlin.DEFAULT_TOL * scale[:, None],
+    dims = np.count_nonzero(svals > matlin.DEFAULT_TOL * scale[..., None],
                             axis=-1)
     if np.any(dims != plan.j_s):
         raise PlanMismatch(
@@ -326,12 +316,10 @@ def build_precoder_set(plan, h1, h2, seeds):
     """Build jamming, zero-forcing and legitimate precoders, then verify.
 
     ``h1``/``h2`` are ``(trials, n, m_i)`` channel stacks, lifted here
-    once for every sub-builder, and ``seeds`` holds one seed per trial.
-    Each trial draws from its own seeded stream, and numpy factors and
-    multiplies each matrix of a stack alone, so trial ``t``'s set equals
-    its own build as a stack of one.  Trials whose dimensions differ on
-    the way fail the stack, with the error of the first trial whose own
-    build fails, or else :class:`~sdoflab.matlin.RaggedRank`.
+    once for every sub-builder, and ``seeds`` holds one seed per trial,
+    so trial ``t``'s set equals its own build as a stack of one.  Trials
+    whose dimensions differ fail the stack with the error of the first
+    trial whose own build fails, else :class:`~sdoflab.matlin.RaggedRank`.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
     try:
@@ -356,8 +344,6 @@ def build_unjammed_set(h1, h2):
     Every transmit dimension carries a legitimate stream, the receiver
     applies no zero-forcing, and the geometry report passes trivially.
     """
-    h1 = as_matrix(h1)
-    h2 = as_matrix(h2)
     v1l, v2l, u = (np.tile(np.eye(k, dtype=complex), (len(h1), 1, 1))
                    for k in (h1.shape[-1], h2.shape[-1], h1.shape[-2]))
     ps = PrecoderSet(v1l=v1l, v2l=v2l, v1j=v1l[..., :0], v2j=v2l[..., :0],

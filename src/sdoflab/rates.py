@@ -24,17 +24,17 @@ streams).  Trials use independently derived seeds, so results do not
 depend on evaluation order.
 
 The trial engine behind :func:`sweep` and :func:`leakage_saturation`
-works in blocks of ``TRIAL_BLOCK`` trials.  It samples a block's
-channels and synthesizes its precoder sets as ``(trials, rows, cols)``
-stacks (see :func:`~sdoflab.precoders.build_precoder_set`), then stacks
-the receiver grams (of the images ``U H_i V_i^L`` kept on the precoder
-set), the eavesdropper covariances and their log-dets over trials and
-powers, and sums the per-trial results in trial order.  Only one block
-is held at a time, so the working set does not grow with the number of
-trials.  Every trial keeps its own seeds and numpy factors each matrix
-of a stack alone, so the results do not depend on ``TRIAL_BLOCK``.
-:func:`receiver_rate` and :func:`eavesdropper_leakage` are the
-one-trial, one-power reference that the engine reproduces bit for bit.
+works on blocks of ``TRIAL_BLOCK`` trials, held one at a time so that
+the working set does not grow with the number of trials.  It samples a
+block's channels and synthesizes its precoder sets as ``(trials, rows,
+cols)`` stacks (see :func:`~sdoflab.precoders.build_precoder_set`), then
+stacks the receiver grams of the images ``U H_i V_i^L``, the
+eavesdropper covariances and their log-dets over trials and powers, and
+sums the per-trial results in trial order.  Each trial keeps its own
+seeds and numpy factors each matrix of a stack alone, so the results do
+not depend on ``TRIAL_BLOCK``: :func:`receiver_rate` and
+:func:`eavesdropper_leakage` are the one-trial, one-power reference
+that the engine reproduces bit for bit.
 """
 
 import math
@@ -207,14 +207,13 @@ def _build_block(cfg, plan, ext, seeds, eve_counts, eve_mean, eve_var):
     """Build one block of trials as stacks, and what the rate algebra needs.
 
     Returns ``(vl, vj, grams, eves)``.  Per transmitter ``i``, ``vl[i]``
-    and ``vj[i]`` stack the trials' legitimate and jamming precoders with
-    an axis for the powers, shape ``(trials, 1, rows, cols)``, and
-    ``grams[i]`` stacks the grams ``W W'`` of ``W = ps.rx_images[i]``.
-    ``eves[j][i]`` stacks eavesdropper ``j``'s one draw per trial with
-    the same axis for the powers, shape ``(trials, 1, rows, cols)``.
+    and ``vj[i]`` are the legitimate and jamming precoders and
+    ``eves[j][i]`` eavesdropper ``j``'s draws, each ``(trials, 1, rows,
+    cols)`` with an axis for the powers; ``grams[i]`` holds the grams
+    ``W W'`` of ``W = ps.rx_images[i]``.
     """
     ch_ss, pc_ss, eve_ss = zip(*(trial_ss.spawn(3) for trial_ss in seeds))
-    ch = sample_channels(cfg, [], ch_ss)
+    ch = sample_channels(cfg, ch_ss)
     ps = (build_precoder_set(plan, ch.h1, ch.h2, pc_ss)
           if plan is not None else build_unjammed_set(ch.h1, ch.h2))
     _require_geometry(ps)
@@ -292,12 +291,10 @@ def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
                    eve_mean, eve_var):
     """Per-trial rates and leakage, yielded as ``(rates, leaks)`` in trial order.
 
-    Each trial builds its legitimate channel and precoder set once, draws
-    its eavesdroppers once in one RNG call, and evaluates that draw at
-    every power.  ``rates[k]`` is the receiver rate at
-    ``p_values[k]`` and ``leaks[k, j]`` is eavesdropper ``j``'s leakage
-    at ``p_values[k]``.  Trials are built and evaluated in blocks of
-    ``TRIAL_BLOCK``.
+    Trials are built and evaluated in blocks of ``TRIAL_BLOCK``; each
+    trial's eavesdropper draw serves every power.  ``rates[k]`` is the
+    receiver rate at ``p_values[k]`` and ``leaks[k, j]`` is eavesdropper
+    ``j``'s leakage there.
     """
     cfg = canonical(cfg)
     plan = jamming_plan(cfg) if jamming else None

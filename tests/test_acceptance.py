@@ -78,7 +78,7 @@ def test_criterion_3_geometry_suite():
             cfg = AntennaConfig(*cfg_tuple)
             plan = jamming_plan(cfg)
             seeds = range(20)
-            ch = sample_channels(cfg, [], seeds)
+            ch = sample_channels(cfg, seeds)
             ps = build_precoder_set(plan, ch.h1, ch.h2,
                                     [1000 + seed for seed in seeds])
             rep = ps.geometry  # the worst of the 20 trials

@@ -355,11 +355,6 @@ class TestBinningCommand:
         assert err.startswith("binning failed") and err.count("\n") == 1, err
         assert not out.exists()
 
-    def test_n_list_without_block_length(self, capsys):
-        assert cli.main(["binning", "--n-list", ","]) == 1
-        assert capsys.readouterr() == (
-            "", "binning failed: --n-list names no block length\n")
-
     @pytest.mark.parametrize("extra", [
         ["--n-list", "12,0"],
         ["--n-list", "12,13", "--rate-total", "1.0", "--rate-secret", "1.0"],

@@ -4,7 +4,7 @@ import pytest
 from sdoflab.model import (AntennaConfig, InvalidConfig, InvalidEveCount,
                            PowerPolicy, _assert_full_rank, canonical,
                            is_degenerate, sample_channels, sample_eves,
-                           validate)
+                           stack_eves, validate)
 
 
 class TestValidate:
@@ -44,24 +44,24 @@ class TestPowerPolicy:
 
 class TestSampleChannels:
     def test_shape_contract(self):
-        ch = sample_channels(AntennaConfig(2, 2, 3, 1), [1], [7, 8])
+        cfg = AntennaConfig(2, 2, 3, 1)
+        ch = sample_channels(cfg, [7, 8])
         assert ch.h1.shape == (2, 3, 2) and ch.h2.shape == (2, 3, 2)
-        assert len(ch.eves) == 1
-        g1, g2 = ch.eves[0]
+        assert ch.eves == []
+        (g1, g2), = stack_eves([sample_eves(cfg, [1], np.random.default_rng(s))
+                                for s in (7, 8)])
         assert g1.shape == (2, 1, 2) and g2.shape == (2, 1, 2)
 
     def test_each_trial_depends_on_its_own_seed_only(self):
         cfg = AntennaConfig(3, 2, 2, 2)
-        stacked = sample_channels(cfg, [2, 1], [7, 8, 9], slots=2)
+        stacked = sample_channels(cfg, [7, 8, 9])
         for t, seed in enumerate([7, 8, 9]):
-            own = sample_channels(cfg, [2, 1], [seed], slots=2)
-            for a, b in zip((stacked.h1, stacked.h2, *stacked.eves[0],
-                             *stacked.eves[1]),
-                            (own.h1, own.h2, *own.eves[0], *own.eves[1])):
+            own = sample_channels(cfg, [seed])
+            for a, b in zip((stacked.h1, stacked.h2), (own.h1, own.h2)):
                 assert a[t].tobytes() == b[0].tobytes()
 
     def test_rank_deficient_trial_fails_the_stack(self):
-        h = sample_channels(AntennaConfig(2, 2, 3, 1), [], [1, 2, 3]).h1
+        h = sample_channels(AntennaConfig(2, 2, 3, 1), [1, 2, 3]).h1
         h[1, :, 1] = h[1, :, 0]
         for stack in (h[1:2], h):
             with pytest.raises(RuntimeError, match="^sampled channel is "
@@ -69,38 +69,40 @@ class TestSampleChannels:
                 _assert_full_rank(stack)
 
     def test_multiple_eavesdroppers(self):
-        ch = sample_channels(AntennaConfig(3, 2, 2, 2), [2, 1], [7])
-        assert ch.eves[0][0].shape == (1, 2, 3)
-        assert ch.eves[0][1].shape == (1, 2, 2)
-        assert ch.eves[1][0].shape == (1, 1, 3)
-        assert ch.eves[1][1].shape == (1, 1, 2)
+        # Drawn per trial and stacked, as the trial engine does.
+        cfg = AntennaConfig(3, 2, 2, 2)
+        eves = stack_eves([sample_eves(cfg, [2, 1], np.random.default_rng(7))])
+        assert eves[0][0].shape == (1, 2, 3)
+        assert eves[0][1].shape == (1, 2, 2)
+        assert eves[1][0].shape == (1, 1, 3)
+        assert eves[1][1].shape == (1, 1, 2)
+
+    def test_eve_count_exceeding_ne(self):
+        with pytest.raises(InvalidEveCount):
+            sample_eves(AntennaConfig(2, 2, 3, 1), [2],
+                        np.random.default_rng(7))
 
     def test_deterministic_given_seed(self):
         cfg = AntennaConfig(2, 2, 3, 1)
-        a = sample_channels(cfg, [1], [7])
-        b = sample_channels(cfg, [1], [7])
+        a = sample_channels(cfg, [7])
+        b = sample_channels(cfg, [7])
         assert np.array_equal(a.h1, b.h1) and np.array_equal(a.h2, b.h2)
-        assert np.array_equal(a.eves[0][0], b.eves[0][0])
 
     def test_different_seeds_differ(self):
         cfg = AntennaConfig(2, 2, 3, 1)
-        a = sample_channels(cfg, [1], [7])
-        b = sample_channels(cfg, [1], [8])
+        a = sample_channels(cfg, [7])
+        b = sample_channels(cfg, [8])
         assert not np.array_equal(a.h1, b.h1)
 
     def test_full_rank_every_draw(self):
         cfg = AntennaConfig(4, 3, 3, 2)
-        ch = sample_channels(cfg, [], range(25))
+        ch = sample_channels(cfg, range(25))
         for h in (ch.h1, ch.h2):
             s = np.linalg.svd(h, compute_uv=False)
             assert np.all(s[:, -1] > 1e-9 * s[:, 0])
 
-    def test_eve_count_exceeding_ne(self):
-        with pytest.raises(InvalidEveCount):
-            sample_channels(AntennaConfig(2, 2, 3, 1), [2], [7])
-
     def test_unit_variance_entries(self):
-        ch = sample_channels(AntennaConfig(8, 8, 8, 1), [], [3])
+        ch = sample_channels(AntennaConfig(8, 8, 8, 1), [3])
         pooled = np.concatenate([ch.h1.ravel(), ch.h2.ravel()])
         assert abs(np.mean(np.abs(pooled) ** 2) - 1.0) < 0.2
 

@@ -18,13 +18,20 @@ GEOMETRY_CONFIGS = [(2, 2, 4, 1), (2, 2, 3, 1), (3, 3, 2, 1),
                     (3, 1, 2, 3), (3, 1, 2, 2), (3, 2, 2, 1)]
 
 
+def trial_of(ps, t):
+    """Trial ``t`` of a stacked precoder set alone, as plain matrices."""
+    return PrecoderSet(ps.v1l[t], ps.v2l[t], ps.v1j[t], ps.v2j[t], ps.u[t],
+                       ps.extension, ps.geometry,
+                       tuple(w[t] for w in ps.rx_images))
+
+
 def built(cfg_tuple, seed=0):
     """One trial, built as a stack of one and returned as plain matrices."""
     cfg = AntennaConfig(*cfg_tuple)
     plan = jamming_plan(cfg)
-    ch = sample_channels(cfg, [], [seed])
+    ch = sample_channels(cfg, [seed])
     ps = build_precoder_set(plan, ch.h1, ch.h2, [seed + 10_000])
-    return cfg, plan, ChannelRealization(ch.h1[0], ch.h2[0]), ps.trial(0)
+    return cfg, plan, ChannelRealization(ch.h1[0], ch.h2[0]), trial_of(ps, 0)
 
 
 def lifted(ch, plan):
@@ -66,7 +73,7 @@ class TestBuildJamming:
     def test_alignment_infeasible_budget(self):
         # two 2-dim received spaces in ambient 3 share 1 dimension < 2
         cfg = AntennaConfig(2, 2, 3, 1)
-        ch = sample_channels(cfg, [], [3])
+        ch = sample_channels(cfg, [3])
         bad = JammingPlan(extension=1,
                           tx1_parts=(JammingPart(ALIGNED, 2),),
                           tx2_parts=(JammingPart(ALIGNED, 2),),
@@ -122,9 +129,10 @@ class TestZeroForcing:
         from sdoflab.precoders import PlanMismatch
         cfg, plan, ch, ps = built((2, 2, 4, 1))
         wrong = jamming_plan(AntennaConfig(2, 2, 4, 2))
-        with pytest.raises(PlanMismatch):
-            build_zero_forcing(ch.h1[None], ch.h2[None], ps.v1j[None],
-                               ps.v2j[None], wrong)
+        for args in ((ch.h1, ch.h2, ps.v1j, ps.v2j),
+                     (ch.h1[None], ch.h2[None], ps.v1j[None], ps.v2j[None])):
+            with pytest.raises(PlanMismatch):
+                build_zero_forcing(*args, wrong)
 
 
 class TestBuildLegit:
@@ -224,7 +232,7 @@ class TestEavesdropperCoverage:
 
 def test_unjammed_set_shapes():
     cfg = AntennaConfig(2, 2, 4, 1)
-    ch = sample_channels(cfg, [], [1, 2])
+    ch = sample_channels(cfg, [1, 2])
     ps = build_unjammed_set(ch.h1, ch.h2)
     assert ps.v1l.shape == (2, 2, 2) and ps.v2l.shape == (2, 2, 2)
     assert ps.v1j.shape == (2, 2, 0) and ps.u.shape == (2, 4, 4)
@@ -240,7 +248,7 @@ def test_every_construction_shape_up_to_six_antennas():
     assert len(configs) == 882
     for cfg in configs:
         plan = jamming_plan(cfg)
-        ch = sample_channels(cfg, [], [3])
+        ch = sample_channels(cfg, [3])
         ps = build_precoder_set(plan, ch.h1, ch.h2, [80])
         assert ps.geometry.passed, (cfg, ps.geometry)
         if cfg.ne:
@@ -274,7 +282,7 @@ class TestStackedBuild:
     def test_each_trial_equals_its_own_build(self, cfg_tuple):
         cfg = AntennaConfig(*cfg_tuple)
         plan = jamming_plan(cfg)
-        ch = sample_channels(cfg, [], [1, 2, 3])
+        ch = sample_channels(cfg, [1, 2, 3])
         stacked = build_precoder_set(plan, ch.h1, ch.h2, [10, 11, 12])
         for t, seed in enumerate([10, 11, 12]):
             own = build_precoder_set(plan, ch.h1[t:t + 1], ch.h2[t:t + 1],
@@ -292,7 +300,7 @@ class TestStackedBuild:
         # dimensions differ from the other trials' on the way.
         cfg = AntennaConfig(*cfg_tuple)
         plan = jamming_plan(cfg)
-        ch = sample_channels(cfg, [], [1, 2, 3])
+        ch = sample_channels(cfg, [1, 2, 3])
         h1 = ch.h1.copy()
         h1[1, :, 1] = h1[1, :, 0]
         seeds = [10, 11, 12]
@@ -307,7 +315,7 @@ class TestStackedBuild:
         # but its channel's row space is narrower than the other trials'.
         cfg = AntennaConfig(2, 2, 2, 1)
         plan = jamming_plan(cfg)
-        ch = sample_channels(cfg, [], [1, 2, 3])
+        ch = sample_channels(cfg, [1, 2, 3])
         h1 = ch.h1.copy()
         h1[1, :, 1] = h1[1, :, 0]
         own = build_precoder_set(plan, h1[1:2], ch.h2[1:2], [11])

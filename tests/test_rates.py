@@ -28,12 +28,15 @@ def scalar_precoder_set():
 
 
 def one_trial(cfg, eve_counts, ch_seed, pc_seed, jamming=True):
-    """One trial's realization and precoder set, as plain matrices."""
-    ch = sample_channels(cfg, eve_counts, [ch_seed])
+    """One trial's realization and precoder set, as plain matrices, with
+    unextended eavesdroppers drawn from seed 0."""
+    ch = sample_channels(cfg, [ch_seed])
     ps = (build_precoder_set(jamming_plan(cfg), ch.h1, ch.h2, [pc_seed])
           if jamming else build_unjammed_set(ch.h1, ch.h2))
-    eves = [(g1[0], g2[0]) for g1, g2 in ch.eves]
-    return ChannelRealization(ch.h1[0], ch.h2[0], eves), ps.trial(0)
+    eves = sample_eves(cfg, eve_counts, np.random.default_rng(0))
+    one = PrecoderSet(ps.v1l[0], ps.v2l[0], ps.v1j[0], ps.v2j[0], ps.u[0],
+                      ps.extension, ps.geometry)
+    return ChannelRealization(ch.h1[0], ch.h2[0], eves), one
 
 
 def scalar_channel(eves=()):

@@ -1,14 +1,14 @@
 """Paired benchmark runs of a parent and a change tree, written as BENCH_<n>.json.
 
 Each side is a git revision, exported with ``git archive`` into a fresh
-scratch directory, or a directory that already holds a checkout.  For
-every pair and workload the script runs
+scratch directory.  For every pair and every workload of BENCHMARK.json
+the script runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-on both trees back to back, the parent first in odd pairs and the change
-first in even pairs, and keeps each run's end-to-end metrics, output check
-and output digests.  It then writes, per workload and metric, each side's
+with T the benchmark's ``run_seconds``, on both trees back to back, the
+parent first in odd pairs and the change first in even pairs, and keeps
+each run's end-to-end metrics, output check and output digests.  It then writes, per workload and metric, each side's
 median, the parent's quartile spread, and how many pairs the change won.
 Run from the root of a checkout::
 
@@ -28,14 +28,15 @@ import sys
 import tempfile
 from pathlib import Path
 
-WORKLOADS = ("sim-sweep", "sim-grid", "binning-trend")
+BENCHMARK = json.loads(
+    (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+SECONDS = BENCHMARK["run_seconds"]
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 METRICS = ("cmd_p50_s", "peak_rss_mb", "setup_s", "wall_s")  # lower is better
 
 
 def export(side, scratch, name):
-    """A directory holding ``side``: itself, or its ``git archive`` export."""
-    if Path(side).is_dir():
-        return Path(side).resolve(), None
+    """Export revision ``side`` under ``scratch``; returns (tree, revision)."""
     tree = Path(scratch) / name
     tree.mkdir()
     archive = subprocess.run(["git", "archive", side], check=True,
@@ -48,11 +49,11 @@ def export(side, scratch, name):
     return tree, {"commit": commit, "src_tree": src_tree}
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed):
     """One untraced benchmark run; returns its summary and full results."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: {workload} exited {proc.returncode}: "
@@ -89,7 +90,7 @@ def medians(pairs):
     return out
 
 
-def run_pairs(trees, workloads, count, seed, seconds):
+def run_pairs(trees, workloads, count, seed):
     """``count`` alternating pairs per workload; returns (pairs, environment)."""
     pairs, environment = {}, None
     for workload in workloads:
@@ -99,8 +100,7 @@ def run_pairs(trees, workloads, count, seed, seconds):
             pair = {"first": order[0], "pair": k}
             digests = {}
             for side in order:
-                pair[side], results = run_once(trees[side], workload, seed,
-                                               seconds)
+                pair[side], results = run_once(trees[side], workload, seed)
                 digests[side] = results["output_sha256"]
                 environment = environment or results["environment"]
             pair["same_outputs"] = digests["parent"] == digests["change"]
@@ -116,46 +116,40 @@ def run_pairs(trees, workloads, count, seed, seconds):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True,
-                        help="git revision or checkout directory")
-    parser.add_argument("--change", required=True,
-                        help="git revision or checkout directory")
+    parser.add_argument("--parent", required=True, help="git revision")
+    parser.add_argument("--change", required=True, help="git revision")
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--confirm-seed", type=int,
                         help="run the first workload's pairs again at this "
                              "seed, one not used while writing the change")
     parser.add_argument("--claim", default="")
     parser.add_argument("--note", action="append", default=[])
     args = parser.parse_args(argv)
-    workloads = args.workloads.split(",")
 
     with tempfile.TemporaryDirectory() as scratch:
         parent_tree, parent_rev = export(args.parent, scratch, "parent")
         change_tree, change_rev = export(args.change, scratch, "change")
         trees = {"parent": parent_tree, "change": change_tree}
-        pairs, environment = run_pairs(trees, workloads, args.pairs,
-                                       args.seed, args.seconds)
+        pairs, environment = run_pairs(trees, WORKLOADS, args.pairs, args.seed)
         if args.confirm_seed is not None:
-            confirm, _ = run_pairs(trees, workloads[:1], args.pairs,
-                                   args.confirm_seed, args.seconds)
+            confirm, _ = run_pairs(trees, WORKLOADS[:1], args.pairs,
+                                   args.confirm_seed)
 
     bench = {
-        "change": change_rev or {"directory": str(change_tree)},
+        "change": change_rev,
         "claim": args.claim,
         "environment": environment,
         "medians": {w: medians(p) for w, p in pairs.items()},
         "method": (f"python3 perfbench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0, run from an export "
+                   f"--seconds {SECONDS:g} --trace 0, run from an export "
                    f"of each tree; per pair and workload the parent and the "
                    f"change ran back to back, parent first in odd pairs and "
                    f"change first in even pairs"),
         "notes": args.note,
         "pairs": pairs,
-        "parent": parent_rev or {"directory": str(parent_tree)},
+        "parent": parent_rev,
     }
     if args.confirm_seed is not None:
         bench["confirm"] = {
