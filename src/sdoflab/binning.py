@@ -98,12 +98,13 @@ def _code_bits(n, rate_total, rate_secret):
                        ("rate_secret", rate_secret)):
         if rate < 0:
             raise ValueError(f"{name} must be nonnegative, got {rate}")
+    # Before the rate products: a huge int n overflows a float product.
+    if n > MAX_BLOCK_BITS:
+        raise CodeTooLarge(f"block length {n} exceeds budget {MAX_BLOCK_BITS}")
     k_total = _integral_bits(n, rate_total, "rate_total")
     k_secret = _integral_bits(n, rate_secret, "rate_secret")
     if k_secret > k_total:
         raise ValueError("rate_secret exceeds rate_total")
-    if n > MAX_BLOCK_BITS:
-        raise CodeTooLarge(f"block length {n} exceeds budget {MAX_BLOCK_BITS}")
     if k_total > n:
         raise CodeTooLarge(
             f"2^{k_total} distinct codewords do not fit in {{0,1}}^{n}")

@@ -73,9 +73,8 @@ def _is_number(v):
 class ExperimentConfig:
     """Schema of the ``simulate`` JSON config file (unknown keys rejected).
 
-    ``eve_mean``/``eve_var`` set the eavesdropper channel moments; only
-    genericity matters downstream, so they default to (0, 1).  Every
-    value is checked on construction; bad values raise ``ValueError``.
+    Every value is checked on construction; bad values raise
+    ``ValueError``.
     """
 
     m1: int
@@ -88,8 +87,6 @@ class ExperimentConfig:
     trials: int
     seed: int
     output_path: str = "experiment"
-    eve_mean: float = 0.0
-    eve_var: float = 1.0
 
     def __post_init__(self):
         def check(ok, name, want):
@@ -117,9 +114,6 @@ class ExperimentConfig:
         rates._check_grid(self.p_grid)
         check(isinstance(self.output_path, str) and "\0" not in self.output_path,
               "output_path", "a string without NUL characters")
-        check(_is_number(self.eve_mean), "eve_mean", "a number")
-        check(_is_number(self.eve_var) and self.eve_var > 0,
-              "eve_var", "a positive number")
 
     @classmethod
     def from_dict(cls, data):
@@ -230,18 +224,17 @@ def cmd_simulate(args):
 
     try:
         # Overflow raises here instead of warning, so that extreme powers
-        # or eavesdropper moments end as the one-line error below.
+        # end as the one-line error below.
         with np.errstate(over="raise", invalid="raise"):
             result = rates.sweep(cfg, exp.alpha, exp.p_grid, exp.trials,
                                  exp.seed, eve_counts=exp.eve_counts,
-                                 jamming=jamming, eve_mean=exp.eve_mean,
-                                 eve_var=exp.eve_var)
+                                 jamming=jamming)
     except (rates.GeometryNotVerified, precoders.PlanMismatch,
             precoders.AlignmentInfeasible, matlin.RaggedRank) as exc:
         return _fail(f"geometry verification failed: {exc}", 2)
     except (FloatingPointError, matlin.NotPositiveDefinite) as exc:
         return _fail(f"bad config: numerical failure in the rate algebra "
-                     f"({exc}); p_grid, eve_mean or eve_var too large", 1)
+                     f"({exc}); p_grid too large", 1)
 
     ds = regions.sum_sdof(cfg)
     summary = {

@@ -6,13 +6,16 @@ eavesdroppers with at most ``ne`` antennas each.  Legitimate channels
 are held constant for the duration of an experiment trial; eavesdropper
 channels are time varying: each Monte-Carlo trial draws them afresh,
 independently for every symbol slot of an extended block, and a power
-sweep evaluates that one draw at every power.
+sweep evaluates that one draw at every power.  They are kept as
+per-slot blocks; `eve_image` is the one place that applies them to a
+precoder lifted over the slots.
 
 All entries are i.i.d. circularly-symmetric complex Gaussian, so every
 sampled channel is full rank with probability one; this is asserted on
 every draw.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,9 +111,9 @@ class ChannelRealization:
     ``eves`` of per-eavesdropper pairs ``(g1, g2)``.
 
     `sample_channels` stacks ``h1``/``h2`` over trials; the one-trial
-    rate references take plain matrices.  Over a ``slots``-fold time
-    extension each eavesdropper matrix is block diagonal, one
-    independent ``nej x m_i`` block per slot.
+    rate references take plain matrices.  Each eavesdropper matrix holds
+    its per-slot blocks, ``(slots, nej, m_i)``, one independent block
+    per slot of a ``slots``-fold time extension (see `sample_eves`).
     """
 
     h1: np.ndarray
@@ -118,13 +121,12 @@ class ChannelRealization:
     eves: list = field(default_factory=list)
 
 
-def complex_gaussian(rngs, rows, cols, mean=0.0, var=1.0):
-    """``(len(rngs), rows, cols)`` stack of i.i.d. circularly-symmetric
-    complex Gaussian matrices, one drawn from each generator."""
-    scale = np.sqrt(var / 2.0)
+def complex_gaussian(rngs, rows, cols):
+    """``(len(rngs), rows, cols)`` stack of i.i.d. CN(0, 1) matrices, one
+    drawn from each generator."""
     z = np.stack([rng.standard_normal((rows, cols))
                   + 1j * rng.standard_normal((rows, cols)) for rng in rngs])
-    return mean + scale * z
+    return np.sqrt(0.5) * z
 
 
 def _assert_full_rank(h, tol=1e-9):
@@ -134,30 +136,14 @@ def _assert_full_rank(h, tol=1e-9):
         raise RuntimeError("sampled channel is numerically rank deficient")
 
 
-def stack_eves(draws):
-    """Per-eavesdropper ``(g1, g2)`` stacks of per-trial `sample_eves` lists."""
-    return [tuple(np.stack(g) for g in zip(*pairs)) for pairs in zip(*draws)]
-
-
-def _block_diagonal(blocks):
-    """Block-diagonal ``(slots*r, slots*c)`` matrix of ``(slots, r, c)`` blocks."""
-    slots, r, c = blocks.shape
-    if slots == 1:
-        return blocks[0]
-    g = np.zeros((slots, r, slots, c), dtype=blocks.dtype)
-    diag = np.arange(slots)
-    g[diag, :, diag, :] = blocks
-    return g.reshape(slots * r, slots * c)
-
-
-def sample_eves(cfg, eve_counts, rng, slots=1, mean=0.0, var=1.0):
+def sample_eves(cfg, eve_counts, seeds, slots=1):
     """Draw eavesdropper channel pairs, one per entry of ``eve_counts``.
 
-    Each pair is returned already lifted to ``slots`` symbol slots as a
-    block-diagonal matrix with an independent draw per slot, which is
-    the time-varying eavesdropper model: over an extended block the
-    eavesdropper sees a fresh channel every channel use.  All entries
-    come from one RNG call.
+    Each pair ``(g1, g2)`` holds the per-slot blocks, stacked ``(trials,
+    slots, nej, m_i)`` with i.i.d. CN(0, 1) entries: over an extended
+    block the eavesdropper sees a fresh channel every channel use (the
+    time-varying model).  Trial ``t`` draws all its entries with one
+    call to its own ``numpy.random.default_rng(seeds[t])``.
     """
     for nej in eve_counts:
         if not 0 <= nej <= cfg.ne:
@@ -165,21 +151,30 @@ def sample_eves(cfg, eve_counts, rng, slots=1, mean=0.0, var=1.0):
                 f"eavesdropper antenna count {nej} outside [0, {cfg.ne}]")
     # The normals run eavesdropper, transmitter, slot, then the real and
     # imaginary parts, as in successive complex_gaussian calls.
-    sizes = [2 * nej * mi for nej in eve_counts for mi in (cfg.m1, cfg.m2)]
-    z = rng.standard_normal(slots * sum(sizes))
-    scale = np.sqrt(var / 2.0)
-    eves = []
-    offset = 0
-    for nej in eve_counts:
-        pair = []
-        for mi in (cfg.m1, cfg.m2):
-            size = slots * 2 * nej * mi
-            part = z[offset:offset + size].reshape(slots, 2, nej, mi)
-            offset += size
-            pair.append(_block_diagonal(
-                mean + scale * (part[:, 0] + 1j * part[:, 1])))
-        eves.append((pair[0], pair[1]))
-    return eves
+    shapes = [(slots, 2, nej, mi)
+              for nej in eve_counts for mi in (cfg.m1, cfg.m2)]
+    sizes = [math.prod(shape) for shape in shapes]
+    z = np.stack([np.random.default_rng(s).standard_normal(sum(sizes))
+                  for s in seeds])
+    blocks = []
+    for shape, part in zip(shapes, np.split(z, np.cumsum(sizes)[:-1], axis=1)):
+        part = part.reshape(len(z), *shape)
+        blocks.append(np.sqrt(0.5) * (part[:, :, 0] + 1j * part[:, :, 1]))
+    return list(zip(blocks[::2], blocks[1::2]))
+
+
+def eve_image(g, v):
+    """Rows of the product of the lifted eavesdropper matrix with ``v``.
+
+    ``g`` holds per-slot blocks ``(..., slots, r, c)`` and ``v`` the
+    lifted precoder ``(..., slots*c, k)``; slot ``s``'s block multiplies
+    rows ``s*c .. (s+1)*c`` of ``v``.  The result ``(..., slots*r, k)``
+    is slot-major, the rows of the block-diagonal lift times ``v``.  A
+    ``v`` with columns and another row count raises ``ValueError``.
+    """
+    *_, slots, r, c = g.shape
+    out = g @ v.reshape(v.shape[:-2] + (slots, c, v.shape[-1]))
+    return out.reshape(out.shape[:-3] + (slots * r, v.shape[-1]))
 
 
 def sample_channels(cfg, seeds):

@@ -36,7 +36,7 @@ import numpy as np
 from . import matlin
 from .matlin import (as_matrix, complement, ct, frobenius, nullspace,
                      orthonormal_basis)
-from .model import complex_gaussian
+from .model import complex_gaussian, eve_image
 from .regions import ALIGNED, NULLSPACE, RANDOM
 
 ALIGNMENT_TOL = 1e-8
@@ -63,6 +63,22 @@ class GeometryReport:
     decode_rank: int
     expected_rank: int
     passed: bool
+
+    def failures(self):
+        """One line per failed check: its worst residual against the
+        tolerance, or the decode rank against the expected rank."""
+        lines = [f"{name} {value:.3g} exceeds tolerance {tol:g}"
+                 for name, value, tol in (
+                     ("alignment_residual", self.alignment_residual,
+                      ALIGNMENT_TOL),
+                     ("nullspace_residual", self.nullspace_residual,
+                      NULLSPACE_TOL),
+                     ("zf_residual", self.zf_residual, ZF_TOL))
+                 if not value <= tol]
+        if self.decode_rank != self.expected_rank:
+            lines.append(f"decode_rank {self.decode_rank} != expected rank "
+                         f"{self.expected_rank}")
+        return lines
 
 
 @dataclass
@@ -358,12 +374,12 @@ def build_unjammed_set(h1, h2):
 def jamming_coverage_rank(ps, g1, g2):
     """Rank of the jamming image at an eavesdropper with channels ``g1, g2``.
 
-    ``g1``/``g2`` must already be lifted to the precoder extension
-    (block diagonal with one independent block per slot).  For a stacked
-    ``ps`` the result holds one rank per trial.  For generic draws the
-    rank equals the total number of jamming columns, i.e. the jamming
+    ``g1``/``g2`` hold per-slot blocks, as `sample_eves` draws them, one
+    slot per symbol of the precoder extension.  For a stacked ``ps``
+    the result holds one rank per trial.  For generic draws the rank
+    equals the total number of jamming columns, i.e. the jamming
     overwhelms the eavesdropper's signal space.
     """
-    image = np.concatenate([as_matrix(g1) @ ps.v1j, as_matrix(g2) @ ps.v2j],
+    image = np.concatenate([eve_image(g1, ps.v1j), eve_image(g2, ps.v2j)],
                            axis=-1)
     return matlin.rank(image, RANK_TOL)

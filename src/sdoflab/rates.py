@@ -42,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matlin import as_matrix, ct, logdet_hpd
-from .model import (PowerPolicy, canonical, sample_channels, sample_eves,
-                    stack_eves)
+from .matlin import ct, logdet_hpd
+from .model import (PowerPolicy, canonical, eve_image, sample_channels,
+                    sample_eves)
 from .precoders import build_precoder_set, build_unjammed_set, extend_channel
 from .regions import jamming_plan
 
@@ -115,8 +115,10 @@ def make_curve(p_values, rates):
 
 
 def _require_geometry(ps):
-    if ps.geometry is None or not ps.geometry.passed:
+    if ps.geometry is None:
         raise GeometryNotVerified("run verify_geometry before computing rates")
+    if not ps.geometry.passed:
+        raise GeometryNotVerified("; ".join(ps.geometry.failures()))
 
 
 def _legit_power(ps, pol):
@@ -159,33 +161,22 @@ def eavesdropper_leakage(ps, ch, pol, eve_index):
 
     The eavesdropper treats the received jamming as noise:
     ``logdet(I + G_L Q_L G_L' (I + G_J Q_J G_J')^{-1})``, evaluated
-    as a difference of two log-dets.  The eavesdropper matrices in
-    ``ch.eves`` must match the precoder extension (block-diagonal lift
-    with one independent block per slot).
+    as a difference of two log-dets.  ``ch.eves`` holds per-slot blocks
+    ``(slots, nej, m_i)``, one slot per symbol of the precoder extension;
+    another slot count raises ``ValueError``.
     """
     ext = ps.extension
-    g1, g2 = ch.eves[eve_index]
-    g1, g2 = as_matrix(g1), as_matrix(g2)
-    if g1.shape[1] != ps.v1l.shape[0] or g2.shape[1] != ps.v2l.shape[0]:
-        raise ValueError("eavesdropper matrices do not match the precoder "
-                         "extension; sample them with slots=extension")
-    rows = g1.shape[0]
-    if rows == 0:
-        return 0.0
-    legit_p = _legit_power(ps, pol)
+    g_pair = ch.eves[eve_index]
 
-    legit_cols = [np.zeros((rows, 0), dtype=complex)]
-    jam_cols = [np.zeros((rows, 0), dtype=complex)]
-    for g, vl, vj in ((g1, ps.v1l, ps.v1j), (g2, ps.v2l, ps.v2j)):
-        if vl.shape[1]:
-            legit_cols.append(math.sqrt(ext * legit_p / vl.shape[1]) * (g @ vl))
-        if vj.shape[1]:
-            jam_cols.append(
-                math.sqrt(ext * pol.alpha * pol.p / vj.shape[1]) * (g @ vj))
-    bl = np.hstack(legit_cols)
-    bj = np.hstack(jam_cols)
+    def images(vs, power):
+        # hstack of sqrt(power / cols) * G_i V_i; an empty V_i gives an
+        # empty image, so max(cols, 1) only keeps 0 / 0 out.
+        return np.hstack([math.sqrt(power / max(v.shape[1], 1))
+                          * eve_image(g, v) for g, v in zip(g_pair, vs)])
 
-    k0 = np.eye(rows, dtype=complex) + bj @ bj.conj().T
+    bl = images((ps.v1l, ps.v2l), ext * _legit_power(ps, pol))
+    bj = images((ps.v1j, ps.v2j), ext * pol.alpha * pol.p)
+    k0 = np.eye(len(bj), dtype=complex) + bj @ bj.conj().T
     k1 = k0 + bl @ bl.conj().T
     k0 = 0.5 * (k0 + k0.conj().T)
     k1 = 0.5 * (k1 + k1.conj().T)
@@ -203,13 +194,13 @@ def _check_grid(p_grid):
     return p
 
 
-def _build_block(cfg, plan, ext, seeds, eve_counts, eve_mean, eve_var):
+def _build_block(cfg, plan, ext, seeds, eve_counts):
     """Build one block of trials as stacks, and what the rate algebra needs.
 
     Returns ``(vl, vj, grams, eves)``.  Per transmitter ``i``, ``vl[i]``
     and ``vj[i]`` are the legitimate and jamming precoders and
-    ``eves[j][i]`` eavesdropper ``j``'s draws, each ``(trials, 1, rows,
-    cols)`` with an axis for the powers; ``grams[i]`` holds the grams
+    ``eves[j][i]`` eavesdropper ``j``'s per-slot draws, each with an
+    axis for the powers after the trials; ``grams[i]`` holds the grams
     ``W W'`` of ``W = ps.rx_images[i]``.
     """
     ch_ss, pc_ss, eve_ss = zip(*(trial_ss.spawn(3) for trial_ss in seeds))
@@ -217,9 +208,7 @@ def _build_block(cfg, plan, ext, seeds, eve_counts, eve_mean, eve_var):
     ps = (build_precoder_set(plan, ch.h1, ch.h2, pc_ss)
           if plan is not None else build_unjammed_set(ch.h1, ch.h2))
     _require_geometry(ps)
-    eves = stack_eves([sample_eves(cfg, eve_counts, np.random.default_rng(ss),
-                                   slots=ext, mean=eve_mean, var=eve_var)
-                       for ss in eve_ss])
+    eves = sample_eves(cfg, eve_counts, eve_ss, slots=ext)
     return ([v[:, None] for v in (ps.v1l, ps.v2l)],
             [v[:, None] for v in (ps.v1j, ps.v2j)],
             [w @ ct(w) for w in ps.rx_images],
@@ -253,28 +242,19 @@ def _block_leakage(vl, vj, g_pair, ext, alpha, p, legit_p):
     ``legit_p[k]`` goes to the streams.  The arithmetic is
     :func:`eavesdropper_leakage`'s, stacked over trials and powers.
     """
-    if any(g.shape[-1] != v.shape[-2] for g, v in zip(g_pair, vl)):
-        raise ValueError("eavesdropper matrices do not match the precoder "
-                         "extension; sample them with slots=extension")
-    lead = g_pair[0].shape[:1] + (len(p), g_pair[0].shape[-2])
-    if lead[-1] == 0:
-        return np.zeros(lead[:-1])
-
-    def images(vs, scale):
-        # hstack of sqrt(scale / cols) * G_i V_i over the transmitters.
-        cols = [np.zeros(lead + (0,), dtype=complex)]
-        for g, v in zip(g_pair, vs):
-            if v.shape[-1]:
-                scale_v = np.sqrt(scale / v.shape[-1])[:, None, None]
-                cols.append((g @ v) * scale_v)
-        return np.concatenate(cols, axis=-1)
+    def images(vs, power):
+        # eavesdropper_leakage's images, with the powers on axis 1.
+        return np.concatenate(
+            [eve_image(g, v)
+             * np.sqrt(power / max(v.shape[-1], 1))[:, None, None]
+             for g, v in zip(g_pair, vs)], axis=-1)
 
     # In place, so that few (trials, powers, rows, rows) arrays are held
     # at once.  Each sum keeps eavesdropper_leakage's operands.
     bj = images(vj, ext * alpha * p)
     k0 = bj @ ct(bj)
     del bj
-    k0 += np.eye(lead[-1], dtype=complex)
+    k0 += np.eye(k0.shape[-1], dtype=complex)
     bl = images(vl, ext * legit_p)
     k1 = bl @ ct(bl)
     del bl
@@ -287,8 +267,7 @@ def _block_leakage(vl, vj, g_pair, ext, alpha, p, legit_p):
     return (ld1 - logdet_hpd(k0)) / (ext * math.log(2))
 
 
-def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
-                   eve_mean, eve_var):
+def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
     """Per-trial rates and leakage, yielded as ``(rates, leaks)`` in trial order.
 
     Trials are built and evaluated in blocks of ``TRIAL_BLOCK``; each
@@ -306,8 +285,7 @@ def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
     root = np.random.SeedSequence(seed)
     for start in range(0, trials, TRIAL_BLOCK):
         seeds = root.spawn(min(TRIAL_BLOCK, trials - start))
-        vl, vj, grams, eves = _build_block(cfg, plan, ext, seeds, eve_counts,
-                                           eve_mean, eve_var)
+        vl, vj, grams, eves = _build_block(cfg, plan, ext, seeds, eve_counts)
         has_jam = vj[0].shape[-1] + vj[1].shape[-1] > 0
         legit_p = (1.0 - alpha) * powers if has_jam else powers
         rates = _block_receiver_rates(vl, grams, ext, legit_p)
@@ -319,8 +297,7 @@ def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
         yield from zip(rates, leaks)
 
 
-def _run_trials(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
-                eve_mean, eve_var):
+def _run_trials(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
     """Sum :func:`_trial_results` into a :class:`SweepResult`."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -332,7 +309,7 @@ def _run_trials(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
     lo_sum = np.zeros(len(eve_counts))
     hi_sum = np.zeros(len(eve_counts))
     for rates, leaks in _trial_results(cfg, alpha, p_values, trials, seed,
-                                       eve_counts, jamming, eve_mean, eve_var):
+                                       eve_counts, jamming):
         rate_sum += rates
         if eve_counts:
             leak_sum += leaks.max(axis=1)
@@ -350,8 +327,7 @@ def _run_trials(cfg, alpha, p_values, trials, seed, eve_counts, jamming,
                        leakage_delta=delta)
 
 
-def sweep(cfg, alpha, p_grid, trials, seed, *,
-          eve_counts=None, jamming=True, eve_mean=0.0, eve_var=1.0):
+def sweep(cfg, alpha, p_grid, trials, seed, *, eve_counts=None, jamming=True):
     """Monte-Carlo secrecy-rate sweep over a power grid.
 
     Each trial draws a fresh legitimate channel and fresh eavesdroppers
@@ -383,12 +359,11 @@ def sweep(cfg, alpha, p_grid, trials, seed, *,
         transmit dimension carries a stream and no zero-forcing is done.
     """
     return _run_trials(cfg, alpha, _check_grid(p_grid), trials, seed,
-                       eve_counts, jamming, eve_mean, eve_var)
+                       eve_counts, jamming)
 
 
 def leakage_saturation(cfg, alpha, p_lo, p_hi, trials, seed, *,
-                       eve_counts=None, jamming=True, eve_mean=0.0,
-                       eve_var=1.0):
+                       eve_counts=None, jamming=True):
     """Leakage growth between two power levels, maximized over eavesdroppers.
 
     Returns ``mean leakage(p_hi) - mean leakage(p_lo)`` over ``trials``
@@ -400,4 +375,4 @@ def leakage_saturation(cfg, alpha, p_lo, p_hi, trials, seed, *,
     if p_hi < 100.0 * p_lo:
         raise ValueError("p_hi must be at least 100x p_lo")
     return _run_trials(cfg, alpha, [p_lo, p_hi], trials, seed, eve_counts,
-                       jamming, eve_mean, eve_var).leakage_delta
+                       jamming).leakage_delta

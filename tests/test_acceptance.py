@@ -11,11 +11,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from sdoflab import binning, cli, rates
-from sdoflab.model import (AntennaConfig, sample_channels, sample_eves,
-                           stack_eves)
+from sdoflab.model import AntennaConfig, sample_channels, sample_eves
 from sdoflab.precoders import build_precoder_set, jamming_coverage_rank
 from sdoflab.regions import (classify_case, jamming_plan, sum_sdof,
                              upper_bound_terms, verify_plan_arithmetic)
@@ -86,9 +83,9 @@ def test_criterion_3_geometry_suite():
             assert rep.nullspace_residual <= 1e-8, cfg_tuple
             assert rep.zf_residual <= 1e-8, cfg_tuple
             assert rep.decode_rank == plan.d1 + plan.d2, cfg_tuple
-            (g1, g2), = stack_eves([
-                sample_eves(cfg, [cfg.ne], np.random.default_rng(5000 + seed),
-                            slots=plan.extension) for seed in seeds])
+            (g1, g2), = sample_eves(cfg, [cfg.ne],
+                                    [5000 + seed for seed in seeds],
+                                    slots=plan.extension)
             assert jamming_coverage_rank(ps, g1, g2).tolist() == \
                 [plan.extension * cfg.ne] * 20, cfg_tuple
 

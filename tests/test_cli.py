@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdoflab import binning, cli, rates
+from sdoflab import binning, cli, precoders, rates
 from sdoflab.model import AntennaConfig
 
 SMALL_EXPERIMENT = {
@@ -116,12 +116,6 @@ class TestSimulate:
         # full-DoF leakage: the delta covers the whole grid span
         assert summary["leakage_delta"] > 5.0
 
-    def test_optional_eve_moment_keys(self, tmp_path):
-        cfg = write_config(tmp_path / "exp.json", eve_mean=0.5, eve_var=2.0)
-        stem = tmp_path / "mom"
-        assert cli.main(["simulate", "--config", str(cfg),
-                         "--out", str(stem)]) == 0
-
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path / "exp.json")
         a, b = tmp_path / "a", tmp_path / "b"
@@ -151,11 +145,8 @@ BAD_INPUTS = [
     pytest.param({}, ["--trials", str(cli.MAX_TRIALS + 1)],
                  id="--trials-over-limit"),
     pytest.param({"output_path": "a\u0000b"}, [], id="output_path-nul"),
-    pytest.param({"eve_var": 1e300, "p_grid": [1e3, 1e5, 1e7, 1e9]}, [],
-                 id="eve_var=1e300"),
+    # an unknown key: eavesdropper channels are CN(0, 1), with no moment knobs
     pytest.param({"eve_mean": 1e300}, [], id="eve_mean=1e300"),
-    # numerically singular eavesdropper covariance under the extension
-    pytest.param({"eve_mean": 1e10, "n": 3}, [], id="eve_mean=1e10"),
     pytest.param({"p_grid": [1e3, 1e100, 1e200, 1.7e308]}, [],
                  id="p_grid-overflow"),
     pytest.param({"p_grid": [1e3 * 2.0 ** k
@@ -189,6 +180,18 @@ class TestSimulateBadInput:
         assert cli.main(["simulate", "--config", str(cfg)]) == 1
         assert "JSON object" in capsys.readouterr().err
 
+    def test_failed_geometry_names_the_check(self, tmp_path, capsys,
+                                             monkeypatch):
+        # Every zero-forcing residual exceeds a zero tolerance.
+        monkeypatch.setattr(precoders, "ZF_TOL", 0.0)
+        cfg = write_config(tmp_path / "exp.json")
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "geo")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("geometry verification failed: zf_residual ")
+        assert err.endswith(" exceeds tolerance 0\n") and err.count("\n") == 1
+        assert not (tmp_path / "geo.csv").exists()
+
 
 MISSING_KEY = object()  # fuzz marker: leave the key out of the config
 
@@ -210,9 +213,32 @@ VALID_VALUES = {
                                 for i in range(k)],
         st.floats(1e-2, 1e3), st.integers(4, 8), st.integers(4, 6)),
     "trials": st.integers(1, 2), "seed": st.integers(0, 2**32),
-    "eve_mean": st.floats(-2, 2), "eve_var": st.floats(0.1, 10),
     "output_path": st.text(max_size=8),  # unused: --out is always given
 }
+
+# bad command-line values: unparsable, non-finite, negative, huge (an int
+# past float range half the time, or past int()'s 4300-digit limit)
+BAD_ARGS = st.sampled_from(["x", "", "nan", "inf", "-inf", "-1", "0", "2.5",
+                            "1e300", str(2**64), "9" * 5000]) \
+    | st.integers(10**308, 10**500).map(str)
+
+
+def fuzzed_args(valid):
+    """``--name=value`` options, one per strategy in ``valid`` (``None``
+    leaves the option out), with up to two drawn from :data:`BAD_ARGS`."""
+    @st.composite
+    def args(draw):
+        values = {name: draw(value) for name, value in valid.items()}
+        for name in draw(st.sets(st.sampled_from(sorted(valid)), max_size=2)):
+            values[name] = draw(BAD_ARGS)
+        return [f"--{name}={value}" for name, value in sorted(values.items())
+                if value is not None]
+    return args()
+
+
+# no override, or a small, valid one
+VALID_OVERRIDES = {name: st.none() | VALID_VALUES[name]
+                   for name in ("seed", "trials", "alpha")}
 
 
 @st.composite
@@ -235,9 +261,11 @@ def assert_finite_outputs(stem):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=fuzzed_configs(), no_jamming=st.booleans())
-def test_simulate_fuzzed_config(data, no_jamming):
-    """Any config gives exit 0 with finite outputs or exit 1 with one line."""
+@given(data=fuzzed_configs(), overrides=fuzzed_args(VALID_OVERRIDES),
+       no_jamming=st.booleans())
+def test_simulate_fuzzed_config(data, overrides, no_jamming):
+    """Any config and overrides give exit 0 with finite outputs or exit 1
+    with one line."""
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "exp.json"
@@ -247,7 +275,7 @@ def test_simulate_fuzzed_config(data, no_jamming):
                 contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["simulate", "--config", str(cfg),
                              "--out", str(stem)]
-                            + ["--no-jamming"] * no_jamming)
+                            + overrides + ["--no-jamming"] * no_jamming)
         err = stderr.getvalue()
         assert code in (0, 1), err
         if code:
@@ -256,6 +284,42 @@ def test_simulate_fuzzed_config(data, no_jamming):
         else:
             assert err == ""
             assert_finite_outputs(stem)
+
+
+# small, valid values for every ``binning`` option but --out
+VALID_BINNING_ARGS = {
+    "n-list": st.lists(st.integers(1, 8), min_size=1, max_size=2).map(
+        lambda ns: ",".join(map(str, ns))),
+    "delta": st.floats(0, 1),
+    "rate-total": st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    "rate-secret": st.sampled_from([0.0, 0.25, 0.5]),
+    "seed": st.integers(0, 2**32),
+    "num-seeds": st.integers(0, 2),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=fuzzed_args(VALID_BINNING_ARGS))
+def test_binning_fuzzed_args(args):
+    """Any options give exit 0 with a finite CSV or exit 1 with one line."""
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "bins.csv"
+        with contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["binning", "--out", str(out)] + args)
+        err = stderr.getvalue()
+        assert code in (0, 1), err
+        if code:
+            assert err.strip() and err.count("\n") == 1, err
+            assert "Traceback" not in err
+            assert not out.exists()
+        else:
+            assert err == ""
+            with open(out, newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert all(math.isfinite(float(x)) for r in rows for x in r[2:]
+                       if x)
 
 
 class TestSimulateDegenerate:
@@ -344,9 +408,10 @@ class TestBinningCommand:
         ["--n-list", "12,0"],
         ["--n-list", "12,13", "--rate-total", "1.0", "--rate-secret", "1.0"],
         ["--n-list", ","],
+        ["--n-list", "9" * 400],
     ], ids=["rate-total=inf", "rate-secret=inf", "num-seeds-over-limit",
             "n-list=-4", "negative-rates", "n-list=0", "n-list=12,0",
-            "n-list=12,13-over-budget", "n-list=,"])
+            "n-list=12,13-over-budget", "n-list=,", "n-list=400-digits"])
     def test_bad_input_one_line(self, tmp_path, capsys, extra):
         out = tmp_path / "bins.csv"
         assert cli.main(["binning", "--n-list", "4", "--out", str(out)]

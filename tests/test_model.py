@@ -3,8 +3,8 @@ import pytest
 
 from sdoflab.model import (AntennaConfig, InvalidConfig, InvalidEveCount,
                            PowerPolicy, _assert_full_rank, canonical,
-                           is_degenerate, sample_channels, sample_eves,
-                           stack_eves, validate)
+                           eve_image, is_degenerate, sample_channels,
+                           sample_eves, validate)
 
 
 class TestValidate:
@@ -48,9 +48,8 @@ class TestSampleChannels:
         ch = sample_channels(cfg, [7, 8])
         assert ch.h1.shape == (2, 3, 2) and ch.h2.shape == (2, 3, 2)
         assert ch.eves == []
-        (g1, g2), = stack_eves([sample_eves(cfg, [1], np.random.default_rng(s))
-                                for s in (7, 8)])
-        assert g1.shape == (2, 1, 2) and g2.shape == (2, 1, 2)
+        (g1, g2), = sample_eves(cfg, [1], [7, 8])
+        assert g1.shape == (2, 1, 1, 2) and g2.shape == (2, 1, 1, 2)
 
     def test_each_trial_depends_on_its_own_seed_only(self):
         cfg = AntennaConfig(3, 2, 2, 2)
@@ -69,18 +68,16 @@ class TestSampleChannels:
                 _assert_full_rank(stack)
 
     def test_multiple_eavesdroppers(self):
-        # Drawn per trial and stacked, as the trial engine does.
         cfg = AntennaConfig(3, 2, 2, 2)
-        eves = stack_eves([sample_eves(cfg, [2, 1], np.random.default_rng(7))])
-        assert eves[0][0].shape == (1, 2, 3)
-        assert eves[0][1].shape == (1, 2, 2)
-        assert eves[1][0].shape == (1, 1, 3)
-        assert eves[1][1].shape == (1, 1, 2)
+        eves = sample_eves(cfg, [2, 1], [7])
+        assert eves[0][0].shape == (1, 1, 2, 3)
+        assert eves[0][1].shape == (1, 1, 2, 2)
+        assert eves[1][0].shape == (1, 1, 1, 3)
+        assert eves[1][1].shape == (1, 1, 1, 2)
 
     def test_eve_count_exceeding_ne(self):
         with pytest.raises(InvalidEveCount):
-            sample_eves(AntennaConfig(2, 2, 3, 1), [2],
-                        np.random.default_rng(7))
+            sample_eves(AntennaConfig(2, 2, 3, 1), [2], [7])
 
     def test_deterministic_given_seed(self):
         cfg = AntennaConfig(2, 2, 3, 1)
@@ -110,23 +107,75 @@ class TestSampleChannels:
 class TestSampleEvesSlots:
     def test_block_diagonal_structure(self):
         cfg = AntennaConfig(2, 2, 3, 1)
-        rng = np.random.default_rng(0)
-        (g1, g2), = sample_eves(cfg, [1], rng, slots=2)
-        assert g1.shape == (2, 4) and g2.shape == (2, 4)
-        # off-diagonal blocks identically zero
-        assert np.all(g1[0, 2:] == 0) and np.all(g1[1, :2] == 0)
+        (g1, g2), = sample_eves(cfg, [1], [0], slots=2)
+        # only the per-slot blocks are stored
+        assert g1.shape == (1, 2, 1, 2) and g2.shape == (1, 2, 1, 2)
         # per-slot blocks are independent draws
-        assert not np.array_equal(g1[0, :2], g1[1, 2:])
+        assert not np.array_equal(g1[0, 0], g1[0, 1])
+        # off-diagonal blocks are zero: slot 0's row ignores slot 1's rows
+        v = np.ones((4, 3), dtype=complex)
+        w = v.copy()
+        w[2:] = 7.0
+        assert eve_image(g1[0], v)[0].tobytes() == \
+            eve_image(g1[0], w)[0].tobytes()
+        assert not np.array_equal(eve_image(g1[0], v)[1],
+                                  eve_image(g1[0], w)[1])
+
+    def test_draw_order(self):
+        # One standard_normal call per trial, split eavesdropper by
+        # eavesdropper, transmitter, slot, then real and imaginary part.
+        cfg = AntennaConfig(3, 2, 4, 2)
+        eves = sample_eves(cfg, [2, 1], [5], slots=2)
+        z = np.random.default_rng(5).standard_normal(2 * 2 * 3 * 5)
+        offset = 0
+        for pair, nej in zip(eves, [2, 1]):
+            for g, mi in zip(pair, (3, 2)):
+                for slot in range(2):
+                    re, im = z[offset:offset + 2 * nej * mi].reshape(2, nej, mi)
+                    offset += 2 * nej * mi
+                    want = np.sqrt(0.5) * (re + 1j * im)
+                    assert g[0, slot].tobytes() == want.tobytes()
+        assert offset == len(z)
+
+    def test_each_trial_equals_its_own_draw(self):
+        cfg = AntennaConfig(3, 2, 4, 2)
+        stacked = sample_eves(cfg, [2, 0, 1], [7, 8, 9], slots=2)
+        for t, seed in enumerate([7, 8, 9]):
+            own = sample_eves(cfg, [2, 0, 1], [seed], slots=2)
+            for pair, own_pair in zip(stacked, own):
+                for g, g_own in zip(pair, own_pair):
+                    assert g[t].tobytes() == g_own[0].tobytes()
 
     def test_zero_antenna_eavesdropper(self):
         cfg = AntennaConfig(2, 2, 3, 1)
-        (g1, _), = sample_eves(cfg, [0], np.random.default_rng(0))
-        assert g1.shape == (0, 2)
+        (g1, _), = sample_eves(cfg, [0], [0])
+        assert g1.shape == (1, 1, 0, 2)
 
-    def test_moment_knobs(self):
-        cfg = AntennaConfig(8, 8, 8, 8)
-        (g1, g2), = sample_eves(cfg, [8], np.random.default_rng(1),
-                                mean=5.0, var=0.01)
-        pooled = np.concatenate([g1.ravel(), g2.ravel()])
-        assert abs(np.mean(pooled.real) - 5.0) < 0.1
-        assert np.mean(np.abs(pooled - 5.0) ** 2) < 0.05
+
+def block_diagonal(blocks):
+    """The ``(slots*r, slots*c)`` block-diagonal matrix of ``blocks``."""
+    slots, r, c = blocks.shape
+    g = np.zeros((slots * r, slots * c), dtype=blocks.dtype)
+    for s in range(slots):
+        g[s * r:(s + 1) * r, s * c:(s + 1) * c] = blocks[s]
+    return g
+
+
+class TestEveImage:
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_equals_block_diagonal_product(self, slots):
+        cfg = AntennaConfig(3, 2, 4, 2)
+        (g1, _), = sample_eves(cfg, [2], [1, 2, 3], slots=slots)
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal((3, slots * 3, 4, 2)) @ np.array([1, 1j])
+        got = eve_image(g1, v)
+        assert got.shape == (3, slots * 2, 4)
+        for t in range(3):
+            want = block_diagonal(g1[t]) @ v[t]
+            assert np.allclose(got[t], want, rtol=1e-12, atol=0.0)
+
+    def test_single_slot_is_plain_product(self):
+        cfg = AntennaConfig(3, 2, 4, 2)
+        (g1, _), = sample_eves(cfg, [2], [6])
+        v = np.random.default_rng(6).standard_normal((3, 2)) + 0j
+        assert eve_image(g1[0], v).tobytes() == (g1[0, 0] @ v).tobytes()

@@ -33,7 +33,7 @@ def one_trial(cfg, eve_counts, ch_seed, pc_seed, jamming=True):
     ch = sample_channels(cfg, [ch_seed])
     ps = (build_precoder_set(jamming_plan(cfg), ch.h1, ch.h2, [pc_seed])
           if jamming else build_unjammed_set(ch.h1, ch.h2))
-    eves = sample_eves(cfg, eve_counts, np.random.default_rng(0))
+    eves = [(g1[0], g2[0]) for g1, g2 in sample_eves(cfg, eve_counts, [0])]
     one = PrecoderSet(ps.v1l[0], ps.v2l[0], ps.v1j[0], ps.v2j[0], ps.u[0],
                       ps.extension, ps.geometry)
     return ChannelRealization(ch.h1[0], ch.h2[0], eves), one
@@ -240,8 +240,9 @@ def scalar_trial_results(cfg, p_values, trials, seed, eve_counts, jamming):
     for trial_ss in np.random.SeedSequence(seed).spawn(trials):
         ch_ss, pc_ss, eve_ss = trial_ss.spawn(3)
         ch, ps = one_trial(cfg, [], ch_ss, pc_ss, jamming)
-        c = ChannelRealization(ch.h1, ch.h2, sample_eves(
-            cfg, eve_counts, np.random.default_rng(eve_ss), slots=ext))
+        eves = sample_eves(cfg, eve_counts, [eve_ss], slots=ext)
+        c = ChannelRealization(ch.h1, ch.h2,
+                               [(g1[0], g2[0]) for g1, g2 in eves])
         rates = [receiver_rate(ps, c, pol) for pol in pols]
         leaks = [[eavesdropper_leakage(ps, c, pol, j)
                   for j in range(len(eve_counts))] for pol in pols]
@@ -263,7 +264,7 @@ class TestBlockEngineOracle:
         if jamming and cfg_tuple == (3, 1, 2, 2):
             assert jamming_plan(cfg).extension == 2
         got = list(rates_mod._trial_results(cfg, 0.5, P_GRID, trials, 9,
-                                            eve_counts, jamming, 0.0, 1.0))
+                                            eve_counts, jamming))
         want = scalar_trial_results(cfg, P_GRID, trials, 9, eve_counts,
                                     jamming)
         assert len(got) == len(want) == trials
