@@ -145,8 +145,11 @@ BAD_INPUTS = [
     pytest.param({}, ["--trials", str(cli.MAX_TRIALS + 1)],
                  id="--trials-over-limit"),
     pytest.param({"output_path": "a\u0000b"}, [], id="output_path-nul"),
-    # an unknown key: eavesdropper channels are CN(0, 1), with no moment knobs
+    # unknown keys: eavesdropper channels are CN(0, 1), with no moment knobs
+    pytest.param({"eve_var": 1e300, "p_grid": [1e3, 1e5, 1e7, 1e9]}, [],
+                 id="eve_var=1e300"),
     pytest.param({"eve_mean": 1e300}, [], id="eve_mean=1e300"),
+    pytest.param({"eve_mean": 1e10, "n": 3}, [], id="eve_mean=1e10"),
     pytest.param({"p_grid": [1e3, 1e100, 1e200, 1.7e308]}, [],
                  id="p_grid-overflow"),
     pytest.param({"p_grid": [1e3 * 2.0 ** k
