@@ -167,7 +167,8 @@ def grid_rows(max_antennas):
         ds = regions.sum_sdof(cfg)
         case = regions.classify_case(cfg)
         bounds = regions.upper_bound_terms(cfg)
-        plan_ok = regions.verify_plan_arithmetic(cfg, regions.jamming_plan(cfg))
+        plan_ok = regions.verify_plan_arithmetic(
+            cfg, regions.jamming_plan(cfg), ds)
         key = (cfg.m1, cfg.m2, cfg.n, cfg.ne)
         if ds != min(bounds):
             violations.append(f"{key}: D_s {_fmt_frac(ds)} != min bound "

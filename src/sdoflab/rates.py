@@ -24,15 +24,18 @@ streams).  Trials use independently derived seeds, so results do not
 depend on evaluation order.
 
 The trial engine behind :func:`sweep` and :func:`leakage_saturation`
-works on blocks of ``TRIAL_BLOCK`` trials, held one at a time so that
-the working set does not grow with the number of trials.  It samples a
-block's channels and synthesizes its precoder sets as ``(trials, rows,
-cols)`` stacks (see :func:`~sdoflab.precoders.build_precoder_set`), then
-stacks the receiver grams of the images ``U H_i V_i^L``, the
-eavesdropper covariances and their log-dets over trials and powers, and
-sums the per-trial results in trial order.  Each trial keeps its own
-seeds and numpy factors each matrix of a stack alone, so the results do
-not depend on ``TRIAL_BLOCK``: :func:`receiver_rate` and
+works on blocks of trials, held one at a time so that the working set
+does not grow with the number of trials.  A block holds as many trials
+as fit in ``BLOCK_BYTES`` of stacks, counted from the stack shapes (see
+:func:`_trial_bytes`), so a small configuration runs as one block and a
+large one in blocks of a few trials.  The engine samples a block's
+channels and synthesizes its precoder sets as ``(trials, rows, cols)``
+stacks (see :func:`~sdoflab.precoders.build_precoder_set`), then stacks
+the receiver grams of the images ``U H_i V_i^L``, the eavesdropper
+covariances and their log-dets over trials and powers, and adds the
+per-trial results to running sums in trial order.  Each trial keeps its
+own seeds and numpy factors each matrix of a stack alone, so the results
+do not depend on the block length: :func:`receiver_rate` and
 :func:`eavesdropper_leakage` are the one-trial, one-power reference
 that the engine reproduces bit for bit.
 """
@@ -49,7 +52,7 @@ from .precoders import build_precoder_set, build_unjammed_set, extend_channel
 from .regions import jamming_plan
 
 
-TRIAL_BLOCK = 8  # trials per stacked evaluation; bounds the working set
+BLOCK_BYTES = 32 * 2**20  # stack bytes per block; bounds the working set
 
 
 class GeometryNotVerified(RuntimeError):
@@ -267,12 +270,34 @@ def _block_leakage(vl, vj, g_pair, ext, alpha, p, legit_p):
     return (ld1 - logdet_hpd(k0)) / (ext * math.log(2))
 
 
-def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
-    """Per-trial rates and leakage, yielded as ``(rates, leaks)`` in trial order.
+def _trial_bytes(cfg, plan, eve_counts, n_pow):
+    """Bytes of the complex stacks that one trial adds to a block.
 
-    Trials are built and evaluated in blocks of ``TRIAL_BLOCK``; each
-    trial's eavesdropper draw serves every power.  ``rates[k]`` is the
-    receiver rate at ``p_values[k]`` and ``leaks[k, j]`` is eavesdropper
+    Per power: the largest eavesdropper's images ``B_J`` and ``B_L`` and
+    covariances ``K0`` and ``K1`` (:func:`_block_leakage`), and a receiver
+    gram of ``extension * n`` rows, an upper bound on ``U``'s rows
+    (:func:`_block_receiver_rates`).  Once: the lifted channels and a
+    square precoder per transmit dimension.  Plus 2 KiB for the trial's
+    seeds and generators, which outweigh its stacks on small configs.
+    ``plan`` is None for the jamming-free control, where every transmit
+    dimension is a stream.
+    """
+    ext = plan.extension if plan else 1
+    rx, tx = ext * cfg.n, ext * cfg.m
+    jam = plan.total_jam_dims() if plan else 0
+    streams = plan.d1 + plan.d2 if plan else cfg.m
+    eve = ext * max(eve_counts, default=0)
+    per_power = eve * (jam + streams + 2 * eve) + rx * rx
+    return 16 * (n_pow * per_power + rx * tx + tx * tx) + 2048
+
+
+def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
+    """Per-trial rates and leakage, yielded one block at a time, in trial order.
+
+    A block holds ``BLOCK_BYTES // _trial_bytes(...)`` trials (at least
+    one), and each trial's eavesdropper draw serves every power.  Each
+    block is a pair ``(rates, leaks)``: ``rates[t, k]`` is trial ``t``'s
+    receiver rate at ``p_values[k]`` and ``leaks[t, k, j]`` eavesdropper
     ``j``'s leakage there.
     """
     cfg = canonical(cfg)
@@ -281,10 +306,12 @@ def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
     for p in p_values:
         PowerPolicy(p=p, alpha=alpha)  # raises on a bad power or alpha
     powers = np.array(p_values, dtype=float)
+    block = max(1, BLOCK_BYTES // _trial_bytes(cfg, plan, eve_counts,
+                                               len(powers)))
 
     root = np.random.SeedSequence(seed)
-    for start in range(0, trials, TRIAL_BLOCK):
-        seeds = root.spawn(min(TRIAL_BLOCK, trials - start))
+    for start in range(0, trials, block):
+        seeds = root.spawn(min(block, trials - start))
         vl, vj, grams, eves = _build_block(cfg, plan, ext, seeds, eve_counts)
         has_jam = vj[0].shape[-1] + vj[1].shape[-1] > 0
         legit_p = (1.0 - alpha) * powers if has_jam else powers
@@ -294,7 +321,7 @@ def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
             leaks[:, :, j] = _block_leakage(vl, vj, g_pair, ext, alpha,
                                             powers, legit_p)
         del vl, vj, grams, eves  # hold one block's stacks at a time
-        yield from zip(rates, leaks)
+        yield rates, leaks
 
 
 def _run_trials(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
@@ -303,18 +330,22 @@ def _run_trials(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
         raise ValueError(f"trials must be at least 1, got {trials}")
     if eve_counts is None:
         eve_counts = [cfg.ne] if cfg.ne > 0 else []
-    n_pow = len(p_values)
-    rate_sum = np.zeros(n_pow)
-    leak_sum = np.zeros(n_pow)
-    lo_sum = np.zeros(len(eve_counts))
-    hi_sum = np.zeros(len(eve_counts))
+    n_pow, n_eve = len(p_values), len(eve_counts)
+    # One row per trial: its rates, worst leakage per power, and each
+    # eavesdropper's leakage at the first and at the last power.
+    total = np.zeros(2 * n_pow + 2 * n_eve)
     for rates, leaks in _trial_results(cfg, alpha, p_values, trials, seed,
                                        eve_counts, jamming):
-        rate_sum += rates
-        if eve_counts:
-            leak_sum += leaks.max(axis=1)
-        lo_sum += leaks[0]
-        hi_sum += leaks[-1]
+        worst = leaks.max(axis=2) if n_eve else np.zeros_like(rates)
+        rows = np.concatenate([rates, worst, leaks[:, 0], leaks[:, -1]],
+                              axis=1)
+        # One axis-0 reduction with the running total as its first row.
+        # A row has at least four columns, and over rows of two or more
+        # numpy adds row after row, so the sums equal a per-trial +=
+        # loop bit for bit (one column would be summed pairwise).
+        total = np.concatenate([total[None], rows]).sum(axis=0)
+    rate_sum, leak_sum, lo_sum, hi_sum = np.split(
+        total, np.cumsum([n_pow, n_pow, n_eve]))
 
     rate_mean = rate_sum / trials
     leak_mean = leak_sum / trials

@@ -155,7 +155,11 @@ def sum_sdof(cfg):
     cfg = canonical(cfg)
     if is_degenerate(cfg):
         return Fraction(0)
-    case = classify_case(cfg)
+    return _case_sdof(cfg, classify_case(cfg))
+
+
+def _case_sdof(cfg, case):
+    """The closed form of canonical ``cfg`` in its case region ``case``."""
     if case in _C1_CASES:
         return Fraction(cfg.m - cfg.ne)
     if case in _C2_CASES:
@@ -260,7 +264,7 @@ def jamming_plan(cfg):
         tx2 = _parts((NULLSPACE, ne - n1))
         j_s = 0
 
-    d_frac = Fraction(ext) * sum_sdof(cfg)
+    d_frac = Fraction(ext) * _case_sdof(cfg, case)
     if d_frac.denominator != 1:
         raise RuntimeError(f"extension {ext} does not clear the half-integer "
                            f"stream count for {cfg}")
@@ -275,20 +279,23 @@ def jamming_plan(cfg):
     return JammingPlan(ext, tx1, tx2, j_s, d1, d2)
 
 
-def verify_plan_arithmetic(cfg, plan):
+def verify_plan_arithmetic(cfg, plan, sdof=None):
     """Exact check of all plan invariants against the closed form.
 
     True iff, per extended block: the jamming columns sum to
     ``extension * ne``, the streams sum to ``extension * sum_sdof(cfg)``,
     each transmitter has antenna budget for its streams past the
     jamming, and the receiver keeps at least ``d1 + d2`` jamming-free
-    dimensions (``extension * n - j_s >= d1 + d2``).
+    dimensions (``extension * n - j_s >= d1 + d2``).  A caller that
+    already holds ``sum_sdof(cfg)`` passes it as ``sdof``.
     """
     cfg = canonical(cfg)
     ext = plan.extension
+    if sdof is None:
+        sdof = sum_sdof(cfg)
     if plan.total_jam_dims() != ext * cfg.ne:
         return False
-    if Fraction(plan.d1 + plan.d2) != Fraction(ext) * sum_sdof(cfg):
+    if Fraction(plan.d1 + plan.d2) != Fraction(ext) * sdof:
         return False
     if not 0 <= plan.d1 <= ext * cfg.m1 - plan.jam_dims(1):
         return False

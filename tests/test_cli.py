@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdoflab import binning, cli, precoders, rates
+from sdoflab import binning, cli, precoders, rates, regions
 from sdoflab.model import AntennaConfig
 
 SMALL_EXPERIMENT = {
@@ -364,10 +364,17 @@ def test_simulate_builds_each_jammed_trial_once(tmp_path, monkeypatch):
         return build(plan, h1, h2, trial_seeds)
 
     monkeypatch.setattr(rates, "build_precoder_set", counting)
-    cfg = write_config(tmp_path / "exp.json", trials=rates.TRIAL_BLOCK + 2)
+    # Shrink the budget to blocks of 8 trials, so that 10 trials take two.
+    block = 8
+    exp = SMALL_EXPERIMENT
+    antennas = AntennaConfig(exp["m1"], exp["m2"], exp["n"], exp["ne"])
+    per_trial = rates._trial_bytes(antennas, regions.jamming_plan(antennas),
+                                   exp["eve_counts"], len(exp["p_grid"]))
+    monkeypatch.setattr(rates, "BLOCK_BYTES", block * per_trial)
+    cfg = write_config(tmp_path / "exp.json", trials=block + 2)
     assert cli.main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "run")]) == 0
-    assert sum(sizes) == rates.TRIAL_BLOCK + 2 and len(sizes) == 2
+    assert sum(sizes) == block + 2 and len(sizes) == 2
     assert len(set(seeds)) == len(seeds) == sum(sizes)
 
 

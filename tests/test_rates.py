@@ -6,7 +6,7 @@ import pytest
 
 from sdoflab import rates as rates_mod
 from sdoflab.model import (AntennaConfig, ChannelRealization, InvalidEveCount,
-                           PowerPolicy, sample_channels, sample_eves)
+                           PowerPolicy, canonical, sample_channels, sample_eves)
 from sdoflab.precoders import GeometryReport, PrecoderSet, build_precoder_set, \
     build_unjammed_set
 from sdoflab.rates import (GeometryNotVerified, RateCurve, eavesdropper_leakage,
@@ -250,6 +250,64 @@ def scalar_trial_results(cfg, p_values, trials, seed, eve_counts, jamming):
     return out
 
 
+def set_block(monkeypatch, cfg, jamming, eve_counts, n_pow, block):
+    """Shrink ``rates.BLOCK_BYTES`` so that ``cfg`` runs in blocks of
+    ``block`` trials."""
+    cfg = canonical(cfg)
+    plan = jamming_plan(cfg) if jamming else None
+    per_trial = rates_mod._trial_bytes(cfg, plan, eve_counts, n_pow)
+    monkeypatch.setattr(rates_mod, "BLOCK_BYTES", block * per_trial)
+
+
+def block_sizes(monkeypatch):
+    """Record the number of trials in every block the engine builds."""
+    sizes = []
+    build = rates_mod._build_block
+
+    def counting(cfg, plan, ext, seeds, eve_counts):
+        sizes.append(len(seeds))
+        return build(cfg, plan, ext, seeds, eve_counts)
+
+    monkeypatch.setattr(rates_mod, "_build_block", counting)
+    return sizes
+
+
+ACCEPTANCE_CONFIGS = [(2, 2, 4, 1), (2, 2, 3, 1), (3, 3, 2, 1), (3, 1, 2, 3),
+                      (3, 1, 2, 2), (3, 2, 2, 1)]
+
+
+class TestBlockRule:
+    """Blocks hold as many trials as fit in ``rates.BLOCK_BYTES``."""
+
+    @pytest.mark.parametrize("jamming", [True, False])
+    @pytest.mark.parametrize("cfg_tuple", ACCEPTANCE_CONFIGS)
+    def test_acceptance_sweep_is_one_block(self, monkeypatch, cfg_tuple,
+                                           jamming):
+        sizes = block_sizes(monkeypatch)
+        sweep(AntennaConfig(*cfg_tuple), 0.5, P_GRID, 100, 42,
+              jamming=jamming)
+        assert sizes == [100]
+
+    @pytest.mark.parametrize("jamming", [True, False])
+    def test_cli_limit_shape_fits_budget(self, jamming):
+        cfg = AntennaConfig(32, 32, 32, 31)
+        plan = jamming_plan(cfg) if jamming else None
+        if jamming:
+            assert plan.extension == 2
+        grid = np.logspace(3, 9, 32)
+        per_trial = rates_mod._trial_bytes(cfg, plan, [31], len(grid))
+        block = rates_mod.BLOCK_BYTES // per_trial
+        assert block >= 1
+        assert block * per_trial <= rates_mod.BLOCK_BYTES
+
+    def test_budget_splits_trials_in_order(self, monkeypatch):
+        cfg = AntennaConfig(3, 1, 2, 2)
+        set_block(monkeypatch, cfg, True, [2], len(P_GRID), 4)
+        sizes = block_sizes(monkeypatch)
+        sweep(cfg, 0.5, P_GRID, 10, 42)
+        assert sizes == [4, 4, 2]
+
+
 class TestBlockEngineOracle:
     """The stacked engine equals the scalar reference bit for bit."""
 
@@ -258,13 +316,17 @@ class TestBlockEngineOracle:
         ((3, 1, 2, 2), [0, 1, 2]),   # two-slot extension
         ((2, 2, 4, 1), [1]),
     ])
-    def test_equals_scalar_reference(self, cfg_tuple, eve_counts, jamming):
+    def test_equals_scalar_reference(self, monkeypatch, cfg_tuple, eve_counts,
+                                     jamming):
         cfg = AntennaConfig(*cfg_tuple)
-        trials = rates_mod.TRIAL_BLOCK + 1
+        block = 8
+        trials = block + 1
+        set_block(monkeypatch, cfg, jamming, eve_counts, len(P_GRID), block)
         if jamming and cfg_tuple == (3, 1, 2, 2):
             assert jamming_plan(cfg).extension == 2
-        got = list(rates_mod._trial_results(cfg, 0.5, P_GRID, trials, 9,
-                                            eve_counts, jamming))
+        got = [trial for rates, leaks in rates_mod._trial_results(
+                   cfg, 0.5, P_GRID, trials, 9, eve_counts, jamming)
+               for trial in zip(rates, leaks)]
         want = scalar_trial_results(cfg, P_GRID, trials, 9, eve_counts,
                                     jamming)
         assert len(got) == len(want) == trials
@@ -279,11 +341,10 @@ class TestBlockEngineOracle:
         # (3, 1, 2, 2) lifts to two slots and has nullspace and aligned
         # parts, so its precoders depend on the lift's signed zeros.
         cfg = AntennaConfig(*cfg_tuple)
-        default = rates_mod.TRIAL_BLOCK
-        trials = 2 * default + 1
+        trials = 17
         results = []
-        for block in (1, 3, default):
-            monkeypatch.setattr(rates_mod, "TRIAL_BLOCK", block)
+        for block in (1, 3, trials):
+            set_block(monkeypatch, cfg, jamming, [cfg.ne], len(P_GRID), block)
             results.append(sweep(cfg, 0.5, P_GRID, trials, 17,
                                  jamming=jamming))
         assert results[0] == results[1] == results[2]
@@ -302,8 +363,10 @@ class TestBlockEngineOracle:
         assert res.leakage_delta == pytest.approx(delta, rel=1e-12)
         assert res.points[-1].secrecy == pytest.approx(secrecy, rel=1e-12)
 
-    def test_working_set_independent_of_trials(self):
+    def test_working_set_independent_of_trials(self, monkeypatch):
         cfg = AntennaConfig(2, 2, 3, 1)
+        block = 8
+        set_block(monkeypatch, cfg, True, [cfg.ne], len(P_GRID), block)
 
         def peak(trials):
             tracemalloc.start()
@@ -313,6 +376,5 @@ class TestBlockEngineOracle:
             finally:
                 tracemalloc.stop()
 
-        block = rates_mod.TRIAL_BLOCK
         peak(1)  # first-call imports and caches are not working set
         assert peak(10 * block) <= 1.1 * peak(2 * block)
