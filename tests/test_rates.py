@@ -294,11 +294,22 @@ class TestBlockRule:
         plan = jamming_plan(cfg) if jamming else None
         if jamming:
             assert plan.extension == 2
-        grid = np.logspace(3, 9, 32)
-        per_trial = rates_mod._trial_bytes(cfg, plan, [31], len(grid))
+        per_trial = rates_mod._trial_bytes(cfg, plan, [31], 32)
         block = rates_mod.BLOCK_BYTES // per_trial
         assert block >= 1
         assert block * per_trial <= rates_mod.BLOCK_BYTES
+
+    def test_cli_limit_working_set_within_budget(self):
+        cfg = AntennaConfig(32, 32, 32, 31)
+        grid = np.logspace(3, 9, 32)
+        sweep(cfg, 0.5, grid, 1, 1)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            sweep(cfg, 0.5, grid, 8, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rates_mod.BLOCK_BYTES
 
     def test_budget_splits_trials_in_order(self, monkeypatch):
         cfg = AntennaConfig(3, 1, 2, 2)
