@@ -12,10 +12,12 @@ precoder lifted over the slots.
 
 All entries are i.i.d. circularly-symmetric complex Gaussian, so every
 sampled channel is full rank with probability one; this is asserted on
-every draw.
+every draw.  The samplers take one seed or generator per trial;
+`TrialStreams` derives the generators of a block of trials in bulk.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,10 +125,22 @@ class ChannelRealization:
 
 def complex_gaussian(rngs, rows, cols):
     """``(len(rngs), rows, cols)`` stack of i.i.d. CN(0, 1) matrices, one
-    drawn from each generator."""
-    z = np.stack([rng.standard_normal((rows, cols))
-                  + 1j * rng.standard_normal((rows, cols)) for rng in rngs])
-    return np.sqrt(0.5) * z
+    drawn from each generator: its real parts, then its imaginary parts."""
+    z = np.stack([rng.standard_normal((2, rows, cols)) for rng in rngs])
+    return np.sqrt(0.5) * (z[:, 0] + 1j * z[:, 1])
+
+
+def _complex_stacks(rngs, shapes):
+    """`complex_gaussian` stacks ``(len(rngs), *shape)``, one per shape,
+    from one ``standard_normal`` call per generator in successive order."""
+    sizes = [2 * math.prod(shape) for shape in shapes]
+    z = np.stack([rng.standard_normal(sum(sizes)) for rng in rngs])
+    stacks = []
+    for shape, part in zip(shapes, np.split(z, np.cumsum(sizes)[:-1], axis=1)):
+        part = part.reshape(len(z), *shape[:-2], 2, *shape[-2:])
+        stacks.append(np.sqrt(0.5) * (part[..., 0, :, :]
+                                      + 1j * part[..., 1, :, :]))
+    return stacks
 
 
 def _assert_full_rank(h, tol=1e-9):
@@ -143,7 +157,8 @@ def sample_eves(cfg, eve_counts, seeds, slots=1):
     slots, nej, m_i)`` with i.i.d. CN(0, 1) entries: over an extended
     block the eavesdropper sees a fresh channel every channel use (the
     time-varying model).  Trial ``t`` draws all its entries with one
-    call to its own ``numpy.random.default_rng(seeds[t])``.
+    call to its own ``numpy.random.default_rng(seeds[t])`` (a generator
+    passes through as it is).
     """
     for nej in eve_counts:
         if not 0 <= nej <= cfg.ne:
@@ -151,16 +166,10 @@ def sample_eves(cfg, eve_counts, seeds, slots=1):
                 f"eavesdropper antenna count {nej} outside [0, {cfg.ne}]")
     # The normals run eavesdropper, transmitter, slot, then the real and
     # imaginary parts, as in successive complex_gaussian calls.
-    shapes = [(slots, 2, nej, mi)
-              for nej in eve_counts for mi in (cfg.m1, cfg.m2)]
-    sizes = [math.prod(shape) for shape in shapes]
-    z = np.stack([np.random.default_rng(s).standard_normal(sum(sizes))
-                  for s in seeds])
-    blocks = []
-    for shape, part in zip(shapes, np.split(z, np.cumsum(sizes)[:-1], axis=1)):
-        part = part.reshape(len(z), *shape)
-        blocks.append(np.sqrt(0.5) * (part[:, :, 0] + 1j * part[:, :, 1]))
-    return list(zip(blocks[::2], blocks[1::2]))
+    stacks = _complex_stacks([np.random.default_rng(s) for s in seeds],
+                             [(slots, nej, mi) for nej in eve_counts
+                              for mi in (cfg.m1, cfg.m2)])
+    return list(zip(stacks[::2], stacks[1::2]))
 
 
 def eve_image(g, v):
@@ -180,14 +189,91 @@ def eve_image(g, v):
 def sample_channels(cfg, seeds):
     """Legitimate channels ``h1``, then ``h2``, stacked ``(trials, n, m_i)``.
 
-    Each trial draws from its own ``numpy.random.default_rng(seed)``, so
-    its draws do not depend on the other seeds.  Eavesdroppers are drawn
-    apart, with `sample_eves`.
+    Each trial draws both with one call to its own
+    ``numpy.random.default_rng(seed)``, so its draws do not depend on the
+    other seeds.  Eavesdroppers are drawn apart, with `sample_eves`.
     """
     validate(cfg)
-    rngs = [np.random.default_rng(s) for s in seeds]
-    h1 = complex_gaussian(rngs, cfg.n, cfg.m1)
-    h2 = complex_gaussian(rngs, cfg.n, cfg.m2)
+    h1, h2 = _complex_stacks([np.random.default_rng(s) for s in seeds],
+                             [(cfg.n, cfg.m1), (cfg.n, cfg.m2)])
     _assert_full_rank(h1)
     _assert_full_rank(h2)
     return ChannelRealization(h1, h2)
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on uint32s.
+_MASK = 0xFFFFFFFF
+_MULT_A, _MULT_B = 0x931E8875, 0x58F38DED  # absorb and emit hash steps
+
+
+def _consts(init, mult, first):
+    """Hash constants ``init * mult**i mod 2**32`` for the eight ``i``
+    from ``first``, on axis 0."""
+    return np.array([init * pow(mult, i, 2**32) & _MASK
+                     for i in range(first, first + 8)],
+                    dtype=np.uint32)[:, None, None]
+
+
+def _hash(value, const, mult):
+    value = (value ^ const) * (const * mult & _MASK) & _MASK
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK
+    return r ^ r >> 16
+
+
+_EMIT = _consts(0x8B51F9DD, _MULT_B, 0)
+
+
+class _StateWords:
+    """Hands ``PCG64`` the four uint64 words its SeedSequence would give.
+
+    `TrialStreams` registers it as an ``ISeedSequence`` on first use:
+    loading ``numpy.random`` on import raised the peak RSS of every
+    benchmark workload by 1-2%, ``binning`` too, which draws no trial.
+    """
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+class TrialStreams:
+    """Random streams of trials ``0 .. trials - 1`` under one seed.
+
+    Stream ``k`` of trial ``t`` is ``numpy.random.default_rng(
+    SeedSequence(seed, spawn_key=(t, k)))``.  `block` derives many at
+    once and builds no SeedSequence: it hashes the key words ``t`` and
+    ``k`` into the pool of ``SeedSequence(seed)``, and then the state
+    words, as uint32 arrays.  A non-integer seed raises ``TypeError``, a
+    negative one SeedSequence's ``ValueError``, and so do more than
+    2**32 trials, whose indices would take two key words.
+    """
+
+    def __init__(self, seed, trials):
+        seed = operator.index(seed)  # SeedSequence also takes word lists
+        np.random.bit_generator.ISeedSequence.register(_StateWords)
+        if trials > 2**32:
+            raise ValueError(f"at most 2**32 trials, got {trials}")
+        # The unkeyed pool is the keyed one before it absorbs the key: a
+        # key pads the seed with zero words, which the pool hashes anyway.
+        self._pool = np.random.SeedSequence(seed).pool[:, None]
+        words = max(4, -(-max(seed.bit_length(), 1) // 32))
+        self._key = _consts(0x43B0D7E5, _MULT_A, 4 * words)
+
+    def block(self, start, trials, streams):
+        """One tuple per trial ``start .. start + trials - 1`` of its
+        generators, one for each stream index in ``streams``."""
+        t = np.arange(start, start + trials).astype(np.uint32)
+        pool = _mix(self._pool, _hash(t, self._key[:4, 0], _MULT_A))
+        k = np.array(streams, dtype=np.uint32)[:, None]
+        pool = _mix(pool[:, None], _hash(k, self._key[4:], _MULT_A))
+        # generate_state(4, uint64): eight uint32s, cycling the pool twice.
+        state = _hash(np.tile(pool, (2, 1, 1)), _EMIT, _MULT_B)
+        words = state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+        return [tuple(np.random.Generator(np.random.PCG64(_StateWords(w)))
+                      for w in trial) for trial in words]

@@ -332,10 +332,11 @@ def build_precoder_set(plan, h1, h2, seeds):
     """Build jamming, zero-forcing and legitimate precoders, then verify.
 
     ``h1``/``h2`` are ``(trials, n, m_i)`` channel stacks, lifted here
-    once for every sub-builder, and ``seeds`` holds one seed per trial,
-    so trial ``t``'s set equals its own build as a stack of one.  Trials
-    whose dimensions differ fail the stack with the error of the first
-    trial whose own build fails, else :class:`~sdoflab.matlin.RaggedRank`.
+    once for every sub-builder, and ``seeds`` holds one seed or generator
+    per trial, so trial ``t``'s set equals its own build as a stack of
+    one.  Trials whose dimensions differ fail the stack with the error of
+    the first trial whose own build fails (rebuilt from its seed), else
+    :class:`~sdoflab.matlin.RaggedRank`.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
     try:
@@ -345,8 +346,9 @@ def build_precoder_set(plan, h1, h2, seeds):
         u = build_zero_forcing(h1e, h2e, v1j, v2j, plan)
         v1l, v2l = build_legit(plan, v1j, v2j, rngs)
     except matlin.RaggedRank:
-        for t in range(len(seeds)):
-            build_precoder_set(plan, h1[t:t + 1], h2[t:t + 1], seeds[t:t + 1])
+        for t, rng in enumerate(rngs):
+            build_precoder_set(plan, h1[t:t + 1], h2[t:t + 1],
+                               [rng.bit_generator.seed_seq])
         raise
     ps = PrecoderSet(v1l=v1l, v2l=v2l, v1j=v1j, v2j=v2j, u=u,
                      extension=plan.extension)

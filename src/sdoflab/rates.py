@@ -20,8 +20,10 @@ matters; rates are bits per channel use (log-dets over an extended
 block are divided by the extension factor); each transmitter splits its
 per-use budget ``P`` into ``alpha * P`` for jamming (equally across
 jamming columns) and ``(1 - alpha) * P`` for streams (equally across
-streams).  Trials use independently derived seeds, so results do not
-depend on evaluation order.
+streams).  Stream ``k`` of trial ``t`` (``k`` = 0 channels, 1 precoders,
+2 eavesdroppers) is ``default_rng(SeedSequence(seed, spawn_key=(t, k)))``,
+derived a block at a time by :class:`~sdoflab.model.TrialStreams`, so
+results do not depend on evaluation order.
 
 The trial engine behind :func:`sweep` and :func:`leakage_saturation`
 works on blocks of trials, held one at a time so that the working set
@@ -34,7 +36,7 @@ stacks (see :func:`~sdoflab.precoders.build_precoder_set`), then stacks
 the receiver grams of the images ``U H_i V_i^L``, the eavesdropper
 covariances and their log-dets over trials and powers, and adds the
 per-trial results to running sums in trial order.  Each trial keeps its
-own seeds and numpy factors each matrix of a stack alone, so the results
+own streams and numpy factors each matrix of a stack alone, so the results
 do not depend on the block length: :func:`receiver_rate` and
 :func:`eavesdropper_leakage` are the one-trial, one-power reference
 that the engine reproduces bit for bit.
@@ -46,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matlin import ct, logdet_hpd
-from .model import (PowerPolicy, canonical, eve_image, sample_channels,
-                    sample_eves)
+from .model import (PowerPolicy, TrialStreams, canonical, eve_image,
+                    sample_channels, sample_eves)
 from .precoders import build_precoder_set, build_unjammed_set, extend_channel
 from .regions import jamming_plan
 
@@ -197,21 +199,23 @@ def _check_grid(p_grid):
     return p
 
 
-def _build_block(cfg, plan, ext, seeds, eve_counts):
+def _build_block(cfg, plan, ext, rngs, eve_counts):
     """Build one block of trials as stacks, and what the rate algebra needs.
 
+    ``rngs`` holds per trial the generators of its channel, precoder (not
+    for the control, where ``plan`` is None) and eavesdropper streams.
     Returns ``(vl, vj, grams, eves)``.  Per transmitter ``i``, ``vl[i]``
     and ``vj[i]`` are the legitimate and jamming precoders and
     ``eves[j][i]`` eavesdropper ``j``'s per-slot draws, each with an
     axis for the powers after the trials; ``grams[i]`` holds the grams
     ``W W'`` of ``W = ps.rx_images[i]``.
     """
-    ch_ss, pc_ss, eve_ss = zip(*(trial_ss.spawn(3) for trial_ss in seeds))
-    ch = sample_channels(cfg, ch_ss)
-    ps = (build_precoder_set(plan, ch.h1, ch.h2, pc_ss)
+    ch_rngs, *pc_rngs, eve_rngs = zip(*rngs)
+    ch = sample_channels(cfg, ch_rngs)
+    ps = (build_precoder_set(plan, ch.h1, ch.h2, *pc_rngs)
           if plan is not None else build_unjammed_set(ch.h1, ch.h2))
     _require_geometry(ps)
-    eves = sample_eves(cfg, eve_counts, eve_ss, slots=ext)
+    eves = sample_eves(cfg, eve_counts, eve_rngs, slots=ext)
     return ([v[:, None] for v in (ps.v1l, ps.v2l)],
             [v[:, None] for v in (ps.v1j, ps.v2j)],
             [w @ ct(w) for w in ps.rx_images],
@@ -309,14 +313,15 @@ def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
     block = max(1, BLOCK_BYTES // _trial_bytes(cfg, plan, eve_counts,
                                                len(powers)))
 
-    root = np.random.SeedSequence(seed)
+    streams = TrialStreams(seed, trials)  # raises on a bad seed or count
     for start in range(0, trials, block):
-        seeds = root.spawn(min(block, trials - start))
-        vl, vj, grams, eves = _build_block(cfg, plan, ext, seeds, eve_counts)
+        rngs = streams.block(start, min(block, trials - start),
+                             (0, 1, 2) if jamming else (0, 2))
+        vl, vj, grams, eves = _build_block(cfg, plan, ext, rngs, eve_counts)
         has_jam = vj[0].shape[-1] + vj[1].shape[-1] > 0
         legit_p = (1.0 - alpha) * powers if has_jam else powers
         rates = _block_receiver_rates(vl, grams, ext, legit_p)
-        leaks = np.zeros((len(seeds), len(powers), len(eve_counts)))
+        leaks = np.zeros((len(rngs), len(powers), len(eve_counts)))
         for j, g_pair in enumerate(eves):
             leaks[:, :, j] = _block_leakage(vl, vj, g_pair, ext, alpha,
                                             powers, legit_p)

@@ -358,10 +358,12 @@ def test_simulate_builds_each_jammed_trial_once(tmp_path, monkeypatch):
     sizes, seeds = [], []
     build = rates.build_precoder_set
 
-    def counting(plan, h1, h2, trial_seeds):
+    def counting(plan, h1, h2, rngs):
         sizes.append(len(h1))
-        seeds.extend((s.entropy, s.spawn_key) for s in trial_seeds)
-        return build(plan, h1, h2, trial_seeds)
+        # A trial's precoder stream is known by its generator's state.
+        seeds.extend(tuple(rng.bit_generator.state["state"].values())
+                     for rng in rngs)
+        return build(plan, h1, h2, rngs)
 
     monkeypatch.setattr(rates, "build_precoder_set", counting)
     # Shrink the budget to blocks of 8 trials, so that 10 trials take two.

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from sdoflab.model import (AntennaConfig, InvalidConfig, InvalidEveCount,
-                           PowerPolicy, _assert_full_rank, canonical,
-                           eve_image, is_degenerate, sample_channels,
-                           sample_eves, validate)
+                           PowerPolicy, TrialStreams, _assert_full_rank,
+                           canonical, complex_gaussian, eve_image,
+                           is_degenerate, sample_channels, sample_eves,
+                           validate)
 
 
 class TestValidate:
@@ -150,6 +151,92 @@ class TestSampleEvesSlots:
         cfg = AntennaConfig(2, 2, 3, 1)
         (g1, _), = sample_eves(cfg, [0], [0])
         assert g1.shape == (1, 1, 0, 2)
+
+
+def two_call_gaussian(rngs, rows, cols):
+    """complex_gaussian as two standard_normal calls per matrix."""
+    return np.sqrt(0.5) * np.stack([rng.standard_normal((rows, cols))
+                                    + 1j * rng.standard_normal((rows, cols))
+                                    for rng in rngs])
+
+
+class TestDrawOrder:
+    """One standard_normal call per generator draws the values of two
+    calls per matrix: real then imaginary part, ``h1`` then ``h2``."""
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (3, 2), (2, 5)])
+    def test_complex_gaussian(self, rows, cols):
+        got = complex_gaussian([np.random.default_rng(s) for s in range(3)],
+                               rows, cols)
+        want = two_call_gaussian([np.random.default_rng(s) for s in range(3)],
+                                 rows, cols)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cfg_tuple", [(2, 2, 3, 1), (3, 1, 2, 2),
+                                           (4, 3, 5, 1)])
+    def test_sample_channels(self, cfg_tuple):
+        cfg = AntennaConfig(*cfg_tuple)
+        ch = sample_channels(cfg, [4, 5, 6])
+        rngs = [np.random.default_rng(s) for s in [4, 5, 6]]
+        want_h1 = two_call_gaussian(rngs, cfg.n, cfg.m1)
+        want_h2 = two_call_gaussian(rngs, cfg.n, cfg.m2)
+        assert ch.h1.tobytes() == want_h1.tobytes()
+        assert ch.h2.tobytes() == want_h2.tobytes()
+
+
+def seed_sequence_state(seq):
+    return np.random.default_rng(seq).bit_generator.state
+
+
+class TestTrialStreams:
+    """The derived generators start where numpy's SeedSequence puts them."""
+
+    @pytest.mark.parametrize("start", [0, 5, 2**20])
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32,
+                                      2**128 + 5, 10**60])
+    def test_equals_seed_sequence(self, seed, start):
+        streams = TrialStreams(seed, start + 17)
+        for size in (1, 2, 17):
+            got = streams.block(start, size, (0, 1, 2))
+            assert len(got) == size
+            # SeedSequence(seed).spawn(start + size)[start:], spawned
+            # without building the first `start` children.
+            children = np.random.SeedSequence(
+                seed, n_children_spawned=start).spawn(size)
+            for t, (trial, child) in enumerate(zip(got, children)):
+                assert len(trial) == 3
+                for k, (rng, grandchild) in enumerate(zip(trial,
+                                                          child.spawn(3))):
+                    want = seed_sequence_state(
+                        np.random.SeedSequence(seed, spawn_key=(start + t, k)))
+                    assert rng.bit_generator.state == want
+                    assert seed_sequence_state(grandchild) == want
+
+    def test_stream_subset_and_last_index(self):
+        streams = TrialStreams(7, 2**32)
+        both = streams.block(2**32 - 3, 3, (0, 1, 2))
+        some = streams.block(2**32 - 3, 3, (2, 0))
+        for trial, sub in zip(both, some):
+            assert [rng.bit_generator.state for rng in sub] == \
+                [trial[k].bit_generator.state for k in (2, 0)]
+        want = seed_sequence_state(
+            np.random.SeedSequence(7, spawn_key=(2**32 - 1, 2)))
+        assert some[-1][0].bit_generator.state == want
+
+    @pytest.mark.parametrize("seed,error", [
+        (-1, ValueError), (-2**40, ValueError), (1.5, TypeError),
+        (2.0, TypeError), ("7", TypeError), ([1, 2], TypeError)])
+    def test_bad_seed_raises_like_seed_sequence(self, seed, error):
+        with pytest.raises(error):
+            TrialStreams(seed, 1)
+        if not isinstance(seed, list):  # SeedSequence takes word lists
+            with pytest.raises(error):
+                np.random.SeedSequence(seed)
+
+    def test_trial_indices_fit_one_key_word(self):
+        assert len(TrialStreams(3, 2**32).block(0, 1, (0,))) == 1
+        with pytest.raises(ValueError, match="at most 2\\*\\*32 trials"):
+            TrialStreams(3, 2**32 + 1)
 
 
 def block_diagonal(blocks):

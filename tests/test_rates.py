@@ -264,9 +264,9 @@ def block_sizes(monkeypatch):
     sizes = []
     build = rates_mod._build_block
 
-    def counting(cfg, plan, ext, seeds, eve_counts):
-        sizes.append(len(seeds))
-        return build(cfg, plan, ext, seeds, eve_counts)
+    def counting(cfg, plan, ext, rngs, eve_counts):
+        sizes.append(len(rngs))
+        return build(cfg, plan, ext, rngs, eve_counts)
 
     monkeypatch.setattr(rates_mod, "_build_block", counting)
     return sizes
@@ -317,6 +317,26 @@ class TestBlockRule:
         sizes = block_sizes(monkeypatch)
         sweep(cfg, 0.5, P_GRID, 10, 42)
         assert sizes == [4, 4, 2]
+
+
+class TestSeedBoundary:
+    """A seed or trial count that the trial streams refuse fails before
+    the first trial is built."""
+
+    @pytest.mark.parametrize("jamming", [True, False])
+    @pytest.mark.parametrize("seed,trials,error", [
+        (-1, 3, ValueError), (1.5, 3, TypeError), ("5", 3, TypeError),
+        (None, 3, TypeError), (5, 2**32 + 1, ValueError)])
+    def test_rejected_before_any_trial(self, monkeypatch, seed, trials,
+                                       error, jamming):
+        sizes = block_sizes(monkeypatch)
+        cfg = AntennaConfig(3, 1, 2, 2)
+        with pytest.raises(error):
+            sweep(cfg, 0.5, P_GRID, trials, seed, jamming=jamming)
+        with pytest.raises(error):
+            leakage_saturation(cfg, 0.5, P_GRID[0], P_GRID[-1], trials, seed,
+                               jamming=jamming)
+        assert sizes == []
 
 
 class TestBlockEngineOracle:
