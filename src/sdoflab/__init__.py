@@ -5,7 +5,7 @@ Submodules
 matlin
     Complex matrix and subspace toolkit.
 model
-    Antenna configurations, random channels, power policies.
+    Antenna configurations and random channels.
 regions
     Closed-form SDoF, converse bounds, case regions, jamming planner.
 precoders
@@ -18,13 +18,12 @@ cli
     Command-line front end.
 """
 
-from .model import AntennaConfig, ChannelRealization, PowerPolicy
+from .model import AntennaConfig
 from .regions import CaseId, JammingPlan, classify_case, jamming_plan, sum_sdof, upper_bound_terms
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntennaConfig", "ChannelRealization", "PowerPolicy",
-    "CaseId", "JammingPlan", "classify_case", "jamming_plan",
+    "AntennaConfig", "CaseId", "JammingPlan", "classify_case", "jamming_plan",
     "sum_sdof", "upper_bound_terms", "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Antenna configurations, random channels, and power bookkeeping.
+"""Antenna configurations and random channels.
 
 The network has two transmitters with ``m1`` and ``m2`` antennas, one
 legitimate receiver with ``n`` antennas, and any number of passive
@@ -18,7 +18,7 @@ every draw.  The samplers take one seed or generator per trial;
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,50 +89,11 @@ def validate(cfg):
     return "degenerate" if is_degenerate(cfg) else "ok"
 
 
-@dataclass(frozen=True)
-class PowerPolicy:
-    """Per-transmitter power budget ``p`` and jamming fraction ``alpha``.
-
-    Each transmitter spends ``alpha * p`` on jamming and the rest on its
-    legitimate streams.
-    """
-
-    p: float
-    alpha: float = 0.5
-
-    def __post_init__(self):
-        if not self.p > 0:
-            raise InvalidConfig(f"power must be positive, got {self.p}")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidConfig(f"alpha must lie in (0, 1), got {self.alpha}")
-
-
-@dataclass
-class ChannelRealization:
-    """Channel draws: legitimate channels ``h1``/``h2`` and a list
-    ``eves`` of per-eavesdropper pairs ``(g1, g2)``.
-
-    `sample_channels` stacks ``h1``/``h2`` over trials; the one-trial
-    rate references take plain matrices.  Each eavesdropper matrix holds
-    its per-slot blocks, ``(slots, nej, m_i)``, one independent block
-    per slot of a ``slots``-fold time extension (see `sample_eves`).
-    """
-
-    h1: np.ndarray
-    h2: np.ndarray
-    eves: list = field(default_factory=list)
-
-
-def complex_gaussian(rngs, rows, cols):
-    """``(len(rngs), rows, cols)`` stack of i.i.d. CN(0, 1) matrices, one
-    drawn from each generator: its real parts, then its imaginary parts."""
-    z = np.stack([rng.standard_normal((2, rows, cols)) for rng in rngs])
-    return np.sqrt(0.5) * (z[:, 0] + 1j * z[:, 1])
-
-
-def _complex_stacks(rngs, shapes):
-    """`complex_gaussian` stacks ``(len(rngs), *shape)``, one per shape,
-    from one ``standard_normal`` call per generator in successive order."""
+def complex_gaussian(rngs, *shapes):
+    """One ``(len(rngs), *shape)`` stack of i.i.d. CN(0, 1) entries per
+    shape.  Each generator draws all its normals with one
+    ``standard_normal`` call: shape after shape, and per trailing matrix
+    its real parts, then its imaginary parts."""
     sizes = [2 * math.prod(shape) for shape in shapes]
     z = np.stack([rng.standard_normal(sum(sizes)) for rng in rngs])
     stacks = []
@@ -165,10 +126,10 @@ def sample_eves(cfg, eve_counts, seeds, slots=1):
             raise InvalidEveCount(
                 f"eavesdropper antenna count {nej} outside [0, {cfg.ne}]")
     # The normals run eavesdropper, transmitter, slot, then the real and
-    # imaginary parts, as in successive complex_gaussian calls.
-    stacks = _complex_stacks([np.random.default_rng(s) for s in seeds],
-                             [(slots, nej, mi) for nej in eve_counts
-                              for mi in (cfg.m1, cfg.m2)])
+    # imaginary parts.
+    stacks = complex_gaussian([np.random.default_rng(s) for s in seeds],
+                              *[(slots, nej, mi) for nej in eve_counts
+                                for mi in (cfg.m1, cfg.m2)])
     return list(zip(stacks[::2], stacks[1::2]))
 
 
@@ -194,11 +155,11 @@ def sample_channels(cfg, seeds):
     other seeds.  Eavesdroppers are drawn apart, with `sample_eves`.
     """
     validate(cfg)
-    h1, h2 = _complex_stacks([np.random.default_rng(s) for s in seeds],
-                             [(cfg.n, cfg.m1), (cfg.n, cfg.m2)])
+    h1, h2 = complex_gaussian([np.random.default_rng(s) for s in seeds],
+                              (cfg.n, cfg.m1), (cfg.n, cfg.m2))
     _assert_full_rank(h1)
     _assert_full_rank(h2)
-    return ChannelRealization(h1, h2)
+    return h1, h2
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on uint32s.

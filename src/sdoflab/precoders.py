@@ -119,7 +119,7 @@ def extend_channel(h, factor):
 
 def _random_unitary(k, rngs):
     """Haar-ish random unitaries, one per generator, via QR of Gaussians."""
-    q, r = np.linalg.qr(complex_gaussian(rngs, k, k))
+    q, r = np.linalg.qr(complex_gaussian(rngs, (k, k))[0])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
 
@@ -180,8 +180,8 @@ def build_jamming(plan, h1e, h2e, seeds):
         cols = [np.zeros((len(rngs), he.shape[-1], 0), dtype=complex)]
         for part in parts:
             if part.method == RANDOM:
-                draw = complex_gaussian(rngs, he.shape[-1], part.dims)
-                q, _ = np.linalg.qr(draw)
+                q, _ = np.linalg.qr(
+                    complex_gaussian(rngs, (he.shape[-1], part.dims))[0])
                 cols.append(q[..., :part.dims])
             elif part.method == NULLSPACE:
                 ns = nullspace(he)

@@ -10,10 +10,10 @@ with complex signaling every interference-free stream contributes one
 bit per ``log2 P`` unit, so the secrecy-rate slope estimates the sum
 secure DoF directly.
 
-The Monte-Carlo secrecy quantity is ``receiver_rate - max_j leakage_j``,
-a finite-power surrogate for the achievable secrecy sum rate; the
-random-binning codec (see :mod:`sdoflab.binning`), not this difference,
-carries the formal secrecy argument.
+The Monte-Carlo secrecy quantity is the receiver rate minus the worst
+eavesdropper's leakage, a finite-power surrogate for the achievable
+secrecy sum rate; the random-binning codec (see :mod:`sdoflab.binning`),
+not this difference, carries the formal secrecy argument.
 
 Conventions: the noise variance is 1, so only ``P / sigma^2``
 matters; rates are bits per channel use (log-dets over an extended
@@ -25,7 +25,7 @@ streams).  Stream ``k`` of trial ``t`` (``k`` = 0 channels, 1 precoders,
 derived a block at a time by :class:`~sdoflab.model.TrialStreams`, so
 results do not depend on evaluation order.
 
-The trial engine behind :func:`sweep` and :func:`leakage_saturation`
+The trial engine behind :func:`sweep`, the module's one entry to it,
 works on blocks of trials, held one at a time so that the working set
 does not grow with the number of trials.  A block holds as many trials
 as fit in ``BLOCK_BYTES`` of stacks, counted from the stack shapes (see
@@ -37,9 +37,9 @@ the receiver grams of the images ``U H_i V_i^L``, the eavesdropper
 covariances and their log-dets over trials and powers, and adds the
 per-trial results to running sums in trial order.  Each trial keeps its
 own streams and numpy factors each matrix of a stack alone, so the results
-do not depend on the block length: :func:`receiver_rate` and
-:func:`eavesdropper_leakage` are the one-trial, one-power reference
-that the engine reproduces bit for bit.
+do not depend on the block length.  The engine reproduces bit for bit a
+one-trial, one-power reference, ``receiver_rate`` and
+``eavesdropper_leakage`` in ``tests/test_rates.py``.
 """
 
 import math
@@ -48,9 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matlin import ct, logdet_hpd
-from .model import (PowerPolicy, TrialStreams, canonical, eve_image,
-                    sample_channels, sample_eves)
-from .precoders import build_precoder_set, build_unjammed_set, extend_channel
+from .model import (TrialStreams, canonical, eve_image, sample_channels,
+                    sample_eves)
+from .precoders import build_precoder_set, build_unjammed_set
 from .regions import jamming_plan
 
 
@@ -126,70 +126,10 @@ def _require_geometry(ps):
         raise GeometryNotVerified("; ".join(ps.geometry.failures()))
 
 
-def _legit_power(ps, pol):
-    # With no jamming columns the whole budget goes to the streams.
-    has_jam = ps.v1j.shape[1] + ps.v2j.shape[1] > 0
-    return (1.0 - pol.alpha) * pol.p if has_jam else pol.p
-
-
-def receiver_rate(ps, ch, pol):
-    """Post-zero-forcing sum rate of the legitimate streams, bits per use.
-
-    Computes ``logdet(I + sum_i U H_i V_i^L Q_i V_i^L' H_i' U')`` (unit
-    noise) over the extended block and normalizes by the extension factor.
-    Per-stream power is the legitimate budget divided equally across the
-    transmitter's streams.  Jamming contributes nothing: the zero-forced
-    residual is below the geometry tolerance.
-
-    Raises
-    ------
-    GeometryNotVerified
-        If ``ps`` has no geometry report or the report failed.
-    """
-    _require_geometry(ps)
-    ext = ps.extension
-    legit_p = _legit_power(ps, pol)
-    gram = np.eye(ps.u.shape[0], dtype=complex)
-    for h, vl in ((ch.h1, ps.v1l), (ch.h2, ps.v2l)):
-        d = vl.shape[1]
-        if d == 0:
-            continue
-        he = extend_channel(h, ext)
-        w = ps.u @ (he @ vl)
-        gram = gram + (ext * legit_p / d) * (w @ w.conj().T)
-    gram = 0.5 * (gram + gram.conj().T)
-    return logdet_hpd(gram) / (ext * math.log(2))
-
-
-def eavesdropper_leakage(ps, ch, pol, eve_index):
-    """Gaussian MI of the legitimate streams at one eavesdropper, bits per use.
-
-    The eavesdropper treats the received jamming as noise:
-    ``logdet(I + G_L Q_L G_L' (I + G_J Q_J G_J')^{-1})``, evaluated
-    as a difference of two log-dets.  ``ch.eves`` holds per-slot blocks
-    ``(slots, nej, m_i)``, one slot per symbol of the precoder extension;
-    another slot count raises ``ValueError``.
-    """
-    ext = ps.extension
-    g_pair = ch.eves[eve_index]
-
-    def images(vs, power):
-        # hstack of sqrt(power / cols) * G_i V_i; an empty V_i gives an
-        # empty image, so max(cols, 1) only keeps 0 / 0 out.
-        return np.hstack([math.sqrt(power / max(v.shape[1], 1))
-                          * eve_image(g, v) for g, v in zip(g_pair, vs)])
-
-    bl = images((ps.v1l, ps.v2l), ext * _legit_power(ps, pol))
-    bj = images((ps.v1j, ps.v2j), ext * pol.alpha * pol.p)
-    k0 = np.eye(len(bj), dtype=complex) + bj @ bj.conj().T
-    k1 = k0 + bl @ bl.conj().T
-    k0 = 0.5 * (k0 + k0.conj().T)
-    k1 = 0.5 * (k1 + k1.conj().T)
-    return (logdet_hpd(k1) - logdet_hpd(k0)) / (ext * math.log(2))
-
-
 def _check_grid(p_grid):
     p = [float(v) for v in p_grid]
+    if not all(map(math.isfinite, p)):
+        raise ValueError("power grid must be finite")
     if len(p) < 4:
         raise ValueError("power grid needs at least 4 points")
     if any(b <= a for a, b in zip(p, p[1:])) or p[0] <= 0:
@@ -211,9 +151,9 @@ def _build_block(cfg, plan, ext, rngs, eve_counts):
     ``W W'`` of ``W = ps.rx_images[i]``.
     """
     ch_rngs, *pc_rngs, eve_rngs = zip(*rngs)
-    ch = sample_channels(cfg, ch_rngs)
-    ps = (build_precoder_set(plan, ch.h1, ch.h2, *pc_rngs)
-          if plan is not None else build_unjammed_set(ch.h1, ch.h2))
+    h1, h2 = sample_channels(cfg, ch_rngs)
+    ps = (build_precoder_set(plan, h1, h2, *pc_rngs)
+          if plan is not None else build_unjammed_set(h1, h2))
     _require_geometry(ps)
     eves = sample_eves(cfg, eve_counts, eve_rngs, slots=ext)
     return ([v[:, None] for v in (ps.v1l, ps.v2l)],
@@ -225,11 +165,12 @@ def _build_block(cfg, plan, ext, rngs, eve_counts):
 def _block_receiver_rates(vl, grams, ext, legit_p):
     """Receiver rates of a block, shape ``(trials, powers)``.
 
-    The powers only scale each trial's grams.  The arithmetic is
-    :func:`receiver_rate`'s, stacked over trials and powers.
+    The powers only scale each trial's grams.  The arithmetic is that of
+    the one-trial reference ``receiver_rate`` in ``tests/test_rates.py``,
+    stacked over trials and powers.
     """
     # In place, to hold fewer (trials, powers, d, d) arrays at once.  The
-    # operands and their order are receiver_rate's, so the results are too.
+    # operands and their order are the reference's, so the results are too.
     gram = np.eye(grams[0].shape[-1], dtype=complex)
     for v, g in zip(vl, grams):
         d = v.shape[-1]
@@ -246,18 +187,19 @@ def _block_leakage(vl, vj, g_pair, ext, alpha, p, legit_p):
     """Leakage of one eavesdropper over a block, shape ``(trials, len(p))``.
 
     Column ``k`` evaluates each trial's draw at power ``p[k]``, of which
-    ``legit_p[k]`` goes to the streams.  The arithmetic is
-    :func:`eavesdropper_leakage`'s, stacked over trials and powers.
+    ``legit_p[k]`` goes to the streams.  The arithmetic is that of the
+    one-trial reference ``eavesdropper_leakage`` in
+    ``tests/test_rates.py``, stacked over trials and powers.
     """
     def images(vs, power):
-        # eavesdropper_leakage's images, with the powers on axis 1.
+        # The reference's images, with the powers on axis 1.
         return np.concatenate(
             [eve_image(g, v)
              * np.sqrt(power / max(v.shape[-1], 1))[:, None, None]
              for g, v in zip(g_pair, vs)], axis=-1)
 
     # In place, so that few (trials, powers, rows, rows) arrays are held
-    # at once.  Each sum keeps eavesdropper_leakage's operands.
+    # at once.  Each sum keeps the reference's operands.
     bj = images(vj, ext * alpha * p)
     k0 = bj @ ct(bj)
     del bj
@@ -307,8 +249,6 @@ def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
     cfg = canonical(cfg)
     plan = jamming_plan(cfg) if jamming else None
     ext = plan.extension if jamming else 1
-    for p in p_values:
-        PowerPolicy(p=p, alpha=alpha)  # raises on a bad power or alpha
     powers = np.array(p_values, dtype=float)
     block = max(1, BLOCK_BYTES // _trial_bytes(cfg, plan, eve_counts,
                                                len(powers)))
@@ -329,8 +269,45 @@ def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
         yield rates, leaks
 
 
-def _run_trials(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
-    """Sum :func:`_trial_results` into a :class:`SweepResult`."""
+def sweep(cfg, alpha, p_grid, trials, seed, *, eve_counts=None, jamming=True):
+    """Monte-Carlo secrecy-rate sweep over a power grid.
+
+    Each trial draws a fresh legitimate channel and fresh eavesdroppers
+    (one draw per symbol slot) and evaluates both at every power, so the
+    powers share their random numbers and each power's mean is still
+    unbiased.  The per-power secrecy surrogate is the trial average of
+    the receiver rate minus the worst eavesdropper's leakage; its slope
+    over ``log2 P`` estimates the sum secure DoF.  ``leakage_delta`` is
+    the mean leakage at ``p_grid[-1]`` minus that at ``p_grid[0]``,
+    maximized over eavesdroppers; with jamming it saturates, without it
+    grows like ``ne * log2(p_grid[-1] / p_grid[0])``.  It depends on the
+    two ends of the grid only.
+
+    ``p_grid``, ``alpha`` and ``trials`` are checked, in that order,
+    before the first trial runs (``ValueError``).
+
+    Parameters
+    ----------
+    cfg : AntennaConfig
+    alpha : float
+        Jamming power fraction, in (0, 1).
+    p_grid : sequence of float
+        At least 4 finite, positive, strictly increasing powers spanning
+        >= 4 decades.
+    trials : int
+        At least 1.  After these checks, with jamming, a degenerate
+        configuration raises :class:`~sdoflab.regions.DegenerateConfig`.
+    seed : int
+    eve_counts : sequence of int, optional
+        Defaults to a single worst-case eavesdropper with ``cfg.ne``
+        antennas.
+    jamming : bool
+        With ``False``, builds the jamming-free negative control: every
+        transmit dimension carries a stream and no zero-forcing is done.
+    """
+    p_values = _check_grid(p_grid)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if eve_counts is None:
@@ -361,54 +338,3 @@ def _run_trials(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
     delta = float(((hi_sum - lo_sum) / trials).max()) if eve_counts else 0.0
     return SweepResult(points=points, curve=make_curve(p_values, secrecy),
                        leakage_delta=delta)
-
-
-def sweep(cfg, alpha, p_grid, trials, seed, *, eve_counts=None, jamming=True):
-    """Monte-Carlo secrecy-rate sweep over a power grid.
-
-    Each trial draws a fresh legitimate channel and fresh eavesdroppers
-    (one draw per symbol slot) and evaluates both at every power, so the
-    powers share their random numbers and each power's mean is still
-    unbiased.  The per-power secrecy surrogate is the trial average of
-    ``receiver_rate - max_j leakage_j``; its slope over ``log2 P``
-    estimates the sum secure DoF.  ``leakage_delta`` is the mean leakage
-    at ``p_grid[-1]`` minus that at ``p_grid[0]``, maximized over
-    eavesdroppers, and equals ``leakage_saturation`` between them.
-
-    Parameters
-    ----------
-    cfg : AntennaConfig
-    alpha : float
-        Jamming power fraction.
-    p_grid : sequence of float
-        At least 4 strictly increasing powers spanning >= 4 decades.
-    trials : int
-        At least 1, checked before the first trial runs (``ValueError``).
-        With jamming, a degenerate configuration then raises
-        :class:`~sdoflab.regions.DegenerateConfig`.
-    seed : int
-    eve_counts : sequence of int, optional
-        Defaults to a single worst-case eavesdropper with ``cfg.ne``
-        antennas.
-    jamming : bool
-        With ``False``, builds the jamming-free negative control: every
-        transmit dimension carries a stream and no zero-forcing is done.
-    """
-    return _run_trials(cfg, alpha, _check_grid(p_grid), trials, seed,
-                       eve_counts, jamming)
-
-
-def leakage_saturation(cfg, alpha, p_lo, p_hi, trials, seed, *,
-                       eve_counts=None, jamming=True):
-    """Leakage growth between two power levels, maximized over eavesdroppers.
-
-    Returns ``mean leakage(p_hi) - mean leakage(p_lo)`` over ``trials``
-    eavesdropper draws, each evaluated at both powers.  With jamming on,
-    the jamming power tracks the signal power, so the eavesdropper's rate
-    saturates and the delta stays small; without jamming it grows like
-    ``ne * log2(p_hi / p_lo)``.
-    """
-    if p_hi < 100.0 * p_lo:
-        raise ValueError("p_hi must be at least 100x p_lo")
-    return _run_trials(cfg, alpha, [p_lo, p_hi], trials, seed, eve_counts,
-                       jamming).leakage_delta

@@ -27,6 +27,7 @@ ACCEPTANCE_CONFIGS = [
 ]
 
 P_GRID = [10.0 ** k for k in range(3, 10)]
+SATURATION_GRID = [10.0 ** k for k in range(5, 10)]  # 1e5 .. 1e9
 
 
 def grid_configs():
@@ -75,8 +76,8 @@ def test_criterion_3_geometry_suite():
             cfg = AntennaConfig(*cfg_tuple)
             plan = jamming_plan(cfg)
             seeds = range(20)
-            ch = sample_channels(cfg, seeds)
-            ps = build_precoder_set(plan, ch.h1, ch.h2,
+            h1, h2 = sample_channels(cfg, seeds)
+            ps = build_precoder_set(plan, h1, h2,
                                     [1000 + seed for seed in seeds])
             rep = ps.geometry  # the worst of the 20 trials
             assert rep.alignment_residual <= 1e-8, cfg_tuple
@@ -103,10 +104,11 @@ def test_criterion_5_leakage_saturation():
     with criterion(5, "leakage saturation", 60.0):
         for cfg_tuple, _ in ACCEPTANCE_CONFIGS:
             cfg = AntennaConfig(*cfg_tuple)
-            delta = rates.leakage_saturation(cfg, 0.5, 1e5, 1e9, 50, 42)
+            delta = rates.sweep(cfg, 0.5, SATURATION_GRID, 50,
+                                42).leakage_delta
             assert delta <= 0.5, (cfg_tuple, delta)
-            control = rates.leakage_saturation(cfg, 0.5, 1e5, 1e9, 50, 42,
-                                               jamming=False)
+            control = rates.sweep(cfg, 0.5, SATURATION_GRID, 50, 42,
+                                  jamming=False).leakage_delta
             floor = 0.8 * cfg.ne * math.log2(1e4)
             assert control >= floor, (cfg_tuple, control, floor)
 

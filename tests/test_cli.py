@@ -347,10 +347,10 @@ class TestSimulateDegenerate:
         summary = json.loads(Path(f"{stem}.json").read_text())
         assert summary["ds_theory"] == 0.0
         exp = SMALL_EXPERIMENT
-        assert summary["leakage_delta"] == rates.leakage_saturation(
-            AntennaConfig(2, 2, 3, 4), exp["alpha"], exp["p_grid"][0],
-            exp["p_grid"][-1], exp["trials"], exp["seed"], eve_counts=[4],
-            jamming=False)
+        assert summary["leakage_delta"] == rates.sweep(
+            AntennaConfig(2, 2, 3, 4), exp["alpha"], exp["p_grid"],
+            exp["trials"], exp["seed"], eve_counts=[4],
+            jamming=False).leakage_delta
 
 
 def test_simulate_builds_each_jammed_trial_once(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sdoflab.model import (AntennaConfig, InvalidConfig, InvalidEveCount,
-                           PowerPolicy, TrialStreams, _assert_full_rank,
+                           TrialStreams, _assert_full_rank,
                            canonical, complex_gaussian, eve_image,
                            is_degenerate, sample_channels, sample_eves,
                            validate)
@@ -31,24 +31,11 @@ def test_canonical_swaps_transmitters():
     assert canonical(AntennaConfig(3, 1, 2, 2)) == cfg
 
 
-class TestPowerPolicy:
-    def test_alpha_bounds(self):
-        with pytest.raises(InvalidConfig):
-            PowerPolicy(p=1.0, alpha=0.0)
-        with pytest.raises(InvalidConfig):
-            PowerPolicy(p=1.0, alpha=1.0)
-
-    def test_positive_power(self):
-        with pytest.raises(InvalidConfig):
-            PowerPolicy(p=0.0)
-
-
 class TestSampleChannels:
     def test_shape_contract(self):
         cfg = AntennaConfig(2, 2, 3, 1)
-        ch = sample_channels(cfg, [7, 8])
-        assert ch.h1.shape == (2, 3, 2) and ch.h2.shape == (2, 3, 2)
-        assert ch.eves == []
+        h1, h2 = sample_channels(cfg, [7, 8])
+        assert h1.shape == (2, 3, 2) and h2.shape == (2, 3, 2)
         (g1, g2), = sample_eves(cfg, [1], [7, 8])
         assert g1.shape == (2, 1, 1, 2) and g2.shape == (2, 1, 1, 2)
 
@@ -57,11 +44,11 @@ class TestSampleChannels:
         stacked = sample_channels(cfg, [7, 8, 9])
         for t, seed in enumerate([7, 8, 9]):
             own = sample_channels(cfg, [seed])
-            for a, b in zip((stacked.h1, stacked.h2), (own.h1, own.h2)):
+            for a, b in zip(stacked, own):
                 assert a[t].tobytes() == b[0].tobytes()
 
     def test_rank_deficient_trial_fails_the_stack(self):
-        h = sample_channels(AntennaConfig(2, 2, 3, 1), [1, 2, 3]).h1
+        h, _ = sample_channels(AntennaConfig(2, 2, 3, 1), [1, 2, 3])
         h[1, :, 1] = h[1, :, 0]
         for stack in (h[1:2], h):
             with pytest.raises(RuntimeError, match="^sampled channel is "
@@ -84,24 +71,23 @@ class TestSampleChannels:
         cfg = AntennaConfig(2, 2, 3, 1)
         a = sample_channels(cfg, [7])
         b = sample_channels(cfg, [7])
-        assert np.array_equal(a.h1, b.h1) and np.array_equal(a.h2, b.h2)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_different_seeds_differ(self):
         cfg = AntennaConfig(2, 2, 3, 1)
         a = sample_channels(cfg, [7])
         b = sample_channels(cfg, [8])
-        assert not np.array_equal(a.h1, b.h1)
+        assert not np.array_equal(a[0], b[0])
 
     def test_full_rank_every_draw(self):
         cfg = AntennaConfig(4, 3, 3, 2)
-        ch = sample_channels(cfg, range(25))
-        for h in (ch.h1, ch.h2):
+        for h in sample_channels(cfg, range(25)):
             s = np.linalg.svd(h, compute_uv=False)
             assert np.all(s[:, -1] > 1e-9 * s[:, 0])
 
     def test_unit_variance_entries(self):
-        ch = sample_channels(AntennaConfig(8, 8, 8, 1), [3])
-        pooled = np.concatenate([ch.h1.ravel(), ch.h2.ravel()])
+        h1, h2 = sample_channels(AntennaConfig(8, 8, 8, 1), [3])
+        pooled = np.concatenate([h1.ravel(), h2.ravel()])
         assert abs(np.mean(np.abs(pooled) ** 2) - 1.0) < 0.2
 
 
@@ -166,8 +152,8 @@ class TestDrawOrder:
 
     @pytest.mark.parametrize("rows,cols", [(1, 1), (3, 2), (2, 5)])
     def test_complex_gaussian(self, rows, cols):
-        got = complex_gaussian([np.random.default_rng(s) for s in range(3)],
-                               rows, cols)
+        got, = complex_gaussian([np.random.default_rng(s) for s in range(3)],
+                                (rows, cols))
         want = two_call_gaussian([np.random.default_rng(s) for s in range(3)],
                                  rows, cols)
         assert got.tobytes() == want.tobytes()
@@ -176,12 +162,12 @@ class TestDrawOrder:
                                            (4, 3, 5, 1)])
     def test_sample_channels(self, cfg_tuple):
         cfg = AntennaConfig(*cfg_tuple)
-        ch = sample_channels(cfg, [4, 5, 6])
+        h1, h2 = sample_channels(cfg, [4, 5, 6])
         rngs = [np.random.default_rng(s) for s in [4, 5, 6]]
         want_h1 = two_call_gaussian(rngs, cfg.n, cfg.m1)
         want_h2 = two_call_gaussian(rngs, cfg.n, cfg.m2)
-        assert ch.h1.tobytes() == want_h1.tobytes()
-        assert ch.h2.tobytes() == want_h2.tobytes()
+        assert h1.tobytes() == want_h1.tobytes()
+        assert h2.tobytes() == want_h2.tobytes()
 
 
 def seed_sequence_state(seq):

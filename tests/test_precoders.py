@@ -3,8 +3,7 @@ import pytest
 
 from sdoflab.cli import iter_canonical_configs
 from sdoflab.matlin import RaggedRank, nullspace
-from sdoflab.model import (AntennaConfig, ChannelRealization,
-                           sample_channels, sample_eves)
+from sdoflab.model import AntennaConfig, sample_channels, sample_eves
 from sdoflab.precoders import (AlignmentInfeasible, PlanMismatch,
                                PrecoderSet, build_jamming, build_legit,
                                build_precoder_set, build_unjammed_set,
@@ -29,22 +28,22 @@ def built(cfg_tuple, seed=0):
     """One trial, built as a stack of one and returned as plain matrices."""
     cfg = AntennaConfig(*cfg_tuple)
     plan = jamming_plan(cfg)
-    ch = sample_channels(cfg, [seed])
-    ps = build_precoder_set(plan, ch.h1, ch.h2, [seed + 10_000])
-    return cfg, plan, ChannelRealization(ch.h1[0], ch.h2[0]), trial_of(ps, 0)
+    h1, h2 = sample_channels(cfg, [seed])
+    ps = build_precoder_set(plan, h1, h2, [seed + 10_000])
+    return cfg, plan, (h1[0], h2[0]), trial_of(ps, 0)
 
 
-def lifted(ch, plan):
+def lifted(h1, h2, plan):
     """The legitimate channels lifted to the plan's extension."""
-    return (extend_channel(ch.h1, plan.extension),
-            extend_channel(ch.h2, plan.extension))
+    return (extend_channel(h1, plan.extension),
+            extend_channel(h2, plan.extension))
 
 
 class TestBuildJamming:
     def test_aligned_images_coincide(self):
-        cfg, plan, ch, ps = built((2, 2, 3, 1))
-        h1e = extend_channel(ch.h1, plan.extension)
-        h2e = extend_channel(ch.h2, plan.extension)
+        cfg, plan, (h1, h2), ps = built((2, 2, 3, 1))
+        h1e = extend_channel(h1, plan.extension)
+        h2e = extend_channel(h2, plan.extension)
         img1 = h1e @ ps.v1j
         img2 = h2e @ ps.v2j
         img1 /= np.linalg.norm(img1, axis=0)
@@ -52,12 +51,12 @@ class TestBuildJamming:
         assert np.linalg.norm(img1 - img2) <= 1e-8
 
     def test_nullspace_invisible_to_receiver(self):
-        cfg, plan, ch, ps = built((3, 3, 2, 1))
+        cfg, plan, (h1, h2), ps = built((3, 3, 2, 1))
         assert ps.v2j.shape == (3, 0)
-        assert np.linalg.norm(ch.h1 @ ps.v1j) <= 1e-8 * np.linalg.norm(ch.h1)
+        assert np.linalg.norm(h1 @ ps.v1j) <= 1e-8 * np.linalg.norm(h1)
 
     def test_single_random_column(self):
-        cfg, plan, ch, ps = built((2, 2, 4, 1))
+        cfg, plan, (h1, h2), ps = built((2, 2, 4, 1))
         assert ps.v1j.shape == (2, 1)
         assert ps.v2j.shape == (2, 0)
         assert np.linalg.norm(ps.v1j[:, 0]) == pytest.approx(1.0, abs=1e-12)
@@ -73,13 +72,13 @@ class TestBuildJamming:
     def test_alignment_infeasible_budget(self):
         # two 2-dim received spaces in ambient 3 share 1 dimension < 2
         cfg = AntennaConfig(2, 2, 3, 1)
-        ch = sample_channels(cfg, [3])
+        h1, h2 = sample_channels(cfg, [3])
         bad = JammingPlan(extension=1,
                           tx1_parts=(JammingPart(ALIGNED, 2),),
                           tx2_parts=(JammingPart(ALIGNED, 2),),
                           j_s=2, d1=0, d2=0)
         with pytest.raises(AlignmentInfeasible):
-            build_jamming(bad, ch.h1, ch.h2, [0])
+            build_jamming(bad, h1, h2, [0])
 
     @pytest.mark.parametrize("cfg_tuple", [(3, 1, 2, 2), (3, 1, 2, 3),
                                            (4, 3, 2, 4), (5, 4, 3, 6)])
@@ -88,9 +87,9 @@ class TestBuildJamming:
         # receiver but not at an eavesdropper; wide channels (m_i > n)
         # have such components to pick up.
         for seed in range(5):
-            _, plan, ch, ps = built(cfg_tuple, seed)
-            for parts, he, vj in ((plan.tx1_parts, ch.h1, ps.v1j),
-                                  (plan.tx2_parts, ch.h2, ps.v2j)):
+            _, plan, (h1, h2), ps = built(cfg_tuple, seed)
+            for parts, he, vj in ((plan.tx1_parts, h1, ps.v1j),
+                                  (plan.tx2_parts, h2, ps.v2j)):
                 starts = np.cumsum([0] + [p.dims for p in parts])
                 aligned = np.hstack([vj[:, a:b] for p, a, b in
                                      zip(parts, starts, starts[1:])
@@ -100,8 +99,8 @@ class TestBuildJamming:
                 assert np.abs(ns.conj().T @ aligned).max(initial=0.0) <= 1e-12
 
     def test_deterministic_given_seed(self):
-        _, plan, ch, _ = built((2, 2, 3, 1))
-        h1e, h2e = lifted(ch, plan)
+        _, plan, (h1, h2), _ = built((2, 2, 3, 1))
+        h1e, h2e = lifted(h1, h2, plan)
         a = build_jamming(plan, h1e[None], h2e[None], [5])
         b = build_jamming(plan, h1e[None], h2e[None], [5])
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
@@ -109,9 +108,9 @@ class TestBuildJamming:
 
 class TestZeroForcing:
     def test_annihilates_jamming(self):
-        cfg, plan, ch, ps = built((2, 2, 3, 1))
+        cfg, plan, (h1, h2), ps = built((2, 2, 3, 1))
         assert ps.u.shape == (5, 6)
-        h1e = extend_channel(ch.h1, 2)
+        h1e = extend_channel(h1, 2)
         assert np.linalg.norm(ps.u @ (h1e @ ps.v1j)) <= \
             1e-8 * np.linalg.norm(h1e)
 
@@ -122,15 +121,15 @@ class TestZeroForcing:
             assert np.allclose(gram, np.eye(ps.u.shape[0]), atol=1e-10)
 
     def test_no_receiver_jamming_gives_full_unitary(self):
-        cfg, plan, ch, ps = built((3, 3, 2, 1))
+        cfg, plan, (h1, h2), ps = built((3, 3, 2, 1))
         assert ps.u.shape == (2, 2)
 
     def test_plan_mismatch_detected(self):
         from sdoflab.precoders import PlanMismatch
-        cfg, plan, ch, ps = built((2, 2, 4, 1))
+        cfg, plan, (h1, h2), ps = built((2, 2, 4, 1))
         wrong = jamming_plan(AntennaConfig(2, 2, 4, 2))
-        for args in ((ch.h1, ch.h2, ps.v1j, ps.v2j),
-                     (ch.h1[None], ch.h2[None], ps.v1j[None], ps.v2j[None])):
+        for args in ((h1, h2, ps.v1j, ps.v2j),
+                     (h1[None], h2[None], ps.v1j[None], ps.v2j[None])):
             with pytest.raises(PlanMismatch):
                 build_zero_forcing(*args, wrong)
 
@@ -157,7 +156,7 @@ class TestBuildLegit:
 
     def test_plan_mismatch_when_overbooked(self):
         from sdoflab.precoders import PlanMismatch
-        cfg, plan, ch, ps = built((2, 2, 4, 1))
+        cfg, plan, (h1, h2), ps = built((2, 2, 4, 1))
         from dataclasses import replace
         greedy = replace(plan, d1=plan.extension * cfg.m1)
         with pytest.raises(PlanMismatch):
@@ -177,44 +176,44 @@ class TestVerifyGeometry:
 
     def test_dimension_audit(self):
         for cfg_tuple in GEOMETRY_CONFIGS:
-            cfg, plan, ch, ps = built(cfg_tuple)
+            cfg, plan, (h1, h2), ps = built(cfg_tuple)
             ext = plan.extension
             assert ps.v1j.shape[1] + ps.v2j.shape[1] == ext * cfg.ne
             assert ps.u.shape == (ext * cfg.n - plan.j_s, ext * cfg.n)
             assert ps.geometry.decode_rank == plan.d1 + plan.d2
 
     def test_random_jamming_breaks_alignment(self):
-        cfg, plan, ch, ps = built((2, 2, 3, 1))
+        cfg, plan, (h1, h2), ps = built((2, 2, 3, 1))
         rng = np.random.default_rng(0)
         fake = rng.standard_normal(ps.v1j.shape) \
             + 1j * rng.standard_normal(ps.v1j.shape)
         fake /= np.linalg.norm(fake, axis=0)
         broken = PrecoderSet(v1l=ps.v1l, v2l=ps.v2l, v1j=fake, v2j=ps.v2j,
                              u=ps.u, extension=ps.extension)
-        rep = verify_geometry(broken, *lifted(ch, plan), plan)
+        rep = verify_geometry(broken, *lifted(h1, h2, plan), plan)
         assert rep.alignment_residual > 1e-4
         assert not rep.passed
 
     def test_identity_receiver_breaks_zero_forcing(self):
-        cfg, plan, ch, ps = built((2, 2, 3, 1))
+        cfg, plan, (h1, h2), ps = built((2, 2, 3, 1))
         rows = ps.u.shape[0]
         lazy = PrecoderSet(v1l=ps.v1l, v2l=ps.v2l, v1j=ps.v1j, v2j=ps.v2j,
                            u=np.eye(2 * cfg.n, dtype=complex)[:rows],
                            extension=ps.extension)
-        rep = verify_geometry(lazy, *lifted(ch, plan), plan)
+        rep = verify_geometry(lazy, *lifted(h1, h2, plan), plan)
         assert rep.zf_residual > 1e-4
         assert not rep.passed
 
     def test_unlifted_channels_rejected(self):
-        cfg, plan, ch, ps = built((2, 2, 3, 1))
+        cfg, plan, (h1, h2), ps = built((2, 2, 3, 1))
         assert plan.extension == 2
         with pytest.raises(PlanMismatch):
-            verify_geometry(ps, ch.h1, ch.h2, plan)
+            verify_geometry(ps, h1, h2, plan)
 
     @pytest.mark.parametrize("cfg_tuple", GEOMETRY_CONFIGS)
     def test_receiver_images_kept(self, cfg_tuple):
-        _, plan, ch, ps = built(cfg_tuple)
-        for w, he, vl in zip(ps.rx_images, lifted(ch, plan),
+        _, plan, (h1, h2), ps = built(cfg_tuple)
+        for w, he, vl in zip(ps.rx_images, lifted(h1, h2, plan),
                              (ps.v1l, ps.v2l)):
             assert np.array_equal(w, ps.u @ (he @ vl))
 
@@ -223,7 +222,7 @@ class TestEavesdropperCoverage:
     @pytest.mark.parametrize("cfg_tuple", GEOMETRY_CONFIGS)
     def test_jamming_overwhelms_eavesdropper(self, cfg_tuple):
         # ten eavesdropper draws against one trial's precoders
-        cfg, plan, ch, ps = built(cfg_tuple)
+        cfg, plan, (h1, h2), ps = built(cfg_tuple)
         (g1, g2), = sample_eves(cfg, [cfg.ne], range(99, 109),
                                 slots=plan.extension)
         assert jamming_coverage_rank(ps, g1, g2).tolist() == \
@@ -232,13 +231,13 @@ class TestEavesdropperCoverage:
 
 def test_unjammed_set_shapes():
     cfg = AntennaConfig(2, 2, 4, 1)
-    ch = sample_channels(cfg, [1, 2])
-    ps = build_unjammed_set(ch.h1, ch.h2)
+    h1, h2 = sample_channels(cfg, [1, 2])
+    ps = build_unjammed_set(h1, h2)
     assert ps.v1l.shape == (2, 2, 2) and ps.v2l.shape == (2, 2, 2)
     assert ps.v1j.shape == (2, 2, 0) and ps.u.shape == (2, 4, 4)
     assert ps.geometry.passed
     assert all(np.array_equal(w, h)
-               for w, h in zip(ps.rx_images, (ch.h1, ch.h2)))
+               for w, h in zip(ps.rx_images, (h1, h2)))
 
 
 def test_every_construction_shape_up_to_six_antennas():
@@ -248,8 +247,8 @@ def test_every_construction_shape_up_to_six_antennas():
     assert len(configs) == 882
     for cfg in configs:
         plan = jamming_plan(cfg)
-        ch = sample_channels(cfg, [3])
-        ps = build_precoder_set(plan, ch.h1, ch.h2, [80])
+        h1, h2 = sample_channels(cfg, [3])
+        ps = build_precoder_set(plan, h1, h2, [80])
         assert ps.geometry.passed, (cfg, ps.geometry)
         if cfg.ne:
             (g1, g2), = sample_eves(cfg, [cfg.ne], [999],
@@ -282,10 +281,10 @@ class TestStackedBuild:
     def test_each_trial_equals_its_own_build(self, cfg_tuple):
         cfg = AntennaConfig(*cfg_tuple)
         plan = jamming_plan(cfg)
-        ch = sample_channels(cfg, [1, 2, 3])
-        stacked = build_precoder_set(plan, ch.h1, ch.h2, [10, 11, 12])
+        h1, h2 = sample_channels(cfg, [1, 2, 3])
+        stacked = build_precoder_set(plan, h1, h2, [10, 11, 12])
         for t, seed in enumerate([10, 11, 12]):
-            own = build_precoder_set(plan, ch.h1[t:t + 1], ch.h2[t:t + 1],
+            own = build_precoder_set(plan, h1[t:t + 1], h2[t:t + 1],
                                      [seed])
             for name in ("v1l", "v2l", "v1j", "v2j", "u"):
                 assert getattr(stacked, name)[t].tobytes() == \
@@ -300,14 +299,13 @@ class TestStackedBuild:
         # dimensions differ from the other trials' on the way.
         cfg = AntennaConfig(*cfg_tuple)
         plan = jamming_plan(cfg)
-        ch = sample_channels(cfg, [1, 2, 3])
-        h1 = ch.h1.copy()
+        h1, h2 = sample_channels(cfg, [1, 2, 3])
         h1[1, :, 1] = h1[1, :, 0]
         seeds = [10, 11, 12]
         with pytest.raises(error) as own:
-            build_precoder_set(plan, h1[1:2], ch.h2[1:2], seeds[1:2])
+            build_precoder_set(plan, h1[1:2], h2[1:2], seeds[1:2])
         with pytest.raises(error) as stacked:
-            build_precoder_set(plan, h1, ch.h2, seeds)
+            build_precoder_set(plan, h1, h2, seeds)
         assert str(stacked.value) == str(own.value)
 
     def test_ragged_ranks_fail_the_stack(self):
@@ -315,10 +313,9 @@ class TestStackedBuild:
         # but its channel's row space is narrower than the other trials'.
         cfg = AntennaConfig(2, 2, 2, 1)
         plan = jamming_plan(cfg)
-        ch = sample_channels(cfg, [1, 2, 3])
-        h1 = ch.h1.copy()
+        h1, h2 = sample_channels(cfg, [1, 2, 3])
         h1[1, :, 1] = h1[1, :, 0]
-        own = build_precoder_set(plan, h1[1:2], ch.h2[1:2], [11])
+        own = build_precoder_set(plan, h1[1:2], h2[1:2], [11])
         assert not own.geometry.passed
         with pytest.raises(RaggedRank):
-            build_precoder_set(plan, h1, ch.h2, [10, 11, 12])
+            build_precoder_set(plan, h1, h2, [10, 11, 12])

@@ -5,16 +5,79 @@ import numpy as np
 import pytest
 
 from sdoflab import rates as rates_mod
-from sdoflab.model import (AntennaConfig, ChannelRealization, InvalidEveCount,
-                           PowerPolicy, canonical, sample_channels, sample_eves)
+from sdoflab.matlin import logdet_hpd
+from sdoflab.model import (AntennaConfig, InvalidEveCount, canonical,
+                           eve_image, sample_channels, sample_eves)
 from sdoflab.precoders import GeometryReport, PrecoderSet, build_precoder_set, \
-    build_unjammed_set
-from sdoflab.rates import (GeometryNotVerified, RateCurve, eavesdropper_leakage,
-                           fit_slope, leakage_saturation, make_curve,
-                           receiver_rate, sweep)
+    build_unjammed_set, extend_channel
+from sdoflab.rates import (GeometryNotVerified, RateCurve, _require_geometry,
+                           fit_slope, make_curve, sweep)
 from sdoflab.regions import DegenerateConfig, jamming_plan
 
 P_GRID = [10.0 ** k for k in range(3, 10)]
+SATURATION_GRID = [10.0 ** k for k in range(5, 10)]  # 1e5 .. 1e9
+
+
+# The one-trial, one-power reference that TestBlockEngineOracle compares
+# the stacked engine against with ==.  Each transmitter spends
+# ``alpha * p`` on jamming and the rest on its streams.
+
+def _legit_power(ps, p, alpha):
+    # With no jamming columns the whole budget goes to the streams.
+    has_jam = ps.v1j.shape[1] + ps.v2j.shape[1] > 0
+    return (1.0 - alpha) * p if has_jam else p
+
+
+def receiver_rate(ps, hs, p, alpha=0.5):
+    """Post-zero-forcing sum rate of the legitimate streams, bits per use.
+
+    Computes ``logdet(I + sum_i U H_i V_i^L Q_i V_i^L' H_i' U')`` (unit
+    noise) over the extended block for the channels ``hs = (h1, h2)``
+    and normalizes by the extension factor.  Per-stream power is the
+    legitimate budget divided equally across the transmitter's streams.
+    Jamming contributes nothing: the zero-forced residual is below the
+    geometry tolerance.  Raises ``GeometryNotVerified`` if ``ps`` has no
+    geometry report or the report failed.
+    """
+    _require_geometry(ps)
+    ext = ps.extension
+    legit_p = _legit_power(ps, p, alpha)
+    gram = np.eye(ps.u.shape[0], dtype=complex)
+    for h, vl in zip(hs, (ps.v1l, ps.v2l)):
+        d = vl.shape[1]
+        if d == 0:
+            continue
+        he = extend_channel(h, ext)
+        w = ps.u @ (he @ vl)
+        gram = gram + (ext * legit_p / d) * (w @ w.conj().T)
+    gram = 0.5 * (gram + gram.conj().T)
+    return logdet_hpd(gram) / (ext * math.log(2))
+
+
+def eavesdropper_leakage(ps, g_pair, p, alpha=0.5):
+    """Gaussian MI of the legitimate streams at one eavesdropper, bits per use.
+
+    The eavesdropper treats the received jamming as noise:
+    ``logdet(I + G_L Q_L G_L' (I + G_J Q_J G_J')^{-1})``, evaluated
+    as a difference of two log-dets.  ``g_pair`` holds its per-slot
+    blocks ``(slots, nej, m_i)``, one slot per symbol of the precoder
+    extension; another slot count raises ``ValueError``.
+    """
+    ext = ps.extension
+
+    def images(vs, power):
+        # hstack of sqrt(power / cols) * G_i V_i; an empty V_i gives an
+        # empty image, so max(cols, 1) only keeps 0 / 0 out.
+        return np.hstack([math.sqrt(power / max(v.shape[1], 1))
+                          * eve_image(g, v) for g, v in zip(g_pair, vs)])
+
+    bl = images((ps.v1l, ps.v2l), ext * _legit_power(ps, p, alpha))
+    bj = images((ps.v1j, ps.v2j), ext * alpha * p)
+    k0 = np.eye(len(bj), dtype=complex) + bj @ bj.conj().T
+    k1 = k0 + bl @ bl.conj().T
+    k0 = 0.5 * (k0 + k0.conj().T)
+    k1 = 0.5 * (k1 + k1.conj().T)
+    return (logdet_hpd(k1) - logdet_hpd(k0)) / (ext * math.log(2))
 
 
 def scalar_precoder_set():
@@ -28,72 +91,69 @@ def scalar_precoder_set():
 
 
 def one_trial(cfg, eve_counts, ch_seed, pc_seed, jamming=True):
-    """One trial's realization and precoder set, as plain matrices, with
-    unextended eavesdroppers drawn from seed 0."""
-    ch = sample_channels(cfg, [ch_seed])
-    ps = (build_precoder_set(jamming_plan(cfg), ch.h1, ch.h2, [pc_seed])
-          if jamming else build_unjammed_set(ch.h1, ch.h2))
+    """One trial's channels ``(h1, h2)``, unextended eavesdropper pairs
+    drawn from seed 0, and precoder set, as plain matrices."""
+    h1, h2 = sample_channels(cfg, [ch_seed])
+    ps = (build_precoder_set(jamming_plan(cfg), h1, h2, [pc_seed])
+          if jamming else build_unjammed_set(h1, h2))
     eves = [(g1[0], g2[0]) for g1, g2 in sample_eves(cfg, eve_counts, [0])]
     one = PrecoderSet(ps.v1l[0], ps.v2l[0], ps.v1j[0], ps.v2j[0], ps.u[0],
                       ps.extension, ps.geometry)
-    return ChannelRealization(ch.h1[0], ch.h2[0], eves), one
+    return (h1[0], h2[0]), eves, one
 
 
-def scalar_channel(eves=()):
+def scalar_channel():
     one = np.ones((1, 1), dtype=complex)
-    return ChannelRealization(one, one, list(eves))
+    return one, one
 
 
 class TestReceiverRate:
     def test_scalar_closed_form(self):
         ps = scalar_precoder_set()
-        ch = scalar_channel()
+        hs = scalar_channel()
         for p in (1.0, 10.0, 1e3, 1e6):
-            rate = receiver_rate(ps, ch, PowerPolicy(p=p, alpha=0.5))
+            rate = receiver_rate(ps, hs, p, alpha=0.5)
             assert rate == pytest.approx(math.log2(1 + p), rel=1e-12)
 
     def test_vanishing_power_limit(self):
         ps = scalar_precoder_set()
-        rate = receiver_rate(ps, scalar_channel(), PowerPolicy(p=1e-30))
+        rate = receiver_rate(ps, scalar_channel(), 1e-30)
         assert 0.0 <= rate < 1e-9
 
     def test_requires_verified_geometry(self):
         ps = scalar_precoder_set()
         ps.geometry = None
         with pytest.raises(GeometryNotVerified):
-            receiver_rate(ps, scalar_channel(), PowerPolicy(p=1.0))
+            receiver_rate(ps, scalar_channel(), 1.0)
 
     def test_monotone_in_power(self):
-        ch, ps = one_trial(AntennaConfig(2, 2, 4, 1), [], 4, 5)
-        rates = [receiver_rate(ps, ch, PowerPolicy(p=p, alpha=0.5))
-                 for p in P_GRID]
+        hs, _, ps = one_trial(AntennaConfig(2, 2, 4, 1), [], 4, 5)
+        rates = [receiver_rate(ps, hs, p, alpha=0.5) for p in P_GRID]
         assert all(b >= a for a, b in zip(rates, rates[1:]))
 
 
 class TestEavesdropperLeakage:
     def test_zero_legitimate_power(self):
-        ch, ps = one_trial(AntennaConfig(2, 2, 4, 1), [1], 4, 5)
+        _, (g_pair,), ps = one_trial(AntennaConfig(2, 2, 4, 1), [1], 4, 5)
         silent = PrecoderSet(v1l=ps.v1l[:, :0], v2l=ps.v2l[:, :0],
                              v1j=ps.v1j, v2j=ps.v2j, u=ps.u,
                              extension=ps.extension, geometry=ps.geometry)
-        assert eavesdropper_leakage(
-            silent, ch, PowerPolicy(p=1e6, alpha=0.5), 0) == 0.0
+        assert eavesdropper_leakage(silent, g_pair, 1e6, alpha=0.5) == 0.0
 
     def test_unjammed_leakage_grows_with_power(self):
         # negative control: without jamming a single-antenna eavesdropper
         # gains one bit per doubling of power
-        ch, ps = one_trial(AntennaConfig(1, 1, 1, 1), [1], 8, None,
-                           jamming=False)
-        pol_lo, pol_hi = PowerPolicy(p=1e6), PowerPolicy(p=1e8)
-        gain = (eavesdropper_leakage(ps, ch, pol_hi, 0)
-                - eavesdropper_leakage(ps, ch, pol_lo, 0))
+        _, (g_pair,), ps = one_trial(AntennaConfig(1, 1, 1, 1), [1], 8, None,
+                                     jamming=False)
+        gain = (eavesdropper_leakage(ps, g_pair, 1e8)
+                - eavesdropper_leakage(ps, g_pair, 1e6))
         assert gain == pytest.approx(math.log2(1e2), rel=0.01)
 
     def test_extension_mismatch_rejected(self):
         # unextended eavesdropper
-        ch, ps = one_trial(AntennaConfig(2, 2, 3, 1), [1], 4, 5)
+        _, (g_pair,), ps = one_trial(AntennaConfig(2, 2, 3, 1), [1], 4, 5)
         with pytest.raises(ValueError):
-            eavesdropper_leakage(ps, ch, PowerPolicy(p=1e3), 0)
+            eavesdropper_leakage(ps, g_pair, 1e3)
 
 
 class TestSlopeFit:
@@ -128,7 +188,7 @@ class TestSweep:
             assert pt.rate_rx >= pt.secrecy
 
     def test_degenerate_flat_curve(self):
-        # no secure DoF to jam for: rejected like leakage_saturation does
+        # no secure DoF to jam for
         with pytest.raises(DegenerateConfig):
             sweep(AntennaConfig(2, 2, 3, 4), 0.5, P_GRID, 5, 42)
 
@@ -137,11 +197,20 @@ class TestSweep:
         b = sweep(AntennaConfig(2, 2, 3, 1), 0.5, P_GRID, 3, 7)
         assert a == b
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            sweep(AntennaConfig(2, 2, 4, 1), 0.5, [1e3, 1e4, 1e5], 2, 0)
-        with pytest.raises(ValueError):
-            sweep(AntennaConfig(2, 2, 4, 1), 0.5, [1e3, 1e4, 1e5, 1e6], 2, 0)
+    def test_grid_validation(self, monkeypatch):
+        # Every bad grid or alpha fails before the first block is built.
+        sizes = block_sizes(monkeypatch)
+        for grid, alpha, match in [
+                ([1e3, 1e4, 1e5], 0.5, "at least 4 points"),
+                ([1e3, 1e4, 1e5, 1e6], 0.5, "4 decades"),
+                ([1e3, 1e4, 1e5, math.inf], 0.5, "finite"),
+                ([1e3, math.nan, 1e5, 1e7], 0.5, "finite"),
+                ([0.0, 1e4, 1e5, 1e6], 0.5, "positive"),
+                (P_GRID, 0.0, "alpha"), (P_GRID, 1.0, "alpha"),
+                (P_GRID, math.nan, "alpha")]:
+            with pytest.raises(ValueError, match=match):
+                sweep(AntennaConfig(2, 2, 4, 1), alpha, grid, 2, 0)
+        assert sizes == []
 
     def test_non_canonical_input_accepted(self):
         a = sweep(AntennaConfig(1, 3, 2, 2), 0.5, P_GRID, 3, 7)
@@ -151,8 +220,8 @@ class TestSweep:
 
 class TestLeakageSaturation:
     def test_jammed_leakage_saturates(self):
-        delta = leakage_saturation(AntennaConfig(2, 2, 3, 1), 0.5,
-                                   1e5, 1e9, 20, 42)
+        delta = sweep(AntennaConfig(2, 2, 3, 1), 0.5, SATURATION_GRID,
+                      20, 42).leakage_delta
         assert 0.0 <= abs(delta) <= 0.5
 
     @pytest.mark.parametrize("cfg_tuple", [(2, 2, 4, 1), (2, 2, 3, 1),
@@ -170,31 +239,29 @@ class TestLeakageSaturation:
 
     def test_unjammed_leakage_full_dof(self):
         cfg = AntennaConfig(2, 2, 3, 1)
-        delta = leakage_saturation(cfg, 0.5, 1e5, 1e9, 20, 42, jamming=False)
+        delta = sweep(cfg, 0.5, SATURATION_GRID, 20, 42,
+                      jamming=False).leakage_delta
         expected = cfg.ne * math.log2(1e4)
         assert abs(delta - expected) <= 0.2 * expected
 
     def test_no_eavesdropper_zero(self):
-        assert leakage_saturation(AntennaConfig(2, 2, 3, 0), 0.5,
-                                  1e5, 1e9, 5, 0) == 0.0
-
-    def test_ratio_precondition(self):
-        with pytest.raises(ValueError):
-            leakage_saturation(AntennaConfig(2, 2, 3, 1), 0.5, 1e5, 1e6, 5, 0)
+        assert sweep(AntennaConfig(2, 2, 3, 0), 0.5, SATURATION_GRID,
+                     5, 0).leakage_delta == 0.0
 
 
 class TestTrialEngine:
     @pytest.mark.parametrize("jamming", [True, False])
     @pytest.mark.parametrize("eve_counts", [[], [2], [2, 1]])
     def test_sweep_delta_is_leakage_saturation(self, jamming, eve_counts):
+        # The delta is the leakage growth between the grid's two ends
+        # alone: a grid with the same ends and fewer points gives it too.
         cfg = AntennaConfig(3, 1, 2, 2)
-        res = sweep(cfg, 0.5, P_GRID, 3, 5, eve_counts=eve_counts,
-                    jamming=jamming)
-        delta = leakage_saturation(cfg, 0.5, P_GRID[0], P_GRID[-1], 3, 5,
-                                   eve_counts=eve_counts, jamming=jamming)
-        assert res.leakage_delta == delta
+        full, ends = (sweep(cfg, 0.5, grid, 3, 5, eve_counts=eve_counts,
+                            jamming=jamming).leakage_delta
+                      for grid in (P_GRID, P_GRID[::2]))
+        assert full == ends
         if not eve_counts:
-            assert delta == 0.0
+            assert full == 0.0
 
     @pytest.mark.parametrize("eve_counts", [[-1], [3], [1, 10**9]])
     def test_bad_eve_count_rejected(self, eve_counts):
@@ -208,8 +275,6 @@ class TestTrialEngine:
         for cfg in (AntennaConfig(3, 1, 2, 2), AntennaConfig(2, 2, 3, 4)):
             with pytest.raises(ValueError, match="trials must be at least 1"):
                 sweep(cfg, 0.5, P_GRID, trials, 5)
-            with pytest.raises(ValueError, match="trials must be at least 1"):
-                leakage_saturation(cfg, 0.5, P_GRID[0], P_GRID[-1], trials, 5)
 
     @pytest.mark.parametrize("jamming", [True, False])
     def test_delta_from_swept_endpoints(self, jamming):
@@ -225,8 +290,6 @@ class TestTrialEngine:
         cfg = AntennaConfig(2, 2, 3, 4)
         res = sweep(cfg, 0.5, P_GRID, 3, 5, jamming=False)
         assert all(pt.rate_rx > 0.0 for pt in res.points)
-        assert res.leakage_delta == leakage_saturation(
-            cfg, 0.5, P_GRID[0], P_GRID[-1], 3, 5, jamming=False)
 
 
 def scalar_trial_results(cfg, p_values, trials, seed, eve_counts, jamming):
@@ -235,17 +298,15 @@ def scalar_trial_results(cfg, p_values, trials, seed, eve_counts, jamming):
     eavesdropper draw per trial, evaluated at every power."""
     plan = jamming_plan(cfg) if jamming else None
     ext = plan.extension if jamming else 1
-    pols = [PowerPolicy(p=p, alpha=0.5) for p in p_values]
     out = []
     for trial_ss in np.random.SeedSequence(seed).spawn(trials):
         ch_ss, pc_ss, eve_ss = trial_ss.spawn(3)
-        ch, ps = one_trial(cfg, [], ch_ss, pc_ss, jamming)
-        eves = sample_eves(cfg, eve_counts, [eve_ss], slots=ext)
-        c = ChannelRealization(ch.h1, ch.h2,
-                               [(g1[0], g2[0]) for g1, g2 in eves])
-        rates = [receiver_rate(ps, c, pol) for pol in pols]
-        leaks = [[eavesdropper_leakage(ps, c, pol, j)
-                  for j in range(len(eve_counts))] for pol in pols]
+        hs, _, ps = one_trial(cfg, [], ch_ss, pc_ss, jamming)
+        eves = [(g1[0], g2[0]) for g1, g2 in
+                sample_eves(cfg, eve_counts, [eve_ss], slots=ext)]
+        rates = [receiver_rate(ps, hs, p, 0.5) for p in p_values]
+        leaks = [[eavesdropper_leakage(ps, g_pair, p, 0.5)
+                  for g_pair in eves] for p in p_values]
         out.append((rates, leaks))
     return out
 
@@ -333,9 +394,6 @@ class TestSeedBoundary:
         cfg = AntennaConfig(3, 1, 2, 2)
         with pytest.raises(error):
             sweep(cfg, 0.5, P_GRID, trials, seed, jamming=jamming)
-        with pytest.raises(error):
-            leakage_saturation(cfg, 0.5, P_GRID[0], P_GRID[-1], trials, seed,
-                               jamming=jamming)
         assert sizes == []
 
 
