@@ -96,9 +96,11 @@ def complex_gaussian(rngs, *shapes):
     its real parts, then its imaginary parts."""
     sizes = [2 * math.prod(shape) for shape in shapes]
     z = np.stack([rng.standard_normal(sum(sizes)) for rng in rngs])
-    stacks = []
-    for shape, part in zip(shapes, np.split(z, np.cumsum(sizes)[:-1], axis=1)):
-        part = part.reshape(len(z), *shape[:-2], 2, *shape[-2:])
+    stacks, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        part = z[:, start:start + size].reshape(len(z), *shape[:-2], 2,
+                                                *shape[-2:])
+        start += size
         stacks.append(np.sqrt(0.5) * (part[..., 0, :, :]
                                       + 1j * part[..., 1, :, :]))
     return stacks
