@@ -16,11 +16,12 @@ computed exactly by marginalizing over all ``2^n`` erasure patterns,
 which is feasible up to ``n = 12`` bits.
 
 The enumeration is integer counting: patterns with the same number of
-erasures share one weight and are batched together, ``uint16`` sorts of
-the masked codebook and of each masked bin give the group sizes as run
-lengths, and these go into integer histograms.  Only the final
-contraction with ``x log2 x`` is floating point, so the result does not
-depend on the batch size.
+erasures share one weight and are pooled.  A ternary subset-sum
+transform of the codeword counts gives the group sizes of every pattern
+over the whole codebook, ``uint16`` sorts of each masked bin give them
+per bin as run lengths, and both go into integer histograms.  Only the
+final contraction with ``x log2 x`` is floating point, so the result
+does not depend on the batch size.
 """
 
 import math
@@ -31,6 +32,7 @@ import numpy as np
 MAX_BLOCK_BITS = 16   # construction budget (distinct codewords over {0,1}^n)
 MAX_ENUM_BITS = 12    # exact-equivocation budget (2^n erasure patterns)
 _BATCH_PAIRS = 1 << 16  # (erasure pattern, codeword) pairs masked and sorted at once
+_LEAF_BITS = 10  # group transform leaves: 3^10 cells at once, never all 3^n
 
 
 class CodeTooLarge(ValueError):
@@ -150,11 +152,39 @@ def _add_run_lengths(rows, hist):
     sorted ``rows`` (runs along the last axis) into ``hist``."""
     width = rows.shape[-1]
     flat = rows.reshape(-1)
-    edge = np.empty(flat.size + 1, dtype=bool)
-    np.not_equal(flat[1:], flat[:-1], out=edge[1:-1])
-    edge[::width] = True  # every row start, and the end sentinel
-    starts = np.flatnonzero(edge)
-    hist += np.bincount(starts[1:] - starts[:-1], minlength=hist.size)
+    # same[i]: flat[i] continues the run of flat[i - 1] within its row
+    same = np.zeros(flat.size + 1, dtype=bool)
+    np.equal(flat[1:], flat[:-1], out=same[1:-1])
+    same[::width] = False  # every row start, and the end sentinel
+    # only runs longer than 1 have edges: a rise and a fall of ``same``
+    edges = np.flatnonzero(same[1:] != same[:-1])
+    lens = edges[1::2] - edges[::2] + 1
+    hist += np.bincount(lens, minlength=hist.size)
+    hist[1] += flat.size - lens.sum()
+
+
+def _add_group_counts(x, k, hist):
+    """Ternary subset-sum transform: add 1 to ``hist[k + j, c]`` for every
+    (erasure pattern, observation) of the bits of ``x`` with ``j``
+    erasures that ``c`` codewords match, ``x[v]`` counting the codewords
+    that read ``v`` there and ``k`` the erasures fixed above them.
+    """
+    half = x.size >> 1
+    if x.size > 1 << _LEAF_BITS:  # top bit read as 0, as 1, or erased
+        _add_group_counts(x[:half], k, hist)
+        _add_group_counts(x[half:], k, hist)
+        _add_group_counts(x[:half] + x[half:], k + 1, hist)
+        return
+    # levels[j]: one row per cell with j erasures, over the bits left
+    levels = [x[None, :]]
+    while half:
+        none = np.empty((0, half), dtype=x.dtype)
+        kept = [a.reshape(-1, half) for a in levels]
+        erased = [a[:, :half] + a[:, half:] for a in levels]
+        levels = [np.concatenate(p) for p in zip(kept + [none], [none] + erased)]
+        half >>= 1
+    for j, cells in enumerate(levels):
+        hist[k + j] += np.bincount(cells.reshape(-1), minlength=hist.shape[1])
 
 
 def equivocation_exact(code, ch):
@@ -172,21 +202,27 @@ def equivocation_exact(code, ch):
 
     A pattern's weight ``delta^k (1 - delta)^(n - k)`` depends only on
     its number ``k`` of erasures, so the counts of all patterns with the
-    same ``k`` are pooled.  Batches of patterns mask the codebook to
-    their observed bits; a ``uint16`` sort of each masked codebook turns
-    the ``c_g`` into run lengths, and a sort of each masked bin the
-    ``c_gw``.  The run lengths go into integer histograms per ``k``
-    (how many groups of each size), and the entropy is the one
-    contraction ``weight @ ((group_hist - joint_hist) @ xlogx) / total``.
-    The histograms are exact integers, so the result does not depend on
+    same ``k`` are pooled into integer histograms per ``k`` (how many
+    groups of each size).  The ``c_g`` of every pattern and observation
+    come from one ternary subset-sum transform of the codeword counts
+    over ``{0,1}^n`` (:func:`_add_group_counts`, ``3^n`` cells).  For
+    the ``c_gw``, batches of patterns mask the codebook to their
+    observed bits, and a ``uint16`` sort of each masked bin turns them
+    into run lengths.  The entropy is the one contraction
+    ``weight @ ((group_hist - joint_hist) @ xlogx) / total``.  The
+    histograms are exact integers, so the result does not depend on
     the batch size or the order in which patterns are visited.
-    Patterns of weight 0 are skipped.
+    Patterns of weight 0 are left out of both histograms.
 
     Exact at the endpoints: ``delta = 1`` gives ``n * rate_secret``
     and ``delta = 0`` gives ``0``.
+
+    Raises ``ValueError`` if a codeword lies outside ``[0, 2^n)``.
     """
     _check_enumerable(code.n)
     n = code.n
+    if code.bins.min() < 0 or code.bins.max() >> n:
+        raise ValueError(f"codewords must lie in [0, 2^{n})")
     delta = ch.delta
     words = code.bins.astype(np.uint16)  # (bins, bin_size); n <= 12 bits
     total = words.size
@@ -199,6 +235,10 @@ def equivocation_exact(code, ch):
 
     # hist[k, c]: groups of c codewords, over all patterns with k erasures
     group_hist = np.zeros((n + 1, total + 1), dtype=np.int64)
+    _add_group_counts(np.bincount(words.reshape(-1), minlength=1 << n), 0,
+                      group_hist)
+    group_hist[:, 0] = 0  # observations no codeword matches
+    group_hist[pattern_weight == 0.0] = 0
     joint_hist = np.zeros_like(group_hist)
     batch = max(1, _BATCH_PAIRS // total)
     full = (1 << n) - 1
@@ -207,8 +247,6 @@ def equivocation_exact(code, ch):
         for start in range(0, observed.size, batch):
             masked = words & observed[start:start + batch, None, None]
             _add_run_lengths(np.sort(masked, axis=-1), joint_hist[k])
-            _add_run_lengths(np.sort(masked.reshape(len(masked), -1), axis=-1),
-                             group_hist[k])
 
     counts = np.arange(total + 1)
     xlogx = counts * np.log2(np.maximum(counts, 1))

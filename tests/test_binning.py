@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,57 @@ def equivocation_oracle(code, delta):
         pw = pw[pw > 0]
         entropy += pz * float(-(pw * np.log2(pw)).sum())
     return entropy
+
+
+def _sort_run_lengths(rows, hist):
+    """Run lengths of each sorted row, from every run start (the sort
+    kernel's original counting)."""
+    width = rows.shape[-1]
+    flat = rows.reshape(-1)
+    edge = np.empty(flat.size + 1, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=edge[1:-1])
+    edge[::width] = True  # every row start, and the end sentinel
+    starts = np.flatnonzero(edge)
+    hist += np.bincount(starts[1:] - starts[:-1], minlength=hist.size)
+
+
+def equivocation_sort_oracle(code, delta):
+    """The sort kernel equivocation_exact replaced: both the codebook
+    and each bin are masked and sorted per erasure pattern, and the
+    group sizes are run lengths.  The new kernel must equal it bit for
+    bit."""
+    n = code.n
+    words = code.bins.astype(np.uint16)
+    total = words.size
+    pattern_weight = np.array(
+        [delta ** k * (1.0 - delta) ** (n - k) for k in range(n + 1)])
+    erasures = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        erasures = np.concatenate([erasures, erasures + 1])
+    group_hist = np.zeros((n + 1, total + 1), dtype=np.int64)
+    joint_hist = np.zeros_like(group_hist)
+    batch = max(1, binning._BATCH_PAIRS // total)
+    full = (1 << n) - 1
+    for k in np.flatnonzero(pattern_weight > 0.0):
+        observed = (full ^ np.flatnonzero(erasures == k)).astype(np.uint16)
+        for start in range(0, observed.size, batch):
+            masked = words & observed[start:start + batch, None, None]
+            _sort_run_lengths(np.sort(masked, axis=-1), joint_hist[k])
+            _sort_run_lengths(np.sort(masked.reshape(len(masked), -1), axis=-1),
+                              group_hist[k])
+    counts = np.arange(total + 1)
+    xlogx = counts * np.log2(np.maximum(counts, 1))
+    return float(pattern_weight @ ((group_hist - joint_hist) @ xlogx)) / total
+
+
+# rate pairs as fractions of n; bits are rounded so every n from 1 up fits
+RATE_PAIRS = [(1.0, 0.5), (0.75, 0.25), (0.5, 0.25), (0.5, 0.0), (0.5, 0.5),
+              (1.0, 1.0)]
+
+
+def rounded_code(n, rate_total, rate_secret, seed):
+    return build_code(n, round(n * rate_total) / n,
+                      round(n * rate_secret) / n, seed)
 
 
 class TestBuildCode:
@@ -150,10 +202,112 @@ class TestEquivocation:
                   for d in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("word", [-1, 4, 1 << 16])
+    def test_codeword_out_of_range(self, word):
+        code = WiretapCode(n=2, rate_total=1.0, rate_secret=0.5,
+                           bins=np.array([[0, 1], [2, word]]))
+        with pytest.raises(ValueError, match=r"^codewords must lie in \[0, 2\^2\)$"):
+            equivocation_exact(code, EraseChannel(0.5))
+
     def test_budget(self):
         code = build_code(16, 0.25, 0.25, 0)
         with pytest.raises(EnumerationBudgetExceeded):
             equivocation_exact(code, EraseChannel(0.5))
+
+
+class TestSortOracle:
+    """equivocation_exact equals the sort kernel it replaced with ``==``."""
+
+    @pytest.mark.parametrize("rt,rs", RATE_PAIRS)
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_equal_on_built_codes(self, n, rt, rs):
+        for seed in (0, 1):
+            code = rounded_code(n, rt, rs, seed)
+            for delta in (0.0, 0.3, 0.5, 1.0):
+                assert equivocation_exact(code, EraseChannel(delta)) == \
+                    equivocation_sort_oracle(code, delta)
+
+    @pytest.mark.parametrize("rt,rs", [(1.0, 0.5), (0.75, 0.25)])
+    def test_equal_at_n12(self, rt, rs):
+        code = build_code(12, rt, rs, 0)
+        assert equivocation_exact(code, EraseChannel(0.5)) == \
+            equivocation_sort_oracle(code, 0.5)
+
+    @pytest.mark.parametrize("leaf_bits", [0, 1, 3, 7])
+    def test_equal_for_any_leaf_size(self, monkeypatch, leaf_bits):
+        # splits the top bits off down to 2^leaf_bits counts
+        monkeypatch.setattr(binning, "_LEAF_BITS", leaf_bits)
+        for rt, rs in RATE_PAIRS:
+            code = rounded_code(8, rt, rs, 2)
+            assert equivocation_exact(code, EraseChannel(0.3)) == \
+                equivocation_sort_oracle(code, 0.3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 8), data=st.data(),
+           delta=st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]))
+    def test_equal_on_hand_built_codes_with_repeated_words(self, n, data,
+                                                            delta):
+        # words drawn with replacement, so most codebooks repeat some;
+        # any bin count and bin size, not only powers of two
+        shape = (data.draw(st.integers(1, 8), label="bins"),
+                 data.draw(st.integers(1, 8), label="bin_size"))
+        words = data.draw(st.lists(st.integers(0, (1 << n) - 1),
+                                   min_size=shape[0] * shape[1],
+                                   max_size=shape[0] * shape[1]),
+                          label="words")
+        code = WiretapCode(n=n, rate_total=1.0, rate_secret=0.5,
+                           bins=np.array(words).reshape(shape))
+        assert equivocation_exact(code, EraseChannel(delta)) == \
+            equivocation_sort_oracle(code, delta)
+
+
+def naive_run_lengths(rows, size):
+    hist = np.zeros(size, dtype=np.int64)
+    for row in rows.reshape(-1, rows.shape[-1]):
+        for _, run in itertools.groupby(row.tolist()):
+            hist[len(list(run))] += 1
+    return hist
+
+
+class TestRunLengths:
+    @pytest.mark.parametrize("rows", [
+        np.array([[3], [3], [5]]),                  # width 1: bin size 1
+        np.array([[7, 7, 7, 7], [7, 7, 7, 7]]),     # all values equal
+        np.array([[1, 2, 2], [2, 2, 3], [3, 4, 4]]),  # runs meet row ends
+        np.array([[0, 0, 1, 1], [1, 1, 2, 2]]),     # every run at an end
+        np.array([[1, 2, 3, 4]]),                   # singletons only
+        np.zeros((0, 4), dtype=np.uint16),          # empty batch
+        np.sort(np.random.default_rng(0).integers(0, 6, (3, 5, 7)), axis=-1),
+    ])
+    def test_matches_groupby(self, rows):
+        size = rows.shape[-1] + 1
+        hist = np.zeros(size, dtype=np.int64)
+        binning._add_run_lengths(rows.astype(np.uint16), hist)
+        assert hist.tolist() == naive_run_lengths(rows, size).tolist()
+
+    def test_adds_to_histogram(self):
+        hist = np.array([0, 1, 2, 3])
+        binning._add_run_lengths(np.array([[4, 4, 5]], dtype=np.uint16), hist)
+        assert hist.tolist() == [0, 2, 3, 3]
+
+
+class TestWorkingSet:
+    # traced peak of the same call on the sort kernel this replaced
+    # (numpy 2.4.6, Python 3.11.7); the group transform must never
+    # build all 3^n cells at once
+    SORT_KERNEL_PEAK_BYTES = 2_281_685
+
+    def test_traced_peak_not_above_sort_kernel(self):
+        code = build_code(12, 1.0, 0.5, 0)
+        ch = EraseChannel(0.5)
+        equivocation_exact(code, ch)  # warm-up, as in the measurement
+        tracemalloc.start()
+        try:
+            equivocation_exact(code, ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.SORT_KERNEL_PEAK_BYTES
 
 
 class TestRandomnessRateLaw:

@@ -16,8 +16,9 @@ Run from the root of a checkout::
         --out BENCH_9.json --confirm-seed 7 \\
         --claim "sim-sweep wall_s falls by at least 1.8x"
 
-With ``--confirm-seed`` the first workload's pairs run once more at a
-second seed, kept under ``confirm``.
+With ``--confirm-seed`` one workload's pairs run once more at a second
+seed, kept under ``confirm``: the workload named by
+``--confirm-workload``, by default the first of BENCHMARK.json.
 """
 
 import argparse
@@ -122,8 +123,12 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--confirm-seed", type=int,
-                        help="run the first workload's pairs again at this "
-                             "seed, one not used while writing the change")
+                        help="run one workload's pairs again at this seed, "
+                             "one not used while writing the change")
+    parser.add_argument("--confirm-workload", choices=WORKLOADS,
+                        default=WORKLOADS[0],
+                        help="the workload --confirm-seed reruns "
+                             "(default: %(default)s)")
     parser.add_argument("--claim", default="")
     parser.add_argument("--note", action="append", default=[])
     args = parser.parse_args(argv)
@@ -134,8 +139,8 @@ def main(argv=None):
         trees = {"parent": parent_tree, "change": change_tree}
         pairs, environment = run_pairs(trees, WORKLOADS, args.pairs, args.seed)
         if args.confirm_seed is not None:
-            confirm, _ = run_pairs(trees, WORKLOADS[:1], args.pairs,
-                                   args.confirm_seed)
+            confirm, _ = run_pairs(trees, [args.confirm_workload],
+                                   args.pairs, args.confirm_seed)
 
     bench = {
         "change": change_rev,
