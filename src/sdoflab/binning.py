@@ -221,7 +221,7 @@ def equivocation_exact(code, ch):
     """
     _check_enumerable(code.n)
     n = code.n
-    if code.bins.min() < 0 or code.bins.max() >> n:
+    if code.bins.min() < 0 or code.bins.max() >= 1 << n:
         raise ValueError(f"codewords must lie in [0, 2^{n})")
     delta = ch.delta
     words = code.bins.astype(np.uint16)  # (bins, bin_size); n <= 12 bits
