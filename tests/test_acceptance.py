@@ -115,7 +115,7 @@ def test_criterion_5_leakage_saturation():
 
 def test_criterion_6_binning_equivocation():
     with criterion(6, "binning equivocation", 60.0):
-        seeds = list(range(10))
+        seeds = list(range(60))
         # analytic endpoints
         code = binning.build_code(12, 1.0, 0.5, 0)
         assert binning.normalized_equivocation(code, binning.EraseChannel(1.0)) \
@@ -123,7 +123,7 @@ def test_criterion_6_binning_equivocation():
         assert binning.normalized_equivocation(code, binning.EraseChannel(0.0)) \
             == 0.0
         # delta = 0.5 with randomness rate 0.5 covering the eavesdropper
-        # capacity: mean normalized equivocation over 10 seeds at n = 12
+        # capacity: mean normalized equivocation over 60 seeds at n = 12
         values = {n: mean[1] for n, _, mean in binning.equivocation_table(
             [4, 8, 12], 0.5, 1.0, 0.5, seeds)}
         assert values[12] >= 0.8, values

@@ -326,7 +326,7 @@ class TestRandomnessRateLaw:
 class TestSecrecyTrend:
     def test_non_decreasing(self):
         values = [mean[1] for _, _, mean in equivocation_table(
-            [4, 8, 12], 0.5, 0.75, 0.25, list(range(5)))]
+            [4, 8, 12], 0.5, 0.75, 0.25, list(range(60)))]
         assert all(b >= a - 0.05 for a, b in zip(values, values[1:]))
 
     def test_rate_pair_from_operation_example_falls_short(self):
@@ -334,7 +334,7 @@ class TestSecrecyTrend:
         # frozen from the exact enumeration (verified against the
         # brute-force oracle above)
         [(_, _, mean)] = equivocation_table([12], 0.5, 0.75, 0.25,
-                                            list(range(10)))
+                                            list(range(60)))
         assert mean[1] == pytest.approx(0.698, abs=0.02)
 
     def test_full_erasure_all_ones(self):

@@ -383,7 +383,7 @@ def test_simulate_builds_each_jammed_trial_once(tmp_path, monkeypatch):
 class TestBinningCommand:
     def test_csv_schema_and_trend(self, tmp_path):
         out = tmp_path / "bins.csv"
-        assert cli.main(["binning", "--n-list", "4,8", "--num-seeds", "3",
+        assert cli.main(["binning", "--n-list", "4,8", "--num-seeds", "60",
                          "--out", str(out)]) == 0
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
