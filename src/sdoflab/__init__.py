@@ -13,7 +13,7 @@ precoders
 rates
     Gaussian mutual information, power sweeps, slope estimation.
 binning
-    Random-binning wiretap codec with exact equivocation.
+    Coset-binning wiretap codec with exact equivocation.
 cli
     Command-line front end.
 """

@@ -1,4 +1,4 @@
-"""Desk-scale wiretap codec: random binning with exact equivocation.
+"""Desk-scale wiretap codec: coset binning with exact equivocation.
 
 A stochastic encoder hides a secret message by mapping it to a *bin* of
 codewords and transmitting a uniformly chosen member of the bin.  The
@@ -10,18 +10,15 @@ nothing about the bin itself.
 The codec here is deliberately small so that secrecy can be *measured*
 instead of bounded: the main channel is noiseless (all codewords are
 distinct) and the eavesdropper sees the codeword through a per-bit
-erasure channel.  The equivocation ``H(W | Z)`` - the conditional
-entropy of the bin index given the eavesdropper observation - is
-computed exactly by marginalizing over all ``2^n`` erasure patterns,
-which is feasible up to ``n = 12`` bits.
-
-The enumeration is integer counting: patterns with the same number of
-erasures share one weight and are pooled.  A ternary subset-sum
-transform of the codeword counts gives the group sizes of every pattern
-over the whole codebook, ``uint16`` sorts of each masked bin give them
-per bin as run lengths, and both go into integer histograms.  Only the
-final contraction with ``x log2 x`` is floating point, so the result
-does not depend on the batch size.
+erasure channel.  The bins are the cosets of a random linear code, the
+wiretap-II construction of Ozarow and Wyner ("Wire-tap channel II",
+BSTJ 1984): a full-rank binary generator ``G`` whose first rows carry
+the message ``W`` and whose other rows ``G_r`` carry the in-bin
+randomness.  An eavesdropper who sees the positions ``O`` then learns
+exactly ``rank(G_O) - rank(G_r,O)`` bits of ``W``, so the equivocation
+``H(W | Z)`` is exact from two GF(2) ranks per erasure pattern,
+marginalized over all ``2^n`` patterns, with no codebook enumeration.
+That is feasible up to ``n = 16`` bits.
 """
 
 import math
@@ -29,18 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_BLOCK_BITS = 16   # construction budget (distinct codewords over {0,1}^n)
-MAX_ENUM_BITS = 12    # exact-equivocation budget (2^n erasure patterns)
-_BATCH_PAIRS = 1 << 16  # (erasure pattern, codeword) pairs masked and sorted at once
-_LEAF_BITS = 10  # group transform leaves: 3^10 cells at once, never all 3^n
+MAX_BLOCK_BITS = 16  # the one budget: block length n, 2^n erasure patterns
 
 
 class CodeTooLarge(ValueError):
     """Requested codebook does not fit the block length or budget."""
-
-
-class EnumerationBudgetExceeded(ValueError):
-    """Block length too large for exact equivocation enumeration."""
 
 
 @dataclass(frozen=True)
@@ -60,33 +50,6 @@ def _integral_bits(n, rate, what):
     if not math.isfinite(k) or abs(k - round(k)) > 1e-9:
         raise ValueError(f"n * {what} = {k} is not an integer")
     return int(round(k))
-
-
-@dataclass(frozen=True)
-class WiretapCode:
-    """A random-binning codebook ``C(rate_total, rate_secret, n)``.
-
-    ``bins[w, v]`` is the integer codeword for message ``w`` and in-bin
-    index ``v``; all codewords are distinct, so the noiseless main
-    channel decodes by exact lookup.
-    """
-
-    n: int
-    rate_total: float
-    rate_secret: float
-    bins: np.ndarray
-
-    @property
-    def num_bins(self):
-        return self.bins.shape[0]
-
-    @property
-    def bin_size(self):
-        return self.bins.shape[1]
-
-    @property
-    def num_codewords(self):
-        return self.bins.size
 
 
 def _code_bits(n, rate_total, rate_secret):
@@ -113,78 +76,112 @@ def _code_bits(n, rate_total, rate_secret):
     return k_total, k_secret
 
 
-def build_code(n, rate_total, rate_secret, seed):
-    """Draw a random-binning codebook, deterministic given ``seed``.
+def _row_rank(G):
+    """Rank over GF(2) of the 0/1 matrix ``G``."""
+    pivots = {}  # top bit -> the reduced row that has it
+    for row in G:
+        v = sum(int(b) << j for j, b in enumerate(row))
+        while v and v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if v:
+            pivots[v.bit_length()] = v
+    return len(pivots)
 
-    ``2^{n * rate_total}`` distinct codewords are drawn uniformly from
-    ``{0,1}^n`` (i.i.d. draws with collisions resampled) and distributed
-    randomly into ``2^{n * rate_secret}`` equal bins.
+
+@dataclass(frozen=True)
+class WiretapCode:
+    """A coset code ``C(rate_total, rate_secret, n)`` given by its generator.
+
+    ``G`` is a full-rank ``(n * rate_total, n)`` matrix over GF(2).  The
+    codeword of message ``w`` and in-bin index ``v`` is ``[w | v] G``:
+    rows ``0 .. k_secret - 1`` carry ``w``, the other rows ``G_r`` carry
+    ``v``, and position ``j`` is column ``j``.  Full rank makes all
+    codewords distinct, so the noiseless main channel decodes by exact
+    lookup.  Raises ``ValueError`` on bad sizes (as :func:`build_code`)
+    or a generator of the wrong shape, with an entry other than 0 and 1,
+    or of deficient rank.
+    """
+
+    n: int
+    rate_total: float
+    rate_secret: float
+    G: np.ndarray
+
+    def __post_init__(self):
+        k_total, _ = _code_bits(self.n, self.rate_total, self.rate_secret)
+        shape = np.shape(self.G)
+        if shape != (k_total, self.n):
+            raise ValueError(f"generator must have shape ({k_total}, {self.n}), "
+                             f"got {shape}")
+        if not np.isin(self.G, (0, 1)).all():
+            raise ValueError("generator entries must be 0 or 1")
+        if _row_rank(self.G) < k_total:
+            raise ValueError("generator rows are linearly dependent over GF(2)")
+
+    @property
+    def k_secret(self):
+        """Message bits ``n * rate_secret``: the rows of ``G`` that carry ``W``."""
+        return _code_bits(self.n, self.rate_total, self.rate_secret)[1]
+
+
+def build_code(n, rate_total, rate_secret, seed):
+    """Draw a random coset code, deterministic given ``seed``.
+
+    The generator is a uniform ``(n * rate_total, n)`` binary matrix,
+    redrawn until it has full row rank over GF(2); its first
+    ``n * rate_secret`` rows carry the message.  The bins are the
+    ``2^{n * rate_secret}`` cosets of the code spanned by the other rows.
 
     Raises
     ------
     CodeTooLarge
         If the codebook cannot be distinct (``rate_total > 1``) or the
-        block length exceeds the construction budget.
+        block length exceeds the budget ``MAX_BLOCK_BITS``.
     ValueError
         If ``n < 1``, a rate is negative, ``n * rate`` is not an integer
         or ``rate_secret > rate_total``.
     """
-    k_total, k_secret = _code_bits(n, rate_total, rate_secret)
+    k_total, _ = _code_bits(n, rate_total, rate_secret)
     rng = np.random.default_rng(seed)
-    total = 1 << k_total
-    # Uniform distinct codewords. Sampling without replacement has the
-    # same law as i.i.d. drawing with collisions resampled, without the
-    # coupon-collector blowup when the codebook fills the whole space.
-    words = rng.choice(1 << n, size=total, replace=False)
-    bins = words.reshape(1 << k_secret, 1 << (k_total - k_secret))
-    return WiretapCode(n=n, rate_total=float(rate_total),
-                       rate_secret=float(rate_secret), bins=bins)
+    while True:
+        G = rng.integers(0, 2, size=(k_total, n), dtype=np.uint8)
+        if _row_rank(G) == k_total:
+            return WiretapCode(n=n, rate_total=float(rate_total),
+                               rate_secret=float(rate_secret), G=G)
 
 
-def _check_enumerable(n):
-    if n > MAX_ENUM_BITS:
-        raise EnumerationBudgetExceeded(
-            f"block length {n} exceeds enumeration budget {MAX_ENUM_BITS}")
+def _leaked_bits(G, k_secret):
+    """``rank(G_O) - rank(G_r,O)`` for every set ``O`` of observed columns,
+    indexed by its bitmask (bit ``j``: column ``j``).
 
-
-def _add_run_lengths(rows, hist):
-    """Add the lengths of the runs of equal values in each row of the
-    sorted ``rows`` (runs along the last axis) into ``hist``."""
-    width = rows.shape[-1]
-    flat = rows.reshape(-1)
-    # same[i]: flat[i] continues the run of flat[i - 1] within its row
-    same = np.zeros(flat.size + 1, dtype=bool)
-    np.equal(flat[1:], flat[:-1], out=same[1:-1])
-    same[::width] = False  # every row start, and the end sentinel
-    # only runs longer than 1 have edges: a rise and a fall of ``same``
-    edges = np.flatnonzero(same[1:] != same[:-1])
-    lens = edges[1::2] - edges[::2] + 1
-    hist += np.bincount(lens, minlength=hist.size)
-    hist[1] += flat.size - lens.sum()
-
-
-def _add_group_counts(x, k, hist):
-    """Ternary subset-sum transform: add 1 to ``hist[k + j, c]`` for every
-    (erasure pattern, observation) of the bits of ``x`` with ``j``
-    erasures that ``c`` codewords match, ``x[v]`` counting the codewords
-    that read ``v`` there and ``k`` the erasures fixed above them.
+    Row ``i`` of ``G`` is bit ``i`` of each column's ``uint32`` mask.  The
+    subsets grow one column at a time: subset ``s`` keeps an XOR basis
+    of its columns in echelon form, ``basis[p, s]`` being the vector with
+    top bit ``p`` (0 if none), and column ``j`` is reduced against the
+    bases of all ``2^j`` subsets without it at once.  It adds 1 to
+    ``rank(G_O)`` unless it reduces to 0, and to ``rank(G_r,O)`` too
+    unless its top bit is a message row: the difference counts the
+    pivots below ``k_secret``, which span the observed combinations
+    free of ``G_r``.
     """
-    half = x.size >> 1
-    if x.size > 1 << _LEAF_BITS:  # top bit read as 0, as 1, or erased
-        _add_group_counts(x[:half], k, hist)
-        _add_group_counts(x[half:], k, hist)
-        _add_group_counts(x[:half] + x[half:], k + 1, hist)
-        return
-    # levels[j]: one row per cell with j erasures, over the bits left
-    levels = [x[None, :]]
-    while half:
-        none = np.empty((0, half), dtype=x.dtype)
-        kept = [a.reshape(-1, half) for a in levels]
-        erased = [a[:, :half] + a[:, half:] for a in levels]
-        levels = [np.concatenate(p) for p in zip(kept + [none], [none] + erased)]
-        half >>= 1
-    for j, cells in enumerate(levels):
-        hist[k + j] += np.bincount(cells.reshape(-1), minlength=hist.shape[1])
+    k_total, n = G.shape
+    shifts = np.arange(k_total, dtype=np.uint32)[:, None]
+    columns = np.bitwise_or.reduce(np.asarray(G, dtype=np.uint32) << shifts,
+                                   axis=0)
+    leaked = np.zeros(1 << n, dtype=np.uint8)
+    basis = np.zeros((k_total, 1 << (n - 1)), dtype=np.uint32)
+    for j, column in enumerate(columns):
+        size = 1 << j  # subsets of columns 0 .. j - 1
+        v = np.full(size, column, dtype=np.uint32)
+        for p in range(k_total - 1, -1, -1):
+            v ^= basis[p, :size] * ((v >> p) & 1)
+        top = np.frexp(v)[1] - 1  # -1 where v reduced to 0
+        leaked[size:2 * size] = leaked[:size] + ((top >= 0) & (top < k_secret))
+        if j + 1 < n:  # the last column's subsets need no basis
+            basis[:, size:2 * size] = basis[:, :size]
+            new = np.flatnonzero(v)
+            basis[top[new], size + new] = v[new]
+    return leaked
 
 
 def equivocation_exact(code, ch):
@@ -192,73 +189,41 @@ def equivocation_exact(code, ch):
 
     ``W`` is the bin index (uniform), the transmitted codeword is
     uniform in its bin, and ``Z`` is the codeword with every bit erased
-    independently with probability ``delta``.  The entropy is computed
-    by enumerating erasure patterns: conditioned on a pattern, ``Z``
-    reveals the unerased bits, so the posterior on ``W`` is proportional
-    to how many codewords of each bin match them.  Writing ``c_g`` for
-    the number of codewords matching observation ``g`` and ``c_gw`` for
-    the number of bin-``w`` codewords among them, the pattern's
-    contribution is ``(sum_g c_g log2 c_g - sum_gw c_gw log2 c_gw) / total``.
+    independently with probability ``delta``.  Given the observed
+    positions ``O``, ``Z`` is ``[w | v] G_O``, and the eavesdropper
+    learns exactly ``rank(G_O) - rank(G_r,O)`` bits of ``W``: the
+    posterior on ``W`` is uniform on a coset of that codimension.  So
 
-    A pattern's weight ``delta^k (1 - delta)^(n - k)`` depends only on
-    its number ``k`` of erasures, so the counts of all patterns with the
-    same ``k`` are pooled into integer histograms per ``k`` (how many
-    groups of each size).  The ``c_g`` of every pattern and observation
-    come from one ternary subset-sum transform of the codeword counts
-    over ``{0,1}^n`` (:func:`_add_group_counts`, ``3^n`` cells).  For
-    the ``c_gw``, batches of patterns mask the codebook to their
-    observed bits, and a ``uint16`` sort of each masked bin turns them
-    into run lengths.  The entropy is the one contraction
-    ``weight @ ((group_hist - joint_hist) @ xlogx) / total``.  The
-    histograms are exact integers, so the result does not depend on
-    the batch size or the order in which patterns are visited.
-    Patterns of weight 0 are left out of both histograms.
+        ``H(W | Z) = k_s - sum_k delta^k (1 - delta)^(n - k) L_k``,
+
+    where ``L_k`` sums the leaked bits over the patterns with ``k``
+    erasures (:func:`_leaked_bits`, every pattern's ranks from one
+    DP over the ``2^n`` column subsets).  The ``L_k`` are exact integer
+    sums, so the one float contraction does not depend on the order in
+    which patterns are visited.
 
     Exact at the endpoints: ``delta = 1`` gives ``n * rate_secret``
     and ``delta = 0`` gives ``0``.
-
-    Raises ``ValueError`` if a codeword lies outside ``[0, 2^n)``.
     """
-    _check_enumerable(code.n)
-    n = code.n
-    if code.bins.min() < 0 or code.bins.max() >= 1 << n:
-        raise ValueError(f"codewords must lie in [0, 2^{n})")
-    delta = ch.delta
-    words = code.bins.astype(np.uint16)  # (bins, bin_size); n <= 12 bits
-    total = words.size
+    n, delta, k_secret = code.n, ch.delta, code.k_secret
+    leaked = _leaked_bits(code.G, k_secret)
+    # erasure count of every pattern, in the same subset order
+    erased = np.empty(1 << n, dtype=np.intp)
+    erased[0] = n
+    for j in range(n):
+        erased[1 << j:2 << j] = erased[:1 << j] - 1
+    # integer sums below 2^21, so exact in float64 in any order
+    per_k = np.bincount(erased, weights=leaked, minlength=n + 1)
     pattern_weight = np.array(
         [delta ** k * (1.0 - delta) ** (n - k) for k in range(n + 1)])
-    # erasure count (popcount) of every pattern 0 .. 2^n - 1
-    erasures = np.zeros(1, dtype=np.intp)
-    for _ in range(n):
-        erasures = np.concatenate([erasures, erasures + 1])
-
-    # hist[k, c]: groups of c codewords, over all patterns with k erasures
-    group_hist = np.zeros((n + 1, total + 1), dtype=np.int64)
-    _add_group_counts(np.bincount(words.reshape(-1), minlength=1 << n), 0,
-                      group_hist)
-    group_hist[:, 0] = 0  # observations no codeword matches
-    group_hist[pattern_weight == 0.0] = 0
-    joint_hist = np.zeros_like(group_hist)
-    batch = max(1, _BATCH_PAIRS // total)
-    full = (1 << n) - 1
-    for k in np.flatnonzero(pattern_weight > 0.0):
-        observed = (full ^ np.flatnonzero(erasures == k)).astype(np.uint16)
-        for start in range(0, observed.size, batch):
-            masked = words & observed[start:start + batch, None, None]
-            _add_run_lengths(np.sort(masked, axis=-1), joint_hist[k])
-
-    counts = np.arange(total + 1)
-    xlogx = counts * np.log2(np.maximum(counts, 1))
-    return float(pattern_weight @ ((group_hist - joint_hist) @ xlogx)) / total
+    return k_secret - float(pattern_weight @ per_k)
 
 
 def normalized_equivocation(code, ch):
     """``H(W | Z) / H(W)``; 1.0 means perfect secrecy of the bin index."""
-    secret_bits = _integral_bits(code.n, code.rate_secret, "rate_secret")
-    if secret_bits == 0:
+    if code.k_secret == 0:
         raise ValueError("code carries no secret message (rate_secret = 0)")
-    return equivocation_exact(code, ch) / secret_bits
+    return equivocation_exact(code, ch) / code.k_secret
 
 
 def equivocation_table(n_list, delta, rate_total, rate_secret, seeds):
@@ -269,15 +234,12 @@ def equivocation_table(n_list, delta, rate_total, rate_secret, seeds):
     seed average.  ``normalized`` and ``mean`` are ``None`` when there
     is no secret message (``rate_secret = 0``) or, for ``mean``, no seed.
 
-    Every block length is checked against the code sizes and the
-    enumeration budget before any code is enumerated, so a bad entry
-    anywhere in ``n_list`` fails at once.
+    Every block length is checked against the code sizes and the budget
+    before any code is built, so a bad entry anywhere in ``n_list``
+    fails at once.
     """
     ch = EraseChannel(delta)
-    secret_bits = []
-    for n in n_list:
-        secret_bits.append(_code_bits(n, rate_total, rate_secret)[1])
-        _check_enumerable(n)
+    secret_bits = [_code_bits(n, rate_total, rate_secret)[1] for n in n_list]
     table = []
     for n, bits in zip(n_list, secret_bits):
         rows = []

@@ -12,7 +12,7 @@ secure DoF directly.
 
 The Monte-Carlo secrecy quantity is the receiver rate minus the worst
 eavesdropper's leakage, a finite-power surrogate for the achievable
-secrecy sum rate; the random-binning codec (see :mod:`sdoflab.binning`),
+secrecy sum rate; the coset-binning codec (see :mod:`sdoflab.binning`),
 not this difference, carries the formal secrecy argument.
 
 Conventions: the noise variance is 1, so only ``P / sigma^2``
@@ -255,13 +255,14 @@ def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
 
     streams = TrialStreams(seed, trials)  # raises on a bad seed or count
     for start in range(0, trials, block):
-        rngs = streams.block(start, min(block, trials - start),
-                             (0, 1, 2) if jamming else (0, 2))
+        size = min(block, trials - start)
+        rngs = streams.block(start, size, (0, 1, 2) if jamming else (0, 2))
         vl, vj, grams, eves = _build_block(cfg, plan, ext, rngs, eve_counts)
+        del rngs  # the block's draws are taken; free its generators
         has_jam = vj[0].shape[-1] + vj[1].shape[-1] > 0
         legit_p = (1.0 - alpha) * powers if has_jam else powers
         rates = _block_receiver_rates(vl, grams, ext, legit_p)
-        leaks = np.zeros((len(rngs), len(powers), len(eve_counts)))
+        leaks = np.zeros((size, len(powers), len(eve_counts)))
         for j, g_pair in enumerate(eves):
             leaks[:, :, j] = _block_leakage(vl, vj, g_pair, ext, alpha,
                                             powers, legit_p)

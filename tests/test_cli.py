@@ -405,10 +405,14 @@ class TestBinningCommand:
         rows = list(csv.reader(out.read_text().splitlines()))
         assert all(float(r[3]) == 0.0 for r in rows[1:])
 
-    def test_budget_exceeded(self, capsys):
-        # n = 16 builds (block budget) but exceeds the enumeration budget
-        assert cli.main(["binning", "--n-list", "16"]) == 1
-        assert "binning failed" in capsys.readouterr().err
+    def test_budget_exceeded(self, tmp_path, capsys):
+        # n = 16 is the one budget, binning.MAX_BLOCK_BITS; 17 exceeds it
+        out = tmp_path / "bins.csv"
+        assert cli.main(["binning", "--n-list", "16", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 10 + 1
+        assert cli.main(["binning", "--n-list", "17"]) == 1
+        assert capsys.readouterr().err == \
+            "binning failed: block length 17 exceeds budget 16\n"
 
     @pytest.mark.parametrize("extra", [
         ["--rate-total", "inf"],
@@ -418,12 +422,12 @@ class TestBinningCommand:
         ["--rate-total", "-1", "--rate-secret=-2"],
         ["--n-list", "0"],
         ["--n-list", "12,0"],
-        ["--n-list", "12,13", "--rate-total", "1.0", "--rate-secret", "1.0"],
+        ["--n-list", "12,17", "--rate-total", "1.0", "--rate-secret", "1.0"],
         ["--n-list", ","],
         ["--n-list", "9" * 400],
     ], ids=["rate-total=inf", "rate-secret=inf", "num-seeds-over-limit",
             "n-list=-4", "negative-rates", "n-list=0", "n-list=12,0",
-            "n-list=12,13-over-budget", "n-list=,", "n-list=400-digits"])
+            "n-list=12,17-over-budget", "n-list=,", "n-list=400-digits"])
     def test_bad_input_one_line(self, tmp_path, capsys, extra):
         out = tmp_path / "bins.csv"
         assert cli.main(["binning", "--n-list", "4", "--out", str(out)]
@@ -434,7 +438,7 @@ class TestBinningCommand:
 
     @pytest.mark.parametrize("extra", [
         ["--n-list", "12,0"],
-        ["--n-list", "12,13", "--rate-total", "1.0", "--rate-secret", "1.0"],
+        ["--n-list", "12,17", "--rate-total", "1.0", "--rate-secret", "1.0"],
     ])
     def test_bad_late_block_length_enumerates_nothing(self, monkeypatch,
                                                       capsys, extra):

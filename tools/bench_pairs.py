@@ -8,8 +8,11 @@ the script runs
 
 with T the benchmark's ``run_seconds``, on both trees back to back, the
 parent first in odd pairs and the change first in even pairs, and keeps
-each run's end-to-end metrics, output check and output digests.  It then writes, per workload and metric, each side's
-median, the parent's quartile spread, and how many pairs the change won.
+each run's end-to-end metrics, output check and output digests.  It
+then writes, per workload and metric, each side's median, the parent's
+quartile spread, and how many pairs the change won; and per workload,
+under ``outputs``, how many pairs wrote the same outputs and how many
+runs of each side passed the output check.
 Run from the root of a checkout::
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD \\
@@ -91,6 +94,26 @@ def medians(pairs):
     return out
 
 
+def outputs(pairs):
+    """How many pairs wrote the same outputs on both sides, and how many
+    runs of each side passed the benchmark's output check."""
+    return {
+        "pairs": len(pairs),
+        "same_outputs": sum(p["same_outputs"] for p in pairs),
+        "check_passed": {side: sum(p[side]["correct"] for p in pairs)
+                         for side in ("parent", "change")},
+    }
+
+
+def report(seed, summary):
+    """One stderr line per workload of ``outputs`` summaries."""
+    for workload, s in summary.items():
+        print(f"seed {seed} {workload}: same outputs {s['same_outputs']}/"
+              f"{s['pairs']} pairs; check passed parent "
+              f"{s['check_passed']['parent']}/{s['pairs']}, change "
+              f"{s['check_passed']['change']}/{s['pairs']}", file=sys.stderr)
+
+
 def run_pairs(trees, workloads, count, seed):
     """``count`` alternating pairs per workload; returns (pairs, environment)."""
     pairs, environment = {}, None
@@ -153,6 +176,7 @@ def main(argv=None):
                    f"change ran back to back, parent first in odd pairs and "
                    f"change first in even pairs"),
         "notes": args.note,
+        "outputs": {w: outputs(p) for w, p in pairs.items()},
         "pairs": pairs,
         "parent": parent_rev,
     }
@@ -160,10 +184,14 @@ def main(argv=None):
         bench["confirm"] = {
             "seed": args.confirm_seed,
             "medians": {w: medians(p) for w, p in confirm.items()},
+            "outputs": {w: outputs(p) for w, p in confirm.items()},
             "pairs": confirm,
         }
     Path(args.out).write_text(json.dumps(bench, indent=1, sort_keys=True)
                               + "\n")
+    report(args.seed, bench["outputs"])
+    if args.confirm_seed is not None:
+        report(args.confirm_seed, bench["confirm"]["outputs"])
 
 
 if __name__ == "__main__":
