@@ -78,9 +78,9 @@ def _code_bits(n, rate_total, rate_secret):
 
 def _row_rank(G):
     """Rank over GF(2) of the 0/1 matrix ``G``."""
+    rows = np.asarray(G, dtype=np.int64)
     pivots = {}  # top bit -> the reduced row that has it
-    for row in G:
-        v = sum(int(b) << j for j, b in enumerate(row))
+    for v in (rows << np.arange(rows.shape[1])).sum(axis=1).tolist():
         while v and v.bit_length() in pivots:
             v ^= pivots[v.bit_length()]
         if v:
@@ -164,7 +164,7 @@ def _leaked_bits(G, k_secret):
     pivots below ``k_secret``, which span the observed combinations
     free of ``G_r``.
     """
-    k_total, n = G.shape
+    k_total, n = np.shape(G)
     shifts = np.arange(k_total, dtype=np.uint32)[:, None]
     columns = np.bitwise_or.reduce(np.asarray(G, dtype=np.uint32) << shifts,
                                    axis=0)
