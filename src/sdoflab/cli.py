@@ -168,7 +168,7 @@ def grid_rows(max_antennas):
         case = regions.classify_case(cfg)
         bounds = regions.upper_bound_terms(cfg)
         plan_ok = regions.verify_plan_arithmetic(
-            cfg, regions.jamming_plan(cfg), ds)
+            cfg, regions.jamming_plan(cfg))
         key = (cfg.m1, cfg.m2, cfg.n, cfg.ne)
         if ds != min(bounds):
             violations.append(f"{key}: D_s {_fmt_frac(ds)} != min bound "
@@ -215,7 +215,7 @@ def cmd_simulate(args):
             data.update({k: v for k in ("seed", "trials", "alpha")
                          if (v := getattr(args, k)) is not None})
         exp = ExperimentConfig.from_dict(data)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         return _fail(f"bad config: {exc}", 1)
     stem = args.out if args.out else exp.output_path
     jamming = not args.no_jamming

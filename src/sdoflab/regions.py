@@ -24,12 +24,15 @@ max(m2,n) - ne)/2)``.  The strict-inequality boundaries ``m1 = n`` and
 budget ``[m_i - n]+ = 0``; the grid test confirms the case formula
 equals the min-expression everywhere.
 
-The planner turns each case into jamming budgets per transmitter
-(random / aligned / nullspace columns), the number of receiver
-dimensions the jamming occupies, and the legitimate stream split.  A
-half-integer aligned share (odd effective ``ne``) is realized by a
-two-symbol time extension, so every recorded dimension is an integer
-per extended block and all bookkeeping stays exact.
+The planner does not read the cases.  It counts dimensions for the
+cooperative-jamming scheme: each transmitter puts jamming into its
+channel nullspace first, then into aligned pairs in the shared part of
+the received signal spaces, then into random columns, and the streams
+take the receiver dimensions the jamming leaves free.  A half aligned
+pair (odd remaining ``ne``) is made whole by a two-symbol time
+extension, so every count is an integer per extended block.  The
+streams it finds equal the closed form times the extension, which
+:func:`verify_plan_arithmetic` checks.
 """
 
 import enum
@@ -155,11 +158,7 @@ def sum_sdof(cfg):
     cfg = canonical(cfg)
     if is_degenerate(cfg):
         return Fraction(0)
-    return _case_sdof(cfg, classify_case(cfg))
-
-
-def _case_sdof(cfg, case):
-    """The closed form of canonical ``cfg`` in its case region ``case``."""
+    case = classify_case(cfg)
     if case in _C1_CASES:
         return Fraction(cfg.m - cfg.ne)
     if case in _C2_CASES:
@@ -187,115 +186,64 @@ def _parts(*pairs):
 
 
 def jamming_plan(cfg):
-    """Jamming budgets and stream split realizing the SDoF of ``cfg``.
+    """Jamming budgets and stream split of the achievability scheme.
 
-    The construction follows the case region:
+    One dimension count, read from ``(m1, m2, n, ne)`` alone:
 
-    * ``M <= n``: random jamming only, filling transmitter 1 first.
-    * ``m1 < n``, large ``ne``: both align ``M - n`` columns into the
-      intersection of the received signal spaces; the remaining
-      ``ne - 2(M-n)`` random columns go wherever antenna budget remains.
-    * ``m1 < n``, small ``ne``: aligned jamming alone, ``ne/2`` columns
-      each; an odd ``ne`` triggers the two-symbol extension.
-    * ``m1 >= n > m2``: the nullspace of the first channel absorbs
-      ``[m1-n]+`` columns; the remainder is aligned (and, past the
-      aligned capacity of transmitter 2, random).
-    * ``m1, m2 >= n``: both transmitters jam their channel nullspaces
-      and align the remainder.
-    * C3: nullspace jamming alone; the receiver keeps all ``n``
-      dimensions jamming free.
+    * Nullspace first: transmitter ``i`` hides ``null_i`` jamming
+      columns in its channel nullspace, ``null1 = min(ne, [m1-n]+)``
+      and ``null2 = min(ne - null1, [m2-n]+)``.  They cost the receiver
+      nothing.  ``rem = ne - null1 - null2`` columns remain.
+    * Aligned next: the two received signal spaces share
+      ``shared = [min(m1,n) + min(m2,n) - n]+`` dimensions, and each
+      aligned pair occupies one of them with two jamming columns.  An
+      odd ``rem`` below ``2 shared`` asks for a half pair, which the
+      two-symbol extension (``extension = 2``) makes whole.  The aligned
+      count per transmitter is ``a = min(ext rem / 2, ext shared)``.
+    * Random last: ``jr = ext rem - 2a`` columns, one receiver
+      dimension each, filling transmitter 1 first.
 
-    Stream counts satisfy ``d1 + d2 = extension * sum_sdof(cfg)`` with
-    the deterministic split rule "fill transmitter 1 first".
+    The jamming occupies ``j_s = a + jr`` receiver dimensions.  The
+    streams take ``min(ext n - j_s, ext (M - ne))`` dimensions, the
+    receiver's jamming-free ones or the transmit ones the jamming left,
+    whichever is fewer, split by "fill transmitter 1 first".  All counts
+    are per extended block, and the parts of each transmitter are listed
+    nullspace, aligned, random.
     """
     cfg = _require_usable(cfg)
     m1, m2, n, ne = cfg.m1, cfg.m2, cfg.n, cfg.ne
-    m = cfg.m
-    case = classify_case(cfg)
-
-    if case is CaseId.C1_MleN:
-        ext = 1
-        r1 = min(m1, ne)
-        tx1 = _parts((RANDOM, r1))
-        tx2 = _parts((RANDOM, ne - r1))
-        j_s = ne
-    elif case is CaseId.C1_M1ltN_bigNE:
-        ext = 1
-        ja = m - n
-        jr = ne - 2 * ja
-        r1 = min(m1 - ja, jr)
-        tx1 = _parts((ALIGNED, ja), (RANDOM, r1))
-        tx2 = _parts((ALIGNED, ja), (RANDOM, jr - r1))
-        j_s = ja + jr
-    elif case is CaseId.C2_M1ltN:
-        ext = 1 if ne % 2 == 0 else 2
-        a = ext * ne // 2
-        tx1 = _parts((ALIGNED, a))
-        tx2 = _parts((ALIGNED, a))
-        j_s = a
-    elif case is CaseId.C2_M1gtN_M2ltN:
-        null1 = m1 - n
-        rem = ne - null1
-        ext = 1 if rem % 2 == 0 else 2
-        a = ext * rem // 2
-        tx1 = _parts((NULLSPACE, ext * null1), (ALIGNED, a))
-        tx2 = _parts((ALIGNED, a))
-        j_s = a
-    elif case is CaseId.C1_M1gtN_M2ltN_bigNE:
-        ext = 1
-        null1 = m1 - n
-        ja = m2
-        jr = ne - null1 - 2 * ja
-        tx1 = _parts((NULLSPACE, null1), (ALIGNED, ja), (RANDOM, jr))
-        tx2 = _parts((ALIGNED, ja))
-        j_s = ja + jr
-    elif case is CaseId.C2_M1gtN_M2geN:
-        null1, null2 = m1 - n, m2 - n
-        rem = ne - null1 - null2
-        ext = 1 if rem % 2 == 0 else 2
-        a = ext * rem // 2
-        tx1 = _parts((NULLSPACE, ext * null1), (ALIGNED, a))
-        tx2 = _parts((NULLSPACE, ext * null2), (ALIGNED, a))
-        j_s = a
-    else:  # C3: nullspace jamming alone
-        ext = 1
-        n1 = min(ne, m1 - n)
-        tx1 = _parts((NULLSPACE, n1))
-        tx2 = _parts((NULLSPACE, ne - n1))
-        j_s = 0
-
-    d_frac = Fraction(ext) * _case_sdof(cfg, case)
-    if d_frac.denominator != 1:
-        raise RuntimeError(f"extension {ext} does not clear the half-integer "
-                           f"stream count for {cfg}")
-    d_total = int(d_frac)
-    jam1 = sum(p.dims for p in tx1)
-    jam2 = sum(p.dims for p in tx2)
-    d1 = min(ext * m1 - jam1, d_total)
-    d2 = d_total - d1
-    if not 0 <= d2 <= ext * m2 - jam2:
-        raise RuntimeError(f"stream split infeasible for {cfg}: "
-                           f"d1={d1}, d2={d2}")
-    return JammingPlan(ext, tx1, tx2, j_s, d1, d2)
+    null1 = min(ne, max(m1 - n, 0))
+    null2 = min(ne - null1, max(m2 - n, 0))
+    rem = ne - null1 - null2
+    shared = max(min(m1, n) + min(m2, n) - n, 0)
+    ext = 2 if rem % 2 and rem < 2 * shared else 1
+    a = min(ext * rem // 2, ext * shared)
+    jr = ext * rem - 2 * a
+    free1 = ext * (m1 - null1) - a
+    r1 = min(free1, jr)
+    tx1 = _parts((NULLSPACE, ext * null1), (ALIGNED, a), (RANDOM, r1))
+    tx2 = _parts((NULLSPACE, ext * null2), (ALIGNED, a), (RANDOM, jr - r1))
+    j_s = a + jr
+    d_total = min(ext * n - j_s, ext * (cfg.m - ne))
+    d1 = min(free1 - r1, d_total)
+    return JammingPlan(ext, tx1, tx2, j_s, d1, d_total - d1)
 
 
-def verify_plan_arithmetic(cfg, plan, sdof=None):
+def verify_plan_arithmetic(cfg, plan):
     """Exact check of all plan invariants against the closed form.
 
     True iff, per extended block: the jamming columns sum to
     ``extension * ne``, the streams sum to ``extension * sum_sdof(cfg)``,
     each transmitter has antenna budget for its streams past the
     jamming, and the receiver keeps at least ``d1 + d2`` jamming-free
-    dimensions (``extension * n - j_s >= d1 + d2``).  A caller that
-    already holds ``sum_sdof(cfg)`` passes it as ``sdof``.
+    dimensions (``extension * n - j_s >= d1 + d2``).  The planner never
+    reads the closed form, so this compares two independent counts.
     """
     cfg = canonical(cfg)
     ext = plan.extension
-    if sdof is None:
-        sdof = sum_sdof(cfg)
     if plan.total_jam_dims() != ext * cfg.ne:
         return False
-    if Fraction(plan.d1 + plan.d2) != Fraction(ext) * sdof:
+    if Fraction(plan.d1 + plan.d2) != Fraction(ext) * sum_sdof(cfg):
         return False
     if not 0 <= plan.d1 <= ext * cfg.m1 - plan.jam_dims(1):
         return False

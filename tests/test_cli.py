@@ -183,6 +183,18 @@ class TestSimulateBadInput:
         assert cli.main(["simulate", "--config", str(cfg)]) == 1
         assert "JSON object" in capsys.readouterr().err
 
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        # deep enough that json.load runs out of recursion depth
+        cfg = tmp_path / "exp.json"
+        cfg.write_text("[" * 200_000 + "]" * 200_000)
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "bad")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bad config: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "bad.csv").exists()
+        assert not (tmp_path / "bad.json").exists()
+
     def test_failed_geometry_names_the_check(self, tmp_path, capsys,
                                              monkeypatch):
         # Every zero-forcing residual exceeds a zero tolerance.

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdoflab.cli import MAX_ANTENNAS
+from sdoflab.cli import MAX_ANTENNAS, iter_canonical_configs
 from sdoflab.model import AntennaConfig
 from sdoflab.regions import (ALIGNED, NULLSPACE, RANDOM, CaseId,
                              DegenerateConfig, JammingPart, JammingPlan,
@@ -138,6 +139,29 @@ class TestJammingPlan:
         assert plan.tx2_parts == ()
         assert plan.j_s == 0
         assert plan.d1 + plan.d2 == 2
+
+    def test_aligned_plus_random_m1_below_n(self):
+        plan = jamming_plan(AntennaConfig(2, 2, 3, 3))
+        assert plan.extension == 1
+        assert part_tuples(plan.tx1_parts) == [(ALIGNED, 1), (RANDOM, 1)]
+        assert part_tuples(plan.tx2_parts) == [(ALIGNED, 1)]
+        assert plan.j_s == 2
+        assert (plan.d1, plan.d2) == (0, 1)
+
+    def test_nullspace_only_both_above_n(self):
+        plan = jamming_plan(AntennaConfig(3, 2, 2, 1))
+        assert plan.extension == 1
+        assert part_tuples(plan.tx1_parts) == [(NULLSPACE, 1)]
+        assert plan.tx2_parts == ()
+        assert plan.j_s == 0
+        assert (plan.d1, plan.d2) == (2, 0)
+
+    def test_plans_pinned_up_to_10_antennas(self):
+        # digest of the plans of the seven-case planner this rule replaced
+        text = "\n".join(repr(jamming_plan(c))
+                         for c in iter_canonical_configs(10))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ad5998dcf46628f4bccbcbe06aed7585434ed3e43bc9412f6d255a62a202c472")
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateConfig):

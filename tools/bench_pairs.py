@@ -155,6 +155,9 @@ def main(argv=None):
     parser.add_argument("--claim", default="")
     parser.add_argument("--note", action="append", default=[])
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2: the parent's quartile "
+                     "spread needs two runs")
 
     with tempfile.TemporaryDirectory() as scratch:
         parent_tree, parent_rev = export(args.parent, scratch, "parent")
