@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import binning, matlin, precoders, rates, regions
-from .model import AntennaConfig, InvalidConfig, canonical, validate
+from .model import AntennaConfig, InvalidConfig, canonical, is_degenerate
 
 GRID_CSV_HEADER = ["m1", "m2", "n", "ne", "case", "ds_num", "ds_den",
                    "bound1", "bound2", "bound3", "plan_ok"]
@@ -74,8 +74,10 @@ def _is_number(v):
 class ExperimentConfig:
     """Schema of the ``simulate`` JSON config file (unknown keys rejected).
 
-    Every value is checked on construction; bad values raise
-    ``ValueError``.
+    Every value is checked on construction (``ValueError``): here the
+    exact types, the ``MAX_*`` limits and ``seed >= 0``; the value ranges
+    by `AntennaConfig` and `rates.check_inputs`, the check `rates.sweep`
+    makes.
     """
 
     m1: int
@@ -100,21 +102,19 @@ class ExperimentConfig:
         for name in ("m1", "m2", "n", "ne"):
             check(getattr(self, name) <= MAX_ANTENNAS, name,
                   f"at most {MAX_ANTENNAS}")
-        validate(self.antenna_config())
-        check(1 <= self.trials <= MAX_TRIALS, "trials",
-              f"in [1, {MAX_TRIALS}]")
+        check(self.trials <= MAX_TRIALS, "trials", f"at most {MAX_TRIALS}")
         check(self.seed >= 0, "seed", "nonnegative")
-        check(_is_number(self.alpha) and 0 < self.alpha < 1,
-              "alpha", "a number in (0, 1)")
-        check(isinstance(self.eve_counts, list) and all(
-            type(c) is int and 0 <= c <= self.ne for c in self.eve_counts),
-            "eve_counts", f"a list of integers in [0, {self.ne}]")
+        check(_is_number(self.alpha), "alpha", "a number")
+        check(isinstance(self.eve_counts, list)
+              and all(type(c) is int for c in self.eve_counts),
+              "eve_counts", "a list of integers")
         check(isinstance(self.p_grid, list) and len(self.p_grid) <= MAX_POWERS
               and all(map(_is_number, self.p_grid)), "p_grid",
               f"a list of at most {MAX_POWERS} numbers")
-        rates._check_grid(self.p_grid)
         check(isinstance(self.output_path, str) and "\0" not in self.output_path,
               "output_path", "a string without NUL characters")
+        rates.check_inputs(self.antenna_config(), self.alpha, self.p_grid,
+                           self.trials, self.eve_counts)
 
     @classmethod
     def from_dict(cls, data):
@@ -136,10 +136,9 @@ class ExperimentConfig:
 def cmd_sdof(args):
     try:
         cfg = AntennaConfig(args.m1, args.m2, args.n, args.ne)
-        status = validate(cfg)
     except InvalidConfig as exc:
         return _fail(f"invalid config: {exc}", 1)
-    if status == "degenerate":
+    if is_degenerate(cfg):
         print("D_s = 0 (degenerate: N_E >= M)")
         return 0
     cfg = canonical(cfg)
@@ -223,7 +222,7 @@ def cmd_simulate(args):
         return _fail(f"bad config: output stem {stem!r} names no file", 1)
     jamming = not args.no_jamming
     cfg = exp.antenna_config()
-    if jamming and validate(cfg) == "degenerate":
+    if jamming and is_degenerate(cfg):
         return _fail(f"invalid experiment: {cfg}: secure DoF is zero", 1)
 
     try:
@@ -242,9 +241,9 @@ def cmd_simulate(args):
 
     ds = regions.sum_sdof(cfg)
     summary = {
-        "slope": result.curve.slope,
+        "slope": result.slope,
         "ds_theory": float(ds),
-        "abs_error": abs(result.curve.slope - float(ds)),
+        "abs_error": abs(result.slope - float(ds)),
         "leakage_delta": result.leakage_delta,
     }
     with open(f"{stem}.csv", "w", newline="") as fh:
@@ -256,7 +255,7 @@ def cmd_simulate(args):
     with open(f"{stem}.json", "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    print(f"slope {result.curve.slope:.4f} vs theory {_fmt_frac(ds)} "
+    print(f"slope {result.slope:.4f} vs theory {_fmt_frac(ds)} "
           f"(leakage delta {result.leakage_delta:.4f} bits); wrote {stem}.csv, {stem}.json")
     return 0
 

@@ -10,10 +10,13 @@ sweep evaluates that one draw at every power.  They are kept as
 per-slot blocks; `eve_image` is the one place that applies them to a
 precoder lifted over the slots.
 
-All entries are i.i.d. circularly-symmetric complex Gaussian, so every
-sampled channel is full rank with probability one; this is asserted on
-every draw.  The samplers take one seed or generator per trial;
-`TrialStreams` derives the generators of a block of trials in bulk.
+An `AntennaConfig` is valid once made, and the samplers check nothing
+else: `sdoflab.rates.check_inputs` checks a sweep's eavesdropper counts
+where they enter.  All entries are i.i.d. circularly-symmetric complex
+Gaussian, so every sampled channel is full rank with probability one;
+this is asserted on every draw.  The samplers take one seed or
+generator per trial; `TrialStreams` derives the generators of a block
+of trials in bulk.
 """
 
 import math
@@ -37,9 +40,11 @@ class AntennaConfig:
 
     ``m1`` and ``m2`` are the transmitter array sizes, ``n`` the
     legitimate receiver's, and ``ne`` the largest eavesdropper array the
-    system is designed against.  Configurations with ``ne >= m1 + m2``
-    are representable but *degenerate*: no positive secure rate exists
-    and the secure-degrees-of-freedom value is zero.
+    system is designed against.  Each transmitter and the receiver have
+    at least one antenna (:class:`InvalidConfig` otherwise).
+    Configurations with ``ne >= m1 + m2`` are valid but *degenerate*: no
+    positive secure rate exists and the secure-degrees-of-freedom value
+    is zero.
     """
 
     m1: int
@@ -52,6 +57,10 @@ class AntennaConfig:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 0:
                 raise InvalidConfig(f"{name} must be a nonnegative integer, got {v!r}")
+        if self.m1 < 1 or self.m2 < 1 or self.n < 1:
+            raise InvalidConfig(
+                f"transmitters and receiver need at least one antenna: "
+                f"({self.m1}, {self.m2}, {self.n})")
 
     @property
     def m(self):
@@ -74,19 +83,6 @@ def canonical(cfg):
 def is_degenerate(cfg):
     """True when an eavesdropper can have as many antennas as both transmitters."""
     return cfg.ne >= cfg.m
-
-
-def validate(cfg):
-    """Classify a configuration as ``"ok"`` or ``"degenerate"``.
-
-    Raises :class:`InvalidConfig` when a transmitter or the receiver has
-    zero antennas.
-    """
-    if cfg.m1 < 1 or cfg.m2 < 1 or cfg.n < 1:
-        raise InvalidConfig(
-            f"transmitters and receiver need at least one antenna: "
-            f"({cfg.m1}, {cfg.m2}, {cfg.n})")
-    return "degenerate" if is_degenerate(cfg) else "ok"
 
 
 def complex_gaussian(rngs, *shapes):
@@ -123,10 +119,6 @@ def sample_eves(cfg, eve_counts, seeds, slots=1):
     call to its own ``numpy.random.default_rng(seeds[t])`` (a generator
     passes through as it is).
     """
-    for nej in eve_counts:
-        if not 0 <= nej <= cfg.ne:
-            raise InvalidEveCount(
-                f"eavesdropper antenna count {nej} outside [0, {cfg.ne}]")
     # The normals run eavesdropper, transmitter, slot, then the real and
     # imaginary parts.
     stacks = complex_gaussian([np.random.default_rng(s) for s in seeds],
@@ -156,7 +148,6 @@ def sample_channels(cfg, seeds):
     ``numpy.random.default_rng(seed)``, so its draws do not depend on the
     other seeds.  Eavesdroppers are drawn apart, with `sample_eves`.
     """
-    validate(cfg)
     h1, h2 = complex_gaussian([np.random.default_rng(s) for s in seeds],
                               (cfg.n, cfg.m1), (cfg.n, cfg.m2))
     _assert_full_rank(h1)

@@ -48,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matlin import ct, logdet_hpd
-from .model import (TrialStreams, canonical, eve_image, sample_channels,
-                    sample_eves)
+from .model import (InvalidEveCount, TrialStreams, canonical, eve_image,
+                    sample_channels, sample_eves)
 from .precoders import build_precoder_set, build_unjammed_set
 from .regions import jamming_plan
 
@@ -59,25 +59,6 @@ BLOCK_BYTES = 32 * 2**20  # stack bytes per block; bounds the working set
 
 class GeometryNotVerified(RuntimeError):
     """Rate requested for a precoder set without a passing geometry report."""
-
-
-@dataclass(frozen=True)
-class RateCurve:
-    """Rate samples over a power grid plus a least-squares slope fit.
-
-    ``slope`` is in bits per ``log2 P`` unit, i.e. an empirical DoF.
-    """
-
-    points: tuple
-    slope: float
-    intercept: float
-
-    def __post_init__(self):
-        ps = [p for p, _ in self.points]
-        if any(p <= 0 for p in ps):
-            raise ValueError("powers must be positive")
-        if any(b <= a for a, b in zip(ps, ps[1:])):
-            raise ValueError("points must be sorted by strictly increasing power")
 
 
 @dataclass(frozen=True)
@@ -92,11 +73,16 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-power averages, the secrecy-rate curve, and the paired leakage
-    growth between the grid endpoints of one sweep."""
+    """Per-power averages, the least-squares fit of their secrecy rate
+    against ``log2 P``, and the paired leakage growth between the grid
+    endpoints of one sweep.
+
+    ``slope`` is in bits per ``log2 P`` unit, i.e. an empirical DoF.
+    """
 
     points: tuple
-    curve: RateCurve
+    slope: float
+    intercept: float
     leakage_delta: float
 
 
@@ -112,13 +98,6 @@ def fit_slope(p_values, rates):
     return float(slope), float(intercept)
 
 
-def make_curve(p_values, rates):
-    """Bundle rate samples into a :class:`RateCurve` with a fitted slope."""
-    slope, intercept = fit_slope(p_values, rates)
-    points = tuple((float(p), float(r)) for p, r in zip(p_values, rates))
-    return RateCurve(points=points, slope=slope, intercept=intercept)
-
-
 def _require_geometry(ps):
     if ps.geometry is None:
         raise GeometryNotVerified("run verify_geometry before computing rates")
@@ -126,7 +105,11 @@ def _require_geometry(ps):
         raise GeometryNotVerified("; ".join(ps.geometry.failures()))
 
 
-def _check_grid(p_grid):
+def check_inputs(cfg, alpha, p_grid, trials, eve_counts):
+    """Check the inputs of :func:`sweep` as its docstring states them, in
+    its order, and return the powers as floats.  An eavesdropper count
+    outside ``[0, cfg.ne]`` raises :class:`~sdoflab.model.InvalidEveCount`,
+    any other bad value ``ValueError``."""
     p = [float(v) for v in p_grid]
     if not all(map(math.isfinite, p)):
         raise ValueError("power grid must be finite")
@@ -136,6 +119,14 @@ def _check_grid(p_grid):
         raise ValueError("power grid must be positive and strictly increasing")
     if p[-1] < 1e4 * p[0]:
         raise ValueError("power grid must span at least 4 decades")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    for nej in eve_counts:
+        if not 0 <= nej <= cfg.ne:
+            raise InvalidEveCount(
+                f"eavesdropper antenna count {nej} outside [0, {cfg.ne}]")
     return p
 
 
@@ -284,8 +275,8 @@ def sweep(cfg, alpha, p_grid, trials, seed, *, eve_counts=None, jamming=True):
     grows like ``ne * log2(p_grid[-1] / p_grid[0])``.  It depends on the
     two ends of the grid only.
 
-    ``p_grid``, ``alpha`` and ``trials`` are checked, in that order,
-    before the first trial runs (``ValueError``).
+    ``p_grid``, ``alpha``, ``trials`` and ``eve_counts`` are checked, in
+    that order, by :func:`check_inputs` before the first block is built.
 
     Parameters
     ----------
@@ -300,19 +291,15 @@ def sweep(cfg, alpha, p_grid, trials, seed, *, eve_counts=None, jamming=True):
         configuration raises :class:`~sdoflab.regions.DegenerateConfig`.
     seed : int
     eve_counts : sequence of int, optional
-        Defaults to a single worst-case eavesdropper with ``cfg.ne``
-        antennas.
+        Each in ``[0, cfg.ne]``.  Defaults to a single worst-case
+        eavesdropper with ``cfg.ne`` antennas.
     jamming : bool
         With ``False``, builds the jamming-free negative control: every
         transmit dimension carries a stream and no zero-forcing is done.
     """
-    p_values = _check_grid(p_grid)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
     if eve_counts is None:
         eve_counts = [cfg.ne] if cfg.ne > 0 else []
+    p_values = check_inputs(cfg, alpha, p_grid, trials, eve_counts)
     n_pow, n_eve = len(p_values), len(eve_counts)
     # One row per trial: its rates, worst leakage per power, and each
     # eavesdropper's leakage at the first and at the last power.
@@ -337,5 +324,5 @@ def sweep(cfg, alpha, p_grid, trials, seed, *, eve_counts=None, jamming=True):
         SweepPoint(p, float(r), float(l), float(s))
         for p, r, l, s in zip(p_values, rate_mean, leak_mean, secrecy))
     delta = float(((hi_sum - lo_sum) / trials).max()) if eve_counts else 0.0
-    return SweepResult(points=points, curve=make_curve(p_values, secrecy),
-                       leakage_delta=delta)
+    slope, intercept = fit_slope(p_values, secrecy)
+    return SweepResult(points, slope, intercept, delta)

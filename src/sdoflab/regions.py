@@ -40,7 +40,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import canonical, is_degenerate, validate
+from .model import canonical, is_degenerate
 
 
 class DegenerateConfig(ValueError):
@@ -96,7 +96,7 @@ class JammingPlan:
 
 def _require_usable(cfg):
     cfg = canonical(cfg)
-    if validate(cfg) == "degenerate":
+    if is_degenerate(cfg):
         raise DegenerateConfig(
             f"ne={cfg.ne} >= m1+m2={cfg.m}: secure DoF is zero")
     return cfg
@@ -134,17 +134,20 @@ def classify_case(cfg):
 def sum_sdof(cfg):
     """Exact sum secure degrees of freedom as a :class:`Fraction`.
 
+    The case group picks its converse term: the cooperative bound for
+    C1, the Z-channel bound for C2, the receiver bound for C3.
     Degenerate configurations return 0.
     """
     cfg = canonical(cfg)
     if is_degenerate(cfg):
         return Fraction(0)
     case = classify_case(cfg)
+    receiver, cooperative, z_channel = upper_bound_terms(cfg)
     if case in _C1_CASES:
-        return Fraction(cfg.m - cfg.ne)
+        return cooperative
     if case in _C2_CASES:
-        return Fraction(max(cfg.m1, cfg.n) + max(cfg.m2, cfg.n) - cfg.ne, 2)
-    return Fraction(cfg.n)
+        return z_channel
+    return receiver
 
 
 def upper_bound_terms(cfg):

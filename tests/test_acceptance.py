@@ -96,8 +96,8 @@ def test_criterion_4_slope_reproduction():
         for cfg_tuple, ds in ACCEPTANCE_CONFIGS:
             cfg = AntennaConfig(*cfg_tuple)
             result = rates.sweep(cfg, 0.5, P_GRID, 20, 42)
-            assert abs(result.curve.slope - float(ds)) <= 0.1, \
-                (cfg_tuple, result.curve.slope, float(ds))
+            assert abs(result.slope - float(ds)) <= 0.1, \
+                (cfg_tuple, result.slope, float(ds))
 
 
 def test_criterion_5_leakage_saturation():

@@ -191,6 +191,24 @@ class TestSimulateBadInput:
         assert sorted(p.name for p in tmp_path.rglob("*")) == \
             ["exp.json", "runs"]
 
+    @pytest.mark.parametrize("overrides", [
+        {"alpha": 1.5}, {"trials": 0}, {"eve_counts": [5]},
+        {"p_grid": [1e3, 1e5, 1e7]}], ids=["alpha", "trials", "eve_counts",
+                                            "p_grid"])
+    def test_range_check_is_the_engine_check(self, tmp_path, capsys,
+                                             overrides):
+        # The CLI rejects a value out of range with rates.sweep's message.
+        cfg = write_config(tmp_path / "exp.json", **overrides)
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "bad")]) == 1
+        exp = {**SMALL_EXPERIMENT, **overrides}
+        with pytest.raises(ValueError) as exc:
+            rates.sweep(AntennaConfig(exp["m1"], exp["m2"], exp["n"],
+                                      exp["ne"]),
+                        exp["alpha"], exp["p_grid"], exp["trials"],
+                        exp["seed"], eve_counts=exp["eve_counts"])
+        assert capsys.readouterr().err == f"bad config: {exc.value}\n"
+
     def test_override_validated_not_file_value(self, tmp_path):
         cfg = write_config(tmp_path / "exp.json", trials=0)
         stem = tmp_path / "ok"

@@ -1,24 +1,23 @@
 import numpy as np
 import pytest
 
-from sdoflab.model import (AntennaConfig, InvalidConfig, InvalidEveCount,
-                           TrialStreams, _assert_full_rank,
-                           canonical, complex_gaussian, eve_image,
-                           is_degenerate, sample_channels, sample_eves,
-                           validate)
+from sdoflab.model import (AntennaConfig, InvalidConfig, TrialStreams,
+                           _assert_full_rank, canonical, complex_gaussian,
+                           eve_image, is_degenerate, sample_channels,
+                           sample_eves)
 
 
 class TestValidate:
     def test_ok(self):
-        assert validate(AntennaConfig(2, 2, 4, 1)) == "ok"
+        assert not is_degenerate(AntennaConfig(2, 2, 4, 1))
 
     def test_degenerate_when_ne_reaches_m(self):
-        assert validate(AntennaConfig(2, 2, 3, 4)) == "degenerate"
         assert is_degenerate(AntennaConfig(2, 2, 3, 4))
 
     def test_zero_antennas_invalid(self):
-        with pytest.raises(InvalidConfig):
-            validate(AntennaConfig(0, 2, 3, 1))
+        for counts in [(0, 2, 3, 1), (2, 0, 3, 1), (2, 2, 0, 1)]:
+            with pytest.raises(InvalidConfig, match="at least one antenna"):
+                AntennaConfig(*counts)
 
     def test_negative_field_invalid(self):
         with pytest.raises(InvalidConfig):
@@ -62,10 +61,6 @@ class TestSampleChannels:
         assert eves[0][1].shape == (1, 1, 2, 2)
         assert eves[1][0].shape == (1, 1, 1, 3)
         assert eves[1][1].shape == (1, 1, 1, 2)
-
-    def test_eve_count_exceeding_ne(self):
-        with pytest.raises(InvalidEveCount):
-            sample_eves(AntennaConfig(2, 2, 3, 1), [2], [7])
 
     def test_deterministic_given_seed(self):
         cfg = AntennaConfig(2, 2, 3, 1)

@@ -10,8 +10,8 @@ from sdoflab.model import (AntennaConfig, InvalidEveCount, canonical,
                            eve_image, sample_channels, sample_eves)
 from sdoflab.precoders import GeometryReport, PrecoderSet, build_precoder_set, \
     build_unjammed_set, extend_channel
-from sdoflab.rates import (GeometryNotVerified, RateCurve, _require_geometry,
-                           fit_slope, make_curve, sweep)
+from sdoflab.rates import (GeometryNotVerified, _require_geometry, fit_slope,
+                           sweep)
 from sdoflab.regions import DegenerateConfig, jamming_plan
 
 P_GRID = [10.0 ** k for k in range(3, 10)]
@@ -164,22 +164,17 @@ class TestSlopeFit:
         assert slope == pytest.approx(2.5, abs=1e-9)
         assert intercept == pytest.approx(0.75, abs=1e-9)
 
-    def test_curve_validation(self):
-        with pytest.raises(ValueError):
-            RateCurve(points=((2.0, 1.0), (1.0, 2.0)), slope=0.0, intercept=0.0)
-        with pytest.raises(ValueError):
-            RateCurve(points=((-1.0, 1.0), (1.0, 2.0)), slope=0.0, intercept=0.0)
-
-    def test_make_curve_round_trip(self):
-        curve = make_curve(P_GRID, [3.0 * math.log2(p) for p in P_GRID])
-        assert curve.slope == pytest.approx(3.0, abs=1e-9)
-        assert len(curve.points) == len(P_GRID)
+    def test_sweep_fits_its_secrecy_points(self):
+        res = sweep(AntennaConfig(2, 2, 4, 1), 0.5, P_GRID, 2, 3)
+        assert [pt.p for pt in res.points] == P_GRID
+        assert (res.slope, res.intercept) == fit_slope(
+            P_GRID, [pt.secrecy for pt in res.points])
 
 
 class TestSweep:
     def test_slope_tracks_theory(self):
         res = sweep(AntennaConfig(2, 2, 4, 1), 0.5, P_GRID, 5, 42)
-        assert res.curve.slope == pytest.approx(3.0, abs=0.15)
+        assert res.slope == pytest.approx(3.0, abs=0.15)
 
     def test_secrecy_nonnegative_and_components_ordered(self):
         res = sweep(AntennaConfig(2, 2, 3, 1), 0.5, P_GRID, 5, 42)
@@ -264,10 +259,13 @@ class TestTrialEngine:
             assert full == 0.0
 
     @pytest.mark.parametrize("eve_counts", [[-1], [3], [1, 10**9]])
-    def test_bad_eve_count_rejected(self, eve_counts):
+    def test_bad_eve_count_rejected(self, monkeypatch, eve_counts):
+        # rejected before the first block is built
+        sizes = block_sizes(monkeypatch)
         with pytest.raises(InvalidEveCount):
             sweep(AntennaConfig(3, 1, 2, 2), 0.5, P_GRID, 3, 5,
                   eve_counts=eve_counts)
+        assert sizes == []
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_too_few_trials_rejected(self, trials):
@@ -448,7 +446,7 @@ class TestBlockEngineOracle:
         # Seed 42 pinned: a change to any trial's random stream, or to the
         # order of its draws, moves these far beyond rel.
         res = sweep(AntennaConfig(*cfg_tuple), 0.5, P_GRID, 5, 42)
-        assert res.curve.slope == pytest.approx(slope, rel=1e-12)
+        assert res.slope == pytest.approx(slope, rel=1e-12)
         assert res.leakage_delta == pytest.approx(delta, rel=1e-12)
         assert res.points[-1].secrecy == pytest.approx(secrecy, rel=1e-12)
 
