@@ -10,9 +10,9 @@ sweep evaluates that one draw at every power.  They are kept as
 per-slot blocks; `eve_image` is the one place that applies them to a
 precoder lifted over the slots.
 
-An `AntennaConfig` is valid once made, and the samplers check nothing
-else: `sdoflab.rates.check_inputs` checks a sweep's eavesdropper counts
-where they enter.  All entries are i.i.d. circularly-symmetric complex
+An `AntennaConfig` is valid once made, and the samplers do not check
+their inputs: `sdoflab.rates.check_inputs` checks a sweep's
+eavesdropper counts where they enter.  All entries are i.i.d. circularly-symmetric complex
 Gaussian, so every sampled channel is full rank with probability one;
 this is asserted on every draw.  The samplers take one seed or
 generator per trial; `TrialStreams` derives the generators of a block
