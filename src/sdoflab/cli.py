@@ -64,6 +64,20 @@ def _fail(msg, code):
     return code
 
 
+def _write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` as CSV to ``path``, or to stdout
+    when ``path`` is empty or None."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    if path:
+        with open(path, "w", newline="") as fh:
+            fh.write(buf.getvalue())
+    else:
+        sys.stdout.write(buf.getvalue())
+
+
 def _is_number(v):
     """True for a finite int or float; bools are not numbers here."""
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -186,17 +200,8 @@ def cmd_grid_verify(args):
     if args.max_antennas < 0 or args.max_antennas > 10:
         return _fail("max antennas must be in [0, 10]", 1)
     rows, violations = grid_rows(args.max_antennas)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(GRID_CSV_HEADER)
-    writer.writerows(rows)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(buf.getvalue())
-        summary_stream = sys.stdout
-    else:
-        sys.stdout.write(buf.getvalue())
-        summary_stream = sys.stderr
+    _write_csv(args.out, GRID_CSV_HEADER, rows)
+    summary_stream = sys.stdout if args.out else sys.stderr
     if violations:
         for v in violations:
             print(v, file=summary_stream)
@@ -220,10 +225,7 @@ def cmd_simulate(args):
     stem = exp.output_path if args.out is None else args.out
     if "\0" in stem or not os.path.basename(stem):
         return _fail(f"bad config: output stem {stem!r} names no file", 1)
-    jamming = not args.no_jamming
     cfg = exp.antenna_config()
-    if jamming and is_degenerate(cfg):
-        return _fail(f"invalid experiment: {cfg}: secure DoF is zero", 1)
 
     try:
         # Overflow raises here instead of warning, so that extreme powers
@@ -231,9 +233,10 @@ def cmd_simulate(args):
         with np.errstate(over="raise", invalid="raise"):
             result = rates.sweep(cfg, exp.alpha, exp.p_grid, exp.trials,
                                  exp.seed, eve_counts=exp.eve_counts,
-                                 jamming=jamming)
-    except (rates.GeometryNotVerified, precoders.PlanMismatch,
-            precoders.AlignmentInfeasible, matlin.RaggedRank) as exc:
+                                 jamming=not args.no_jamming)
+    except regions.DegenerateConfig as exc:
+        return _fail(f"invalid experiment: {exc}", 1)
+    except (precoders.GeometryError, matlin.RaggedRank) as exc:
         return _fail(f"geometry verification failed: {exc}", 2)
     except (FloatingPointError, matlin.NotPositiveDefinite) as exc:
         return _fail(f"bad config: numerical failure in the rate algebra "
@@ -246,12 +249,9 @@ def cmd_simulate(args):
         "abs_error": abs(result.slope - float(ds)),
         "leakage_delta": result.leakage_delta,
     }
-    with open(f"{stem}.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SIM_CSV_HEADER)
-        for pt in result.points:
-            writer.writerow([repr(pt.p), repr(pt.rate_rx),
-                             repr(pt.leak_max), repr(pt.secrecy)])
+    _write_csv(f"{stem}.csv", SIM_CSV_HEADER,
+               ([repr(pt.p), repr(pt.rate_rx), repr(pt.leak_max),
+                 repr(pt.secrecy)] for pt in result.points))
     with open(f"{stem}.json", "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -273,20 +273,15 @@ def cmd_binning(args):
     except ValueError as exc:  # binning.CodeTooLarge included
         return _fail(f"binning failed: {exc}", 1)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(BINNING_CSV_HEADER)
+    csv_rows = []
     for n, rows, mean in table:
-        for s, h, norm in rows:
-            writer.writerow([n, s, repr(h), "" if norm is None else repr(norm)])
+        csv_rows += [[n, s, repr(h), "" if norm is None else repr(norm)]
+                     for s, h, norm in rows]
         if mean is not None:
-            writer.writerow([n, "mean", repr(mean[0]), repr(mean[1])])
+            csv_rows.append([n, "mean", repr(mean[0]), repr(mean[1])])
+    _write_csv(args.out, BINNING_CSV_HEADER, csv_rows)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(buf.getvalue())
         print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(buf.getvalue())
     return 0
 
 

@@ -26,7 +26,8 @@ Every step makes one SVD, QR or product call per ``(trials, rows,
 cols)`` stack, and each trial draws from its own seeded stream; a single
 trial is a stack of one.  All tolerances are relative.  `verify_geometry`
 writes one machine-checkable report per stack and keeps the receiver
-images ``U H_i V_i^L`` that the rate engine reads.
+images ``U H_i V_i^L`` that the rate engine reads.  `build_precoder_set`
+returns a set whose report passed, or raises a :class:`GeometryError`.
 """
 
 from dataclasses import dataclass, field
@@ -44,11 +45,15 @@ ZF_TOL = 1e-8
 RANK_TOL = 1e-9
 
 
-class AlignmentInfeasible(RuntimeError):
+class GeometryError(RuntimeError):
+    """A precoder build failed its geometry; the text names the checks."""
+
+
+class AlignmentInfeasible(GeometryError):
     """Received signal spaces share too few dimensions for the aligned budget."""
 
 
-class PlanMismatch(RuntimeError):
+class PlanMismatch(GeometryError):
     """Built matrices do not fit the plan's dimension bookkeeping."""
 
 
@@ -61,7 +66,10 @@ class GeometryReport:
     zf_residual: float
     decode_rank: int
     expected_rank: int
-    passed: bool
+
+    @property
+    def passed(self):
+        return not self.failures()
 
     def failures(self):
         """One line per failed check: its worst residual against the
@@ -89,7 +97,8 @@ class PrecoderSet:
     orthogonal to ``v_ij``; ``v_ij`` is ``(e*m_i, jam_i)`` with unit-norm
     columns; ``u`` is ``(e*n - j_s, e*n)`` with orthonormal rows.
     :func:`verify_geometry` sets ``geometry``, one report for the stack,
-    and the receiver images ``rx_images`` = ``U H_i V_i^L``.
+    and the receiver images ``rx_images`` = ``U H_i V_i^L``; a jamming-free
+    control set has no report.
     """
 
     v1l: np.ndarray
@@ -287,20 +296,10 @@ def verify_geometry(ps, h1e, h2e, plan):
     images = (ps.u @ (h1e @ ps.v1l), ps.u @ (h2e @ ps.v2l))
     decode_rank = int(np.min(matlin.rank(np.concatenate(images, axis=-1),
                                          RANK_TOL)))
-    expected = plan.d1 + plan.d2
-
-    report = GeometryReport(
-        alignment_residual=align_res,
-        nullspace_residual=null_res,
-        zf_residual=zf_res,
-        decode_rank=decode_rank,
-        expected_rank=expected,
-        passed=(align_res <= ALIGNMENT_TOL and null_res <= NULLSPACE_TOL
-                and zf_res <= ZF_TOL and decode_rank == expected),
-    )
-    ps.geometry = report
+    ps.geometry = GeometryReport(align_res, null_res, zf_res, decode_rank,
+                                 plan.d1 + plan.d2)
     ps.rx_images = images
-    return report
+    return ps.geometry
 
 
 def build_precoder_set(plan, h1, h2, seeds):
@@ -309,8 +308,10 @@ def build_precoder_set(plan, h1, h2, seeds):
     ``h1``/``h2`` are ``(trials, n, m_i)`` channel stacks, lifted here
     once for every sub-builder, and ``seeds`` holds one seed or generator
     per trial, so trial ``t``'s set equals its own build as a stack of
-    one.  Trials whose dimensions differ fail the stack with the error of
-    the first trial whose own build fails (rebuilt from its seed), else
+    one.  The set returned has a passing geometry report; a failed one
+    raises :class:`GeometryError` with the report's failures as text.
+    Trials whose dimensions differ fail the stack with the error of the
+    first trial whose own build fails (rebuilt from its seed), else
     :class:`~sdoflab.matlin.RaggedRank`.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
@@ -327,25 +328,23 @@ def build_precoder_set(plan, h1, h2, seeds):
         raise
     ps = PrecoderSet(v1l=v1l, v2l=v2l, v1j=v1j, v2j=v2j, u=u,
                      extension=plan.extension)
-    verify_geometry(ps, h1e, h2e, plan)
+    failures = verify_geometry(ps, h1e, h2e, plan).failures()
+    if failures:
+        raise GeometryError("; ".join(failures))
     return ps
 
 
 def build_unjammed_set(h1, h2):
     """Jamming-free precoder sets for channel stacks (negative control).
 
-    Every transmit dimension carries a legitimate stream, the receiver
-    applies no zero-forcing, and the geometry report passes trivially.
+    Every transmit dimension carries a legitimate stream and the
+    receiver applies no zero-forcing, so ``geometry`` stays None.
     """
     v1l, v2l, u = (np.tile(np.eye(k, dtype=complex), (len(h1), 1, 1))
                    for k in (h1.shape[-1], h2.shape[-1], h1.shape[-2]))
-    ps = PrecoderSet(v1l=v1l, v2l=v2l, v1j=v1l[..., :0], v2j=v2l[..., :0],
-                     u=u, extension=1)
-    decode_rank = int(np.min(matlin.rank(np.concatenate([h1, h2], axis=-1),
-                                         RANK_TOL)))
-    ps.geometry = GeometryReport(0.0, 0.0, 0.0, decode_rank, decode_rank, True)
-    ps.rx_images = (h1, h2)  # U (H_i V_i^L) with U, V_i^L identities
-    return ps
+    # rx_images are U (H_i V_i^L) with U, V_i^L identities
+    return PrecoderSet(v1l=v1l, v2l=v2l, v1j=v1l[..., :0], v2j=v2l[..., :0],
+                       u=u, rx_images=(h1, h2))
 
 
 def jamming_coverage_rank(ps, g1, g2):

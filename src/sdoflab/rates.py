@@ -32,8 +32,8 @@ as fit in ``BLOCK_BYTES`` of stacks, counted from the stack shapes (see
 :func:`_trial_bytes`), so a small configuration runs as one block and a
 large one in blocks of a few trials.  The engine samples a block's
 channels and synthesizes its precoder sets as ``(trials, rows, cols)``
-stacks (see :func:`~sdoflab.precoders.build_precoder_set`), then stacks
-the receiver grams of the images ``U H_i V_i^L``, the eavesdropper
+stacks (:func:`~sdoflab.precoders.build_precoder_set` verifies each), then
+stacks the receiver grams of the images ``U H_i V_i^L``, the eavesdropper
 covariances and their log-dets over trials and powers, and adds the
 per-trial results to running sums in trial order.  Each trial keeps its
 own streams and numpy factors each matrix of a stack alone, so the results
@@ -43,6 +43,7 @@ one-trial, one-power reference, ``receiver_rate`` and
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +56,6 @@ from .regions import jamming_plan
 
 
 BLOCK_BYTES = 32 * 2**20  # stack bytes per block; bounds the working set
-
-
-class GeometryNotVerified(RuntimeError):
-    """Rate requested for a precoder set without a passing geometry report."""
 
 
 @dataclass(frozen=True)
@@ -98,18 +95,15 @@ def fit_slope(p_values, rates):
     return float(slope), float(intercept)
 
 
-def _require_geometry(ps):
-    if ps.geometry is None:
-        raise GeometryNotVerified("run verify_geometry before computing rates")
-    if not ps.geometry.passed:
-        raise GeometryNotVerified("; ".join(ps.geometry.failures()))
+def _is_integer(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def check_inputs(cfg, alpha, p_grid, trials, eve_counts):
     """Check the inputs of :func:`sweep` as its docstring states them, in
     its order, and return the powers as floats.  An eavesdropper count
     outside ``[0, cfg.ne]`` raises :class:`~sdoflab.model.InvalidEveCount`,
-    any other bad value ``ValueError``."""
+    any other bad value (a non-integer or bool included) ``ValueError``."""
     p = [float(v) for v in p_grid]
     if not all(map(math.isfinite, p)):
         raise ValueError("power grid must be finite")
@@ -121,9 +115,14 @@ def check_inputs(cfg, alpha, p_grid, trials, eve_counts):
         raise ValueError("power grid must span at least 4 decades")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not _is_integer(trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     for nej in eve_counts:
+        if not _is_integer(nej):
+            raise ValueError(
+                f"eavesdropper antenna count must be an integer, got {nej!r}")
         if not 0 <= nej <= cfg.ne:
             raise InvalidEveCount(
                 f"eavesdropper antenna count {nej} outside [0, {cfg.ne}]")
@@ -145,7 +144,6 @@ def _build_block(cfg, plan, ext, rngs, eve_counts):
     h1, h2 = sample_channels(cfg, ch_rngs)
     ps = (build_precoder_set(plan, h1, h2, *pc_rngs)
           if plan is not None else build_unjammed_set(h1, h2))
-    _require_geometry(ps)
     eves = sample_eves(cfg, eve_counts, eve_rngs, slots=ext)
     return ([v[:, None] for v in (ps.v1l, ps.v2l)],
             [v[:, None] for v in (ps.v1j, ps.v2j)],
@@ -287,12 +285,13 @@ def sweep(cfg, alpha, p_grid, trials, seed, *, eve_counts=None, jamming=True):
         At least 4 finite, positive, strictly increasing powers spanning
         >= 4 decades.
     trials : int
-        At least 1.  After these checks, with jamming, a degenerate
-        configuration raises :class:`~sdoflab.regions.DegenerateConfig`.
+        At least 1.  After these checks, still before the first block
+        is built, a degenerate configuration with jamming raises
+        :class:`~sdoflab.regions.DegenerateConfig`.
     seed : int
     eve_counts : sequence of int, optional
-        Each in ``[0, cfg.ne]``.  Defaults to a single worst-case
-        eavesdropper with ``cfg.ne`` antennas.
+        Each an integer in ``[0, cfg.ne]``.  Defaults to a single
+        worst-case eavesdropper with ``cfg.ne`` antennas.
     jamming : bool
         With ``False``, builds the jamming-free negative control: every
         transmit dimension carries a stream and no zero-forcing is done.

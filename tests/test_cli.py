@@ -383,7 +383,10 @@ class TestSimulateDegenerate:
         stem = tmp_path / "deg"
         assert cli.main(["simulate", "--config", str(cfg),
                          "--out", str(stem)]) == 1
-        assert "secure DoF is zero" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "secure DoF is zero" in err
+        # the planner's message, raised inside rates.sweep
+        assert err == "invalid experiment: ne=4 >= m1+m2=4: secure DoF is zero\n"
         assert not (tmp_path / "deg.csv").exists()
 
     def test_control_runs(self, tmp_path):

@@ -3,9 +3,11 @@ import pytest
 
 from sdoflab.cli import iter_canonical_configs
 from sdoflab.matlin import RaggedRank, nullspace
+from sdoflab import precoders
 from sdoflab.model import AntennaConfig, sample_channels, sample_eves
-from sdoflab.precoders import (AlignmentInfeasible, PlanMismatch,
-                               PrecoderSet, build_jamming, build_legit,
+from sdoflab.precoders import (AlignmentInfeasible, GeometryError,
+                               PlanMismatch, PrecoderSet, build_jamming,
+                               build_legit,
                                build_precoder_set, build_unjammed_set,
                                build_zero_forcing,
                                extend_channel, jamming_coverage_rank,
@@ -246,7 +248,7 @@ def test_unjammed_set_shapes():
     ps = build_unjammed_set(h1, h2)
     assert ps.v1l.shape == (2, 2, 2) and ps.v2l.shape == (2, 2, 2)
     assert ps.v1j.shape == (2, 2, 0) and ps.u.shape == (2, 4, 4)
-    assert ps.geometry.passed
+    assert ps.geometry is None
     assert all(np.array_equal(w, h)
                for w, h in zip(ps.rx_images, (h1, h2)))
 
@@ -313,6 +315,7 @@ class TestStackedBuild:
         h1, h2 = sample_channels(cfg, [1, 2, 3])
         h1[1, :, 1] = h1[1, :, 0]
         seeds = [10, 11, 12]
+        assert issubclass(error, GeometryError)  # what simulate maps to exit 2
         with pytest.raises(error) as own:
             build_precoder_set(plan, h1[1:2], h2[1:2], seeds[1:2])
         with pytest.raises(error) as stacked:
@@ -320,13 +323,46 @@ class TestStackedBuild:
         assert str(stacked.value) == str(own.value)
 
     def test_ragged_ranks_fail_the_stack(self):
-        # Here the odd trial builds alone (its geometry report fails),
-        # but its channel's row space is narrower than the other trials'.
+        # Here the odd trial's channel row space is narrower than the
+        # other trials', and its own build fails its geometry report.
         cfg = AntennaConfig(2, 2, 2, 1)
         plan = jamming_plan(cfg)
         h1, h2 = sample_channels(cfg, [1, 2, 3])
         h1[1, :, 1] = h1[1, :, 0]
-        own = build_precoder_set(plan, h1[1:2], h2[1:2], [11])
-        assert not own.geometry.passed
+        with pytest.raises(GeometryError) as own:
+            build_precoder_set(plan, h1[1:2], h2[1:2], [11])
+        assert str(own.value) == "decode_rank 1 != expected rank 3"
+        with pytest.raises(GeometryError) as stacked:
+            build_precoder_set(plan, h1, h2, [10, 11, 12])
+        assert str(stacked.value) == str(own.value)
+
+    def test_ragged_ranks_of_usable_trials_fail_the_stack(self):
+        # Trial 1's second channel has rank 1, so the null space that its
+        # aligned columns come from is wider than the other trials'; each
+        # trial builds alone and passes, so RaggedRank itself escapes.
+        cfg = AntennaConfig(3, 2, 2, 2)
+        plan = jamming_plan(cfg)
+        assert plan.aligned
+        h1, h2 = sample_channels(cfg, [1, 2, 3])
+        h2[1, :, 1] = h2[1, :, 0]
+        for t, seed in enumerate([10, 11, 12]):
+            own = build_precoder_set(plan, h1[t:t + 1], h2[t:t + 1], [seed])
+            assert own.geometry.passed
         with pytest.raises(RaggedRank):
             build_precoder_set(plan, h1, h2, [10, 11, 12])
+
+    def test_failed_report_raises_its_failures(self, monkeypatch):
+        cfg = AntennaConfig(2, 2, 3, 1)
+        plan = jamming_plan(cfg)
+        h1, h2 = sample_channels(cfg, [1, 2])
+        rep = build_precoder_set(plan, h1, h2, [10, 11]).geometry
+        assert rep.passed
+        # Every zero-forcing residual exceeds a zero tolerance, and the
+        # report reads the tolerances when asked.
+        monkeypatch.setattr(precoders, "ZF_TOL", 0.0)
+        assert rep.failures() == [
+            f"zf_residual {rep.zf_residual:.3g} exceeds tolerance 0"]
+        assert not rep.passed
+        with pytest.raises(GeometryError) as exc:
+            build_precoder_set(plan, h1, h2, [10, 11])
+        assert str(exc.value) == "; ".join(rep.failures())

@@ -4,14 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sdoflab import precoders
 from sdoflab import rates as rates_mod
 from sdoflab.matlin import logdet_hpd
 from sdoflab.model import (AntennaConfig, InvalidEveCount, canonical,
                            eve_image, sample_channels, sample_eves)
-from sdoflab.precoders import GeometryReport, PrecoderSet, build_precoder_set, \
-    build_unjammed_set, extend_channel
-from sdoflab.rates import (GeometryNotVerified, _require_geometry, fit_slope,
-                           sweep)
+from sdoflab.precoders import (GeometryError, PrecoderSet, build_precoder_set,
+                               build_unjammed_set, extend_channel)
+from sdoflab.rates import fit_slope, sweep
 from sdoflab.regions import DegenerateConfig, jamming_plan
 
 P_GRID = [10.0 ** k for k in range(3, 10)]
@@ -36,10 +36,8 @@ def receiver_rate(ps, hs, p, alpha=0.5):
     and normalizes by the extension factor.  Per-stream power is the
     legitimate budget divided equally across the transmitter's streams.
     Jamming contributes nothing: the zero-forced residual is below the
-    geometry tolerance.  Raises ``GeometryNotVerified`` if ``ps`` has no
-    geometry report or the report failed.
+    geometry tolerance, which `build_precoder_set` has verified.
     """
-    _require_geometry(ps)
     ext = ps.extension
     legit_p = _legit_power(ps, p, alpha)
     gram = np.eye(ps.u.shape[0], dtype=complex)
@@ -84,10 +82,8 @@ def scalar_precoder_set():
     """1x1 surrogate: unit channel, one stream, no jamming."""
     one = np.ones((1, 1), dtype=complex)
     empty = np.zeros((1, 0), dtype=complex)
-    ps = PrecoderSet(v1l=one, v2l=empty, v1j=empty, v2j=empty,
-                     u=one, extension=1)
-    ps.geometry = GeometryReport(0.0, 0.0, 0.0, 1, 1, True)
-    return ps
+    return PrecoderSet(v1l=one, v2l=empty, v1j=empty, v2j=empty,
+                       u=one, extension=1)
 
 
 def one_trial(cfg, eve_counts, ch_seed, pc_seed, jamming=True):
@@ -119,12 +115,6 @@ class TestReceiverRate:
         ps = scalar_precoder_set()
         rate = receiver_rate(ps, scalar_channel(), 1e-30)
         assert 0.0 <= rate < 1e-9
-
-    def test_requires_verified_geometry(self):
-        ps = scalar_precoder_set()
-        ps.geometry = None
-        with pytest.raises(GeometryNotVerified):
-            receiver_rate(ps, scalar_channel(), 1.0)
 
     def test_monotone_in_power(self):
         hs, _, ps = one_trial(AntennaConfig(2, 2, 4, 1), [], 4, 5)
@@ -182,10 +172,12 @@ class TestSweep:
             assert pt.secrecy >= 0.0
             assert pt.rate_rx >= pt.secrecy
 
-    def test_degenerate_flat_curve(self):
-        # no secure DoF to jam for
+    def test_degenerate_flat_curve(self, monkeypatch):
+        # no secure DoF to jam for; nothing is built
+        sizes = block_sizes(monkeypatch)
         with pytest.raises(DegenerateConfig):
             sweep(AntennaConfig(2, 2, 3, 4), 0.5, P_GRID, 5, 42)
+        assert sizes == []
 
     def test_deterministic_given_seed(self):
         a = sweep(AntennaConfig(2, 2, 3, 1), 0.5, P_GRID, 3, 7)
@@ -266,6 +258,40 @@ class TestTrialEngine:
             sweep(AntennaConfig(3, 1, 2, 2), 0.5, P_GRID, 3, 5,
                   eve_counts=eve_counts)
         assert sizes == []
+
+    @pytest.mark.parametrize("trials,eve_counts,match", [
+        (2.5, [1], "trials must be an integer, got 2.5"),
+        (True, [1], "trials must be an integer, got True"),
+        (np.float64(3.0), [1], "trials must be an integer"),
+        (3, [1.0], "count must be an integer, got 1.0"),
+        (3, [0, True], "count must be an integer, got True"),
+    ])
+    def test_non_integer_rejected(self, monkeypatch, trials, eve_counts,
+                                  match):
+        # rejected with one ValueError line before the first block is built
+        sizes = block_sizes(monkeypatch)
+        with pytest.raises(ValueError, match=match) as exc:
+            sweep(AntennaConfig(2, 2, 3, 1), 0.5, P_GRID, trials, 5,
+                  eve_counts=eve_counts)
+        assert "\n" not in str(exc.value)
+        assert not isinstance(exc.value, InvalidEveCount)
+        assert sizes == []
+
+    def test_numpy_integers_accepted(self):
+        cfg = AntennaConfig(2, 2, 3, 1)
+        assert sweep(cfg, 0.5, P_GRID, np.int64(2), 5,
+                     eve_counts=[np.int64(1)]) == sweep(cfg, 0.5, P_GRID, 2, 5)
+
+    def test_failed_geometry_raises_before_any_rate(self, monkeypatch):
+        # Every zero-forcing residual exceeds a zero tolerance.
+        monkeypatch.setattr(precoders, "ZF_TOL", 0.0)
+        calls = []
+        for name in ("_block_receiver_rates", "_block_leakage"):
+            monkeypatch.setattr(rates_mod, name,
+                                lambda *args, name=name: calls.append(name))
+        with pytest.raises(GeometryError, match=r"^zf_residual .* 0$"):
+            sweep(AntennaConfig(2, 2, 3, 1), 0.5, P_GRID, 3, 5)
+        assert calls == []
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_too_few_trials_rejected(self, trials):
