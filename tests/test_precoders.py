@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from sdoflab import precoders
 from sdoflab.cli import iter_canonical_configs
 from sdoflab.matlin import RaggedRank, nullspace
-from sdoflab import precoders
 from sdoflab.model import AntennaConfig, sample_channels, sample_eves
 from sdoflab.precoders import (AlignmentInfeasible, GeometryError,
                                PlanMismatch, PrecoderSet, build_jamming,
-                               build_legit,
-                               build_precoder_set, build_unjammed_set,
-                               build_zero_forcing,
+                               build_legit, build_precoder_set,
+                               build_unjammed_set, build_zero_forcing,
                                extend_channel, jamming_coverage_rank,
                                verify_geometry)
 from sdoflab.regions import JammingPlan, jamming_plan
@@ -337,9 +336,9 @@ class TestStackedBuild:
         assert str(stacked.value) == str(own.value)
 
     def test_ragged_ranks_of_usable_trials_fail_the_stack(self):
-        # Trial 1's second channel has rank 1, so the null space that its
-        # aligned columns come from is wider than the other trials'; each
-        # trial builds alone and passes, so RaggedRank itself escapes.
+        # Trial 1's second channel has rank 1, so the row space that its
+        # aligned columns come from is narrower than the other trials';
+        # each trial builds alone and passes, so RaggedRank itself escapes.
         cfg = AntennaConfig(3, 2, 2, 2)
         plan = jamming_plan(cfg)
         assert plan.aligned
