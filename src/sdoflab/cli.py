@@ -22,7 +22,6 @@ import json
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields
-from fractions import Fraction
 
 import numpy as np
 
@@ -52,11 +51,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
-
-
-def _fmt_frac(x):
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _fail(msg, code):
@@ -89,8 +83,9 @@ class ExperimentConfig:
     """Schema of the ``simulate`` JSON config file (unknown keys rejected).
 
     Every value is checked on construction (``ValueError``): here the
-    exact types, the ``MAX_*`` limits and ``seed >= 0``; the value ranges
-    by `AntennaConfig` and `rates.check_inputs`, the check `rates.sweep`
+    exact types, the ``MAX_*`` limits, ``seed >= 0`` and an
+    ``output_path`` stem that names a file; the value ranges by
+    `AntennaConfig` and `rates.check_inputs`, the check `rates.sweep`
     makes.
     """
 
@@ -125,8 +120,12 @@ class ExperimentConfig:
         check(isinstance(self.p_grid, list) and len(self.p_grid) <= MAX_POWERS
               and all(map(_is_number, self.p_grid)), "p_grid",
               f"a list of at most {MAX_POWERS} numbers")
-        check(isinstance(self.output_path, str) and "\0" not in self.output_path,
-              "output_path", "a string without NUL characters")
+        # The outputs are <stem>.csv and <stem>.json, so a stem whose last
+        # path component is empty would write hidden files.
+        check(isinstance(self.output_path, str)
+              and "\0" not in self.output_path
+              and os.path.basename(self.output_path), "output_path",
+              "a string that names a file, without NUL characters")
         rates.check_inputs(self.antenna_config(), self.alpha, self.p_grid,
                            self.trials, self.eve_counts)
 
@@ -159,8 +158,7 @@ def cmd_sdof(args):
     ds = regions.sum_sdof(cfg)
     case = regions.classify_case(cfg)
     b1, b2, b3 = regions.upper_bound_terms(cfg)
-    print(f"D_s = {_fmt_frac(ds)}, case {case.value}, "
-          f"bounds ({_fmt_frac(b1)}, {_fmt_frac(b2)}, {_fmt_frac(b3)})")
+    print(f"D_s = {ds}, case {case.value}, bounds ({b1}, {b2}, {b3})")
     return 0
 
 
@@ -185,14 +183,11 @@ def grid_rows(max_antennas):
             cfg, regions.jamming_plan(cfg))
         key = (cfg.m1, cfg.m2, cfg.n, cfg.ne)
         if ds != min(bounds):
-            violations.append(f"{key}: D_s {_fmt_frac(ds)} != min bound "
-                              f"{_fmt_frac(min(bounds))}")
+            violations.append(f"{key}: D_s {ds} != min bound {min(bounds)}")
         if not plan_ok:
             violations.append(f"{key}: plan arithmetic failed")
         rows.append([cfg.m1, cfg.m2, cfg.n, cfg.ne, case.value,
-                     ds.numerator, ds.denominator,
-                     _fmt_frac(bounds[0]), _fmt_frac(bounds[1]),
-                     _fmt_frac(bounds[2]), plan_ok])
+                     ds.numerator, ds.denominator, *bounds, plan_ok])
     return rows, violations
 
 
@@ -217,14 +212,13 @@ def cmd_simulate(args):
         with open(args.config) as fh:
             data = json.load(fh)
         if isinstance(data, dict):
-            data.update({k: v for k in ("seed", "trials", "alpha")
+            data.update({k: v for k in ("seed", "trials", "alpha",
+                                        "output_path")
                          if (v := getattr(args, k)) is not None})
         exp = ExperimentConfig.from_dict(data)
     except (ValueError, RecursionError) as exc:
         return _fail(f"bad config: {exc}", 1)
-    stem = exp.output_path if args.out is None else args.out
-    if "\0" in stem or not os.path.basename(stem):
-        return _fail(f"bad config: output stem {stem!r} names no file", 1)
+    stem = exp.output_path
     cfg = exp.antenna_config()
 
     try:
@@ -236,7 +230,7 @@ def cmd_simulate(args):
                                  jamming=not args.no_jamming)
     except regions.DegenerateConfig as exc:
         return _fail(f"invalid experiment: {exc}", 1)
-    except (precoders.GeometryError, matlin.RaggedRank) as exc:
+    except precoders.GeometryError as exc:
         return _fail(f"geometry verification failed: {exc}", 2)
     except (FloatingPointError, matlin.NotPositiveDefinite) as exc:
         return _fail(f"bad config: numerical failure in the rate algebra "
@@ -255,7 +249,7 @@ def cmd_simulate(args):
     with open(f"{stem}.json", "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    print(f"slope {result.slope:.4f} vs theory {_fmt_frac(ds)} "
+    print(f"slope {result.slope:.4f} vs theory {ds} "
           f"(leakage delta {result.leakage_delta:.4f} bits); wrote {stem}.csv, {stem}.json")
     return 0
 
@@ -313,7 +307,8 @@ def build_parser():
     p.add_argument("--seed", type=int, help="override config seed")
     p.add_argument("--trials", type=int, help="override config trials")
     p.add_argument("--alpha", type=float, help="override jamming fraction")
-    p.add_argument("--out", help="output stem (default: config output_path)")
+    p.add_argument("--out", dest="output_path",
+                   help="output stem (default: config output_path)")
     p.add_argument("--no-jamming", action="store_true",
                    help="negative control: disable cooperative jamming")
     p.set_defaults(func=cmd_simulate)

@@ -15,12 +15,13 @@ any finite matrix or stack, check it once with :func:`as_matrix`,
 compute one SVD, and return a plain ``(..., rows, k)`` array whose
 orthonormal columns span the result; an empty subspace has ``k = 0``.
 A stack is one array, so ``k`` must be the same for every matrix in it;
-when the ranks differ they raise :class:`RaggedRank`.
+when the ranks differ they raise :class:`RaggedRank`.  Empty shapes are
+accepted: a matrix with no rows or no columns has rank 0.
 
-Numerical rank uses a *relative* singular-value cutoff: singular values
-below ``tol`` times the largest singular value count as zero.  The
-inputs of interest are generic continuous random draws, so the spectral
-gaps are large and a relative threshold is scale-free.
+Numerical rank has one rule, and this module is its only owner: singular
+values at or below ``DEFAULT_TOL`` times the largest singular value count
+as zero.  The inputs of interest are generic continuous random draws, so
+the spectral gaps are large and a relative threshold is scale-free.
 
 All operations are pure functions of their arguments and keep no shared
 state, so they are safe to call concurrently.
@@ -59,62 +60,54 @@ def ct(x):
     return x.conj().swapaxes(-2, -1)
 
 
-def _ranks(s, tol):
+def _ranks(s):
     """Numerical rank of each matrix from its singular values ``(..., k)``."""
-    return np.count_nonzero(s > tol * s[..., :1], axis=-1)
+    return np.count_nonzero(s > DEFAULT_TOL * s[..., :1], axis=-1)
 
 
-def _one_rank(s, tol):
+def _one_rank(s):
     """The numerical rank shared by every matrix of a stack."""
-    r = _ranks(s, tol)
+    r = _ranks(s)
     if r.size and r.min() != r.max():
         raise RaggedRank(f"numerical ranks differ across the stack: "
                          f"{r.min()} to {r.max()}")
     return int(r.max(initial=0))
 
 
-def orthonormal_basis(m, tol=DEFAULT_TOL):
+def orthonormal_basis(m):
     """Orthonormal basis of the column space of ``m``.
 
     Parameters
     ----------
     m : array_like
         Matrix, or stack of matrices, whose column space is wanted.
-    tol : float
-        Relative singular-value cutoff for the numerical rank.
 
     Returns
     -------
     ndarray, shape (..., rows, rank)
         Orthonormal columns, as many as the numerical rank of ``m``.
     """
-    m = as_matrix(m)
-    if m.shape[-2] == 0:
-        raise InvalidMatrix("matrix has no rows")
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[..., :_one_rank(s, tol)]
+    u, s, _ = np.linalg.svd(as_matrix(m), full_matrices=False)
+    return u[..., :_one_rank(s)]
 
 
-def nullspace(m, tol=DEFAULT_TOL):
+def nullspace(m):
     """Orthonormal basis of the (right) nullspace of ``m``.
 
     The basis lives in the domain of ``m``: it has ``cols(m) - rank(m)``
-    columns and ``m @ basis`` is zero to within ``tol * ||m||``.
+    columns and ``m @ basis`` is zero to within ``DEFAULT_TOL * ||m||``.
     """
-    m = as_matrix(m)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    return ct(vh[..., _one_rank(s, tol):, :])
+    _, s, vh = np.linalg.svd(as_matrix(m), full_matrices=True)
+    return ct(vh[..., _one_rank(s):, :])
 
 
 def complement(m):
     """Orthonormal basis of the orthogonal complement of the span of ``m``.
 
-    It has ``rows(m) - rank(m)`` columns, the rank taken at
-    ``DEFAULT_TOL``.
+    It has ``rows(m) - rank(m)`` columns.
     """
-    m = as_matrix(m)
-    u, s, _ = np.linalg.svd(m, full_matrices=True)
-    return u[..., _one_rank(s, DEFAULT_TOL):]
+    u, s, _ = np.linalg.svd(as_matrix(m), full_matrices=True)
+    return u[..., _one_rank(s):]
 
 
 def frobenius(m):
@@ -155,8 +148,8 @@ def logdet_hpd(m):
     return float(out) if m.ndim == 2 else out
 
 
-def rank(m, tol=DEFAULT_TOL):
-    """Numerical rank at the relative singular-value cutoff ``tol``: an
-    int for a matrix, an int array of shape ``m.shape[:-2]`` for a stack."""
-    r = _ranks(np.linalg.svd(as_matrix(m), compute_uv=False), tol)
+def rank(m):
+    """Numerical rank: an int for a matrix, an int array of shape
+    ``m.shape[:-2]`` for a stack."""
+    r = _ranks(np.linalg.svd(as_matrix(m), compute_uv=False))
     return int(r) if r.ndim == 0 else r

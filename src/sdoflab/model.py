@@ -12,11 +12,12 @@ precoder lifted over the slots.
 
 An `AntennaConfig` is valid once made, and the samplers do not check
 their inputs: `sdoflab.rates.check_inputs` checks a sweep's
-eavesdropper counts where they enter.  All entries are i.i.d. circularly-symmetric complex
-Gaussian, so every sampled channel is full rank with probability one;
-this is asserted on every draw.  The samplers take one seed or
-generator per trial; `TrialStreams` derives the generators of a block
-of trials in bulk.
+eavesdropper counts where they enter.  All entries are i.i.d.
+circularly-symmetric complex Gaussian, so every sampled channel is full
+rank with probability one; this is asserted on every draw, by
+`sdoflab.matlin`'s rank rule.  The samplers take one seed or generator
+per trial; `TrialStreams` derives the generators of a block of trials
+in bulk.
 """
 
 import math
@@ -25,13 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matlin import rank
+
 
 class InvalidConfig(ValueError):
     """Antenna configuration violates a structural requirement."""
-
-
-class InvalidEveCount(ValueError):
-    """An eavesdropper antenna count is out of range."""
 
 
 @dataclass(frozen=True)
@@ -102,10 +101,10 @@ def complex_gaussian(rngs, *shapes):
     return stacks
 
 
-def _assert_full_rank(h, tol=1e-9):
-    """Raise unless every matrix of the stack ``h`` is numerically full rank."""
-    s = np.linalg.svd(h, compute_uv=False)
-    if np.any(s[..., -1] <= tol * s[..., 0]):
+def _assert_full_rank(h):
+    """Raise unless every matrix of the stack ``h`` is numerically full
+    rank, by `sdoflab.matlin.rank`."""
+    if np.any(rank(h) < min(h.shape[-2:])):
         raise RuntimeError("sampled channel is numerically rank deficient")
 
 

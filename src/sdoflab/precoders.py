@@ -24,10 +24,12 @@ which the receiver never sees but an eavesdropper would.
 
 Every step makes one SVD, QR or product call per ``(trials, rows,
 cols)`` stack, and each trial draws from its own seeded stream; a single
-trial is a stack of one.  All tolerances are relative.  `verify_geometry`
-writes one machine-checkable report per stack and keeps the receiver
-images ``U H_i V_i^L`` that the rate engine reads.  `build_precoder_set`
-returns a set whose report passed, or raises a :class:`GeometryError`.
+trial is a stack of one.  All tolerances are relative, and every
+numerical rank is `sdoflab.matlin`'s.  `verify_geometry` writes one
+machine-checkable report per stack and keeps the receiver images
+``U H_i V_i^L`` that the rate engine reads.  `build_precoder_set`
+returns a set whose report passed, or raises a :class:`GeometryError`,
+also for a stack whose ranks differ; no `matlin` rank error leaves it.
 """
 
 from dataclasses import dataclass, field
@@ -42,7 +44,6 @@ from .model import complex_gaussian, eve_image
 ALIGNMENT_TOL = 1e-8
 NULLSPACE_TOL = 1e-8
 ZF_TOL = 1e-8
-RANK_TOL = 1e-9
 
 
 class GeometryError(RuntimeError):
@@ -294,8 +295,7 @@ def verify_geometry(ps, h1e, h2e, plan):
                          float((frobenius(ps.u @ (he @ v)) / frobenius(he)).max()))
 
     images = (ps.u @ (h1e @ ps.v1l), ps.u @ (h2e @ ps.v2l))
-    decode_rank = int(np.min(matlin.rank(np.concatenate(images, axis=-1),
-                                         RANK_TOL)))
+    decode_rank = int(np.min(matlin.rank(np.concatenate(images, axis=-1))))
     ps.geometry = GeometryReport(align_res, null_res, zf_res, decode_rank,
                                  plan.d1 + plan.d2)
     ps.rx_images = images
@@ -311,7 +311,8 @@ def build_precoder_set(plan, h1, h2, seeds):
     one.  The set returned has a passing geometry report; a failed one
     raises :class:`GeometryError` with the report's failures as text.
     Trials whose dimensions differ fail the stack with the error of the
-    first trial whose own build fails (rebuilt from its seed), else
+    first trial whose own build fails (rebuilt from its seed), else with
+    a :class:`GeometryError` whose cause is the
     :class:`~sdoflab.matlin.RaggedRank`.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
@@ -321,11 +322,11 @@ def build_precoder_set(plan, h1, h2, seeds):
         v1j, v2j = build_jamming(plan, h1e, h2e, rngs)
         u = build_zero_forcing(h1e, h2e, v1j, v2j, plan)
         v1l, v2l = build_legit(plan, v1j, v2j, rngs)
-    except matlin.RaggedRank:
+    except matlin.RaggedRank as exc:
         for t, rng in enumerate(rngs):
             build_precoder_set(plan, h1[t:t + 1], h2[t:t + 1],
                                [rng.bit_generator.seed_seq])
-        raise
+        raise GeometryError(str(exc)) from exc
     ps = PrecoderSet(v1l=v1l, v2l=v2l, v1j=v1j, v2j=v2j, u=u,
                      extension=plan.extension)
     failures = verify_geometry(ps, h1e, h2e, plan).failures()
@@ -358,4 +359,4 @@ def jamming_coverage_rank(ps, g1, g2):
     """
     image = np.concatenate([eve_image(g1, ps.v1j), eve_image(g2, ps.v2j)],
                            axis=-1)
-    return matlin.rank(image, RANK_TOL)
+    return matlin.rank(image)

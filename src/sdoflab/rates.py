@@ -32,7 +32,8 @@ as fit in ``BLOCK_BYTES`` of stacks, counted from the stack shapes (see
 :func:`_trial_bytes`), so a small configuration runs as one block and a
 large one in blocks of a few trials.  The engine samples a block's
 channels and synthesizes its precoder sets as ``(trials, rows, cols)``
-stacks (:func:`~sdoflab.precoders.build_precoder_set` verifies each), then
+stacks (:func:`~sdoflab.precoders.build_precoder_set` verifies each, and
+a failed build is its :class:`~sdoflab.precoders.GeometryError`), then
 stacks the receiver grams of the images ``U H_i V_i^L``, the eavesdropper
 covariances and their log-dets over trials and powers, and adds the
 per-trial results to running sums in trial order.  Each trial keeps its
@@ -49,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matlin import ct, logdet_hpd
-from .model import (InvalidEveCount, TrialStreams, canonical, eve_image,
-                    sample_channels, sample_eves)
+from .model import (TrialStreams, canonical, eve_image, sample_channels,
+                    sample_eves)
 from .precoders import build_precoder_set, build_unjammed_set
 from .regions import jamming_plan
 
@@ -95,6 +96,10 @@ def fit_slope(p_values, rates):
     return float(slope), float(intercept)
 
 
+class InvalidEveCount(ValueError):
+    """An eavesdropper antenna count is out of range."""
+
+
 def _is_integer(v):
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
@@ -102,7 +107,7 @@ def _is_integer(v):
 def check_inputs(cfg, alpha, p_grid, trials, eve_counts):
     """Check the inputs of :func:`sweep` as its docstring states them, in
     its order, and return the powers as floats.  An eavesdropper count
-    outside ``[0, cfg.ne]`` raises :class:`~sdoflab.model.InvalidEveCount`,
+    outside ``[0, cfg.ne]`` raises :class:`InvalidEveCount`,
     any other bad value (a non-integer or bool included) ``ValueError``."""
     p = [float(v) for v in p_grid]
     if not all(map(math.isfinite, p)):

@@ -144,7 +144,6 @@ BAD_INPUTS = [
     pytest.param({"trials": cli.MAX_TRIALS + 1}, [], id="trials-over-limit"),
     pytest.param({}, ["--trials", str(cli.MAX_TRIALS + 1)],
                  id="--trials-over-limit"),
-    pytest.param({"output_path": "a\u0000b"}, [], id="output_path-nul"),
     # unknown keys: eavesdropper channels are CN(0, 1), with no moment knobs
     pytest.param({"eve_var": 1e300, "p_grid": [1e3, 1e5, 1e7, 1e9]}, [],
                  id="eve_var=1e300"),
@@ -172,14 +171,14 @@ class TestSimulateBadInput:
         assert not (tmp_path / "bad.json").exists()
 
     @pytest.mark.parametrize("output_path,out", [
-        ("", None), ("runs/", None), ("{tmp}/runs/", None),
+        ("", None), ("runs/", None), ("{tmp}/runs/", None), ("a\0b", None),
         ("run", ""), ("run", "{tmp}/runs/"), ("run", "a\0b")])
     def test_stem_without_file_name(self, tmp_path, capsys, monkeypatch,
                                     output_path, out):
         # The outputs are <stem>.csv and <stem>.json, so a stem whose last
         # path component is empty would write hidden files.  An empty
-        # --out is an empty stem, not a missing option; a NUL in --out
-        # (possible only through main's argv) made open() raise.
+        # --out is an empty stem, not a missing option; a NUL (in --out
+        # possible only through main's argv) made open() raise.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "runs").mkdir()
         cfg = write_config(tmp_path / "exp.json",
@@ -208,6 +207,17 @@ class TestSimulateBadInput:
                         exp["alpha"], exp["p_grid"], exp["trials"],
                         exp["seed"], eve_counts=exp["eve_counts"])
         assert capsys.readouterr().err == f"bad config: {exc.value}\n"
+
+    @pytest.mark.parametrize("output_path", ["a\0b", None, "runs/"])
+    def test_out_overrides_rejected_output_path(self, tmp_path, capsys,
+                                                output_path):
+        # --out replaces output_path before the check, like --seed does.
+        cfg = write_config(tmp_path / "exp.json", output_path=output_path)
+        stem = tmp_path / "ok"
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(stem)]) == 0
+        assert capsys.readouterr().err == ""
+        assert Path(f"{stem}.csv").exists() and Path(f"{stem}.json").exists()
 
     def test_override_validated_not_file_value(self, tmp_path):
         cfg = write_config(tmp_path / "exp.json", trials=0)

@@ -32,12 +32,12 @@ def span_equal(b1, b2, tol=1e-9):
 
 class TestOrthonormalBasis:
     def test_identity_full_rank(self):
-        s = orthonormal_basis(np.eye(3), 1e-10)
+        s = orthonormal_basis(np.eye(3))
         assert s.shape == (3, 3)
 
     def test_equal_columns_rank_one(self):
         col = np.array([[1.0], [2.0], [3.0]])
-        s = orthonormal_basis(np.hstack([col, col]), 1e-10)
+        s = orthonormal_basis(np.hstack([col, col]))
         assert s.shape == (3, 1)
 
     def test_random_wide_matrix_rank(self):
@@ -128,6 +128,16 @@ class TestSubspaceContract:
         assert c.shape == (rows, rows - rank)
         assert np.linalg.norm(c.conj().T @ c - np.eye(rows - rank)) <= 1e-10
         assert np.linalg.norm(c.conj().T @ m) <= 1e-10 * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 0, 3), (2, 3, 0)])
+    def test_empty_shapes(self, shape):
+        # A matrix with no rows or no columns has rank 0.
+        m = np.zeros(shape)
+        rows, cols = shape[-2:]
+        assert orthonormal_basis(m).shape == shape[:-1] + (0,)
+        assert nullspace(m).shape == shape[:-2] + (cols, cols)
+        assert complement(m).shape == shape[:-2] + (rows, rows)
+        assert np.array_equal(matlin.rank(m), np.zeros(shape[:-2], int))
 
     @pytest.mark.parametrize("call", [orthonormal_basis, nullspace, complement])
     def test_non_finite_input_rejected(self, call):

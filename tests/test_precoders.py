@@ -338,7 +338,8 @@ class TestStackedBuild:
     def test_ragged_ranks_of_usable_trials_fail_the_stack(self):
         # Trial 1's second channel has rank 1, so the row space that its
         # aligned columns come from is narrower than the other trials';
-        # each trial builds alone and passes, so RaggedRank itself escapes.
+        # each trial builds alone and passes, so the stack fails with the
+        # RaggedRank as the cause.
         cfg = AntennaConfig(3, 2, 2, 2)
         plan = jamming_plan(cfg)
         assert plan.aligned
@@ -347,8 +348,10 @@ class TestStackedBuild:
         for t, seed in enumerate([10, 11, 12]):
             own = build_precoder_set(plan, h1[t:t + 1], h2[t:t + 1], [seed])
             assert own.geometry.passed
-        with pytest.raises(RaggedRank):
+        with pytest.raises(GeometryError,
+                           match="^numerical ranks differ") as stacked:
             build_precoder_set(plan, h1, h2, [10, 11, 12])
+        assert isinstance(stacked.value.__cause__, RaggedRank)
 
     def test_failed_report_raises_its_failures(self, monkeypatch):
         cfg = AntennaConfig(2, 2, 3, 1)

@@ -7,11 +7,11 @@ import pytest
 from sdoflab import precoders
 from sdoflab import rates as rates_mod
 from sdoflab.matlin import logdet_hpd
-from sdoflab.model import (AntennaConfig, InvalidEveCount, canonical,
-                           eve_image, sample_channels, sample_eves)
+from sdoflab.model import (AntennaConfig, canonical, eve_image,
+                           sample_channels, sample_eves)
 from sdoflab.precoders import (GeometryError, PrecoderSet, build_precoder_set,
                                build_unjammed_set, extend_channel)
-from sdoflab.rates import fit_slope, sweep
+from sdoflab.rates import InvalidEveCount, fit_slope, sweep
 from sdoflab.regions import DegenerateConfig, jamming_plan
 
 P_GRID = [10.0 ** k for k in range(3, 10)]
