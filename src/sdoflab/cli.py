@@ -121,10 +121,11 @@ class ExperimentConfig:
               and all(map(_is_number, self.p_grid)), "p_grid",
               f"a list of at most {MAX_POWERS} numbers")
         # The outputs are <stem>.csv and <stem>.json, so a stem whose last
-        # path component is empty would write hidden files.
+        # path component is empty, "." or ".." would write hidden files.
         check(isinstance(self.output_path, str)
               and "\0" not in self.output_path
-              and os.path.basename(self.output_path), "output_path",
+              and os.path.basename(self.output_path) not in ("", ".", ".."),
+              "output_path",
               "a string that names a file, without NUL characters")
         rates.check_inputs(self.antenna_config(), self.alpha, self.p_grid,
                            self.trials, self.eve_counts)
@@ -180,7 +181,7 @@ def grid_rows(max_antennas):
         case = regions.classify_case(cfg)
         bounds = regions.upper_bound_terms(cfg)
         plan_ok = regions.verify_plan_arithmetic(
-            cfg, regions.jamming_plan(cfg))
+            cfg, regions.jamming_plan(cfg), ds)
         key = (cfg.m1, cfg.m2, cfg.n, cfg.ne)
         if ds != min(bounds):
             violations.append(f"{key}: D_s {ds} != min bound {min(bounds)}")

@@ -14,10 +14,10 @@ An `AntennaConfig` is valid once made, and the samplers do not check
 their inputs: `sdoflab.rates.check_inputs` checks a sweep's
 eavesdropper counts where they enter.  All entries are i.i.d.
 circularly-symmetric complex Gaussian, so every sampled channel is full
-rank with probability one; this is asserted on every draw, by
-`sdoflab.matlin`'s rank rule.  The samplers take one seed or generator
-per trial; `TrialStreams` derives the generators of a block of trials
-in bulk.
+rank with probability one; a draw that is not is left to the precoder
+build, which passes its geometry report or raises its `GeometryError`.
+The samplers take one seed or generator per trial; `TrialStreams`
+derives the generators of a block of trials in bulk.
 """
 
 import math
@@ -25,8 +25,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-
-from .matlin import rank
 
 
 class InvalidConfig(ValueError):
@@ -101,13 +99,6 @@ def complex_gaussian(rngs, *shapes):
     return stacks
 
 
-def _assert_full_rank(h):
-    """Raise unless every matrix of the stack ``h`` is numerically full
-    rank, by `sdoflab.matlin.rank`."""
-    if np.any(rank(h) < min(h.shape[-2:])):
-        raise RuntimeError("sampled channel is numerically rank deficient")
-
-
 def sample_eves(cfg, eve_counts, seeds, slots=1):
     """Draw eavesdropper channel pairs, one per entry of ``eve_counts``.
 
@@ -147,11 +138,8 @@ def sample_channels(cfg, seeds):
     ``numpy.random.default_rng(seed)``, so its draws do not depend on the
     other seeds.  Eavesdroppers are drawn apart, with `sample_eves`.
     """
-    h1, h2 = complex_gaussian([np.random.default_rng(s) for s in seeds],
-                              (cfg.n, cfg.m1), (cfg.n, cfg.m2))
-    _assert_full_rank(h1)
-    _assert_full_rank(h2)
-    return h1, h2
+    return complex_gaussian([np.random.default_rng(s) for s in seeds],
+                            (cfg.n, cfg.m1), (cfg.n, cfg.m2))
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on uint32s.

@@ -8,7 +8,7 @@ trial, this module synthesizes for every trial:
   ``(x, y)`` with ``H1 x = H2 y`` from one null space over the two
   channels' row spaces, then random (Gaussian, orthonormalized) columns;
 * a receiver matrix ``u`` whose orthonormal rows span the orthogonal
-  complement of the received jamming space (zero-forcing);
+  complement of the jamming images that reach the receiver (zero-forcing);
 * legitimate precoders ``v1l``/``v2l`` with orthonormal columns taken
   from the orthogonal complement of each transmitter's jamming columns.
 
@@ -22,14 +22,15 @@ present rank-deficient jamming to a time-varying eavesdropper.  Keeping
 them in the row spaces keeps them free of channel-nullspace components,
 which the receiver never sees but an eavesdropper would.
 
-Every step makes one SVD, QR or product call per ``(trials, rows,
-cols)`` stack, and each trial draws from its own seeded stream; a single
-trial is a stack of one.  All tolerances are relative, and every
-numerical rank is `sdoflab.matlin`'s.  `verify_geometry` writes one
-machine-checkable report per stack and keeps the receiver images
-``U H_i V_i^L`` that the rate engine reads.  `build_precoder_set`
-returns a set whose report passed, or raises a :class:`GeometryError`,
-also for a stack whose ranks differ; no `matlin` rank error leaves it.
+Every subspace is one `sdoflab.matlin` call per ``(trials, rows,
+cols)`` stack; a single trial is a stack of one, drawing from its own
+generator, made from its seed in `build_precoder_set`.  All tolerances
+are relative, and every numerical rank is `sdoflab.matlin`'s.
+`verify_geometry` writes one machine-checkable report per stack and
+keeps the receiver images ``U H_i V_i^L`` that the rate engine reads.
+`build_precoder_set` returns a set whose report passed, or raises a
+:class:`GeometryError`, also for a stack whose ranks differ; no
+`matlin` rank error leaves it.
 """
 
 from dataclasses import dataclass, field
@@ -162,11 +163,11 @@ def _aligned_pairs(a, h1e, h2e, rngs):
     return pairs[..., :h1e.shape[-1], :], pairs[..., h1e.shape[-1]:, :]
 
 
-def build_jamming(plan, h1e, h2e, seeds):
+def build_jamming(plan, h1e, h2e, rngs):
     """Jamming precoders ``(v1j, v2j)`` for a plan on a stack of channels.
 
     ``h1e``/``h2e`` are the channels lifted to ``plan.extension`` slots,
-    ``(trials, rows, cols)``, and ``seeds`` holds one seed per trial.
+    ``(trials, rows, cols)``, and ``rngs`` holds one generator per trial.
     Each transmitter's columns are its ``null`` nullspace columns, which
     the receiver does not see, then its ``aligned`` columns, then its
     ``random`` generic columns, each normalized to unit norm.  The
@@ -180,7 +181,6 @@ def build_jamming(plan, h1e, h2e, seeds):
         When the received signal spaces share fewer dimensions than the
         aligned budget (a plan/region mismatch).
     """
-    rngs = [np.random.default_rng(s) for s in seeds]
     pairs = _aligned_pairs(plan.aligned, h1e, h2e, rngs)
     out = []
     for he, null, aligned, random in zip((h1e, h2e), plan.null, pairs,
@@ -207,9 +207,14 @@ def build_zero_forcing(h1e, h2e, v1j, v2j, plan):
 
     ``h1e``/``h2e`` are the channel stacks lifted to ``plan.extension``
     slots.  The rows form an orthonormal basis of the orthogonal
-    complement of the received jamming space (the union of both
-    transmitters' jamming images), so ``u @ (H_i v_ij) = 0``.  With no
-    jamming at the receiver the result is a full square unitary.
+    complement of the received jamming space, so ``u @ (H_i v_ij) = 0``.
+    It is factored from the images that reach the receiver, ``[H1
+    v1j[n1:] | H2 v2j[n2 + a:]]``: transmitter 1's aligned and random
+    columns and transmitter 2's random ones.  Nullspace images are zero
+    up to roundoff and transmitter 2's aligned images repeat
+    transmitter 1's, so without them `sdoflab.matlin`'s relative rank
+    rule counts the occupied dimensions.  With no jamming at the
+    receiver the result is a full square unitary.
 
     Raises
     ------
@@ -217,34 +222,28 @@ def build_zero_forcing(h1e, h2e, v1j, v2j, plan):
         When the received jamming space of a trial does not have
         dimension ``plan.j_s``.
     """
-    image = np.concatenate([h1e @ v1j, h2e @ v2j], axis=-1)
-    # Nullspace jamming leaves an image that is zero up to roundoff,
-    # so the occupied-dimension cutoff must be relative to the
-    # channel scale, not to the image's own largest singular value.
-    u_img, svals, _ = np.linalg.svd(image, full_matrices=False)
-    scale = np.maximum(np.linalg.norm(h1e, 2, axis=(-2, -1)),
-                       np.linalg.norm(h2e, 2, axis=(-2, -1)))
-    dims = np.count_nonzero(svals > matlin.DEFAULT_TOL * scale[..., None],
-                            axis=-1)
-    if np.any(dims != plan.j_s):
+    (n1, n2), a = plan.null, plan.aligned
+    image = np.concatenate([h1e @ v1j[..., n1:], h2e @ v2j[..., n2 + a:]],
+                           axis=-1)
+    u = ct(complement(image))
+    if u.shape[-2] != image.shape[-2] - plan.j_s:
         raise PlanMismatch(
             f"received jamming space has dimension "
-            f"{dims[dims != plan.j_s][0]}, plan says {plan.j_s}")
-    return ct(complement(u_img[..., :plan.j_s]))
+            f"{image.shape[-2] - u.shape[-2]}, plan says {plan.j_s}")
+    return u
 
 
-def build_legit(plan, v1j, v2j, seeds):
+def build_legit(plan, v1j, v2j, rngs):
     """Legitimate precoders ``(v1l, v2l)``, stacked like the jamming.
 
     Each is ``d_i`` orthonormal columns of a generically rotated
     orthonormal basis of the orthogonal complement of the transmitter's
     jamming columns, so legitimate streams never leak power into the
-    jamming directions.
+    jamming directions.  ``rngs`` holds one generator per trial.
     """
-    rngs = [np.random.default_rng(s) for s in seeds]
     out = []
     for vj, d in ((v1j, plan.d1), (v2j, plan.d2)):
-        comp = complement(orthonormal_basis(vj))
+        comp = complement(vj)
         if comp.shape[-1] < d:
             raise PlanMismatch(
                 f"complement of the jamming span has dimension "

@@ -205,21 +205,21 @@ def jamming_plan(cfg):
                        d1, d_total - d1)
 
 
-def verify_plan_arithmetic(cfg, plan):
-    """Exact check of all plan invariants against the closed form.
+def verify_plan_arithmetic(cfg, plan, ds):
+    """Exact check of all plan invariants against ``ds = sum_sdof(cfg)``.
 
-    True iff, per extended block: the jamming columns sum to
-    ``extension * ne``, the streams sum to ``extension * sum_sdof(cfg)``,
-    each transmitter has antenna budget for its streams past the
-    jamming, and the receiver keeps at least ``d1 + d2`` jamming-free
-    dimensions (``extension * n - j_s >= d1 + d2``).  The planner never
-    reads the closed form, so this compares two independent counts.
+    True iff, per extended block: the jamming columns sum to ``extension
+    * ne``, the streams sum to ``extension * ds``, each transmitter has
+    antenna budget for its streams past the jamming, and the receiver
+    keeps at least ``d1 + d2`` jamming-free dimensions (``extension * n
+    - j_s >= d1 + d2``).  The planner never reads the closed form, so
+    this compares two independent counts.
     """
     cfg = canonical(cfg)
     ext = plan.extension
     if plan.total_jam_dims() != ext * cfg.ne:
         return False
-    if Fraction(plan.d1 + plan.d2) != Fraction(ext) * sum_sdof(cfg):
+    if plan.d1 + plan.d2 != ext * ds:
         return False
     if not 0 <= plan.d1 <= ext * cfg.m1 - plan.jam_dims(1):
         return False

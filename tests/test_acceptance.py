@@ -67,7 +67,8 @@ def test_criterion_1_closed_form_meets_converse():
 def test_criterion_2_plan_arithmetic_grid():
     with criterion(2, "plan arithmetic grid", 1.0):
         for cfg in grid_configs():
-            assert verify_plan_arithmetic(cfg, jamming_plan(cfg)), cfg
+            assert verify_plan_arithmetic(cfg, jamming_plan(cfg),
+                                          sum_sdof(cfg)), cfg
 
 
 def test_criterion_3_geometry_suite():

@@ -74,6 +74,19 @@ class TestGridVerify:
         out = capsys.readouterr().out
         assert out.startswith("m1,m2,n,ne,case,")
 
+    def test_closed_form_once_per_config(self, monkeypatch):
+        calls = []
+        sum_sdof = regions.sum_sdof
+
+        def counted(cfg):
+            calls.append(cfg)
+            return sum_sdof(cfg)
+
+        monkeypatch.setattr(regions, "sum_sdof", counted)
+        rows, violations = cli.grid_rows(3)
+        assert not violations and len(rows) == len(calls)
+        assert calls == list(cli.iter_canonical_configs(3))  # one per config
+
 
 class TestSimulate:
     def test_outputs_and_schema(self, tmp_path, capsys):
@@ -172,11 +185,14 @@ class TestSimulateBadInput:
 
     @pytest.mark.parametrize("output_path,out", [
         ("", None), ("runs/", None), ("{tmp}/runs/", None), ("a\0b", None),
-        ("run", ""), ("run", "{tmp}/runs/"), ("run", "a\0b")])
+        (".", None), ("..", None), ("runs/.", None), ("runs/..", None),
+        ("run", ""), ("run", "{tmp}/runs/"), ("run", "a\0b"),
+        ("run", "."), ("run", ".."), ("run", "runs/."), ("run", "runs/..")])
     def test_stem_without_file_name(self, tmp_path, capsys, monkeypatch,
                                     output_path, out):
         # The outputs are <stem>.csv and <stem>.json, so a stem whose last
-        # path component is empty would write hidden files.  An empty
+        # path component is empty, "." or ".." would write hidden files
+        # (the stem "." writes "..csv" and "..json").  An empty
         # --out is an empty stem, not a missing option; a NUL (in --out
         # possible only through main's argv) made open() raise.
         monkeypatch.chdir(tmp_path)
@@ -242,6 +258,29 @@ class TestSimulateBadInput:
         assert "Traceback" not in err
         assert not (tmp_path / "bad.csv").exists()
         assert not (tmp_path / "bad.json").exists()
+
+    def test_rank_deficient_draw_fails_geometry(self, tmp_path, capsys,
+                                                monkeypatch):
+        # The sampler does not check rank; the geometry report of the
+        # jammed build does, and the control runs on the same draw.
+        draw = rates.sample_channels
+
+        def repeated_column(cfg, seeds):
+            h1, h2 = draw(cfg, seeds)
+            h1[..., 1] = h1[..., 0]
+            return h1, h2
+
+        monkeypatch.setattr(rates, "sample_channels", repeated_column)
+        cfg = write_config(tmp_path / "exp.json", m1=2, m2=2, n=2, ne=1)
+        stem = tmp_path / "deficient"
+        argv = ["simulate", "--config", str(cfg), "--out", str(stem)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("geometry verification failed: ")
+        assert err.count("\n") == 1, err
+        assert not Path(f"{stem}.csv").exists()
+        assert cli.main(argv + ["--no-jamming"]) == 0
+        assert_finite_outputs(stem)
 
     def test_failed_geometry_names_the_check(self, tmp_path, capsys,
                                              monkeypatch):

@@ -76,7 +76,7 @@ class TestBuildJamming:
         h1, h2 = sample_channels(cfg, [3])
         bad = JammingPlan(1, (0, 0), 2, (0, 0), 0, 0)
         with pytest.raises(AlignmentInfeasible):
-            build_jamming(bad, h1, h2, [0])
+            build_jamming(bad, h1, h2, [np.random.default_rng(0)])
 
     @pytest.mark.parametrize("cfg_tuple", [(3, 1, 2, 2), (3, 1, 2, 3),
                                            (4, 3, 2, 4), (5, 4, 3, 6)])
@@ -95,8 +95,10 @@ class TestBuildJamming:
     def test_deterministic_given_seed(self):
         _, plan, (h1, h2), _ = built((2, 2, 3, 1))
         h1e, h2e = lifted(h1, h2, plan)
-        a = build_jamming(plan, h1e[None], h2e[None], [5])
-        b = build_jamming(plan, h1e[None], h2e[None], [5])
+        a = build_jamming(plan, h1e[None], h2e[None],
+                          [np.random.default_rng(5)])
+        b = build_jamming(plan, h1e[None], h2e[None],
+                          [np.random.default_rng(5)])
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -154,7 +156,8 @@ class TestBuildLegit:
         from dataclasses import replace
         greedy = replace(plan, d1=plan.extension * cfg.m1)
         with pytest.raises(PlanMismatch):
-            build_legit(greedy, ps.v1j[None], ps.v2j[None], [0])
+            build_legit(greedy, ps.v1j[None], ps.v2j[None],
+                        [np.random.default_rng(0)])
 
 
 class TestVerifyGeometry:
@@ -267,6 +270,19 @@ def test_every_construction_shape_up_to_six_antennas():
                                     slots=plan.extension)
             assert jamming_coverage_rank(ps, g1, g2).tolist() == \
                 [plan.extension * cfg.ne], (cfg, ps.geometry)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+@pytest.mark.parametrize("cfg_tuple",
+                         GEOMETRY_CONFIGS + [(4, 4, 6, 7), (5, 4, 3, 6)])
+def test_rank_rule_is_scale_free(cfg_tuple, scale):
+    # Every rank is relative to its own matrix, so scaled channels build
+    # the same dimensions and pass the same relative residual checks.
+    cfg = AntennaConfig(*cfg_tuple)
+    h1, h2 = sample_channels(cfg, [1, 2, 3])
+    ps = build_precoder_set(jamming_plan(cfg), scale * h1, scale * h2,
+                            [10, 11, 12])
+    assert ps.geometry.passed, ps.geometry
 
 
 class TestStackedBuild:

@@ -161,38 +161,44 @@ class TestJammingPlan:
         plan = jamming_plan(AntennaConfig(4, 4, 6, 7))
         assert plan.jam_dims(1) <= 4 and plan.jam_dims(2) <= 4
         assert plan.total_jam_dims() == 7
-        assert verify_plan_arithmetic(AntennaConfig(4, 4, 6, 7), plan)
+        cfg = AntennaConfig(4, 4, 6, 7)
+        assert verify_plan_arithmetic(cfg, plan, sum_sdof(cfg))
 
 
 class TestVerifyPlanArithmetic:
     def test_jamfree_dimensions_match_streams_exactly(self):
         cfg = AntennaConfig(3, 1, 2, 3)
         plan = jamming_plan(cfg)
-        assert verify_plan_arithmetic(cfg, plan)
+        assert verify_plan_arithmetic(cfg, plan, sum_sdof(cfg))
         # jamming-free receiver dimensions exactly match the stream count
         assert plan.extension * cfg.n - plan.j_s == cfg.m - cfg.ne == 1
 
     def test_jamfree_dimensions_nullspace_aligned_case(self):
         cfg = AntennaConfig(3, 2, 2, 1)
         plan = jamming_plan(cfg)
-        assert verify_plan_arithmetic(cfg, plan)
+        assert verify_plan_arithmetic(cfg, plan, sum_sdof(cfg))
         assert plan.extension * cfg.n - plan.j_s == 2
         assert Fraction(cfg.m - cfg.ne, 2) == Fraction(2)
 
     def test_holds_over_grid(self):
         for cfg in grid_configs():
-            assert verify_plan_arithmetic(cfg, jamming_plan(cfg)), cfg
+            assert verify_plan_arithmetic(cfg, jamming_plan(cfg),
+                                          sum_sdof(cfg)), cfg
 
     def test_missing_jam_dimension_fails(self):
         cfg = AntennaConfig(2, 2, 4, 2)
         plan = jamming_plan(cfg)
         assert plan.random == (2, 0)
-        assert not verify_plan_arithmetic(cfg, replace(plan, random=(1, 0)))
+        assert not verify_plan_arithmetic(cfg, replace(plan, random=(1, 0)),
+                                          sum_sdof(cfg))
 
     def test_wrong_stream_count_fails(self):
         cfg = AntennaConfig(2, 2, 4, 1)
         plan = jamming_plan(cfg)
-        assert not verify_plan_arithmetic(cfg, replace(plan, d1=plan.d1 + 1))
+        assert not verify_plan_arithmetic(cfg, replace(plan, d1=plan.d1 + 1),
+                                          sum_sdof(cfg))
+        # the closed form is an argument, and the check reads it
+        assert not verify_plan_arithmetic(cfg, plan, sum_sdof(cfg) + 1)
 
     def test_receiver_overload_fails(self):
         # Transmitter 1's nullspace column turned random: the jamming
@@ -203,7 +209,7 @@ class TestVerifyPlanArithmetic:
         assert (plan.null, plan.random) == ((1, 0), (0, 0))
         bad = replace(plan, null=(0, 0), random=(1, 0))
         assert bad.total_jam_dims() == 1 and bad.j_s == 1
-        assert not verify_plan_arithmetic(cfg, bad)
+        assert not verify_plan_arithmetic(cfg, bad, sum_sdof(cfg))
 
 
 def test_jamming_budget_equals_extension_ne_on_grid():
@@ -237,7 +243,7 @@ class TestPropertiesUpToSimulateLimit:
     @settings(max_examples=200, deadline=None)
     @given(simulate_configs())
     def test_plan_arithmetic(self, cfg):
-        assert verify_plan_arithmetic(cfg, jamming_plan(cfg))
+        assert verify_plan_arithmetic(cfg, jamming_plan(cfg), sum_sdof(cfg))
 
     @settings(max_examples=200, deadline=None)
     @given(simulate_configs())
