@@ -3,7 +3,7 @@
 Submodules
 ----------
 matlin
-    Complex matrix and subspace toolkit.
+    Real and complex matrix and subspace toolkit.
 model
     Antenna configurations and random channels.
 regions

@@ -1,4 +1,4 @@
-"""Dense complex matrix and subspace toolkit.
+"""Dense real and complex matrix and subspace toolkit.
 
 Everything downstream (channel models, precoder synthesis, rate
 computations) is built on a handful of primitives collected here:
@@ -7,8 +7,9 @@ and the log-determinant of Hermitian positive-definite matrices.
 
 Conventions
 -----------
-Matrices are plain ``numpy.ndarray`` objects with dtype complex128, and
-every function here also takes a ``(..., rows, cols)`` stack of them.
+Matrices are plain ``numpy.ndarray`` objects, real (float64) or complex
+(complex128), and every function here also takes a ``(..., rows, cols)``
+stack of them; a result has the dtype of its input.
 A subspace is the column space of a matrix.  The subspace primitives
 (:func:`orthonormal_basis`, :func:`nullspace`, :func:`complement`) take
 any finite matrix or stack, check it once with :func:`as_matrix`,
@@ -33,7 +34,7 @@ DEFAULT_TOL = 1e-9
 
 
 class InvalidMatrix(ValueError):
-    """Input is not a finite complex matrix or stack of matrices."""
+    """Input is not a finite matrix or stack of matrices."""
 
 
 class NotPositiveDefinite(ValueError):
@@ -45,18 +46,20 @@ class RaggedRank(ValueError):
 
 
 def as_matrix(m):
-    """Coerce ``m`` to a complex128 matrix or ``(..., rows, cols)`` stack,
-    rejecting non-finite entries."""
-    a = np.asarray(m, dtype=np.complex128)
+    """Coerce ``m`` to a float64 or complex128 matrix or ``(..., rows,
+    cols)`` stack, rejecting non-finite entries."""
+    a = np.asarray(m)
+    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
     if a.ndim < 2:
         raise InvalidMatrix(f"expected a matrix, got ndim={a.ndim}")
-    if a.size and not (np.isfinite(a.real).all() and np.isfinite(a.imag).all()):
+    if a.size and not np.isfinite(a).all():
         raise InvalidMatrix("matrix has non-finite entries")
     return a
 
 
 def ct(x):
-    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    """Conjugate transpose of a matrix or of every matrix in a stack (a
+    view of a real one)."""
     return x.conj().swapaxes(-2, -1)
 
 
@@ -112,8 +115,8 @@ def complement(m):
 
 def frobenius(m):
     """Frobenius norm of each matrix in a stack, without complex temporaries."""
-    return np.sqrt(sum(np.einsum("...ij,...ij->...", x, x)
-                       for x in (m.real, m.imag)))
+    parts = (m.real, m.imag) if np.iscomplexobj(m) else (m,)
+    return np.sqrt(sum(np.einsum("...ij,...ij->...", x, x) for x in parts))
 
 
 def logdet_hpd(m):
@@ -133,7 +136,7 @@ def logdet_hpd(m):
         raise NotPositiveDefinite("matrix is not square")
     if m.shape[-1] == 0:
         return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
-    skew = m.conj().swapaxes(-2, -1)
+    skew = np.conjugate(m).swapaxes(-2, -1)  # a copy, also of a real m
     np.subtract(m, skew, out=skew)
     skewed = np.any(frobenius(skew) > 1e-10 * np.maximum(1.0, frobenius(m)))
     del skew

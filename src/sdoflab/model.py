@@ -2,22 +2,25 @@
 
 The network has two transmitters with ``m1`` and ``m2`` antennas, one
 legitimate receiver with ``n`` antennas, and any number of passive
-eavesdroppers with at most ``ne`` antennas each.  Legitimate channels
-are held constant for the duration of an experiment trial; eavesdropper
-channels are time varying: each Monte-Carlo trial draws them afresh,
-independently for every symbol slot of an extended block, and a power
-sweep evaluates that one draw at every power.  They are kept as
-per-slot blocks; `eve_image` is the one place that applies them to a
-precoder lifted over the slots.
+eavesdroppers with at most ``ne`` antennas each.  Every channel, the
+legitimate ones and each eavesdropper's, is static: a Monte-Carlo trial
+draws it once, and a power sweep evaluates that one draw at every power.
+
+All entries are i.i.d. circularly-symmetric complex Gaussian, so every
+sampled channel is full rank with probability one; a draw that is not
+is left to the precoder build, which passes its geometry report or
+raises its `GeometryError`.  The samplers return each complex channel
+``H`` as its real form `real_form` ``R(H)``, two real dimensions per
+antenna, so that the precoders can be real (asymmetric complex
+signaling): a generic static channel acts differently on the real and
+imaginary parts of a signal, which gives the half dimensions of the
+secure DoF.
 
 An `AntennaConfig` is valid once made, and the samplers do not check
 their inputs: `sdoflab.rates.check_inputs` checks a sweep's
-eavesdropper counts where they enter.  All entries are i.i.d.
-circularly-symmetric complex Gaussian, so every sampled channel is full
-rank with probability one; a draw that is not is left to the precoder
-build, which passes its geometry report or raises its `GeometryError`.
-The samplers take one seed or generator per trial; `TrialStreams`
-derives the generators of a block of trials in bulk.
+eavesdropper counts where they enter.  The samplers take one seed or
+generator per trial; `TrialStreams` derives the generators of a block
+of trials in bulk.
 """
 
 import math
@@ -99,47 +102,45 @@ def complex_gaussian(rngs, *shapes):
     return stacks
 
 
-def sample_eves(cfg, eve_counts, seeds, slots=1):
+def real_form(h):
+    """The real matrix ``R(H) = [[Re H, -Im H], [Im H, Re H]]`` of ``h``, a
+    matrix or a stack.
+
+    ``R(A B) = R(A) R(B)`` and ``R(A^H) = R(A)^T``, and every singular
+    value of ``H`` is a singular value of ``R(H)`` twice.
+    """
+    return np.block([[h.real, -h.imag], [h.imag, h.real]])
+
+
+def sample_eves(cfg, eve_counts, seeds):
     """Draw eavesdropper channel pairs, one per entry of ``eve_counts``.
 
-    Each pair ``(g1, g2)`` holds the per-slot blocks, stacked ``(trials,
-    slots, nej, m_i)`` with i.i.d. CN(0, 1) entries: over an extended
-    block the eavesdropper sees a fresh channel every channel use (the
-    time-varying model).  Trial ``t`` draws all its entries with one
+    Each pair ``(g1, g2)`` holds the real forms of i.i.d. CN(0, 1)
+    channels, stacked ``(trials, 2 nej, 2 m_i)``: one draw per
+    eavesdropper and trial.  Trial ``t`` draws all its entries with one
     call to its own ``numpy.random.default_rng(seeds[t])`` (a generator
     passes through as it is).
     """
-    # The normals run eavesdropper, transmitter, slot, then the real and
+    # The normals run eavesdropper, transmitter, then the real and
     # imaginary parts.
     stacks = complex_gaussian([np.random.default_rng(s) for s in seeds],
-                              *[(slots, nej, mi) for nej in eve_counts
+                              *[(nej, mi) for nej in eve_counts
                                 for mi in (cfg.m1, cfg.m2)])
+    stacks = [real_form(g) for g in stacks]
     return list(zip(stacks[::2], stacks[1::2]))
 
 
-def eve_image(g, v):
-    """Rows of the product of the lifted eavesdropper matrix with ``v``.
-
-    ``g`` holds per-slot blocks ``(..., slots, r, c)`` and ``v`` the
-    lifted precoder ``(..., slots*c, k)``; slot ``s``'s block multiplies
-    rows ``s*c .. (s+1)*c`` of ``v``.  The result ``(..., slots*r, k)``
-    is slot-major, the rows of the block-diagonal lift times ``v``.  A
-    ``v`` with columns and another row count raises ``ValueError``.
-    """
-    *_, slots, r, c = g.shape
-    out = g @ v.reshape(v.shape[:-2] + (slots, c, v.shape[-1]))
-    return out.reshape(out.shape[:-3] + (slots * r, v.shape[-1]))
-
-
 def sample_channels(cfg, seeds):
-    """Legitimate channels ``h1``, then ``h2``, stacked ``(trials, n, m_i)``.
+    """Legitimate channels ``h1``, then ``h2``, as real forms stacked
+    ``(trials, 2 n, 2 m_i)``.
 
     Each trial draws both with one call to its own
     ``numpy.random.default_rng(seed)``, so its draws do not depend on the
     other seeds.  Eavesdroppers are drawn apart, with `sample_eves`.
     """
-    return complex_gaussian([np.random.default_rng(s) for s in seeds],
-                            (cfg.n, cfg.m1), (cfg.n, cfg.m2))
+    return [real_form(h) for h in complex_gaussian(
+        [np.random.default_rng(s) for s in seeds],
+        (cfg.n, cfg.m1), (cfg.n, cfg.m2))]
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on uint32s.

@@ -4,7 +4,7 @@ Given a jamming plan and a stack of channel realizations, one per
 trial, this module synthesizes for every trial:
 
 * jamming precoders ``v1j``/``v2j`` whose columns are, at the plan's
-  counts, nullspace columns of the lifted channel, then aligned pairs
+  counts, nullspace columns of the channel, then aligned pairs
   ``(x, y)`` with ``H1 x = H2 y`` from one null space over the two
   channels' row spaces, then random (Gaussian, orthonormalized) columns;
 * a receiver matrix ``u`` whose orthonormal rows span the orthogonal
@@ -12,15 +12,17 @@ trial, this module synthesizes for every trial:
 * legitimate precoders ``v1l``/``v2l`` with orthonormal columns taken
   from the orthogonal complement of each transmitter's jamming columns.
 
-A plan with ``extension == 2`` lifts the constant legitimate channel
-block-diagonally over two symbol slots, once, in `build_precoder_set`;
-the sub-builders take the lifted pair, and the null-space and
-complement computations happen in the lifted space.  Aligned pairs are
-drawn generically from that null space (a seeded unitary mix) so that
-their per-slot components are not degenerate: a slot-pure pair would
-present rank-deficient jamming to a time-varying eavesdropper.  Keeping
-them in the row spaces keeps them free of channel-nullspace components,
-which the receiver never sees but an eavesdropper would.
+Everything is real: the channels are the real forms ``R(H)`` that
+`sdoflab.model` samples, and every precoder and random draw is real, so
+a column sends improper (asymmetric complex) signals and the plan's
+counts are real dimensions.  Aligned pairs are drawn generically from
+their null space (a seeded orthogonal mix): LAPACK returns that null
+space in an arbitrary basis, and the mix makes the choice inside it a
+generic one rather than LAPACK's.  Keeping them in the row spaces keeps
+them free of channel-nullspace components, which the receiver never
+sees but an eavesdropper would.  `secure_dof_certificate` counts, from
+ranks alone, the secure DoF that a built set achieves against given
+eavesdroppers.
 
 Every subspace is one `sdoflab.matlin` call per ``(trials, rows,
 cols)`` stack; a single trial is a stack of one, drawing from its own
@@ -34,13 +36,12 @@ keeps the receiver images ``U H_i V_i^L`` that the rate engine reads.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from . import matlin
-from .matlin import (as_matrix, complement, ct, frobenius, nullspace,
-                     orthonormal_basis)
-from .model import complex_gaussian, eve_image
+from .matlin import complement, ct, frobenius, nullspace, orthonormal_basis
 
 ALIGNMENT_TOL = 1e-8
 NULLSPACE_TOL = 1e-8
@@ -94,10 +95,10 @@ class GeometryReport:
 class PrecoderSet:
     """Legitimate precoders, jamming precoders, and the receiver matrix.
 
-    Each field stacks one matrix per trial.  Shapes (``e`` the extension
-    factor): ``v_il`` is ``(e*m_i, d_i)`` with orthonormal columns
-    orthogonal to ``v_ij``; ``v_ij`` is ``(e*m_i, jam_i)`` with unit-norm
-    columns; ``u`` is ``(e*n - j_s, e*n)`` with orthonormal rows.
+    Each field stacks one real matrix per trial.  Shapes: ``v_il`` is
+    ``(2 m_i, d_i)`` with orthonormal columns orthogonal to ``v_ij``;
+    ``v_ij`` is ``(2 m_i, jam_i)`` with unit-norm columns; ``u`` is
+    ``(2 n - j_s, 2 n)`` with orthonormal rows.
     :func:`verify_geometry` sets ``geometry``, one report for the stack,
     and the receiver images ``rx_images`` = ``U H_i V_i^L``; a jamming-free
     control set has no report.
@@ -108,66 +109,54 @@ class PrecoderSet:
     v1j: np.ndarray
     v2j: np.ndarray
     u: np.ndarray
-    extension: int = 1
     geometry: GeometryReport | None = field(default=None, compare=False)
     rx_images: tuple | None = field(default=None, compare=False)
 
 
-def extend_channel(h, factor):
-    """Block-diagonal lift of ``h`` (a matrix or a stack) over ``factor`` slots.
-
-    ``kron``'s broadcast product, with its signed zeros: the lift has
-    repeated singular values, so every precoder after it depends on them.
-    """
-    h = as_matrix(h)
-    if factor == 1:
-        return h
-    *lead, n, m = h.shape
-    lifted = np.eye(factor)[:, None, :, None] * h[..., None, :, None, :]
-    return lifted.reshape(*lead, factor * n, factor * m)
+def _gaussian(rngs, rows, cols):
+    """One ``(len(rngs), rows, cols)`` stack of i.i.d. N(0, 1) entries."""
+    return np.stack([rng.standard_normal((rows, cols)) for rng in rngs])
 
 
 def _random_unitary(k, rngs):
-    """Haar-ish random unitaries, one per generator, via QR of Gaussians."""
-    q, r = np.linalg.qr(complex_gaussian(rngs, (k, k))[0])
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    """Haar random orthogonal matrices, one per generator, via QR of Gaussians."""
+    q, r = np.linalg.qr(_gaussian(rngs, k, k))
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
 def _normalize_columns(v):
     return v / np.linalg.norm(v, axis=-2)[..., None, :]
 
 
-def _aligned_pairs(a, h1e, h2e, rngs):
+def _aligned_pairs(a, h1, h2, rngs):
     """``a`` aligned jamming columns per transmitter, as the pair ``(x, y)``.
 
-    With ``R_i`` orthonormal bases of the row spaces of ``h_ie``, each
-    null vector ``(c1; c2)`` of ``[h1e R1 | -h2e R2]`` gives
-    ``x = R1 c1``, ``y = R2 c2`` with ``h1e x = h2e y`` exactly.  A
-    seeded unitary mixes the null vectors generically.  With ``a = 0``
-    nothing is computed or drawn.
+    With ``R_i`` orthonormal bases of the row spaces of ``h_i``, each
+    null vector ``(c1; c2)`` of ``[h1 R1 | -h2 R2]`` gives
+    ``x = R1 c1``, ``y = R2 c2`` with ``h1 x = h2 y`` exactly.  A
+    seeded orthogonal matrix mixes the null vectors generically.  With
+    ``a = 0`` nothing is computed or drawn.
     """
     if a == 0:
-        return tuple(np.zeros((len(rngs), he.shape[-1], 0), dtype=complex)
-                     for he in (h1e, h2e))
-    r1 = orthonormal_basis(ct(h1e))
-    r2 = orthonormal_basis(ct(h2e))
+        return tuple(np.zeros((len(rngs), h.shape[-1], 0)) for h in (h1, h2))
+    r1 = orthonormal_basis(ct(h1))
+    r2 = orthonormal_basis(ct(h2))
     k = r1.shape[-1]
-    c = nullspace(np.concatenate([h1e @ r1, -(h2e @ r2)], axis=-1))
+    c = nullspace(np.concatenate([h1 @ r1, -(h2 @ r2)], axis=-1))
     if c.shape[-1] < a:
         raise AlignmentInfeasible(
             f"received signal spaces share {c.shape[-1]} dimensions, "
             f"need {a}")
     pairs = np.concatenate([r1 @ c[..., :k, :], r2 @ c[..., k:, :]], axis=-2)
     pairs = pairs @ _random_unitary(c.shape[-1], rngs)[..., :a]
-    return pairs[..., :h1e.shape[-1], :], pairs[..., h1e.shape[-1]:, :]
+    return pairs[..., :h1.shape[-1], :], pairs[..., h1.shape[-1]:, :]
 
 
-def build_jamming(plan, h1e, h2e, rngs):
+def build_jamming(plan, h1, h2, rngs):
     """Jamming precoders ``(v1j, v2j)`` for a plan on a stack of channels.
 
-    ``h1e``/``h2e`` are the channels lifted to ``plan.extension`` slots,
-    ``(trials, rows, cols)``, and ``rngs`` holds one generator per trial.
+    ``h1``/``h2`` are the real channel stacks ``(trials, rows, cols)``,
+    and ``rngs`` holds one generator per trial.
     Each transmitter's columns are its ``null`` nullspace columns, which
     the receiver does not see, then its ``aligned`` columns, then its
     ``random`` generic columns, each normalized to unit norm.  The
@@ -181,13 +170,13 @@ def build_jamming(plan, h1e, h2e, rngs):
         When the received signal spaces share fewer dimensions than the
         aligned budget (a plan/region mismatch).
     """
-    pairs = _aligned_pairs(plan.aligned, h1e, h2e, rngs)
+    pairs = _aligned_pairs(plan.aligned, h1, h2, rngs)
     out = []
-    for he, null, aligned, random in zip((h1e, h2e), plan.null, pairs,
-                                          plan.random):
+    for h, null, aligned, random in zip((h1, h2), plan.null, pairs,
+                                         plan.random):
         cols = []
         if null:
-            ns = nullspace(he)
+            ns = nullspace(h)
             if ns.shape[-1] < null:
                 raise PlanMismatch(
                     f"channel nullspace has dimension {ns.shape[-1]}, "
@@ -195,26 +184,25 @@ def build_jamming(plan, h1e, h2e, rngs):
             cols.append((ns @ _random_unitary(ns.shape[-1], rngs))[..., :null])
         cols.append(aligned)
         if random:
-            q, _ = np.linalg.qr(
-                complex_gaussian(rngs, (he.shape[-1], random))[0])
+            q, _ = np.linalg.qr(_gaussian(rngs, h.shape[-1], random))
             cols.append(q)
         out.append(_normalize_columns(np.concatenate(cols, axis=-1)))
     return out[0], out[1]
 
 
-def build_zero_forcing(h1e, h2e, v1j, v2j, plan):
+def build_zero_forcing(h1, h2, v1j, v2j, plan):
     """Receiver zero-forcing matrices for the given jamming precoders.
 
-    ``h1e``/``h2e`` are the channel stacks lifted to ``plan.extension``
-    slots.  The rows form an orthonormal basis of the orthogonal
-    complement of the received jamming space, so ``u @ (H_i v_ij) = 0``.
+    ``h1``/``h2`` are the real channel stacks.  The rows form an
+    orthonormal basis of the orthogonal complement of the received
+    jamming space, so ``u @ (H_i v_ij) = 0``.
     It is factored from the images that reach the receiver, ``[H1
     v1j[n1:] | H2 v2j[n2 + a:]]``: transmitter 1's aligned and random
     columns and transmitter 2's random ones.  Nullspace images are zero
     up to roundoff and transmitter 2's aligned images repeat
     transmitter 1's, so without them `sdoflab.matlin`'s relative rank
     rule counts the occupied dimensions.  With no jamming at the
-    receiver the result is a full square unitary.
+    receiver the result is a full square orthogonal matrix.
 
     Raises
     ------
@@ -223,7 +211,7 @@ def build_zero_forcing(h1e, h2e, v1j, v2j, plan):
         dimension ``plan.j_s``.
     """
     (n1, n2), a = plan.null, plan.aligned
-    image = np.concatenate([h1e @ v1j[..., n1:], h2e @ v2j[..., n2 + a:]],
+    image = np.concatenate([h1 @ v1j[..., n1:], h2 @ v2j[..., n2 + a:]],
                            axis=-1)
     u = ct(complement(image))
     if u.shape[-2] != image.shape[-2] - plan.j_s:
@@ -253,12 +241,11 @@ def build_legit(plan, v1j, v2j, rngs):
     return out[0], out[1]
 
 
-def verify_geometry(ps, h1e, h2e, plan):
+def verify_geometry(ps, h1, h2, plan):
     """Measure the construction residuals and attach a report to ``ps``.
 
-    ``h1e``/``h2e`` are the channel stacks lifted to ``plan.extension``
-    slots; other column counts raise :class:`PlanMismatch`.  Residuals
-    are the worst over the trials:
+    ``h1``/``h2`` are the real channel stacks; other column counts raise
+    :class:`PlanMismatch`.  Residuals are the worst over the trials:
 
     * alignment: per-column difference of the unit-normalized jamming
       images of the two transmitters' aligned columns, which follow
@@ -271,29 +258,29 @@ def verify_geometry(ps, h1e, h2e, plan):
     The report passes when all residuals are within 1e-8 and every rank
     matches exactly.  The images ``u (H_i v_il)`` go to ``ps.rx_images``.
     """
-    if (h1e.shape[-1], h2e.shape[-1]) != (ps.v1l.shape[-2], ps.v2l.shape[-2]):
+    if (h1.shape[-1], h2.shape[-1]) != (ps.v1l.shape[-2], ps.v2l.shape[-2]):
         raise PlanMismatch("channel columns do not match precoder rows")
     (n1, n2), a = plan.null, plan.aligned
 
     align_res = 0.0
     if a:
-        img1 = _normalize_columns(h1e @ ps.v1j[..., n1:n1 + a])
-        img2 = _normalize_columns(h2e @ ps.v2j[..., n2:n2 + a])
+        img1 = _normalize_columns(h1 @ ps.v1j[..., n1:n1 + a])
+        img2 = _normalize_columns(h2 @ ps.v2j[..., n2:n2 + a])
         align_res = float(np.linalg.norm(img1 - img2, axis=-2).max())
 
     null_res = 0.0
-    for he, v, null in ((h1e, ps.v1j, n1), (h2e, ps.v2j, n2)):
+    for h, v, null in ((h1, ps.v1j, n1), (h2, ps.v2j, n2)):
         if null:
             null_res = max(null_res, float(
-                (frobenius(he @ v[..., :null]) / frobenius(he)).max()))
+                (frobenius(h @ v[..., :null]) / frobenius(h)).max()))
 
     zf_res = 0.0
-    for he, v in ((h1e, ps.v1j), (h2e, ps.v2j)):
+    for h, v in ((h1, ps.v1j), (h2, ps.v2j)):
         if v.shape[-1]:
             zf_res = max(zf_res,
-                         float((frobenius(ps.u @ (he @ v)) / frobenius(he)).max()))
+                         float((frobenius(ps.u @ (h @ v)) / frobenius(h)).max()))
 
-    images = (ps.u @ (h1e @ ps.v1l), ps.u @ (h2e @ ps.v2l))
+    images = (ps.u @ (h1 @ ps.v1l), ps.u @ (h2 @ ps.v2l))
     decode_rank = int(np.min(matlin.rank(np.concatenate(images, axis=-1))))
     ps.geometry = GeometryReport(align_res, null_res, zf_res, decode_rank,
                                  plan.d1 + plan.d2)
@@ -304,11 +291,12 @@ def verify_geometry(ps, h1e, h2e, plan):
 def build_precoder_set(plan, h1, h2, seeds):
     """Build jamming, zero-forcing and legitimate precoders, then verify.
 
-    ``h1``/``h2`` are ``(trials, n, m_i)`` channel stacks, lifted here
-    once for every sub-builder, and ``seeds`` holds one seed or generator
-    per trial, so trial ``t``'s set equals its own build as a stack of
-    one.  The set returned has a passing geometry report; a failed one
-    raises :class:`GeometryError` with the report's failures as text.
+    ``h1``/``h2`` are ``(trials, 2 n, 2 m_i)`` real channel stacks, as
+    `sdoflab.model.sample_channels` draws them, and ``seeds`` holds one
+    seed or generator per trial, so trial ``t``'s set equals its own
+    build as a stack of one.  The set returned has a passing geometry
+    report; a failed one raises :class:`GeometryError` with the report's
+    failures as text.
     Trials whose dimensions differ fail the stack with the error of the
     first trial whose own build fails (rebuilt from its seed), else with
     a :class:`GeometryError` whose cause is the
@@ -316,19 +304,16 @@ def build_precoder_set(plan, h1, h2, seeds):
     """
     rngs = [np.random.default_rng(s) for s in seeds]
     try:
-        h1e = extend_channel(h1, plan.extension)
-        h2e = extend_channel(h2, plan.extension)
-        v1j, v2j = build_jamming(plan, h1e, h2e, rngs)
-        u = build_zero_forcing(h1e, h2e, v1j, v2j, plan)
+        v1j, v2j = build_jamming(plan, h1, h2, rngs)
+        u = build_zero_forcing(h1, h2, v1j, v2j, plan)
         v1l, v2l = build_legit(plan, v1j, v2j, rngs)
     except matlin.RaggedRank as exc:
         for t, rng in enumerate(rngs):
             build_precoder_set(plan, h1[t:t + 1], h2[t:t + 1],
                                [rng.bit_generator.seed_seq])
         raise GeometryError(str(exc)) from exc
-    ps = PrecoderSet(v1l=v1l, v2l=v2l, v1j=v1j, v2j=v2j, u=u,
-                     extension=plan.extension)
-    failures = verify_geometry(ps, h1e, h2e, plan).failures()
+    ps = PrecoderSet(v1l=v1l, v2l=v2l, v1j=v1j, v2j=v2j, u=u)
+    failures = verify_geometry(ps, h1, h2, plan).failures()
     if failures:
         raise GeometryError("; ".join(failures))
     return ps
@@ -340,22 +325,28 @@ def build_unjammed_set(h1, h2):
     Every transmit dimension carries a legitimate stream and the
     receiver applies no zero-forcing, so ``geometry`` stays None.
     """
-    v1l, v2l, u = (np.tile(np.eye(k, dtype=complex), (len(h1), 1, 1))
+    v1l, v2l, u = (np.tile(np.eye(k), (len(h1), 1, 1))
                    for k in (h1.shape[-1], h2.shape[-1], h1.shape[-2]))
     # rx_images are U (H_i V_i^L) with U, V_i^L identities
     return PrecoderSet(v1l=v1l, v2l=v2l, v1j=v1l[..., :0], v2j=v2l[..., :0],
                        u=u, rx_images=(h1, h2))
 
 
-def jamming_coverage_rank(ps, g1, g2):
-    """Rank of the jamming image at an eavesdropper with channels ``g1, g2``.
+def secure_dof_certificate(ps, eves):
+    """The secure DoF that the ranks of a built set certify, as a Fraction.
 
-    ``g1``/``g2`` hold per-slot blocks, as `sample_eves` draws them, one
-    slot per symbol of the precoder extension.  For a stacked ``ps``
-    the result holds one rank per trial.  For generic draws the rank
-    equals the total number of jamming columns, i.e. the jamming
-    overwhelms the eavesdropper's signal space.
+    ``eves`` holds eavesdropper pairs ``(g1, g2)``, stacked like ``ps``
+    as `sdoflab.model.sample_eves` draws them.  Per trial the receiver
+    decodes ``rank(U [H1 V1L | H2 V2L])`` real streams, and eavesdropper
+    ``j``, treating the jamming as noise, resolves ``rank(G_j [VL | VJ])
+    - rank(G_j VJ)`` of them at high power.  The result is the worst
+    trial's decoded minus worst leaked count, halved: two real
+    dimensions make one complex degree of freedom.
     """
-    image = np.concatenate([eve_image(g1, ps.v1j), eve_image(g2, ps.v2j)],
-                           axis=-1)
-    return matlin.rank(image)
+    decoded = matlin.rank(np.concatenate(ps.rx_images, axis=-1))
+    leaked = np.zeros_like(decoded)
+    for g1, g2 in eves:
+        jam = np.concatenate([g1 @ ps.v1j, g2 @ ps.v2j], axis=-1)
+        seen = np.concatenate([g1 @ ps.v1l, g2 @ ps.v2l, jam], axis=-1)
+        leaked = np.maximum(leaked, matlin.rank(seen) - matlin.rank(jam))
+    return Fraction(int(np.min(decoded - leaked)), 2)

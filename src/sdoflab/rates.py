@@ -6,19 +6,21 @@ Gaussian mutual information of the legitimate streams at an
 eavesdropper that treats the jamming as noise.  Sweeping the transmit
 power over several decades and fitting rate against ``log2 P`` turns
 the closed-form degrees-of-freedom predictions into measurable slopes:
-with complex signaling every interference-free stream contributes one
-bit per ``log2 P`` unit, so the secrecy-rate slope estimates the sum
-secure DoF directly.
+every interference-free real stream contributes half a bit per ``log2
+P`` unit, two of them one complex degree of freedom, so the
+secrecy-rate slope estimates the sum secure DoF directly.
 
 The Monte-Carlo secrecy quantity is the receiver rate minus the worst
 eavesdropper's leakage, a finite-power surrogate for the achievable
 secrecy sum rate; the coset-binning codec (see :mod:`sdoflab.binning`),
 not this difference, carries the formal secrecy argument.
 
-Conventions: the noise variance is 1, so only ``P / sigma^2``
-matters; rates are bits per channel use (log-dets over an extended
-block are divided by the extension factor); each transmitter splits its
-per-use budget ``P`` into ``alpha * P`` for jamming (equally across
+Conventions: the complex noise variance is 1, so only ``P / sigma^2``
+matters; channels, precoders and signals are real (see
+:mod:`sdoflab.model`), and a real noise dimension has variance 1/2, so
+the covariances are ``I + 2 (P/d) W W'`` and the rates, bits per
+complex channel use, are their log-dets halved; each transmitter splits
+its per-use budget ``P`` into ``alpha * P`` for jamming (equally across
 jamming columns) and ``(1 - alpha) * P`` for streams (equally across
 streams).  Stream ``k`` of trial ``t`` (``k`` = 0 channels, 1 precoders,
 2 eavesdroppers) is ``default_rng(SeedSequence(seed, spawn_key=(t, k)))``,
@@ -50,8 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matlin import ct, logdet_hpd
-from .model import (TrialStreams, canonical, eve_image, sample_channels,
-                    sample_eves)
+from .model import TrialStreams, canonical, sample_channels, sample_eves
 from .precoders import build_precoder_set, build_unjammed_set
 from .regions import jamming_plan
 
@@ -134,29 +135,29 @@ def check_inputs(cfg, alpha, p_grid, trials, eve_counts):
     return p
 
 
-def _build_block(cfg, plan, ext, rngs, eve_counts):
+def _build_block(cfg, plan, rngs, eve_counts):
     """Build one block of trials as stacks, and what the rate algebra needs.
 
     ``rngs`` holds per trial the generators of its channel, precoder (not
     for the control, where ``plan`` is None) and eavesdropper streams.
     Returns ``(vl, vj, grams, eves)``.  Per transmitter ``i``, ``vl[i]``
     and ``vj[i]`` are the legitimate and jamming precoders and
-    ``eves[j][i]`` eavesdropper ``j``'s per-slot draws, each with an
-    axis for the powers after the trials; ``grams[i]`` holds the grams
+    ``eves[j][i]`` eavesdropper ``j``'s channel, each with an axis for
+    the powers after the trials; ``grams[i]`` holds the grams
     ``W W'`` of ``W = ps.rx_images[i]``.
     """
     ch_rngs, *pc_rngs, eve_rngs = zip(*rngs)
     h1, h2 = sample_channels(cfg, ch_rngs)
     ps = (build_precoder_set(plan, h1, h2, *pc_rngs)
           if plan is not None else build_unjammed_set(h1, h2))
-    eves = sample_eves(cfg, eve_counts, eve_rngs, slots=ext)
+    eves = sample_eves(cfg, eve_counts, eve_rngs)
     return ([v[:, None] for v in (ps.v1l, ps.v2l)],
             [v[:, None] for v in (ps.v1j, ps.v2j)],
             [w @ ct(w) for w in ps.rx_images],
             [[g[:, None] for g in pair] for pair in eves])
 
 
-def _block_receiver_rates(vl, grams, ext, legit_p):
+def _block_receiver_rates(vl, grams, legit_p):
     """Receiver rates of a block, shape ``(trials, powers)``.
 
     The powers only scale each trial's grams.  The arithmetic is that of
@@ -165,19 +166,21 @@ def _block_receiver_rates(vl, grams, ext, legit_p):
     """
     # In place, to hold fewer (trials, powers, d, d) arrays at once.  The
     # operands and their order are the reference's, so the results are too.
-    gram = np.eye(grams[0].shape[-1], dtype=complex)
+    gram = np.eye(grams[0].shape[-1])
     for v, g in zip(vl, grams):
         d = v.shape[-1]
         if d:
-            term = (ext * legit_p / d)[:, None, None] * g[:, None]
+            term = (2 * legit_p / d)[:, None, None] * g[:, None]
             term += gram
             gram = term
+    # ct(gram) is a view of the real gram; numpy buffers the overlapping
+    # operand, so each entry is the sum of the two old ones.
     gram += ct(gram)
     gram *= 0.5
-    return logdet_hpd(gram) / (ext * math.log(2))
+    return logdet_hpd(gram) / (2 * math.log(2))
 
 
-def _block_leakage(vl, vj, g_pair, ext, alpha, p, legit_p):
+def _block_leakage(vl, vj, g_pair, alpha, p, legit_p):
     """Leakage of one eavesdropper over a block, shape ``(trials, len(p))``.
 
     Column ``k`` evaluates each trial's draw at power ``p[k]``, of which
@@ -188,17 +191,16 @@ def _block_leakage(vl, vj, g_pair, ext, alpha, p, legit_p):
     def images(vs, power):
         # The reference's images, with the powers on axis 1.
         return np.concatenate(
-            [eve_image(g, v)
-             * np.sqrt(power / max(v.shape[-1], 1))[:, None, None]
+            [g @ v * np.sqrt(power / max(v.shape[-1], 1))[:, None, None]
              for g, v in zip(g_pair, vs)], axis=-1)
 
     # In place, so that few (trials, powers, rows, rows) arrays are held
     # at once.  Each sum keeps the reference's operands.
-    bj = images(vj, ext * alpha * p)
+    bj = images(vj, 2 * alpha * p)
     k0 = bj @ ct(bj)
     del bj
-    k0 += np.eye(k0.shape[-1], dtype=complex)
-    bl = images(vl, ext * legit_p)
+    k0 += np.eye(k0.shape[-1])
+    bl = images(vl, 2 * legit_p)
     k1 = bl @ ct(bl)
     del bl
     k1 += k0
@@ -207,28 +209,27 @@ def _block_leakage(vl, vj, g_pair, ext, alpha, p, legit_p):
         k *= 0.5
     ld1 = logdet_hpd(k1)
     del k1
-    return (ld1 - logdet_hpd(k0)) / (ext * math.log(2))
+    return (ld1 - logdet_hpd(k0)) / (2 * math.log(2))
 
 
 def _trial_bytes(cfg, plan, eve_counts, n_pow):
-    """Bytes of the complex stacks that one trial adds to a block.
+    """Bytes of the real stacks that one trial adds to a block.
 
     Per power: the largest eavesdropper's images ``B_J`` and ``B_L`` and
     covariances ``K0`` and ``K1`` (:func:`_block_leakage`), and a receiver
-    gram of ``extension * n`` rows, an upper bound on ``U``'s rows
-    (:func:`_block_receiver_rates`).  Once: the lifted channels and a
-    square precoder per transmit dimension.  Plus 2 KiB for the trial's
-    seeds and generators, which outweigh its stacks on small configs.
-    ``plan`` is None for the jamming-free control, where every transmit
-    dimension is a stream.
+    gram of ``2 n`` rows, an upper bound on ``U``'s rows
+    (:func:`_block_receiver_rates`).  Once: the channels and a square
+    precoder per transmit dimension.  Plus 2 KiB for the trial's seeds
+    and generators, which outweigh its stacks on small configs.  ``plan``
+    is None for the jamming-free control, where every transmit dimension
+    is a stream.
     """
-    ext = plan.extension if plan else 1
-    rx, tx = ext * cfg.n, ext * cfg.m
+    rx, tx = 2 * cfg.n, 2 * cfg.m
     jam = plan.total_jam_dims() if plan else 0
-    streams = plan.d1 + plan.d2 if plan else cfg.m
-    eve = ext * max(eve_counts, default=0)
+    streams = plan.d1 + plan.d2 if plan else tx
+    eve = 2 * max(eve_counts, default=0)
     per_power = eve * (jam + streams + 2 * eve) + rx * rx
-    return 16 * (n_pow * per_power + rx * tx + tx * tx) + 2048
+    return 8 * (n_pow * per_power + rx * tx + tx * tx) + 2048
 
 
 def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
@@ -242,7 +243,6 @@ def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
     """
     cfg = canonical(cfg)
     plan = jamming_plan(cfg) if jamming else None
-    ext = plan.extension if jamming else 1
     powers = np.array(p_values, dtype=float)
     block = max(1, BLOCK_BYTES // _trial_bytes(cfg, plan, eve_counts,
                                                len(powers)))
@@ -251,15 +251,15 @@ def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
     for start in range(0, trials, block):
         size = min(block, trials - start)
         rngs = streams.block(start, size, (0, 1, 2) if jamming else (0, 2))
-        vl, vj, grams, eves = _build_block(cfg, plan, ext, rngs, eve_counts)
+        vl, vj, grams, eves = _build_block(cfg, plan, rngs, eve_counts)
         del rngs  # the block's draws are taken; free its generators
         has_jam = vj[0].shape[-1] + vj[1].shape[-1] > 0
         legit_p = (1.0 - alpha) * powers if has_jam else powers
-        rates = _block_receiver_rates(vl, grams, ext, legit_p)
+        rates = _block_receiver_rates(vl, grams, legit_p)
         leaks = np.zeros((size, len(powers), len(eve_counts)))
         for j, g_pair in enumerate(eves):
-            leaks[:, :, j] = _block_leakage(vl, vj, g_pair, ext, alpha,
-                                            powers, legit_p)
+            leaks[:, :, j] = _block_leakage(vl, vj, g_pair, alpha, powers,
+                                            legit_p)
         del vl, vj, grams, eves  # hold one block's stacks at a time
         yield rates, leaks
 
@@ -267,8 +267,8 @@ def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
 def sweep(cfg, alpha, p_grid, trials, seed, *, eve_counts=None, jamming=True):
     """Monte-Carlo secrecy-rate sweep over a power grid.
 
-    Each trial draws a fresh legitimate channel and fresh eavesdroppers
-    (one draw per symbol slot) and evaluates both at every power, so the
+    Each trial draws a fresh legitimate channel and fresh static
+    eavesdroppers and evaluates them at every power, so the
     powers share their random numbers and each power's mean is still
     unbiased.  The per-power secrecy surrogate is the trial average of
     the receiver rate minus the worst eavesdropper's leakage; its slope

@@ -24,16 +24,18 @@ max(m2,n) - ne)/2)``.  The strict-inequality boundaries ``m1 = n`` and
 budget ``[m_i - n]+ = 0``; the grid test confirms the case formula
 equals the min-expression everywhere.
 
-The planner does not read the cases.  It counts dimensions for the
-cooperative-jamming scheme: each transmitter puts jamming into its
-channel nullspace first, then into aligned pairs in the shared part of
-the received signal spaces, then into random columns, and the streams
-take the receiver dimensions the jamming leaves free.  A half aligned
-pair (odd remaining ``ne``) is made whole by a two-symbol time
-extension, so every count is an integer per extended block.  A plan is
-these counts alone, in that fixed column order, with one aligned count
-for both transmitters.  The streams it finds equal the closed form
-times the extension, which :func:`verify_plan_arithmetic` checks.
+The planner does not read the cases.  It counts real dimensions for
+the cooperative-jamming scheme, two per antenna (the real and imaginary
+parts that asymmetric complex signaling uses apart; see
+:mod:`sdoflab.model`): each transmitter puts jamming into its channel
+nullspace first, then into aligned pairs in the shared part of the
+received signal spaces, then into random columns, and the streams take
+the receiver dimensions the jamming leaves free.  An odd remaining
+``ne`` asks for half a complex aligned pair, which is one whole pair of
+real dimensions, so every count is an integer.  A plan is these counts
+alone, in that fixed column order, with one aligned count for both
+transmitters.  The streams it finds equal twice the closed form, which
+:func:`verify_plan_arithmetic` checks.
 """
 
 import enum
@@ -67,14 +69,13 @@ _C2_CASES = {CaseId.C2_M1ltN, CaseId.C2_M1gtN_M2ltN, CaseId.C2_M1gtN_M2geN}
 class JammingPlan:
     """Dimension bookkeeping for one achievability construction.
 
-    All counts are per extended block of ``extension`` channel uses.
+    All counts are real dimensions, two per antenna.
     Transmitter ``i`` spends ``null[i-1]`` jamming columns in its
     channel nullspace, then ``aligned`` columns paired with the other
     transmitter's, then ``random[i-1]`` random columns, in that column
     order; ``d1``/``d2`` are the legitimate stream counts.
     """
 
-    extension: int
     null: tuple
     aligned: int
     random: tuple
@@ -167,64 +168,59 @@ def upper_bound_terms(cfg):
 def jamming_plan(cfg):
     """Jamming budgets and stream split of the achievability scheme.
 
-    One dimension count, read from ``(m1, m2, n, ne)`` alone:
+    One count of real dimensions, read from ``(m1, m2, n, ne)`` alone;
+    below, each antenna count stands for its two real dimensions:
 
     * Nullspace first: transmitter ``i`` hides ``null_i`` jamming
       columns in its channel nullspace, ``null1 = min(ne, [m1-n]+)``
       and ``null2 = min(ne - null1, [m2-n]+)``.  They cost the receiver
-      nothing.  ``rem = ne - null1 - null2`` columns remain.
+      nothing.  ``rem = ne - null1 - null2`` columns remain, an even
+      number.
     * Aligned next: the two received signal spaces share
       ``shared = [min(m1,n) + min(m2,n) - n]+`` dimensions, and each
-      aligned pair occupies one of them with two jamming columns.  An
-      odd ``rem`` below ``2 shared`` asks for a half pair, which the
-      two-symbol extension (``extension = 2``) makes whole.  The aligned
-      count per transmitter is ``a = min(ext rem / 2, ext shared)``.
-    * Random last: ``jr = ext rem - 2a`` columns, one receiver
-      dimension each, filling transmitter 1 first.
+      aligned pair occupies one of them with two jamming columns.  The
+      aligned count per transmitter is ``a = min(rem / 2, shared)``.
+    * Random last: ``jr = rem - 2a`` columns, one receiver dimension
+      each, filling transmitter 1 first.
 
     The jamming occupies ``j_s = a + jr`` receiver dimensions.  The
-    streams take ``min(ext n - j_s, ext (M - ne))`` dimensions, the
-    receiver's jamming-free ones or the transmit ones the jamming left,
-    whichever is fewer, split by "fill transmitter 1 first".  All counts
-    are per extended block.
+    streams take ``min(n - j_s, M - ne)`` dimensions, the receiver's
+    jamming-free ones or the transmit ones the jamming left, whichever
+    is fewer, split by "fill transmitter 1 first".
     """
     cfg = _require_usable(cfg)
-    m1, m2, n, ne = cfg.m1, cfg.m2, cfg.n, cfg.ne
+    m1, m2, n, ne = 2 * cfg.m1, 2 * cfg.m2, 2 * cfg.n, 2 * cfg.ne
     null1 = min(ne, max(m1 - n, 0))
     null2 = min(ne - null1, max(m2 - n, 0))
     rem = ne - null1 - null2
     shared = max(min(m1, n) + min(m2, n) - n, 0)
-    ext = 2 if rem % 2 and rem < 2 * shared else 1
-    a = min(ext * rem // 2, ext * shared)
-    jr = ext * rem - 2 * a
-    free1 = ext * (m1 - null1) - a
+    a = min(rem // 2, shared)
+    jr = rem - 2 * a
+    free1 = m1 - null1 - a
     r1 = min(free1, jr)
-    d_total = min(ext * n - a - jr, ext * (cfg.m - ne))
+    d_total = min(n - a - jr, m1 + m2 - ne)
     d1 = min(free1 - r1, d_total)
-    return JammingPlan(ext, (ext * null1, ext * null2), a, (r1, jr - r1),
-                       d1, d_total - d1)
+    return JammingPlan((null1, null2), a, (r1, jr - r1), d1, d_total - d1)
 
 
 def verify_plan_arithmetic(cfg, plan, ds):
     """Exact check of all plan invariants against ``ds = sum_sdof(cfg)``.
 
-    True iff, per extended block: the jamming columns sum to ``extension
-    * ne``, the streams sum to ``extension * ds``, each transmitter has
-    antenna budget for its streams past the jamming, and the receiver
-    keeps at least ``d1 + d2`` jamming-free dimensions (``extension * n
-    - j_s >= d1 + d2``).  The planner never reads the closed form, so
-    this compares two independent counts.
+    True iff, in real dimensions: the jamming columns sum to ``2 ne``,
+    the streams sum to ``2 ds``, each transmitter has antenna budget for
+    its streams past the jamming, and the receiver keeps at least ``d1 +
+    d2`` jamming-free dimensions (``2 n - j_s >= d1 + d2``).  The planner
+    never reads the closed form, so this compares two independent counts.
     """
     cfg = canonical(cfg)
-    ext = plan.extension
-    if plan.total_jam_dims() != ext * cfg.ne:
+    if plan.total_jam_dims() != 2 * cfg.ne:
         return False
-    if plan.d1 + plan.d2 != ext * ds:
+    if plan.d1 + plan.d2 != 2 * ds:
         return False
-    if not 0 <= plan.d1 <= ext * cfg.m1 - plan.jam_dims(1):
+    if not 0 <= plan.d1 <= 2 * cfg.m1 - plan.jam_dims(1):
         return False
-    if not 0 <= plan.d2 <= ext * cfg.m2 - plan.jam_dims(2):
+    if not 0 <= plan.d2 <= 2 * cfg.m2 - plan.jam_dims(2):
         return False
-    if not 0 <= plan.j_s <= ext * cfg.n:
+    if not 0 <= plan.j_s <= 2 * cfg.n:
         return False
-    return ext * cfg.n - plan.j_s >= plan.d1 + plan.d2
+    return 2 * cfg.n - plan.j_s >= plan.d1 + plan.d2

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from sdoflab import binning, cli, rates
 from sdoflab.model import AntennaConfig, sample_channels, sample_eves
-from sdoflab.precoders import build_precoder_set, jamming_coverage_rank
+from sdoflab.precoders import build_precoder_set, secure_dof_certificate
 from sdoflab.regions import (classify_case, jamming_plan, sum_sdof,
                              upper_bound_terms, verify_plan_arithmetic)
 
@@ -85,11 +85,10 @@ def test_criterion_3_geometry_suite():
             assert rep.nullspace_residual <= 1e-8, cfg_tuple
             assert rep.zf_residual <= 1e-8, cfg_tuple
             assert rep.decode_rank == plan.d1 + plan.d2, cfg_tuple
-            (g1, g2), = sample_eves(cfg, [cfg.ne],
-                                    [5000 + seed for seed in seeds],
-                                    slots=plan.extension)
-            assert jamming_coverage_rank(ps, g1, g2).tolist() == \
-                [plan.extension * cfg.ne] * 20, cfg_tuple
+            eves = sample_eves(cfg, range(cfg.ne + 1),
+                               [5000 + seed for seed in seeds])
+            assert secure_dof_certificate(ps, eves) == sum_sdof(cfg), \
+                cfg_tuple
 
 
 def test_criterion_4_slope_reproduction():
@@ -159,3 +158,18 @@ def test_criterion_7_determinism(tmp_path):
         assert cli.main(args + ["--out", str(bin_b)]) == 0
         assert bin_a.read_bytes() == bin_b.read_bytes(), \
             "binning outputs differ"
+
+
+def test_criterion_8_secure_dof_certificate_grid():
+    # Static eavesdroppers of every size 0..ne, one trial per config.  An
+    # unknown number of them leaks at most what the worst one leaks, so
+    # the certificate covers any number of eavesdroppers.
+    with criterion(8, "rank certificate equals closed form on grid", 30.0):
+        count = 0
+        for cfg in grid_configs():
+            h1, h2 = sample_channels(cfg, [count])
+            ps = build_precoder_set(jamming_plan(cfg), h1, h2, [10**6 + count])
+            eves = sample_eves(cfg, range(cfg.ne + 1), [2 * 10**6 + count])
+            assert secure_dof_certificate(ps, eves) == sum_sdof(cfg), cfg
+            count += 1
+        assert count == 2592

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sdoflab.model import (AntennaConfig, InvalidConfig, TrialStreams,
-                           canonical, complex_gaussian, eve_image,
-                           is_degenerate, sample_channels, sample_eves)
+                           canonical, complex_gaussian, is_degenerate,
+                           real_form, sample_channels, sample_eves)
 
 
 class TestValidate:
@@ -33,9 +33,9 @@ class TestSampleChannels:
     def test_shape_contract(self):
         cfg = AntennaConfig(2, 2, 3, 1)
         h1, h2 = sample_channels(cfg, [7, 8])
-        assert h1.shape == (2, 3, 2) and h2.shape == (2, 3, 2)
+        assert h1.shape == (2, 6, 4) and h2.shape == (2, 6, 4)
         (g1, g2), = sample_eves(cfg, [1], [7, 8])
-        assert g1.shape == (2, 1, 1, 2) and g2.shape == (2, 1, 1, 2)
+        assert g1.shape == (2, 2, 4) and g2.shape == (2, 2, 4)
 
     def test_each_trial_depends_on_its_own_seed_only(self):
         cfg = AntennaConfig(3, 2, 2, 2)
@@ -48,10 +48,10 @@ class TestSampleChannels:
     def test_multiple_eavesdroppers(self):
         cfg = AntennaConfig(3, 2, 2, 2)
         eves = sample_eves(cfg, [2, 1], [7])
-        assert eves[0][0].shape == (1, 1, 2, 3)
-        assert eves[0][1].shape == (1, 1, 2, 2)
-        assert eves[1][0].shape == (1, 1, 1, 3)
-        assert eves[1][1].shape == (1, 1, 1, 2)
+        assert eves[0][0].shape == (1, 4, 6)
+        assert eves[0][1].shape == (1, 4, 4)
+        assert eves[1][0].shape == (1, 2, 6)
+        assert eves[1][1].shape == (1, 2, 4)
 
     def test_deterministic_given_seed(self):
         cfg = AntennaConfig(2, 2, 3, 1)
@@ -72,49 +72,35 @@ class TestSampleChannels:
             assert np.all(s[:, -1] > 1e-9 * s[:, 0])
 
     def test_unit_variance_entries(self):
+        # the complex entries H = Re H + i Im H, read off the real forms
         h1, h2 = sample_channels(AntennaConfig(8, 8, 8, 1), [3])
-        pooled = np.concatenate([h1.ravel(), h2.ravel()])
+        pooled = np.concatenate([(h[:, :8, :8] + 1j * h[:, 8:, :8]).ravel()
+                                 for h in (h1, h2)])
         assert abs(np.mean(np.abs(pooled) ** 2) - 1.0) < 0.2
 
 
-class TestSampleEvesSlots:
-    def test_block_diagonal_structure(self):
-        cfg = AntennaConfig(2, 2, 3, 1)
-        (g1, g2), = sample_eves(cfg, [1], [0], slots=2)
-        # only the per-slot blocks are stored
-        assert g1.shape == (1, 2, 1, 2) and g2.shape == (1, 2, 1, 2)
-        # per-slot blocks are independent draws
-        assert not np.array_equal(g1[0, 0], g1[0, 1])
-        # off-diagonal blocks are zero: slot 0's row ignores slot 1's rows
-        v = np.ones((4, 3), dtype=complex)
-        w = v.copy()
-        w[2:] = 7.0
-        assert eve_image(g1[0], v)[0].tobytes() == \
-            eve_image(g1[0], w)[0].tobytes()
-        assert not np.array_equal(eve_image(g1[0], v)[1],
-                                  eve_image(g1[0], w)[1])
-
-    def test_draw_order(self):
-        # One standard_normal call per trial, split eavesdropper by
-        # eavesdropper, transmitter, slot, then real and imaginary part.
+class TestSampleEves:
+    def test_each_eavesdropper_drawn_once(self):
+        # One static draw per eavesdropper and trial: its real form, and
+        # the normals of one complex matrix per transmitter, no more.
         cfg = AntennaConfig(3, 2, 4, 2)
-        eves = sample_eves(cfg, [2, 1], [5], slots=2)
-        z = np.random.default_rng(5).standard_normal(2 * 2 * 3 * 5)
-        offset = 0
-        for pair, nej in zip(eves, [2, 1]):
-            for g, mi in zip(pair, (3, 2)):
-                for slot in range(2):
-                    re, im = z[offset:offset + 2 * nej * mi].reshape(2, nej, mi)
-                    offset += 2 * nej * mi
-                    want = np.sqrt(0.5) * (re + 1j * im)
-                    assert g[0, slot].tobytes() == want.tobytes()
-        assert offset == len(z)
+        rng = np.random.default_rng(5)
+        eves = sample_eves(cfg, [2, 1], [rng])
+        for (g1, g2), nej in zip(eves, [2, 1]):
+            for g, mi in ((g1, 3), (g2, 2)):
+                assert g.shape == (1, 2 * nej, 2 * mi)
+                re, im = g[0, :nej, :mi], g[0, nej:, :mi]
+                assert g[0].tobytes() == real_form(re + 1j * im).tobytes()
+        drawn = 2 * (2 + 1) * (3 + 2)
+        after = np.random.default_rng(5)
+        after.standard_normal(drawn)
+        assert rng.standard_normal() == after.standard_normal()
 
     def test_each_trial_equals_its_own_draw(self):
         cfg = AntennaConfig(3, 2, 4, 2)
-        stacked = sample_eves(cfg, [2, 0, 1], [7, 8, 9], slots=2)
+        stacked = sample_eves(cfg, [2, 0, 1], [7, 8, 9])
         for t, seed in enumerate([7, 8, 9]):
-            own = sample_eves(cfg, [2, 0, 1], [seed], slots=2)
+            own = sample_eves(cfg, [2, 0, 1], [seed])
             for pair, own_pair in zip(stacked, own):
                 for g, g_own in zip(pair, own_pair):
                     assert g[t].tobytes() == g_own[0].tobytes()
@@ -122,7 +108,41 @@ class TestSampleEvesSlots:
     def test_zero_antenna_eavesdropper(self):
         cfg = AntennaConfig(2, 2, 3, 1)
         (g1, _), = sample_eves(cfg, [0], [0])
-        assert g1.shape == (1, 1, 0, 2)
+        assert g1.shape == (1, 0, 4)
+
+
+class TestRealForm:
+    """``R(H) = [[Re H, -Im H], [Im H, Re H]]`` keeps the algebra of ``H``."""
+
+    @pytest.fixture
+    def rng(self):
+        return np.random.default_rng(11)
+
+    def complex_stack(self, rng, *shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def test_blocks(self, rng):
+        h = self.complex_stack(rng, 3, 2)
+        assert np.array_equal(real_form(h), np.block(
+            [[h.real, -h.imag], [h.imag, h.real]]))
+
+    def test_product(self, rng):
+        a = self.complex_stack(rng, 4, 3, 5)
+        b = self.complex_stack(rng, 4, 5, 2)
+        assert np.allclose(real_form(a @ b), real_form(a) @ real_form(b),
+                           rtol=0.0, atol=1e-12)
+
+    def test_conjugate_transpose(self, rng):
+        a = self.complex_stack(rng, 4, 3, 5)
+        assert np.array_equal(real_form(a.conj().swapaxes(-2, -1)),
+                              real_form(a).swapaxes(-2, -1))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (2, 5), (4, 3, 3)])
+    def test_singular_values_twice(self, rng, shape):
+        h = self.complex_stack(rng, *shape)
+        got = np.linalg.svd(real_form(h), compute_uv=False)
+        want = np.repeat(np.linalg.svd(h, compute_uv=False), 2, axis=-1)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def two_call_gaussian(rngs, rows, cols):
@@ -134,7 +154,8 @@ def two_call_gaussian(rngs, rows, cols):
 
 class TestDrawOrder:
     """One standard_normal call per generator draws the values of two
-    calls per matrix: real then imaginary part, ``h1`` then ``h2``."""
+    calls per matrix: real then imaginary part, ``h1`` then ``h2``, and
+    the samplers return their real forms."""
 
     @pytest.mark.parametrize("rows,cols", [(1, 1), (3, 2), (2, 5)])
     def test_complex_gaussian(self, rows, cols):
@@ -150,10 +171,21 @@ class TestDrawOrder:
         cfg = AntennaConfig(*cfg_tuple)
         h1, h2 = sample_channels(cfg, [4, 5, 6])
         rngs = [np.random.default_rng(s) for s in [4, 5, 6]]
-        want_h1 = two_call_gaussian(rngs, cfg.n, cfg.m1)
-        want_h2 = two_call_gaussian(rngs, cfg.n, cfg.m2)
+        want_h1 = real_form(two_call_gaussian(rngs, cfg.n, cfg.m1))
+        want_h2 = real_form(two_call_gaussian(rngs, cfg.n, cfg.m2))
         assert h1.tobytes() == want_h1.tobytes()
         assert h2.tobytes() == want_h2.tobytes()
+
+    def test_sample_eves(self):
+        # Eavesdropper by eavesdropper, transmitter by transmitter.
+        cfg = AntennaConfig(3, 2, 4, 2)
+        eves = sample_eves(cfg, [2, 1], [5, 6])
+        for t, seed in enumerate([5, 6]):
+            rng = np.random.default_rng(seed)
+            for pair, nej in zip(eves, [2, 1]):
+                for g, mi in zip(pair, (3, 2)):
+                    want = real_form(two_call_gaussian([rng], nej, mi))
+                    assert g[t].tobytes() == want[0].tobytes()
 
 
 def seed_sequence_state(seq):
@@ -209,32 +241,3 @@ class TestTrialStreams:
         assert len(TrialStreams(3, 2**32).block(0, 1, (0,))) == 1
         with pytest.raises(ValueError, match="at most 2\\*\\*32 trials"):
             TrialStreams(3, 2**32 + 1)
-
-
-def block_diagonal(blocks):
-    """The ``(slots*r, slots*c)`` block-diagonal matrix of ``blocks``."""
-    slots, r, c = blocks.shape
-    g = np.zeros((slots * r, slots * c), dtype=blocks.dtype)
-    for s in range(slots):
-        g[s * r:(s + 1) * r, s * c:(s + 1) * c] = blocks[s]
-    return g
-
-
-class TestEveImage:
-    @pytest.mark.parametrize("slots", [1, 2])
-    def test_equals_block_diagonal_product(self, slots):
-        cfg = AntennaConfig(3, 2, 4, 2)
-        (g1, _), = sample_eves(cfg, [2], [1, 2, 3], slots=slots)
-        rng = np.random.default_rng(4)
-        v = rng.standard_normal((3, slots * 3, 4, 2)) @ np.array([1, 1j])
-        got = eve_image(g1, v)
-        assert got.shape == (3, slots * 2, 4)
-        for t in range(3):
-            want = block_diagonal(g1[t]) @ v[t]
-            assert np.allclose(got[t], want, rtol=1e-12, atol=0.0)
-
-    def test_single_slot_is_plain_product(self):
-        cfg = AntennaConfig(3, 2, 4, 2)
-        (g1, _), = sample_eves(cfg, [2], [6])
-        v = np.random.default_rng(6).standard_normal((3, 2)) + 0j
-        assert eve_image(g1[0], v).tobytes() == (g1[0, 0] @ v).tobytes()

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from sdoflab import precoders
+from sdoflab import matlin, precoders
 from sdoflab.cli import iter_canonical_configs
 from sdoflab.matlin import RaggedRank, nullspace
 from sdoflab.model import AntennaConfig, sample_channels, sample_eves
@@ -9,9 +11,8 @@ from sdoflab.precoders import (AlignmentInfeasible, GeometryError,
                                PlanMismatch, PrecoderSet, build_jamming,
                                build_legit, build_precoder_set,
                                build_unjammed_set, build_zero_forcing,
-                               extend_channel, jamming_coverage_rank,
-                               verify_geometry)
-from sdoflab.regions import JammingPlan, jamming_plan
+                               secure_dof_certificate, verify_geometry)
+from sdoflab.regions import JammingPlan, jamming_plan, sum_sdof
 
 # the six constructions exercised throughout: one per case region shape
 GEOMETRY_CONFIGS = [(2, 2, 4, 1), (2, 2, 3, 1), (3, 3, 2, 1),
@@ -21,8 +22,7 @@ GEOMETRY_CONFIGS = [(2, 2, 4, 1), (2, 2, 3, 1), (3, 3, 2, 1),
 def trial_of(ps, t):
     """Trial ``t`` of a stacked precoder set alone, as plain matrices."""
     return PrecoderSet(ps.v1l[t], ps.v2l[t], ps.v1j[t], ps.v2j[t], ps.u[t],
-                       ps.extension, ps.geometry,
-                       tuple(w[t] for w in ps.rx_images))
+                       ps.geometry, tuple(w[t] for w in ps.rx_images))
 
 
 def built(cfg_tuple, seed=0):
@@ -34,33 +34,33 @@ def built(cfg_tuple, seed=0):
     return cfg, plan, (h1[0], h2[0]), trial_of(ps, 0)
 
 
-def lifted(h1, h2, plan):
-    """The legitimate channels lifted to the plan's extension."""
-    return (extend_channel(h1, plan.extension),
-            extend_channel(h2, plan.extension))
+def repeat_antenna(h, t):
+    """Trial ``t``'s second antenna repeats its first: in the real form,
+    columns ``1`` and ``1 + m`` repeat columns ``0`` and ``m``."""
+    m = h.shape[-1] // 2
+    h[t, :, [1, 1 + m]] = h[t, :, [0, m]]
 
 
 class TestBuildJamming:
     def test_aligned_images_coincide(self):
         cfg, plan, (h1, h2), ps = built((2, 2, 3, 1))
-        h1e = extend_channel(h1, plan.extension)
-        h2e = extend_channel(h2, plan.extension)
-        img1 = h1e @ ps.v1j
-        img2 = h2e @ ps.v2j
+        img1 = h1 @ ps.v1j
+        img2 = h2 @ ps.v2j
         img1 /= np.linalg.norm(img1, axis=0)
         img2 /= np.linalg.norm(img2, axis=0)
         assert np.linalg.norm(img1 - img2) <= 1e-8
 
     def test_nullspace_invisible_to_receiver(self):
         cfg, plan, (h1, h2), ps = built((3, 3, 2, 1))
-        assert ps.v2j.shape == (3, 0)
+        assert ps.v2j.shape == (6, 0)
         assert np.linalg.norm(h1 @ ps.v1j) <= 1e-8 * np.linalg.norm(h1)
 
     def test_single_random_column(self):
+        # one complex column: two real ones
         cfg, plan, (h1, h2), ps = built((2, 2, 4, 1))
-        assert ps.v1j.shape == (2, 1)
-        assert ps.v2j.shape == (2, 0)
-        assert np.linalg.norm(ps.v1j[:, 0]) == pytest.approx(1.0, abs=1e-12)
+        assert ps.v1j.shape == (4, 2)
+        assert ps.v2j.shape == (4, 0)
+        assert np.allclose(np.linalg.norm(ps.v1j, axis=0), 1.0, atol=1e-12)
 
     def test_unit_norm_columns(self):
         for cfg_tuple in GEOMETRY_CONFIGS:
@@ -72,10 +72,11 @@ class TestBuildJamming:
 
     def test_alignment_infeasible_budget(self):
         # two 2-dim received spaces in ambient 3 share 1 dimension < 2
-        cfg = AntennaConfig(2, 2, 3, 1)
-        h1, h2 = sample_channels(cfg, [3])
-        bad = JammingPlan(1, (0, 0), 2, (0, 0), 0, 0)
-        with pytest.raises(AlignmentInfeasible):
+        h1, h2 = np.random.default_rng(3).standard_normal((2, 1, 3, 2))
+        bad = JammingPlan((0, 0), 2, (0, 0), 0, 0)
+        with pytest.raises(AlignmentInfeasible,
+                           match="^received signal spaces share 1 "
+                                 "dimensions, need 2$"):
             build_jamming(bad, h1, h2, [np.random.default_rng(0)])
 
     @pytest.mark.parametrize("cfg_tuple", [(3, 1, 2, 2), (3, 1, 2, 3),
@@ -88,16 +89,15 @@ class TestBuildJamming:
             _, plan, (h1, h2), ps = built(cfg_tuple, seed)
             for null, he, vj in zip(plan.null, (h1, h2), (ps.v1j, ps.v2j)):
                 aligned = vj[:, null:null + plan.aligned]
-                ns = nullspace(extend_channel(he, plan.extension))
+                ns = nullspace(he)
                 assert aligned.shape[1]
-                assert np.abs(ns.conj().T @ aligned).max(initial=0.0) <= 1e-12
+                assert np.abs(ns.T @ aligned).max(initial=0.0) <= 1e-12
 
     def test_deterministic_given_seed(self):
         _, plan, (h1, h2), _ = built((2, 2, 3, 1))
-        h1e, h2e = lifted(h1, h2, plan)
-        a = build_jamming(plan, h1e[None], h2e[None],
+        a = build_jamming(plan, h1[None], h2[None],
                           [np.random.default_rng(5)])
-        b = build_jamming(plan, h1e[None], h2e[None],
+        b = build_jamming(plan, h1[None], h2[None],
                           [np.random.default_rng(5)])
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
@@ -106,19 +106,18 @@ class TestZeroForcing:
     def test_annihilates_jamming(self):
         cfg, plan, (h1, h2), ps = built((2, 2, 3, 1))
         assert ps.u.shape == (5, 6)
-        h1e = extend_channel(h1, 2)
-        assert np.linalg.norm(ps.u @ (h1e @ ps.v1j)) <= \
-            1e-8 * np.linalg.norm(h1e)
+        assert np.linalg.norm(ps.u @ (h1 @ ps.v1j)) <= \
+            1e-8 * np.linalg.norm(h1)
 
     def test_orthonormal_rows(self):
         for cfg_tuple in GEOMETRY_CONFIGS:
             _, _, _, ps = built(cfg_tuple)
-            gram = ps.u @ ps.u.conj().T
+            gram = ps.u @ ps.u.T
             assert np.allclose(gram, np.eye(ps.u.shape[0]), atol=1e-10)
 
     def test_no_receiver_jamming_gives_full_unitary(self):
         cfg, plan, (h1, h2), ps = built((3, 3, 2, 1))
-        assert ps.u.shape == (2, 2)
+        assert ps.u.shape == (4, 4)
 
     def test_plan_mismatch_detected(self):
         from sdoflab.precoders import PlanMismatch
@@ -136,7 +135,7 @@ class TestBuildLegit:
             _, _, _, ps = built(cfg_tuple)
             for vl, vj in ((ps.v1l, ps.v1j), (ps.v2l, ps.v2j)):
                 if vl.shape[1] and vj.shape[1]:
-                    assert np.abs(vl.conj().T @ vj).max() <= 1e-10
+                    assert np.abs(vl.T @ vj).max() <= 1e-10
 
     def test_orthonormal_columns(self):
         for cfg_tuple in GEOMETRY_CONFIGS:
@@ -144,17 +143,17 @@ class TestBuildLegit:
             for vl, d in ((ps.v1l, plan.d1), (ps.v2l, plan.d2)):
                 assert vl.shape[1] == d
                 if d:
-                    assert np.allclose(vl.conj().T @ vl, np.eye(d), atol=1e-10)
+                    assert np.allclose(vl.T @ vl, np.eye(d), atol=1e-10)
 
     def test_stream_split_dimensions(self):
         _, plan, _, ps = built((2, 2, 4, 1))
-        assert ps.v1l.shape == (2, 1) and ps.v2l.shape == (2, 2)
+        assert ps.v1l.shape == (4, 2) and ps.v2l.shape == (4, 4)
 
     def test_plan_mismatch_when_overbooked(self):
         from sdoflab.precoders import PlanMismatch
         cfg, plan, (h1, h2), ps = built((2, 2, 4, 1))
         from dataclasses import replace
-        greedy = replace(plan, d1=plan.extension * cfg.m1)
+        greedy = replace(plan, d1=2 * cfg.m1)
         with pytest.raises(PlanMismatch):
             build_legit(greedy, ps.v1j[None], ps.v2j[None],
                         [np.random.default_rng(0)])
@@ -174,20 +173,18 @@ class TestVerifyGeometry:
     def test_dimension_audit(self):
         for cfg_tuple in GEOMETRY_CONFIGS:
             cfg, plan, (h1, h2), ps = built(cfg_tuple)
-            ext = plan.extension
-            assert ps.v1j.shape[1] + ps.v2j.shape[1] == ext * cfg.ne
-            assert ps.u.shape == (ext * cfg.n - plan.j_s, ext * cfg.n)
+            assert ps.v1j.shape[1] + ps.v2j.shape[1] == 2 * cfg.ne
+            assert ps.u.shape == (2 * cfg.n - plan.j_s, 2 * cfg.n)
             assert ps.geometry.decode_rank == plan.d1 + plan.d2
 
     def test_random_jamming_breaks_alignment(self):
         cfg, plan, (h1, h2), ps = built((2, 2, 3, 1))
         rng = np.random.default_rng(0)
-        fake = rng.standard_normal(ps.v1j.shape) \
-            + 1j * rng.standard_normal(ps.v1j.shape)
+        fake = rng.standard_normal(ps.v1j.shape)
         fake /= np.linalg.norm(fake, axis=0)
         broken = PrecoderSet(v1l=ps.v1l, v2l=ps.v2l, v1j=fake, v2j=ps.v2j,
-                             u=ps.u, extension=ps.extension)
-        rep = verify_geometry(broken, *lifted(h1, h2, plan), plan)
+                             u=ps.u)
+        rep = verify_geometry(broken, h1, h2, plan)
         assert rep.alignment_residual > 1e-4
         assert not rep.passed
 
@@ -198,13 +195,12 @@ class TestVerifyGeometry:
         null1 = plan.null[0]
         assert null1 and plan.aligned
         rng = np.random.default_rng(0)
-        shape = (ps.v1j.shape[0], null1)
-        fake = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        fake = rng.standard_normal((ps.v1j.shape[0], null1))
         v1j = ps.v1j.copy()
         v1j[:, :null1] = fake / np.linalg.norm(fake, axis=0)
         broken = PrecoderSet(v1l=ps.v1l, v2l=ps.v2l, v1j=v1j, v2j=ps.v2j,
-                             u=ps.u, extension=ps.extension)
-        rep = verify_geometry(broken, *lifted(h1, h2, plan), plan)
+                             u=ps.u)
+        rep = verify_geometry(broken, h1, h2, plan)
         assert rep.nullspace_residual > 1e-4
         assert rep.alignment_residual <= 1e-8
         assert not rep.passed
@@ -213,43 +209,58 @@ class TestVerifyGeometry:
         cfg, plan, (h1, h2), ps = built((2, 2, 3, 1))
         rows = ps.u.shape[0]
         lazy = PrecoderSet(v1l=ps.v1l, v2l=ps.v2l, v1j=ps.v1j, v2j=ps.v2j,
-                           u=np.eye(2 * cfg.n, dtype=complex)[:rows],
-                           extension=ps.extension)
-        rep = verify_geometry(lazy, *lifted(h1, h2, plan), plan)
+                           u=np.eye(2 * cfg.n)[:rows])
+        rep = verify_geometry(lazy, h1, h2, plan)
         assert rep.zf_residual > 1e-4
         assert not rep.passed
 
     def test_unlifted_channels_rejected(self):
+        # Re H alone, one column per antenna, is not the real form R(H)
         cfg, plan, (h1, h2), ps = built((2, 2, 3, 1))
-        assert plan.extension == 2
         with pytest.raises(PlanMismatch):
-            verify_geometry(ps, h1, h2, plan)
+            verify_geometry(ps, h1[:cfg.n, :cfg.m1], h2[:cfg.n, :cfg.m2],
+                            plan)
 
     @pytest.mark.parametrize("cfg_tuple", GEOMETRY_CONFIGS)
     def test_receiver_images_kept(self, cfg_tuple):
         _, plan, (h1, h2), ps = built(cfg_tuple)
-        for w, he, vl in zip(ps.rx_images, lifted(h1, h2, plan),
-                             (ps.v1l, ps.v2l)):
+        for w, he, vl in zip(ps.rx_images, (h1, h2), (ps.v1l, ps.v2l)):
             assert np.array_equal(w, ps.u @ (he @ vl))
 
 
 class TestEavesdropperCoverage:
     @pytest.mark.parametrize("cfg_tuple", GEOMETRY_CONFIGS)
     def test_jamming_overwhelms_eavesdropper(self, cfg_tuple):
-        # ten eavesdropper draws against one trial's precoders
+        # ten draws of each eavesdropper size against one trial's
+        # precoders: the jamming fills every eavesdropper's view, so none
+        # resolves a stream, and the receiver decodes them all
         cfg, plan, (h1, h2), ps = built(cfg_tuple)
-        (g1, g2), = sample_eves(cfg, [cfg.ne], range(99, 109),
-                                slots=plan.extension)
-        assert jamming_coverage_rank(ps, g1, g2).tolist() == \
-            [plan.extension * cfg.ne] * 10
+        eves = sample_eves(cfg, range(cfg.ne + 1), range(99, 109))
+        for g1, g2 in eves:
+            jam = np.concatenate([g1 @ ps.v1j, g2 @ ps.v2j], axis=-1)
+            assert matlin.rank(jam).tolist() == [g1.shape[-2]] * 10
+        assert secure_dof_certificate(ps, eves) == sum_sdof(cfg)
+
+    @pytest.mark.parametrize("cfg_tuple", [(2, 2, 3, 1), (3, 1, 2, 2),
+                                           (3, 1, 2, 3), (4, 4, 6, 7)])
+    def test_certificate_sees_a_dropped_jamming_column(self, cfg_tuple):
+        # Transmitter 1 without one of its jamming columns: the largest
+        # eavesdropper resolves a real stream, half a DoF.
+        cfg, plan, (h1, h2), ps = built(cfg_tuple)
+        weak = PrecoderSet(ps.v1l, ps.v2l, ps.v1j[:, 1:], ps.v2j, ps.u,
+                           rx_images=ps.rx_images)
+        eves = sample_eves(cfg, [cfg.ne], [99])
+        assert secure_dof_certificate(ps, eves) == sum_sdof(cfg)
+        assert secure_dof_certificate(weak, eves) == sum_sdof(cfg) - \
+            Fraction(1, 2)
 
 
 def test_unjammed_set_shapes():
     cfg = AntennaConfig(2, 2, 4, 1)
     h1, h2 = sample_channels(cfg, [1, 2])
     ps = build_unjammed_set(h1, h2)
-    assert ps.v1l.shape == (2, 2, 2) and ps.v2l.shape == (2, 2, 2)
-    assert ps.v1j.shape == (2, 2, 0) and ps.u.shape == (2, 4, 4)
+    assert ps.v1l.shape == (2, 4, 4) and ps.v2l.shape == (2, 4, 4)
+    assert ps.v1j.shape == (2, 4, 0) and ps.u.shape == (2, 8, 8)
     assert ps.geometry is None
     assert all(np.array_equal(w, h)
                for w, h in zip(ps.rx_images, (h1, h2)))
@@ -257,7 +268,8 @@ def test_unjammed_set_shapes():
 
 def test_every_construction_shape_up_to_six_antennas():
     # every case region, including boundaries (m_i = n) and random-spill
-    # corners, must build, verify, and cover the eavesdropper
+    # corners, must build, verify, and certify the closed form against
+    # the largest eavesdropper
     configs = list(iter_canonical_configs(6))
     assert len(configs) == 882
     for cfg in configs:
@@ -265,11 +277,9 @@ def test_every_construction_shape_up_to_six_antennas():
         h1, h2 = sample_channels(cfg, [3])
         ps = build_precoder_set(plan, h1, h2, [80])
         assert ps.geometry.passed, (cfg, ps.geometry)
-        if cfg.ne:
-            (g1, g2), = sample_eves(cfg, [cfg.ne], [999],
-                                    slots=plan.extension)
-            assert jamming_coverage_rank(ps, g1, g2).tolist() == \
-                [plan.extension * cfg.ne], (cfg, ps.geometry)
+        eves = sample_eves(cfg, [cfg.ne], [999])
+        assert secure_dof_certificate(ps, eves) == sum_sdof(cfg), \
+            (cfg, ps.geometry)
 
 
 @pytest.mark.parametrize("scale", [1e-100, 1e100])
@@ -287,23 +297,6 @@ def test_rank_rule_is_scale_free(cfg_tuple, scale):
 
 class TestStackedBuild:
     """A block of trials is built as one stack of each matrix."""
-
-    def test_lift_matches_kron_bytes(self):
-        # The lifted channel has repeated singular values, so its null-space
-        # basis, and every precoder after it, depends on the sign of each
-        # zero that kron writes off the diagonal blocks.  array_equal treats
-        # -0.0 and 0.0 as equal, so only the bytes tell the lifts apart.
-        rng = np.random.default_rng(4)
-        for trials, n, m in [(1, 1, 1), (3, 2, 3), (5, 4, 2)]:
-            h = (rng.standard_normal((trials, n, m))
-                 + 1j * rng.standard_normal((trials, n, m)))
-            for ext in (1, 2):
-                lift = extend_channel(h, ext)
-                for t in range(trials):
-                    assert lift[t].tobytes() == \
-                        np.kron(np.eye(ext), h[t]).tobytes()
-        zeros = lift[lift == 0]
-        assert np.signbit(zeros.real).any() and np.signbit(zeros.imag).any()
 
     @pytest.mark.parametrize("cfg_tuple", GEOMETRY_CONFIGS)
     def test_each_trial_equals_its_own_build(self, cfg_tuple):
@@ -323,12 +316,12 @@ class TestStackedBuild:
         ((2, 1, 3, 2), PlanMismatch),
     ])
     def test_odd_trial_raises_its_own_error(self, cfg_tuple, error):
-        # A repeated column drops trial 1's channel rank, so its
+        # A repeated antenna drops trial 1's channel rank, so its
         # dimensions differ from the other trials' on the way.
         cfg = AntennaConfig(*cfg_tuple)
         plan = jamming_plan(cfg)
         h1, h2 = sample_channels(cfg, [1, 2, 3])
-        h1[1, :, 1] = h1[1, :, 0]
+        repeat_antenna(h1, 1)
         seeds = [10, 11, 12]
         assert issubclass(error, GeometryError)  # what simulate maps to exit 2
         with pytest.raises(error) as own:
@@ -343,7 +336,7 @@ class TestStackedBuild:
         cfg = AntennaConfig(2, 2, 2, 1)
         plan = jamming_plan(cfg)
         h1, h2 = sample_channels(cfg, [1, 2, 3])
-        h1[1, :, 1] = h1[1, :, 0]
+        repeat_antenna(h1, 1)
         with pytest.raises(GeometryError) as own:
             build_precoder_set(plan, h1[1:2], h2[1:2], [11])
         assert str(own.value) == "decode_rank 1 != expected rank 3"
@@ -360,7 +353,7 @@ class TestStackedBuild:
         plan = jamming_plan(cfg)
         assert plan.aligned
         h1, h2 = sample_channels(cfg, [1, 2, 3])
-        h2[1, :, 1] = h2[1, :, 0]
+        repeat_antenna(h2, 1)
         for t, seed in enumerate([10, 11, 12]):
             own = build_precoder_set(plan, h1[t:t + 1], h2[t:t + 1], [seed])
             assert own.geometry.passed

@@ -7,10 +7,10 @@ import pytest
 from sdoflab import precoders
 from sdoflab import rates as rates_mod
 from sdoflab.matlin import logdet_hpd
-from sdoflab.model import (AntennaConfig, canonical, eve_image,
-                           sample_channels, sample_eves)
+from sdoflab.model import (AntennaConfig, canonical, sample_channels,
+                           sample_eves)
 from sdoflab.precoders import (GeometryError, PrecoderSet, build_precoder_set,
-                               build_unjammed_set, extend_channel)
+                               build_unjammed_set)
 from sdoflab.rates import InvalidEveCount, fit_slope, sweep
 from sdoflab.regions import DegenerateConfig, jamming_plan
 
@@ -20,7 +20,10 @@ SATURATION_GRID = [10.0 ** k for k in range(5, 10)]  # 1e5 .. 1e9
 
 # The one-trial, one-power reference that TestBlockEngineOracle compares
 # the stacked engine against with ==.  Each transmitter spends
-# ``alpha * p`` on jamming and the rest on its streams.
+# ``alpha * p`` on jamming and the rest on its streams.  Channels and
+# precoders are real: every real dimension has noise variance 1/2, so a
+# covariance is ``I + 2 (power / d) W W'``, and half its log-det is the
+# rate per complex channel use.
 
 def _legit_power(ps, p, alpha):
     # With no jamming columns the whole budget goes to the streams.
@@ -31,75 +34,70 @@ def _legit_power(ps, p, alpha):
 def receiver_rate(ps, hs, p, alpha=0.5):
     """Post-zero-forcing sum rate of the legitimate streams, bits per use.
 
-    Computes ``logdet(I + sum_i U H_i V_i^L Q_i V_i^L' H_i' U')`` (unit
-    noise) over the extended block for the channels ``hs = (h1, h2)``
-    and normalizes by the extension factor.  Per-stream power is the
+    Computes ``logdet(I + sum_i 2 U H_i V_i^L Q_i V_i^L' H_i' U') / 2``
+    for the real channels ``hs = (h1, h2)``.  Per-stream power is the
     legitimate budget divided equally across the transmitter's streams.
     Jamming contributes nothing: the zero-forced residual is below the
     geometry tolerance, which `build_precoder_set` has verified.
     """
-    ext = ps.extension
     legit_p = _legit_power(ps, p, alpha)
-    gram = np.eye(ps.u.shape[0], dtype=complex)
+    gram = np.eye(ps.u.shape[0])
     for h, vl in zip(hs, (ps.v1l, ps.v2l)):
         d = vl.shape[1]
         if d == 0:
             continue
-        he = extend_channel(h, ext)
-        w = ps.u @ (he @ vl)
-        gram = gram + (ext * legit_p / d) * (w @ w.conj().T)
-    gram = 0.5 * (gram + gram.conj().T)
-    return logdet_hpd(gram) / (ext * math.log(2))
+        w = ps.u @ (h @ vl)
+        gram = gram + (2 * legit_p / d) * (w @ w.T)
+    gram = 0.5 * (gram + gram.T)
+    return logdet_hpd(gram) / (2 * math.log(2))
 
 
 def eavesdropper_leakage(ps, g_pair, p, alpha=0.5):
     """Gaussian MI of the legitimate streams at one eavesdropper, bits per use.
 
     The eavesdropper treats the received jamming as noise:
-    ``logdet(I + G_L Q_L G_L' (I + G_J Q_J G_J')^{-1})``, evaluated
-    as a difference of two log-dets.  ``g_pair`` holds its per-slot
-    blocks ``(slots, nej, m_i)``, one slot per symbol of the precoder
-    extension; another slot count raises ``ValueError``.
+    ``logdet(I + G_L Q_L G_L' (I + G_J Q_J G_J')^{-1}) / 2``, with the
+    factor 2 of the real noise in each ``Q``, evaluated as a difference
+    of two log-dets.  ``g_pair`` holds its real channels ``(2 nej, 2
+    m_i)``; a channel of another column count raises ``ValueError``.
     """
-    ext = ps.extension
-
     def images(vs, power):
         # hstack of sqrt(power / cols) * G_i V_i; an empty V_i gives an
         # empty image, so max(cols, 1) only keeps 0 / 0 out.
         return np.hstack([math.sqrt(power / max(v.shape[1], 1))
-                          * eve_image(g, v) for g, v in zip(g_pair, vs)])
+                          * (g @ v) for g, v in zip(g_pair, vs)])
 
-    bl = images((ps.v1l, ps.v2l), ext * _legit_power(ps, p, alpha))
-    bj = images((ps.v1j, ps.v2j), ext * alpha * p)
-    k0 = np.eye(len(bj), dtype=complex) + bj @ bj.conj().T
-    k1 = k0 + bl @ bl.conj().T
-    k0 = 0.5 * (k0 + k0.conj().T)
-    k1 = 0.5 * (k1 + k1.conj().T)
-    return (logdet_hpd(k1) - logdet_hpd(k0)) / (ext * math.log(2))
+    bl = images((ps.v1l, ps.v2l), 2 * _legit_power(ps, p, alpha))
+    bj = images((ps.v1j, ps.v2j), 2 * alpha * p)
+    k0 = np.eye(len(bj)) + bj @ bj.T
+    k1 = k0 + bl @ bl.T
+    k0 = 0.5 * (k0 + k0.T)
+    k1 = 0.5 * (k1 + k1.T)
+    return (logdet_hpd(k1) - logdet_hpd(k0)) / (2 * math.log(2))
 
 
 def scalar_precoder_set():
-    """1x1 surrogate: unit channel, one stream, no jamming."""
-    one = np.ones((1, 1), dtype=complex)
-    empty = np.zeros((1, 0), dtype=complex)
-    return PrecoderSet(v1l=one, v2l=empty, v1j=empty, v2j=empty,
-                       u=one, extension=1)
+    """1x1 surrogate in real form: unit channel, one complex stream (two
+    real ones), no jamming."""
+    one = np.eye(2)
+    empty = np.zeros((2, 0))
+    return PrecoderSet(v1l=one, v2l=empty, v1j=empty, v2j=empty, u=one)
 
 
 def one_trial(cfg, eve_counts, ch_seed, pc_seed, jamming=True):
-    """One trial's channels ``(h1, h2)``, unextended eavesdropper pairs
-    drawn from seed 0, and precoder set, as plain matrices."""
+    """One trial's channels ``(h1, h2)``, eavesdropper pairs drawn from
+    seed 0, and precoder set, as plain matrices."""
     h1, h2 = sample_channels(cfg, [ch_seed])
     ps = (build_precoder_set(jamming_plan(cfg), h1, h2, [pc_seed])
           if jamming else build_unjammed_set(h1, h2))
     eves = [(g1[0], g2[0]) for g1, g2 in sample_eves(cfg, eve_counts, [0])]
     one = PrecoderSet(ps.v1l[0], ps.v2l[0], ps.v1j[0], ps.v2j[0], ps.u[0],
-                      ps.extension, ps.geometry)
+                      ps.geometry)
     return (h1[0], h2[0]), eves, one
 
 
 def scalar_channel():
-    one = np.ones((1, 1), dtype=complex)
+    one = np.eye(2)
     return one, one
 
 
@@ -127,7 +125,7 @@ class TestEavesdropperLeakage:
         _, (g_pair,), ps = one_trial(AntennaConfig(2, 2, 4, 1), [1], 4, 5)
         silent = PrecoderSet(v1l=ps.v1l[:, :0], v2l=ps.v2l[:, :0],
                              v1j=ps.v1j, v2j=ps.v2j, u=ps.u,
-                             extension=ps.extension, geometry=ps.geometry)
+                             geometry=ps.geometry)
         assert eavesdropper_leakage(silent, g_pair, 1e6, alpha=0.5) == 0.0
 
     def test_unjammed_leakage_grows_with_power(self):
@@ -140,10 +138,10 @@ class TestEavesdropperLeakage:
         assert gain == pytest.approx(math.log2(1e2), rel=0.01)
 
     def test_extension_mismatch_rejected(self):
-        # unextended eavesdropper
-        _, (g_pair,), ps = one_trial(AntennaConfig(2, 2, 3, 1), [1], 4, 5)
+        # Re G alone, one column per antenna, is not the real form R(G)
+        _, ((g1, g2),), ps = one_trial(AntennaConfig(2, 2, 3, 1), [1], 4, 5)
         with pytest.raises(ValueError):
-            eavesdropper_leakage(ps, g_pair, 1e3)
+            eavesdropper_leakage(ps, (g1[:1, :2], g2[:1, :2]), 1e3)
 
 
 class TestSlopeFit:
@@ -320,14 +318,12 @@ def scalar_trial_results(cfg, p_values, trials, seed, eve_counts, jamming):
     """The trial engine's per-trial output, rebuilt from the one-trial,
     one-power reference functions on the same seeded draws: one
     eavesdropper draw per trial, evaluated at every power."""
-    plan = jamming_plan(cfg) if jamming else None
-    ext = plan.extension if jamming else 1
     out = []
     for trial_ss in np.random.SeedSequence(seed).spawn(trials):
         ch_ss, pc_ss, eve_ss = trial_ss.spawn(3)
         hs, _, ps = one_trial(cfg, [], ch_ss, pc_ss, jamming)
         eves = [(g1[0], g2[0]) for g1, g2 in
-                sample_eves(cfg, eve_counts, [eve_ss], slots=ext)]
+                sample_eves(cfg, eve_counts, [eve_ss])]
         rates = [receiver_rate(ps, hs, p, 0.5) for p in p_values]
         leaks = [[eavesdropper_leakage(ps, g_pair, p, 0.5)
                   for g_pair in eves] for p in p_values]
@@ -349,9 +345,9 @@ def block_sizes(monkeypatch):
     sizes = []
     build = rates_mod._build_block
 
-    def counting(cfg, plan, ext, rngs, eve_counts):
+    def counting(cfg, plan, rngs, eve_counts):
         sizes.append(len(rngs))
-        return build(cfg, plan, ext, rngs, eve_counts)
+        return build(cfg, plan, rngs, eve_counts)
 
     monkeypatch.setattr(rates_mod, "_build_block", counting)
     return sizes
@@ -377,8 +373,6 @@ class TestBlockRule:
     def test_cli_limit_shape_fits_budget(self, jamming):
         cfg = AntennaConfig(32, 32, 32, 31)
         plan = jamming_plan(cfg) if jamming else None
-        if jamming:
-            assert plan.extension == 2
         per_trial = rates_mod._trial_bytes(cfg, plan, [31], 32)
         block = rates_mod.BLOCK_BYTES // per_trial
         assert block >= 1
@@ -426,7 +420,7 @@ class TestBlockEngineOracle:
 
     @pytest.mark.parametrize("jamming", [True, False])
     @pytest.mark.parametrize("cfg_tuple,eve_counts", [
-        ((3, 1, 2, 2), [0, 1, 2]),   # two-slot extension
+        ((3, 1, 2, 2), [0, 1, 2]),   # nullspace and aligned parts
         ((2, 2, 4, 1), [1]),
     ])
     def test_equals_scalar_reference(self, monkeypatch, cfg_tuple, eve_counts,
@@ -435,8 +429,6 @@ class TestBlockEngineOracle:
         block = 8
         trials = block + 1
         set_block(monkeypatch, cfg, jamming, eve_counts, len(P_GRID), block)
-        if jamming and cfg_tuple == (3, 1, 2, 2):
-            assert jamming_plan(cfg).extension == 2
         got = [trial for rates, leaks in rates_mod._trial_results(
                    cfg, 0.5, P_GRID, trials, 9, eve_counts, jamming)
                for trial in zip(rates, leaks)]
@@ -451,8 +443,8 @@ class TestBlockEngineOracle:
     @pytest.mark.parametrize("cfg_tuple", [(3, 1, 2, 2), (2, 2, 3, 1)])
     def test_independent_of_block_size(self, monkeypatch, cfg_tuple,
                                        jamming):
-        # (3, 1, 2, 2) lifts to two slots and has nullspace and aligned
-        # parts, so its precoders depend on the lift's signed zeros.
+        # (3, 1, 2, 2) has nullspace and aligned parts, and each draws
+        # from the trial's precoder stream.
         cfg = AntennaConfig(*cfg_tuple)
         trials = 17
         results = []
@@ -463,10 +455,10 @@ class TestBlockEngineOracle:
         assert results[0] == results[1] == results[2]
 
     @pytest.mark.parametrize("cfg_tuple,slope,delta,secrecy", [
-        ((3, 1, 2, 2), 1.4641527710920499, 0.8127826614689646,
-         40.31756668555925),
-        ((2, 2, 4, 1), 2.992623458646663, 0.0007017269698595286,
-         83.96866324439183),
+        ((3, 1, 2, 2), 1.4919747256984457, 0.2216629969532491,
+         40.42050066357333),
+        ((2, 2, 4, 1), 2.9908682740443293, 0.052374600640650824,
+         82.72104034424349),
     ])
     def test_values_pinned(self, cfg_tuple, slope, delta, secrecy):
         # Seed 42 pinned: a change to any trial's random stream, or to the

@@ -100,56 +100,54 @@ def counts(plan):
 
 
 class TestJammingPlan:
+    """Counts are real dimensions, two per antenna."""
+
     def test_random_only_small_ne(self):
         plan = jamming_plan(AntennaConfig(2, 2, 4, 1))
-        assert plan.extension == 1
-        assert counts(plan) == ((0, 0), 0, (1, 0), 1)
-        assert (plan.d1, plan.d2) == (1, 2)
+        assert counts(plan) == ((0, 0), 0, (2, 0), 2)
+        assert (plan.d1, plan.d2) == (2, 4)
 
     def test_aligned_extension_for_odd_ne(self):
+        # an odd ne asks for half a complex aligned pair: one real pair
         plan = jamming_plan(AntennaConfig(2, 2, 3, 1))
-        assert plan.extension == 2
         assert counts(plan) == ((0, 0), 1, (0, 0), 1)
         assert plan.d1 + plan.d2 == 5
 
     def test_nullspace_plus_aligned_extension(self):
         plan = jamming_plan(AntennaConfig(3, 1, 2, 2))
-        assert plan.extension == 2
         assert counts(plan) == ((2, 0), 1, (0, 0), 1)
         assert plan.d1 + plan.d2 == 3
 
     def test_all_three_methods(self):
         plan = jamming_plan(AntennaConfig(3, 1, 2, 3))
-        assert plan.extension == 1
-        assert counts(plan) == ((1, 0), 1, (0, 0), 1)
-        assert plan.d1 + plan.d2 == 1
+        assert counts(plan) == ((2, 0), 2, (0, 0), 2)
+        assert plan.d1 + plan.d2 == 2
 
     def test_nullspace_only_c3(self):
         plan = jamming_plan(AntennaConfig(3, 3, 2, 1))
-        assert plan.extension == 1
-        assert counts(plan) == ((1, 0), 0, (0, 0), 0)
-        assert plan.d1 + plan.d2 == 2
+        assert counts(plan) == ((2, 0), 0, (0, 0), 0)
+        assert plan.d1 + plan.d2 == 4
 
     def test_aligned_plus_random_m1_below_n(self):
         plan = jamming_plan(AntennaConfig(2, 2, 3, 3))
-        assert plan.extension == 1
-        assert counts(plan) == ((0, 0), 1, (1, 0), 2)
-        assert (plan.d1, plan.d2) == (0, 1)
+        assert counts(plan) == ((0, 0), 2, (2, 0), 4)
+        assert (plan.d1, plan.d2) == (0, 2)
 
     def test_nullspace_only_both_above_n(self):
         plan = jamming_plan(AntennaConfig(3, 2, 2, 1))
-        assert plan.extension == 1
-        assert counts(plan) == ((1, 0), 0, (0, 0), 0)
-        assert (plan.d1, plan.d2) == (2, 0)
+        assert counts(plan) == ((2, 0), 0, (0, 0), 0)
+        assert (plan.d1, plan.d2) == (4, 0)
 
     def test_plans_pinned_up_to_10_antennas(self):
-        # digest of the plan counts, equal to those of the seven-case
-        # planner that the dimension-counting rule replaced
+        # digest of the plan counts: those of the seven-case planner that
+        # the dimension-counting rule replaced, and of the two-symbol
+        # extension that the real dimensions replaced, each count times
+        # 2 / extension
         plans = (jamming_plan(c) for c in iter_canonical_configs(10))
-        text = "\n".join(repr((p.extension, *p.null, p.aligned, *p.random,
-                                p.j_s, p.d1, p.d2)) for p in plans)
+        text = "\n".join(repr((*p.null, p.aligned, *p.random, p.j_s, p.d1,
+                                p.d2)) for p in plans)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "2b38e7048717f82cda566d6d2a8cbe1a1c476e5825c36801fd3dbcc7a168a06a")
+            "653f37b0b152d635a2cd4eb0131851b75682e700af226a005916605e0c5a248a")
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateConfig):
@@ -159,8 +157,8 @@ class TestJammingPlan:
         # ne - (M - n) exceeds m1 here, so the random columns cannot fit on
         # transmitter 1 alone
         plan = jamming_plan(AntennaConfig(4, 4, 6, 7))
-        assert plan.jam_dims(1) <= 4 and plan.jam_dims(2) <= 4
-        assert plan.total_jam_dims() == 7
+        assert plan.jam_dims(1) <= 8 and plan.jam_dims(2) <= 8
+        assert plan.total_jam_dims() == 14
         cfg = AntennaConfig(4, 4, 6, 7)
         assert verify_plan_arithmetic(cfg, plan, sum_sdof(cfg))
 
@@ -171,13 +169,13 @@ class TestVerifyPlanArithmetic:
         plan = jamming_plan(cfg)
         assert verify_plan_arithmetic(cfg, plan, sum_sdof(cfg))
         # jamming-free receiver dimensions exactly match the stream count
-        assert plan.extension * cfg.n - plan.j_s == cfg.m - cfg.ne == 1
+        assert 2 * cfg.n - plan.j_s == 2 * (cfg.m - cfg.ne) == 2
 
     def test_jamfree_dimensions_nullspace_aligned_case(self):
         cfg = AntennaConfig(3, 2, 2, 1)
         plan = jamming_plan(cfg)
         assert verify_plan_arithmetic(cfg, plan, sum_sdof(cfg))
-        assert plan.extension * cfg.n - plan.j_s == 2
+        assert 2 * cfg.n - plan.j_s == 4
         assert Fraction(cfg.m - cfg.ne, 2) == Fraction(2)
 
     def test_holds_over_grid(self):
@@ -188,8 +186,8 @@ class TestVerifyPlanArithmetic:
     def test_missing_jam_dimension_fails(self):
         cfg = AntennaConfig(2, 2, 4, 2)
         plan = jamming_plan(cfg)
-        assert plan.random == (2, 0)
-        assert not verify_plan_arithmetic(cfg, replace(plan, random=(1, 0)),
+        assert plan.random == (4, 0)
+        assert not verify_plan_arithmetic(cfg, replace(plan, random=(3, 0)),
                                           sum_sdof(cfg))
 
     def test_wrong_stream_count_fails(self):
@@ -201,22 +199,23 @@ class TestVerifyPlanArithmetic:
         assert not verify_plan_arithmetic(cfg, plan, sum_sdof(cfg) + 1)
 
     def test_receiver_overload_fails(self):
-        # Transmitter 1's nullspace column turned random: the jamming
-        # still spends ne = 1 column, but now takes a receiver dimension
-        # and leaves 2*1 - 1 < d1 + d2 = 2 free.
+        # Transmitter 1's nullspace columns turned random: the jamming
+        # still spends 2 ne = 2 columns, but now takes two receiver
+        # dimensions and leaves 2*2 - 2 < d1 + d2 = 4 free.
         cfg = AntennaConfig(3, 2, 2, 1)
         plan = jamming_plan(cfg)
-        assert (plan.null, plan.random) == ((1, 0), (0, 0))
-        bad = replace(plan, null=(0, 0), random=(1, 0))
-        assert bad.total_jam_dims() == 1 and bad.j_s == 1
+        assert (plan.null, plan.random) == ((2, 0), (0, 0))
+        bad = replace(plan, null=(0, 0), random=(2, 0))
+        assert bad.total_jam_dims() == 2 and bad.j_s == 2
         assert not verify_plan_arithmetic(cfg, bad, sum_sdof(cfg))
 
 
 def test_jamming_budget_equals_extension_ne_on_grid():
+    # two real dimensions per antenna
     for cfg in grid_configs(6):
         plan = jamming_plan(cfg)
-        assert plan.total_jam_dims() == plan.extension * cfg.ne
-        assert plan.d1 + plan.d2 == plan.extension * sum_sdof(cfg)
+        assert plan.total_jam_dims() == 2 * cfg.ne
+        assert plan.d1 + plan.d2 == 2 * sum_sdof(cfg)
 
 
 @st.composite
@@ -248,5 +247,6 @@ class TestPropertiesUpToSimulateLimit:
     @settings(max_examples=200, deadline=None)
     @given(simulate_configs())
     def test_streams_fill_extended_sdof(self, cfg):
+        # the real streams fill twice the complex secure DoF
         plan = jamming_plan(cfg)
-        assert plan.d1 + plan.d2 == plan.extension * sum_sdof(cfg)
+        assert plan.d1 + plan.d2 == 2 * sum_sdof(cfg)

@@ -3,15 +3,24 @@ from pathlib import Path
 
 import pytest
 
-BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("bench_pairs")
+
+
+@pytest.fixture
+def compare_outputs():
+    return load_tool("compare_outputs")
 
 
 @pytest.mark.parametrize("pairs", ["0", "1", "-3"])
@@ -26,3 +35,40 @@ def test_bench_pairs_rejects_fewer_than_two_pairs(bench_pairs, monkeypatch,
                           "--out", "unused.json", "--pairs", pairs])
     assert exit_info.value.code == 2
     assert "--pairs must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--parent", "HEAD"], "the following arguments are required: --change"),
+    (["--change", "HEAD"], "the following arguments are required: --parent"),
+    (["--parent", "HEAD", "--change"], "--change: expected one argument"),
+])
+def test_compare_outputs_needs_both_revisions(compare_outputs, monkeypatch,
+                                              capsys, argv, message):
+    def no_export(*args):
+        raise AssertionError("exported a tree before checking arguments")
+
+    monkeypatch.setattr(compare_outputs, "export", no_export)
+    with pytest.raises(SystemExit) as exit_info:
+        compare_outputs.main(argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_compare_outputs_reports_relative_difference(compare_outputs):
+    compare = compare_outputs.compare
+    assert compare("p,rate\n1e3,2.5\n", "p,rate\n1e3,2.5\n") == "identical"
+    assert compare("1000.0,2.5,-4\n", "1000.0,2.0,-4\n") == \
+        "largest relative difference 0.2"
+    assert compare("a 1\n", "b 1\n") == "differs outside its numbers"
+    assert compare("1,2\n", "1,2,3\n") == "differs outside its numbers"
+
+
+def test_compare_outputs_runs_the_documented_commands(compare_outputs):
+    configs, commands = compare_outputs.commands()
+    names = [name for name, _ in commands]
+    assert names[:3] == ["grid-8", "grid-10", "binning"]
+    assert len(configs) == 10 and len(names) == 3 + 2 * 10
+    cfg = configs["cfg-7-3-8-9.json"]
+    assert cfg["eve_counts"] == list(range(10))
+    assert (cfg["trials"], cfg["seed"], cfg["alpha"]) == (20, 7, 0.5)
+    assert cfg["p_grid"] == [10.0 ** k for k in range(3, 10)]
