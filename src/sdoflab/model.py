@@ -109,7 +109,9 @@ def real_form(h):
     ``R(A B) = R(A) R(B)`` and ``R(A^H) = R(A)^T``, and every singular
     value of ``H`` is a singular value of ``R(H)`` twice.
     """
-    return np.block([[h.real, -h.imag], [h.imag, h.real]])
+    re, im = h.real, h.imag
+    return np.concatenate([np.concatenate([re, -im], axis=-1),
+                           np.concatenate([im, re], axis=-1)], axis=-2)
 
 
 def sample_eves(cfg, eve_counts, seeds):

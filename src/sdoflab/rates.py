@@ -35,10 +35,12 @@ as fit in ``BLOCK_BYTES`` of stacks, counted from the stack shapes (see
 large one in blocks of a few trials.  The engine samples a block's
 channels and synthesizes its precoder sets as ``(trials, rows, cols)``
 stacks (:func:`~sdoflab.precoders.build_precoder_set` verifies each, and
-a failed build is its :class:`~sdoflab.precoders.GeometryError`), then
-stacks the receiver grams of the images ``U H_i V_i^L``, the eavesdropper
-covariances and their log-dets over trials and powers, and adds the
-per-trial results to running sums in trial order.  Each trial keeps its
+a failed build is its :class:`~sdoflab.precoders.GeometryError`), forms
+each trial's grams once (of the receiver images ``U H_i V_i^L`` and of
+every eavesdropper's images of the jamming and of the streams), then
+stacks the covariances that the powers scale from them and their
+log-dets over trials and powers, and adds the per-trial results to
+running sums in trial order.  Each trial keeps its
 own streams and numpy factors each matrix of a stack alone, so the results
 do not depend on the block length.  The engine reproduces bit for bit a
 one-trial, one-power reference, ``receiver_rate`` and
@@ -135,101 +137,95 @@ def check_inputs(cfg, alpha, p_grid, trials, eve_counts):
     return p
 
 
+def _gram(b):
+    """``B B'`` of each matrix ``B`` of a stack."""
+    return b @ ct(b)
+
+
 def _build_block(cfg, plan, rngs, eve_counts):
-    """Build one block of trials as stacks, and what the rate algebra needs.
+    """Build one block of trials as stacks, and the grams the rate algebra
+    needs.
 
     ``rngs`` holds per trial the generators of its channel, precoder (not
     for the control, where ``plan`` is None) and eavesdropper streams.
-    Returns ``(vl, vj, grams, eves)``.  Per transmitter ``i``, ``vl[i]``
-    and ``vj[i]`` are the legitimate and jamming precoders and
-    ``eves[j][i]`` eavesdropper ``j``'s channel, each with an axis for
-    the powers after the trials; ``grams[i]`` holds the grams
-    ``W W'`` of ``W = ps.rx_images[i]``.
+    Returns ``(streams, jams, rx, eves)``: per transmitter ``i`` its
+    stream and jamming column counts and the grams ``W W'`` of its
+    receiver images ``W = ps.rx_images[i]``, and per eavesdropper the
+    pair ``(jam, legit)`` of per-transmitter grams ``B B'`` of its images
+    ``B = G_i V_i`` of the jamming and of the streams.
     """
     ch_rngs, *pc_rngs, eve_rngs = zip(*rngs)
     h1, h2 = sample_channels(cfg, ch_rngs)
     ps = (build_precoder_set(plan, h1, h2, *pc_rngs)
           if plan is not None else build_unjammed_set(h1, h2))
-    eves = sample_eves(cfg, eve_counts, eve_rngs)
-    return ([v[:, None] for v in (ps.v1l, ps.v2l)],
-            [v[:, None] for v in (ps.v1j, ps.v2j)],
-            [w @ ct(w) for w in ps.rx_images],
-            [[g[:, None] for g in pair] for pair in eves])
+    vl, vj = (ps.v1l, ps.v2l), (ps.v1j, ps.v2j)
+    eves = [tuple([_gram(g @ v) for g, v in zip(pair, vs)] for vs in (vj, vl))
+            for pair in sample_eves(cfg, eve_counts, eve_rngs)]
+    return ([v.shape[-1] for v in vl], [v.shape[-1] for v in vj],
+            [_gram(w) for w in ps.rx_images], eves)
 
 
-def _block_receiver_rates(vl, grams, legit_p):
+def _covariance(base, grams, cols, power):
+    """``base + sum_i (2 power / cols_i) G_i`` over the transmitters with
+    columns, with the powers on axis 1 after the trials.
+
+    ``power`` is one transmitter's budget for these columns, split equally
+    across them; a real noise dimension has variance 1/2, hence the 2.
+    Nothing is symmetrized: the sum is as symmetric as its grams (numpy's
+    ``B @ B.T`` is exactly so in practice), ``logdet_hpd`` checks that
+    to 1e-10, and its Cholesky factor reads the lower triangle.
+    """
+    for g, d in zip(grams, cols):
+        if d:
+            term = (2 * power / d)[:, None, None] * g[:, None]
+            term += base
+            base = term
+    return base
+
+
+def _block_receiver_rates(streams, grams, legit_p):
     """Receiver rates of a block, shape ``(trials, powers)``.
 
-    The powers only scale each trial's grams.  The arithmetic is that of
-    the one-trial reference ``receiver_rate`` in ``tests/test_rates.py``,
-    stacked over trials and powers.
+    The arithmetic is that of the one-trial reference ``receiver_rate`` in
+    ``tests/test_rates.py``, stacked over trials and powers.
     """
-    # In place, to hold fewer (trials, powers, d, d) arrays at once.  The
-    # operands and their order are the reference's, so the results are too.
-    gram = np.eye(grams[0].shape[-1])
-    for v, g in zip(vl, grams):
-        d = v.shape[-1]
-        if d:
-            term = (2 * legit_p / d)[:, None, None] * g[:, None]
-            term += gram
-            gram = term
-    # ct(gram) is a view of the real gram; numpy buffers the overlapping
-    # operand, so each entry is the sum of the two old ones.
-    gram += ct(gram)
-    gram *= 0.5
+    gram = _covariance(np.eye(grams[0].shape[-1]), grams, streams, legit_p)
     return logdet_hpd(gram) / (2 * math.log(2))
 
 
-def _block_leakage(vl, vj, g_pair, alpha, p, legit_p):
+def _block_leakage(streams, jams, eve, alpha, p, legit_p):
     """Leakage of one eavesdropper over a block, shape ``(trials, len(p))``.
 
+    ``eve`` is its ``(jam, legit)`` pair of grams from `_build_block`.
     Column ``k`` evaluates each trial's draw at power ``p[k]``, of which
     ``legit_p[k]`` goes to the streams.  The arithmetic is that of the
     one-trial reference ``eavesdropper_leakage`` in
     ``tests/test_rates.py``, stacked over trials and powers.
     """
-    def images(vs, power):
-        # The reference's images, with the powers on axis 1.
-        return np.concatenate(
-            [g @ v * np.sqrt(power / max(v.shape[-1], 1))[:, None, None]
-             for g, v in zip(g_pair, vs)], axis=-1)
-
-    # In place, so that few (trials, powers, rows, rows) arrays are held
-    # at once.  Each sum keeps the reference's operands.
-    bj = images(vj, 2 * alpha * p)
-    k0 = bj @ ct(bj)
-    del bj
-    k0 += np.eye(k0.shape[-1])
-    bl = images(vl, 2 * legit_p)
-    k1 = bl @ ct(bl)
-    del bl
-    k1 += k0
-    for k in (k0, k1):
-        k += ct(k)
-        k *= 0.5
-    ld1 = logdet_hpd(k1)
-    del k1
-    return (ld1 - logdet_hpd(k0)) / (2 * math.log(2))
+    jam, legit = eve
+    k0 = _covariance(np.eye(jam[0].shape[-1]), jam, jams, alpha * p)
+    k1 = _covariance(k0, legit, streams, legit_p)
+    return (logdet_hpd(k1) - logdet_hpd(k0)) / (2 * math.log(2))
 
 
-def _trial_bytes(cfg, plan, eve_counts, n_pow):
+def _trial_bytes(cfg, eve_counts, n_pow):
     """Bytes of the real stacks that one trial adds to a block.
 
-    Per power: the largest eavesdropper's images ``B_J`` and ``B_L`` and
-    covariances ``K0`` and ``K1`` (:func:`_block_leakage`), and a receiver
-    gram of ``2 n`` rows, an upper bound on ``U``'s rows
-    (:func:`_block_receiver_rates`).  Once: the channels and a square
-    precoder per transmit dimension.  Plus 2 KiB for the trial's seeds
-    and generators, which outweigh its stacks on small configs.  ``plan``
-    is None for the jamming-free control, where every transmit dimension
-    is a stream.
+    Per power: a receiver covariance of ``2 n`` rows (an upper bound on
+    ``U``'s rows) with one more of its size, a term in
+    :func:`_covariance` or a factor in ``logdet_hpd``; then, once the
+    rates are taken, the largest eavesdropper's covariances ``K0`` and
+    ``K1`` with one more of their size.  Once: the channels and receiver
+    images, a square precoder per transmit dimension, the receiver
+    matrix and grams, and every eavesdropper's grams.  Plus 2 KiB for
+    the trial's seeds and generators, which outweigh its stacks on small
+    configs.
     """
     rx, tx = 2 * cfg.n, 2 * cfg.m
-    jam = plan.total_jam_dims() if plan else 0
-    streams = plan.d1 + plan.d2 if plan else tx
-    eve = 2 * max(eve_counts, default=0)
-    per_power = eve * (jam + streams + 2 * eve) + rx * rx
-    return 8 * (n_pow * per_power + rx * tx + tx * tx) + 2048
+    eves = [2 * nej for nej in eve_counts]
+    per_power = max(2 * rx * rx, 3 * max(eves, default=0) ** 2)
+    once = 2 * rx * tx + tx * tx + 3 * rx * rx + 4 * sum(e * e for e in eves)
+    return 8 * (n_pow * per_power + once) + 2048
 
 
 def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
@@ -244,23 +240,21 @@ def _trial_results(cfg, alpha, p_values, trials, seed, eve_counts, jamming):
     cfg = canonical(cfg)
     plan = jamming_plan(cfg) if jamming else None
     powers = np.array(p_values, dtype=float)
-    block = max(1, BLOCK_BYTES // _trial_bytes(cfg, plan, eve_counts,
-                                               len(powers)))
+    block = max(1, BLOCK_BYTES // _trial_bytes(cfg, eve_counts, len(powers)))
 
     streams = TrialStreams(seed, trials)  # raises on a bad seed or count
     for start in range(0, trials, block):
         size = min(block, trials - start)
         rngs = streams.block(start, size, (0, 1, 2) if jamming else (0, 2))
-        vl, vj, grams, eves = _build_block(cfg, plan, rngs, eve_counts)
+        legit, jams, grams, eves = _build_block(cfg, plan, rngs, eve_counts)
         del rngs  # the block's draws are taken; free its generators
-        has_jam = vj[0].shape[-1] + vj[1].shape[-1] > 0
-        legit_p = (1.0 - alpha) * powers if has_jam else powers
-        rates = _block_receiver_rates(vl, grams, legit_p)
+        legit_p = (1.0 - alpha) * powers if sum(jams) else powers
+        rates = _block_receiver_rates(legit, grams, legit_p)
         leaks = np.zeros((size, len(powers), len(eve_counts)))
-        for j, g_pair in enumerate(eves):
-            leaks[:, :, j] = _block_leakage(vl, vj, g_pair, alpha, powers,
+        for j, eve in enumerate(eves):
+            leaks[:, :, j] = _block_leakage(legit, jams, eve, alpha, powers,
                                             legit_p)
-        del vl, vj, grams, eves  # hold one block's stacks at a time
+        del grams, eves  # hold one block's stacks at a time
         yield rates, leaks
 
 

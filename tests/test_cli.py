@@ -472,8 +472,8 @@ def test_simulate_builds_each_jammed_trial_once(tmp_path, monkeypatch):
     block = 8
     exp = SMALL_EXPERIMENT
     antennas = AntennaConfig(exp["m1"], exp["m2"], exp["n"], exp["ne"])
-    per_trial = rates._trial_bytes(antennas, regions.jamming_plan(antennas),
-                                   exp["eve_counts"], len(exp["p_grid"]))
+    per_trial = rates._trial_bytes(antennas, exp["eve_counts"],
+                                   len(exp["p_grid"]))
     monkeypatch.setattr(rates, "BLOCK_BYTES", block * per_trial)
     cfg = write_config(tmp_path / "exp.json", trials=block + 2)
     assert cli.main(["simulate", "--config", str(cfg),

@@ -22,8 +22,8 @@ SATURATION_GRID = [10.0 ** k for k in range(5, 10)]  # 1e5 .. 1e9
 # the stacked engine against with ==.  Each transmitter spends
 # ``alpha * p`` on jamming and the rest on its streams.  Channels and
 # precoders are real: every real dimension has noise variance 1/2, so a
-# covariance is ``I + 2 (power / d) W W'``, and half its log-det is the
-# rate per complex channel use.
+# covariance is ``I + sum_i 2 (power / d_i) W_i W_i'``, and half its
+# log-det is the rate per complex channel use.
 
 def _legit_power(ps, p, alpha):
     # With no jamming columns the whole budget goes to the streams.
@@ -47,8 +47,7 @@ def receiver_rate(ps, hs, p, alpha=0.5):
         if d == 0:
             continue
         w = ps.u @ (h @ vl)
-        gram = gram + (2 * legit_p / d) * (w @ w.T)
-    gram = 0.5 * (gram + gram.T)
+        gram = (2 * legit_p / d) * (w @ w.T) + gram
     return logdet_hpd(gram) / (2 * math.log(2))
 
 
@@ -58,21 +57,20 @@ def eavesdropper_leakage(ps, g_pair, p, alpha=0.5):
     The eavesdropper treats the received jamming as noise:
     ``logdet(I + G_L Q_L G_L' (I + G_J Q_J G_J')^{-1}) / 2``, with the
     factor 2 of the real noise in each ``Q``, evaluated as a difference
-    of two log-dets.  ``g_pair`` holds its real channels ``(2 nej, 2
-    m_i)``; a channel of another column count raises ``ValueError``.
+    of two log-dets, ``K1 = K0 + G_L Q_L G_L'`` and ``K0 = I + G_J Q_J
+    G_J'``, each a sum over the transmitters.  ``g_pair`` holds its real
+    channels ``(2 nej, 2 m_i)``; a channel of another column count raises
+    ``ValueError``.
     """
-    def images(vs, power):
-        # hstack of sqrt(power / cols) * G_i V_i; an empty V_i gives an
-        # empty image, so max(cols, 1) only keeps 0 / 0 out.
-        return np.hstack([math.sqrt(power / max(v.shape[1], 1))
-                          * (g @ v) for g, v in zip(g_pair, vs)])
+    def covariance(base, vs, power):
+        for g, v in zip(g_pair, vs):
+            if v.shape[1]:
+                b = g @ v
+                base = (2 * power / v.shape[1]) * (b @ b.T) + base
+        return base
 
-    bl = images((ps.v1l, ps.v2l), 2 * _legit_power(ps, p, alpha))
-    bj = images((ps.v1j, ps.v2j), 2 * alpha * p)
-    k0 = np.eye(len(bj)) + bj @ bj.T
-    k1 = k0 + bl @ bl.T
-    k0 = 0.5 * (k0 + k0.T)
-    k1 = 0.5 * (k1 + k1.T)
+    k0 = covariance(np.eye(len(g_pair[0])), (ps.v1j, ps.v2j), alpha * p)
+    k1 = covariance(k0, (ps.v1l, ps.v2l), _legit_power(ps, p, alpha))
     return (logdet_hpd(k1) - logdet_hpd(k0)) / (2 * math.log(2))
 
 
@@ -334,9 +332,7 @@ def scalar_trial_results(cfg, p_values, trials, seed, eve_counts, jamming):
 def set_block(monkeypatch, cfg, jamming, eve_counts, n_pow, block):
     """Shrink ``rates.BLOCK_BYTES`` so that ``cfg`` runs in blocks of
     ``block`` trials."""
-    cfg = canonical(cfg)
-    plan = jamming_plan(cfg) if jamming else None
-    per_trial = rates_mod._trial_bytes(cfg, plan, eve_counts, n_pow)
+    per_trial = rates_mod._trial_bytes(canonical(cfg), eve_counts, n_pow)
     monkeypatch.setattr(rates_mod, "BLOCK_BYTES", block * per_trial)
 
 
@@ -372,8 +368,7 @@ class TestBlockRule:
     @pytest.mark.parametrize("jamming", [True, False])
     def test_cli_limit_shape_fits_budget(self, jamming):
         cfg = AntennaConfig(32, 32, 32, 31)
-        plan = jamming_plan(cfg) if jamming else None
-        per_trial = rates_mod._trial_bytes(cfg, plan, [31], 32)
+        per_trial = rates_mod._trial_bytes(cfg, [31], 32)
         block = rates_mod.BLOCK_BYTES // per_trial
         assert block >= 1
         assert block * per_trial <= rates_mod.BLOCK_BYTES
