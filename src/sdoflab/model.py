@@ -219,5 +219,8 @@ class TrialStreams:
         # generate_state(4, uint64): eight uint32s, cycling the pool twice.
         state = _hash(np.tile(pool, (2, 1, 1)), _EMIT, _MULT_B)
         words = state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
-        return [tuple(np.random.Generator(np.random.PCG64(_StateWords(w)))
-                      for w in trial) for trial in words]
+        # tuple() of a list: made at its size, a tuple reuses the slots
+        # that freed ones leave, so a sweep's memory does not grow with
+        # its trials (built from a generator, it never would).
+        return [tuple([np.random.Generator(np.random.PCG64(_StateWords(w)))
+                       for w in trial]) for trial in words]

@@ -159,7 +159,8 @@ def _build_block(cfg, plan, rngs, eve_counts):
     ps = (build_precoder_set(plan, h1, h2, *pc_rngs)
           if plan is not None else build_unjammed_set(h1, h2))
     vl, vj = (ps.v1l, ps.v2l), (ps.v1j, ps.v2j)
-    eves = [tuple([_gram(g @ v) for g, v in zip(pair, vs)] for vs in (vj, vl))
+    eves = [([_gram(g @ v) for g, v in zip(pair, vj)],
+             [_gram(g @ v) for g, v in zip(pair, vl)])
             for pair in sample_eves(cfg, eve_counts, eve_rngs)]
     return ([v.shape[-1] for v in vl], [v.shape[-1] for v in vj],
             [_gram(w) for w in ps.rx_images], eves)

@@ -329,7 +329,7 @@ def scalar_trial_results(cfg, p_values, trials, seed, eve_counts, jamming):
     return out
 
 
-def set_block(monkeypatch, cfg, jamming, eve_counts, n_pow, block):
+def set_block(monkeypatch, cfg, eve_counts, n_pow, block):
     """Shrink ``rates.BLOCK_BYTES`` so that ``cfg`` runs in blocks of
     ``block`` trials."""
     per_trial = rates_mod._trial_bytes(canonical(cfg), eve_counts, n_pow)
@@ -387,7 +387,7 @@ class TestBlockRule:
 
     def test_budget_splits_trials_in_order(self, monkeypatch):
         cfg = AntennaConfig(3, 1, 2, 2)
-        set_block(monkeypatch, cfg, True, [2], len(P_GRID), 4)
+        set_block(monkeypatch, cfg, [2], len(P_GRID), 4)
         sizes = block_sizes(monkeypatch)
         sweep(cfg, 0.5, P_GRID, 10, 42)
         assert sizes == [4, 4, 2]
@@ -423,7 +423,7 @@ class TestBlockEngineOracle:
         cfg = AntennaConfig(*cfg_tuple)
         block = 8
         trials = block + 1
-        set_block(monkeypatch, cfg, jamming, eve_counts, len(P_GRID), block)
+        set_block(monkeypatch, cfg, eve_counts, len(P_GRID), block)
         got = [trial for rates, leaks in rates_mod._trial_results(
                    cfg, 0.5, P_GRID, trials, 9, eve_counts, jamming)
                for trial in zip(rates, leaks)]
@@ -444,7 +444,7 @@ class TestBlockEngineOracle:
         trials = 17
         results = []
         for block in (1, 3, trials):
-            set_block(monkeypatch, cfg, jamming, [cfg.ne], len(P_GRID), block)
+            set_block(monkeypatch, cfg, [cfg.ne], len(P_GRID), block)
             results.append(sweep(cfg, 0.5, P_GRID, trials, 17,
                                  jamming=jamming))
         assert results[0] == results[1] == results[2]
@@ -466,7 +466,7 @@ class TestBlockEngineOracle:
     def test_working_set_independent_of_trials(self, monkeypatch):
         cfg = AntennaConfig(2, 2, 3, 1)
         block = 8
-        set_block(monkeypatch, cfg, True, [cfg.ne], len(P_GRID), block)
+        set_block(monkeypatch, cfg, [cfg.ne], len(P_GRID), block)
 
         def peak(trials):
             tracemalloc.start()
