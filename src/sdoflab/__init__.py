@@ -3,7 +3,7 @@
 Submodules
 ----------
 matlin
-    Real and complex matrix and subspace toolkit.
+    Real matrix and subspace toolkit.
 model
     Antenna configurations and random channels.
 regions

@@ -39,6 +39,11 @@ BINNING_CSV_HEADER = ["n", "seed", "equivocation", "normalized"]
 MAX_ANTENNAS = 32
 MAX_TRIALS = 100_000
 MAX_POWERS = 32  # p_grid points; the engine's working set grows with them
+# eve_counts entries.  Rule: one trial of the largest config (every count
+# MAX_ANTENNAS) at MAX_POWERS powers with MAX_EVES eavesdroppers fits in
+# rates.BLOCK_BYTES, so that a block of one trial stays within the
+# engine's working-set bound (up to 229 would, by rates._trial_bytes).
+MAX_EVES = 64
 MAX_SEEDS = 1000  # binning --num-seeds
 
 
@@ -115,8 +120,9 @@ class ExperimentConfig:
         check(self.seed >= 0, "seed", "nonnegative")
         check(_is_number(self.alpha), "alpha", "a number")
         check(isinstance(self.eve_counts, list)
+              and len(self.eve_counts) <= MAX_EVES
               and all(type(c) is int for c in self.eve_counts),
-              "eve_counts", "a list of integers")
+              "eve_counts", f"a list of at most {MAX_EVES} integers")
         check(isinstance(self.p_grid, list) and len(self.p_grid) <= MAX_POWERS
               and all(map(_is_number, self.p_grid)), "p_grid",
               f"a list of at most {MAX_POWERS} numbers")

@@ -1,15 +1,15 @@
-"""Dense real and complex matrix and subspace toolkit.
+"""Dense real matrix and subspace toolkit.
 
 Everything downstream (channel models, precoder synthesis, rate
 computations) is built on a handful of primitives collected here:
 orthonormalization, numerical rank, nullspaces, orthogonal complement,
-and the log-determinant of Hermitian positive-definite matrices.
+and the log-determinant of symmetric positive-definite matrices.
 
 Conventions
 -----------
-Matrices are plain ``numpy.ndarray`` objects, real (float64) or complex
-(complex128), and every function here also takes a ``(..., rows, cols)``
-stack of them; a result has the dtype of its input.
+Matrices are plain float64 ``numpy.ndarray`` objects, and every function
+here also takes a ``(..., rows, cols)`` stack of them.  A complex input
+is rejected rather than cast, so no imaginary part is silently dropped.
 A subspace is the column space of a matrix.  The subspace primitives
 (:func:`orthonormal_basis`, :func:`nullspace`, :func:`complement`) take
 any finite matrix or stack, check it once with :func:`as_matrix`,
@@ -38,7 +38,7 @@ class InvalidMatrix(ValueError):
 
 
 class NotPositiveDefinite(ValueError):
-    """Matrix is not Hermitian positive definite."""
+    """Matrix is not symmetric positive definite."""
 
 
 class RaggedRank(ValueError):
@@ -46,10 +46,12 @@ class RaggedRank(ValueError):
 
 
 def as_matrix(m):
-    """Coerce ``m`` to a float64 or complex128 matrix or ``(..., rows,
-    cols)`` stack, rejecting non-finite entries."""
+    """Coerce ``m`` to a float64 matrix or ``(..., rows, cols)`` stack,
+    rejecting complex and non-finite entries."""
     a = np.asarray(m)
-    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
+    if np.iscomplexobj(a):
+        raise InvalidMatrix("matrix is complex")
+    a = a.astype(np.float64, copy=False)
     if a.ndim < 2:
         raise InvalidMatrix(f"expected a matrix, got ndim={a.ndim}")
     if a.size and not np.isfinite(a).all():
@@ -57,10 +59,9 @@ def as_matrix(m):
     return a
 
 
-def ct(x):
-    """Conjugate transpose of a matrix or of every matrix in a stack (a
-    view of a real one)."""
-    return x.conj().swapaxes(-2, -1)
+def tr(x):
+    """Transpose of a matrix or of every matrix in a stack, as a view."""
+    return x.swapaxes(-2, -1)
 
 
 def _ranks(s):
@@ -101,7 +102,7 @@ def nullspace(m):
     columns and ``m @ basis`` is zero to within ``DEFAULT_TOL * ||m||``.
     """
     _, s, vh = np.linalg.svd(as_matrix(m), full_matrices=True)
-    return ct(vh[..., _one_rank(s):, :])
+    return tr(vh[..., _one_rank(s):, :])
 
 
 def complement(m):
@@ -114,17 +115,16 @@ def complement(m):
 
 
 def frobenius(m):
-    """Frobenius norm of each matrix in a stack, without complex temporaries."""
-    parts = (m.real, m.imag) if np.iscomplexobj(m) else (m,)
-    return np.sqrt(sum(np.einsum("...ij,...ij->...", x, x) for x in parts))
+    """Frobenius norm of each matrix in a stack."""
+    return np.sqrt(np.einsum("...ij,...ij->...", m, m))
 
 
 def logdet_hpd(m):
-    """Log-determinant (nats) of a Hermitian positive-definite matrix.
+    """Log-determinant (nats) of a symmetric positive-definite matrix.
 
-    Uses a Cholesky factorization for numerical stability.  Hermiticity
-    is checked to a relative tolerance of 1e-10; a failed factorization
-    (not positive definite) and a non-Hermitian input both raise
+    Uses a Cholesky factorization for numerical stability.  Symmetry is
+    checked to a relative tolerance of 1e-10; a failed factorization
+    (not positive definite) and a non-symmetric input both raise
     :class:`NotPositiveDefinite`.
 
     ``m`` may also be a ``(..., d, d)`` stack: every matrix is checked,
@@ -136,17 +136,13 @@ def logdet_hpd(m):
         raise NotPositiveDefinite("matrix is not square")
     if m.shape[-1] == 0:
         return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
-    skew = np.conjugate(m).swapaxes(-2, -1)  # a copy, also of a real m
-    np.subtract(m, skew, out=skew)
-    skewed = np.any(frobenius(skew) > 1e-10 * np.maximum(1.0, frobenius(m)))
-    del skew
-    if skewed:
-        raise NotPositiveDefinite("matrix is not Hermitian")
+    if np.any(frobenius(m - tr(m)) > 1e-10 * np.maximum(1.0, frobenius(m))):
+        raise NotPositiveDefinite("matrix is not symmetric")
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("matrix is not positive definite") from exc
-    diag = np.diagonal(chol, axis1=-2, axis2=-1).real
+    diag = np.diagonal(chol, axis1=-2, axis2=-1)
     out = 2.0 * np.sum(np.log(diag), axis=-1)
     return float(out) if m.ndim == 2 else out
 

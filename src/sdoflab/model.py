@@ -9,12 +9,12 @@ draws it once, and a power sweep evaluates that one draw at every power.
 All entries are i.i.d. circularly-symmetric complex Gaussian, so every
 sampled channel is full rank with probability one; a draw that is not
 is left to the precoder build, which passes its geometry report or
-raises its `GeometryError`.  The samplers return each complex channel
-``H`` as its real form `real_form` ``R(H)``, two real dimensions per
-antenna, so that the precoders can be real (asymmetric complex
-signaling): a generic static channel acts differently on the real and
-imaginary parts of a signal, which gives the half dimensions of the
-secure DoF.
+raises its `GeometryError`.  The samplers build each complex channel
+``H`` from real normals, directly as its real form `real_form` ``R(H)``
+with two real dimensions per antenna, so that the precoders can be real
+(asymmetric complex signaling): a generic static channel acts
+differently on the real and imaginary parts of a signal, which gives the
+half dimensions of the secure DoF.
 
 An `AntennaConfig` is valid once made, and the samplers do not check
 their inputs: `sdoflab.rates.check_inputs` checks a sweep's
@@ -85,33 +85,37 @@ def is_degenerate(cfg):
     return cfg.ne >= cfg.m
 
 
-def complex_gaussian(rngs, *shapes):
-    """One ``(len(rngs), *shape)`` stack of i.i.d. CN(0, 1) entries per
+def gaussian(rngs, *shapes):
+    """One ``(len(rngs), *shape)`` stack of i.i.d. N(0, 1) entries per
     shape.  Each generator draws all its normals with one
-    ``standard_normal`` call: shape after shape, and per trailing matrix
-    its real parts, then its imaginary parts."""
-    sizes = [2 * math.prod(shape) for shape in shapes]
+    ``standard_normal`` call, shape after shape."""
+    sizes = [math.prod(shape) for shape in shapes]
     z = np.stack([rng.standard_normal(sum(sizes)) for rng in rngs])
-    stacks, start = [], 0
-    for shape, size in zip(shapes, sizes):
-        part = z[:, start:start + size].reshape(len(z), *shape[:-2], 2,
-                                                *shape[-2:])
-        start += size
-        stacks.append(np.sqrt(0.5) * (part[..., 0, :, :]
-                                      + 1j * part[..., 1, :, :]))
-    return stacks
+    parts = np.split(z, np.cumsum(sizes)[:-1], axis=1)
+    return [part.reshape(len(z), *shape) for part, shape in zip(parts, shapes)]
 
 
-def real_form(h):
-    """The real matrix ``R(H) = [[Re H, -Im H], [Im H, Re H]]`` of ``h``, a
-    matrix or a stack.
+def real_form(re, im):
+    """The real matrix ``R(H) = [[Re H, -Im H], [Im H, Re H]]`` of the
+    matrix or stack ``H = re + i im``.
 
     ``R(A B) = R(A) R(B)`` and ``R(A^H) = R(A)^T``, and every singular
     value of ``H`` is a singular value of ``R(H)`` twice.
     """
-    re, im = h.real, h.imag
     return np.concatenate([np.concatenate([re, -im], axis=-1),
                            np.concatenate([im, re], axis=-1)], axis=-2)
+
+
+def _cn_real_forms(seeds, shapes):
+    """Real forms of i.i.d. CN(0, 1) matrices ``H``, one ``(trials, 2 rows,
+    2 cols)`` stack per ``(rows, cols)`` shape, drawn by `gaussian` from
+    ``numpy.random.default_rng(seeds[t])`` for trial ``t`` (a generator
+    passes through as it is): per shape the normals of ``Re H``, then of
+    ``Im H``, each scaled to variance 1/2."""
+    stacks = gaussian([np.random.default_rng(s) for s in seeds],
+                      *[(2, *shape) for shape in shapes])
+    return [real_form(np.sqrt(0.5) * z[:, 0], np.sqrt(0.5) * z[:, 1])
+            for z in stacks]
 
 
 def sample_eves(cfg, eve_counts, seeds):
@@ -120,15 +124,11 @@ def sample_eves(cfg, eve_counts, seeds):
     Each pair ``(g1, g2)`` holds the real forms of i.i.d. CN(0, 1)
     channels, stacked ``(trials, 2 nej, 2 m_i)``: one draw per
     eavesdropper and trial.  Trial ``t`` draws all its entries with one
-    call to its own ``numpy.random.default_rng(seeds[t])`` (a generator
-    passes through as it is).
+    call to its own ``numpy.random.default_rng(seeds[t])``, eavesdropper
+    after eavesdropper, transmitter after transmitter.
     """
-    # The normals run eavesdropper, transmitter, then the real and
-    # imaginary parts.
-    stacks = complex_gaussian([np.random.default_rng(s) for s in seeds],
-                              *[(nej, mi) for nej in eve_counts
-                                for mi in (cfg.m1, cfg.m2)])
-    stacks = [real_form(g) for g in stacks]
+    stacks = _cn_real_forms(seeds, [(nej, mi) for nej in eve_counts
+                                    for mi in (cfg.m1, cfg.m2)])
     return list(zip(stacks[::2], stacks[1::2]))
 
 
@@ -140,9 +140,7 @@ def sample_channels(cfg, seeds):
     ``numpy.random.default_rng(seed)``, so its draws do not depend on the
     other seeds.  Eavesdroppers are drawn apart, with `sample_eves`.
     """
-    return [real_form(h) for h in complex_gaussian(
-        [np.random.default_rng(s) for s in seeds],
-        (cfg.n, cfg.m1), (cfg.n, cfg.m2))]
+    return _cn_real_forms(seeds, [(cfg.n, cfg.m1), (cfg.n, cfg.m2)])
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on uint32s.

@@ -183,6 +183,29 @@ class TestSimulateBadInput:
         assert not (tmp_path / "bad.csv").exists()
         assert not (tmp_path / "bad.json").exists()
 
+    def test_eve_counts_limit(self, tmp_path, capsys):
+        # One entry over the limit is an input error; the limit itself runs.
+        over = write_config(tmp_path / "over.json",
+                            eve_counts=[1] * (cli.MAX_EVES + 1), trials=1)
+        assert cli.main(["simulate", "--config", str(over),
+                         "--out", str(tmp_path / "bad")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bad config: eve_counts must be a list of at "
+                              f"most {cli.MAX_EVES} integers")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["over.json"]
+        at = write_config(tmp_path / "at.json",
+                          eve_counts=[1] * cli.MAX_EVES, trials=1)
+        assert cli.main(["simulate", "--config", str(at),
+                         "--out", str(tmp_path / "ok")]) == 0
+
+    def test_eve_limit_keeps_a_trial_in_a_block(self):
+        # The rule behind MAX_EVES: one trial of the largest config fits.
+        most = cli.MAX_ANTENNAS
+        cfg = AntennaConfig(most, most, most, most)
+        assert rates._trial_bytes(cfg, [most] * cli.MAX_EVES,
+                                  cli.MAX_POWERS) <= rates.BLOCK_BYTES
+
     @pytest.mark.parametrize("output_path,out", [
         ("", None), ("runs/", None), ("{tmp}/runs/", None), ("a\0b", None),
         (".", None), ("..", None), ("runs/.", None), ("runs/..", None),

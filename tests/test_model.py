@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sdoflab.model import (AntennaConfig, InvalidConfig, TrialStreams,
-                           canonical, complex_gaussian, is_degenerate,
-                           real_form, sample_channels, sample_eves)
+                           canonical, gaussian, is_degenerate, real_form,
+                           sample_channels, sample_eves)
 
 
 class TestValidate:
@@ -72,11 +72,11 @@ class TestSampleChannels:
             assert np.all(s[:, -1] > 1e-9 * s[:, 0])
 
     def test_unit_variance_entries(self):
-        # the complex entries H = Re H + i Im H, read off the real forms
+        # E|H_ij|^2 = E (Re H_ij)^2 + E (Im H_ij)^2, read off the first
+        # block column [Re H; Im H] of the real forms
         h1, h2 = sample_channels(AntennaConfig(8, 8, 8, 1), [3])
-        pooled = np.concatenate([(h[:, :8, :8] + 1j * h[:, 8:, :8]).ravel()
-                                 for h in (h1, h2)])
-        assert abs(np.mean(np.abs(pooled) ** 2) - 1.0) < 0.2
+        pooled = np.concatenate([h[:, :, :8].ravel() for h in (h1, h2)])
+        assert abs(2 * np.mean(pooled ** 2) - 1.0) < 0.2
 
 
 class TestSampleEves:
@@ -90,7 +90,7 @@ class TestSampleEves:
             for g, mi in ((g1, 3), (g2, 2)):
                 assert g.shape == (1, 2 * nej, 2 * mi)
                 re, im = g[0, :nej, :mi], g[0, nej:, :mi]
-                assert g[0].tobytes() == real_form(re + 1j * im).tobytes()
+                assert g[0].tobytes() == real_form(re, im).tobytes()
         drawn = 2 * (2 + 1) * (3 + 2)
         after = np.random.default_rng(5)
         after.standard_normal(drawn)
@@ -112,69 +112,82 @@ class TestSampleEves:
 
 
 class TestRealForm:
-    """``R(H) = [[Re H, -Im H], [Im H, Re H]]`` keeps the algebra of ``H``."""
+    """``R(H) = [[Re H, -Im H], [Im H, Re H]]``, built from the parts of
+    ``H``, keeps the algebra of ``H``."""
 
     @pytest.fixture
     def rng(self):
         return np.random.default_rng(11)
 
-    def complex_stack(self, rng, *shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    def parts(self, rng, *shape):
+        return rng.standard_normal(shape), rng.standard_normal(shape)
 
     def test_blocks(self, rng):
-        h = self.complex_stack(rng, 3, 2)
-        assert np.array_equal(real_form(h), np.block(
-            [[h.real, -h.imag], [h.imag, h.real]]))
+        re, im = self.parts(rng, 3, 2)
+        assert np.array_equal(real_form(re, im),
+                              np.block([[re, -im], [im, re]]))
 
     def test_product(self, rng):
-        a = self.complex_stack(rng, 4, 3, 5)
-        b = self.complex_stack(rng, 4, 5, 2)
-        assert np.allclose(real_form(a @ b), real_form(a) @ real_form(b),
+        # (a + ib)(c + id) = (ac - bd) + i(ad + bc)
+        a, b = self.parts(rng, 4, 3, 5)
+        c, d = self.parts(rng, 4, 5, 2)
+        assert np.allclose(real_form(a @ c - b @ d, a @ d + b @ c),
+                           real_form(a, b) @ real_form(c, d),
                            rtol=0.0, atol=1e-12)
 
     def test_conjugate_transpose(self, rng):
-        a = self.complex_stack(rng, 4, 3, 5)
-        assert np.array_equal(real_form(a.conj().swapaxes(-2, -1)),
-                              real_form(a).swapaxes(-2, -1))
+        re, im = self.parts(rng, 4, 3, 5)
+        assert np.array_equal(
+            real_form(re.swapaxes(-2, -1), -im.swapaxes(-2, -1)),
+            real_form(re, im).swapaxes(-2, -1))
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (2, 5), (4, 3, 3)])
     def test_singular_values_twice(self, rng, shape):
-        h = self.complex_stack(rng, *shape)
-        got = np.linalg.svd(real_form(h), compute_uv=False)
-        want = np.repeat(np.linalg.svd(h, compute_uv=False), 2, axis=-1)
+        re, im = self.parts(rng, *shape)
+        got = np.linalg.svd(real_form(re, im), compute_uv=False)
+        # oracle: numpy's SVD of the complex matrix itself
+        want = np.repeat(np.linalg.svd(re + 1j * im, compute_uv=False), 2,
+                         axis=-1)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def two_call_gaussian(rngs, rows, cols):
-    """complex_gaussian as two standard_normal calls per matrix."""
-    return np.sqrt(0.5) * np.stack([rng.standard_normal((rows, cols))
-                                    + 1j * rng.standard_normal((rows, cols))
-                                    for rng in rngs])
+def two_call_real_form(rng, rows, cols):
+    """``R(H)`` of a CN(0, 1) matrix from two ``standard_normal`` calls,
+    ``Re H`` then ``Im H``, each scaled to variance 1/2."""
+    re = np.sqrt(0.5) * rng.standard_normal((rows, cols))
+    im = np.sqrt(0.5) * rng.standard_normal((rows, cols))
+    return np.block([[re, -im], [im, re]])
 
 
 class TestDrawOrder:
-    """One standard_normal call per generator draws the values of two
-    calls per matrix: real then imaginary part, ``h1`` then ``h2``, and
-    the samplers return their real forms."""
+    """One standard_normal call per generator draws the values of two calls
+    per complex matrix: its real then imaginary part, ``h1`` then ``h2``,
+    and the samplers return their real forms."""
 
     @pytest.mark.parametrize("rows,cols", [(1, 1), (3, 2), (2, 5)])
     def test_complex_gaussian(self, rows, cols):
-        got, = complex_gaussian([np.random.default_rng(s) for s in range(3)],
-                                (rows, cols))
-        want = two_call_gaussian([np.random.default_rng(s) for s in range(3)],
-                                 rows, cols)
-        assert got.tobytes() == want.tobytes()
+        # The normals of two complex matrices, shape after shape.
+        shapes = [(rows, cols), (cols, rows)]
+        got = gaussian([np.random.default_rng(s) for s in range(3)],
+                       *[(2, *shape) for shape in shapes])
+        draws = [[rng.standard_normal(shape) for shape in shapes
+                  for _ in ("re", "im")]
+                 for rng in (np.random.default_rng(s) for s in range(3))]
+        for k, stack in enumerate(got):
+            want = np.stack([d[2 * k:2 * k + 2] for d in draws])
+            assert stack.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("cfg_tuple", [(2, 2, 3, 1), (3, 1, 2, 2),
                                            (4, 3, 5, 1)])
     def test_sample_channels(self, cfg_tuple):
         cfg = AntennaConfig(*cfg_tuple)
         h1, h2 = sample_channels(cfg, [4, 5, 6])
-        rngs = [np.random.default_rng(s) for s in [4, 5, 6]]
-        want_h1 = real_form(two_call_gaussian(rngs, cfg.n, cfg.m1))
-        want_h2 = real_form(two_call_gaussian(rngs, cfg.n, cfg.m2))
-        assert h1.tobytes() == want_h1.tobytes()
-        assert h2.tobytes() == want_h2.tobytes()
+        for t, seed in enumerate([4, 5, 6]):
+            rng = np.random.default_rng(seed)
+            want_h1 = two_call_real_form(rng, cfg.n, cfg.m1)
+            want_h2 = two_call_real_form(rng, cfg.n, cfg.m2)
+            assert h1[t].tobytes() == want_h1.tobytes()
+            assert h2[t].tobytes() == want_h2.tobytes()
 
     def test_sample_eves(self):
         # Eavesdropper by eavesdropper, transmitter by transmitter.
@@ -184,8 +197,8 @@ class TestDrawOrder:
             rng = np.random.default_rng(seed)
             for pair, nej in zip(eves, [2, 1]):
                 for g, mi in zip(pair, (3, 2)):
-                    want = real_form(two_call_gaussian([rng], nej, mi))
-                    assert g[t].tobytes() == want[0].tobytes()
+                    want = two_call_real_form(rng, nej, mi)
+                    assert g[t].tobytes() == want.tobytes()
 
 
 def seed_sequence_state(seq):

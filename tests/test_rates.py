@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,8 +8,8 @@ import pytest
 from sdoflab import precoders
 from sdoflab import rates as rates_mod
 from sdoflab.matlin import logdet_hpd
-from sdoflab.model import (AntennaConfig, canonical, sample_channels,
-                           sample_eves)
+from sdoflab.model import (AntennaConfig, TrialStreams, canonical,
+                           sample_channels, sample_eves)
 from sdoflab.precoders import (GeometryError, PrecoderSet, build_precoder_set,
                                build_unjammed_set)
 from sdoflab.rates import InvalidEveCount, fit_slope, sweep
@@ -391,6 +392,37 @@ class TestBlockRule:
         sizes = block_sizes(monkeypatch)
         sweep(cfg, 0.5, P_GRID, 10, 42)
         assert sizes == [4, 4, 2]
+
+
+class TestRealDomain:
+    """From the draws to the grams, every stack the engine builds is a
+    real float64 one."""
+
+    @pytest.mark.parametrize("jamming", [True, False])
+    def test_every_stack_is_float64(self, monkeypatch, jamming):
+        built = {}
+        for name in ("sample_channels", "sample_eves", "build_precoder_set",
+                     "build_unjammed_set"):
+            def spy(*args, _name=name, _call=getattr(rates_mod, name)):
+                built[_name] = _call(*args)
+                return built[_name]
+            monkeypatch.setattr(rates_mod, name, spy)
+        cfg = AntennaConfig(3, 1, 2, 2)
+        rngs = TrialStreams(5, 3).block(0, 3, (0, 1, 2) if jamming else (0, 2))
+        _, _, rx, eves = rates_mod._build_block(
+            cfg, jamming_plan(cfg) if jamming else None, rngs, [2, 1])
+        ps = built.pop("build_precoder_set" if jamming
+                       else "build_unjammed_set")
+        assert set(built) == {"sample_channels", "sample_eves"}
+        stacks = [*built["sample_channels"],
+                  *(g for pair in built["sample_eves"] for g in pair),
+                  ps.v1l, ps.v2l, ps.v1j, ps.v2j, ps.u, *ps.rx_images, *rx]
+        for jam, legit in eves:
+            stacks += [*jam, *legit]
+        assert len(stacks) == 2 + 4 + 5 + 2 + 2 + 2 * 4
+        assert all(s.dtype == np.float64 for s in stacks)
+        assert {f.name for f in dataclasses.fields(ps)} == {
+            "v1l", "v2l", "v1j", "v2j", "u", "geometry", "rx_images"}
 
 
 class TestSeedBoundary:
