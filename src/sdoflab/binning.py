@@ -15,10 +15,11 @@ wiretap-II construction of Ozarow and Wyner ("Wire-tap channel II",
 BSTJ 1984): a full-rank binary generator ``G`` whose first rows carry
 the message ``W`` and whose other rows ``G_r`` carry the in-bin
 randomness.  An eavesdropper who sees the positions ``O`` then learns
-exactly ``rank(G_O) - rank(G_r,O)`` bits of ``W``, so the equivocation
-``H(W | Z)`` is exact from two GF(2) ranks per erasure pattern,
-marginalized over all ``2^n`` patterns, with no codebook enumeration.
-That is feasible up to ``n = 16`` bits.
+exactly ``rank(G_O) - rank(G_r,O)`` bits of ``W``, which is
+``k_secret - dim C(S) + dim C_r(S)`` with ``C(S)`` the codewords supported
+inside the erased set ``S``.  One subset-sum transform over the codeword
+supports counts both for all ``2^n`` patterns, so ``H(W | Z)`` is exact
+up to ``n = 16`` bits.
 """
 
 import math
@@ -113,7 +114,8 @@ class WiretapCode:
         if shape != (k_total, self.n):
             raise ValueError(f"generator must have shape ({k_total}, {self.n}), "
                              f"got {shape}")
-        if not np.isin(self.G, (0, 1)).all():
+        G = np.asarray(self.G)
+        if not ((G == 0) | (G == 1)).all():
             raise ValueError("generator entries must be 0 or 1")
         if _row_rank(self.G) < k_total:
             raise ValueError("generator rows are linearly dependent over GF(2)")
@@ -154,34 +156,33 @@ def _leaked_bits(G, k_secret):
     """``rank(G_O) - rank(G_r,O)`` for every set ``O`` of observed columns,
     indexed by its bitmask (bit ``j``: column ``j``).
 
-    Row ``i`` of ``G`` is bit ``i`` of each column's ``uint32`` mask.  The
-    subsets grow one column at a time: subset ``s`` keeps an XOR basis
-    of its columns in echelon form, ``basis[p, s]`` being the vector with
-    top bit ``p`` (0 if none), and column ``j`` is reduced against the
-    bases of all ``2^j`` subsets without it at once.  It adds 1 to
-    ``rank(G_O)`` unless it reduces to 0, and to ``rank(G_r,O)`` too
-    unless its top bit is a message row: the difference counts the
-    pivots below ``k_secret``, which span the observed combinations
-    free of ``G_r``.
+    That is ``k_secret - dim C(S) + dim C_r(S)``, where ``C(S)`` holds
+    the codewords supported inside the erased set ``S`` (the complement
+    of ``O``), a subspace with ``2^dim C(S)`` words.  The codewords are
+    listed as ``n``-bit masks, ``C_r`` first, and one subset-sum (zeta)
+    transform of both lists' histograms counts ``C(S)`` and ``C_r(S)``
+    for all ``S`` at once: it adds over the high half of the bits,
+    transposes so that the low half is contiguous, and adds over that.
+    The counts are powers of two, so ``frexp`` reads the dimensions exactly.
     """
     k_total, n = np.shape(G)
-    shifts = np.arange(k_total, dtype=np.uint32)[:, None]
-    columns = np.bitwise_or.reduce(np.asarray(G, dtype=np.uint32) << shifts,
-                                   axis=0)
-    leaked = np.zeros(1 << n, dtype=np.uint8)
-    basis = np.zeros((k_total, 1 << (n - 1)), dtype=np.uint32)
-    for j, column in enumerate(columns):
-        size = 1 << j  # subsets of columns 0 .. j - 1
-        v = np.full(size, column, dtype=np.uint32)
-        for p in range(k_total - 1, -1, -1):
-            v ^= basis[p, :size] * ((v >> p) & 1)
-        top = np.frexp(v)[1] - 1  # -1 where v reduced to 0
-        leaked[size:2 * size] = leaked[:size] + ((top >= 0) & (top < k_secret))
-        if j + 1 < n:  # the last column's subsets need no basis
-            basis[:, size:2 * size] = basis[:, :size]
-            new = np.flatnonzero(v)
-            basis[top[new], size + new] = v[new]
-    return leaked
+    rows = (np.asarray(G, dtype=np.intp) << np.arange(n)).sum(axis=1).tolist()
+    words = np.zeros(1, dtype=np.intp)
+    for row in rows[k_secret:] + rows[:k_secret]:  # C_r's rows first
+        words = np.concatenate([words, words ^ row])
+    listed = np.concatenate([words, (1 << n) + words[:1 << (k_total - k_secret)]])
+    counts = np.bincount(listed, minlength=2 << n).astype(np.int32)  # C, C_r
+    h = n // 2
+    counts = counts.reshape(2, 1 << (n - h), 1 << h)  # [., high, low bits]
+    for transpose in (True, False):
+        for j in range(counts.shape[1].bit_length() - 1):
+            pairs = counts.reshape(2, -1, 2, 1 << j, counts.shape[2])
+            pairs[:, :, 1] += pairs[:, :, 0]  # S with bit j gains S without
+        if transpose:
+            counts = counts.transpose(0, 2, 1).copy()  # [., low, high bits]
+    dims = np.frexp(counts[0] / counts[1])[1] - 1  # dim C(S) - dim C_r(S)
+    # observed set O reads the erased set S = ~O: both halves reversed
+    return (k_secret - dims).T[::-1, ::-1].astype(np.uint8, order="C").ravel()
 
 
 def equivocation_exact(code, ch):
@@ -197,10 +198,9 @@ def equivocation_exact(code, ch):
         ``H(W | Z) = k_s - sum_k delta^k (1 - delta)^(n - k) L_k``,
 
     where ``L_k`` sums the leaked bits over the patterns with ``k``
-    erasures (:func:`_leaked_bits`, every pattern's ranks from one
-    DP over the ``2^n`` column subsets).  The ``L_k`` are exact integer
-    sums, so the one float contraction does not depend on the order in
-    which patterns are visited.
+    erasures (:func:`_leaked_bits`, from the codewords supported inside
+    each erased set).  The ``L_k`` are exact integer sums, so the one
+    float contraction does not depend on the pattern order.
 
     Exact at the endpoints: ``delta = 1`` gives ``n * rate_secret``
     and ``delta = 0`` gives ``0``.

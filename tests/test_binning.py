@@ -93,6 +93,38 @@ def equivocation_sort_oracle(code, delta):
     return float(pattern_weight @ ((group_hist - joint_hist) @ xlogx)) / total
 
 
+def leaked_bits_column_dp(G, k_secret):
+    """``rank(G_O) - rank(G_r,O)`` per observed bitmask by the per-column
+    GF(2) elimination the kernel used before support counting.
+
+    Row ``i`` of ``G`` is bit ``i`` of each column's ``uint32`` mask.  The
+    subsets grow one column at a time: subset ``s`` keeps an XOR basis
+    of its columns in echelon form, ``basis[p, s]`` being the vector with
+    top bit ``p`` (0 if none), and column ``j`` is reduced against the
+    bases of all ``2^j`` subsets without it at once.  It adds 1 to
+    ``rank(G_O)`` unless it reduces to 0, and to ``rank(G_r,O)`` too
+    unless its top bit is a message row.
+    """
+    k_total, n = np.shape(G)
+    shifts = np.arange(k_total, dtype=np.uint32)[:, None]
+    columns = np.bitwise_or.reduce(np.asarray(G, dtype=np.uint32) << shifts,
+                                   axis=0)
+    leaked = np.zeros(1 << n, dtype=np.uint8)
+    basis = np.zeros((k_total, 1 << (n - 1)), dtype=np.uint32)
+    for j, column in enumerate(columns):
+        size = 1 << j  # subsets of columns 0 .. j - 1
+        v = np.full(size, column, dtype=np.uint32)
+        for p in range(k_total - 1, -1, -1):
+            v ^= basis[p, :size] * ((v >> p) & 1)
+        top = np.frexp(v)[1] - 1  # -1 where v reduced to 0
+        leaked[size:2 * size] = leaked[:size] + ((top >= 0) & (top < k_secret))
+        if j + 1 < n:  # the last column's subsets need no basis
+            basis[:, size:2 * size] = basis[:, :size]
+            new = np.flatnonzero(v)
+            basis[top[new], size + new] = v[new]
+    return leaked
+
+
 def gf2_rank(matrix):
     """Rank over GF(2) by plain row reduction."""
     m = np.array(matrix, dtype=np.uint8) % 2
@@ -270,6 +302,20 @@ class TestEquivocation:
                for s in range(3)]
         assert got == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("rt,rs,expected", [
+        (1.0, 0.5, ["6.7176513671875", "6.7914276123046875",
+                    "6.9505157470703125"]),
+        (0.75, 0.25, ["2.8074951171875", "2.9173736572265625",
+                      "2.902008056640625"]),
+    ])
+    def test_n16_values_pinned(self, rt, rs, expected):
+        # frozen from the per-column elimination kernel (n = 16,
+        # delta = 0.5, code seeds 0-2); every digit of the repr must stay
+        got = [repr(equivocation_exact(build_code(16, rt, rs, s),
+                                       EraseChannel(0.5)))
+               for s in range(3)]
+        assert got == expected
+
     def test_hand_computed_structured_partition(self):
         # position 0 carries the message bit, position 1 the in-bin bit:
         # erasing position 1 reveals the bin, erasing position 0 hides it
@@ -321,6 +367,64 @@ class TestLeakedBits:
             expected = (gf2_rank(code.G[:, cols])
                         - gf2_rank(code.G[code.k_secret:, cols]))
             assert leaked[observed] == expected, (observed, cols)
+
+    @pytest.mark.parametrize("rt,rs", RATE_PAIRS)
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_column_dp(self, n, rt, rs):
+        for seed in range(3):
+            code = rounded_code(n, rt, rs, seed)
+            leaked = binning._leaked_bits(code.G, code.k_secret)
+            expected = leaked_bits_column_dp(code.G, code.k_secret)
+            assert leaked.dtype == expected.dtype == np.uint8
+            assert np.array_equal(leaked, expected), seed
+
+    @pytest.mark.parametrize("rt,rs", [(1.0, 0.5), (0.75, 0.25)])
+    def test_matches_column_dp_at_budget(self, rt, rs):
+        for seed in range(2):
+            code = build_code(MAX_BLOCK_BITS, rt, rs, seed)
+            leaked = binning._leaked_bits(code.G, code.k_secret)
+            expected = leaked_bits_column_dp(code.G, code.k_secret)
+            assert leaked.dtype == expected.dtype
+            assert np.array_equal(leaked, expected), seed
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, MAX_BLOCK_BITS])
+    def test_no_rows_leak_nothing(self, n):
+        code = WiretapCode(n=n, rate_total=0.0, rate_secret=0.0,
+                           G=np.zeros((0, n), dtype=np.uint8))
+        leaked = binning._leaked_bits(code.G, 0)
+        assert leaked.dtype == np.uint8 and leaked.shape == (1 << n,)
+        assert not leaked.any()
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 12])
+    def test_no_secret_leaks_nothing(self, n):
+        code = build_code(n, 1.0, 0.0, n)
+        leaked = binning._leaked_bits(code.G, 0)
+        assert leaked.dtype == np.uint8 and not leaked.any()
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (4, 2), (6, 6), (9, 4)])
+    def test_all_secret_leaks_observed_rank(self, n, k):
+        # no randomness rows: the leak is rank(G_O) itself, and the full
+        # observation leaks every message bit
+        code = build_code(n, k / n, k / n, n)
+        leaked = binning._leaked_bits(code.G, k)
+        assert np.array_equal(leaked, leaked_bits_column_dp(code.G, k))
+        for observed in range(1 << n):
+            cols = [j for j in range(n) if observed >> j & 1]
+            assert leaked[observed] == gf2_rank(code.G[:, cols])
+        assert leaked[-1] == k and leaked[0] == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_deficient_rows_keep_the_rank_formula(self, seed):
+        # the counts scale by 2^(rows - rank) alike on every erased set,
+        # so the leak is still rank(G_O) - rank(G_r,O)
+        rng = np.random.default_rng(seed)
+        G = rng.integers(0, 2, size=(5, 6), dtype=np.uint8)
+        G[[1, 3]] = G[0]
+        leaked = binning._leaked_bits(G, 2)
+        for observed in range(1 << 6):
+            cols = [j for j in range(6) if observed >> j & 1]
+            assert leaked[observed] == (gf2_rank(G[:, cols])
+                                        - gf2_rank(G[2:, cols]))
 
 
 class TestSortOracle:
@@ -392,8 +496,9 @@ class TestWorkingSet:
     # replaced (numpy 2.4.6, Python 3.11.7)
     SORT_KERNEL_PEAK_BYTES = 2_281_685
     # traced peak at the budget, n = 16, (1.0, 0.5), measured once on
-    # the rank kernel (same versions): the bases of 2^15 subsets, one
-    # uint32 per row, are most of it
+    # the per-column rank kernel (same versions), whose bases of 2^15
+    # subsets were most of it.  Support counting keeps the codeword list
+    # and two int32 count arrays of 2^16 entries instead
     N16_PEAK_BYTES = 3_409_600
 
     def test_traced_peak_not_above_sort_kernel(self):

@@ -66,8 +66,15 @@ def test_compare_outputs_reports_relative_difference(compare_outputs):
 def test_compare_outputs_runs_the_documented_commands(compare_outputs):
     configs, commands = compare_outputs.commands()
     names = [name for name, _ in commands]
-    assert names[:3] == ["grid-8", "grid-10", "binning"]
-    assert len(configs) == 10 and len(names) == 3 + 2 * 10
+    assert names[:6] == ["grid-8", "grid-10", "binning", "binning-rate-1-0.5",
+                         "binning-n16", "binning-rate-0"]
+    assert len(configs) == 10 and len(names) == 6 + 2 * 10
+    binning_runs = dict(commands[2:6])
+    assert binning_runs["binning-rate-1-0.5"][1:5] == \
+        ["--rate-total", "1.0", "--rate-secret", "0.5"]
+    assert binning_runs["binning-n16"][1:3] == ["--n-list", "4,8,12,16"]
+    assert binning_runs["binning-rate-0"][1:5] == \
+        ["--rate-total", "0", "--rate-secret", "0"]
     cfg = configs["cfg-7-3-8-9.json"]
     assert cfg["eve_counts"] == list(range(10))
     assert (cfg["trials"], cfg["seed"], cfg["alpha"]) == (20, 7, 0.5)

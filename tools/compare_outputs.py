@@ -7,7 +7,9 @@ with its stdout kept in ``<name>.out``:
 
 * ``grid-verify 8`` and ``grid-verify 10`` (the CSV, and the summary
   line in the ``.out`` file);
-* ``binning`` with its default arguments;
+* ``binning`` with its default arguments, at ``--rate-total 1.0
+  --rate-secret 0.5``, at ``--n-list 4,8,12,16`` (the block-length
+  budget) and at the zero-rate code ``--rate-total 0 --rate-secret 0``;
 * ``simulate`` jammed and ``--no-jamming`` on ten configs: the six
   acceptance configs plus (4,4,6,7), (5,4,3,6), (7,3,8,9) and (4,3,2,4),
   each with 20 trials, seed 7, ``eve_counts`` 0..ne, alpha 0.5 and the
@@ -67,7 +69,14 @@ def commands():
     configs, cmds = {}, [
         ["grid-8", ["grid-verify", "8", "--out", "grid-8.csv"]],
         ["grid-10", ["grid-verify", "10", "--out", "grid-10.csv"]],
-        ["binning", ["binning", "--out", "binning.csv"]]]
+        ["binning", ["binning", "--out", "binning.csv"]],
+        ["binning-rate-1-0.5", ["binning", "--rate-total", "1.0",
+                                "--rate-secret", "0.5",
+                                "--out", "binning-rate-1-0.5.csv"]],
+        ["binning-n16", ["binning", "--n-list", "4,8,12,16",
+                         "--out", "binning-n16.csv"]],
+        ["binning-rate-0", ["binning", "--rate-total", "0", "--rate-secret",
+                            "0", "--out", "binning-rate-0.csv"]]]
     for cfg in SIM_CONFIGS:
         tag = "-".join(map(str, cfg))
         configs[f"cfg-{tag}.json"] = dict(
