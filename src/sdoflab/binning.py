@@ -23,6 +23,7 @@ up to ``n = 16`` bits.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,8 @@ def _code_bits(n, rate_total, rate_secret):
 
     Raises the errors :func:`build_code` documents.
     """
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise ValueError(f"block length must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"block length must be at least 1, got {n}")
     for name, rate in (("rate_total", rate_total),
@@ -140,7 +143,8 @@ def build_code(n, rate_total, rate_secret, seed):
         If the codebook cannot be distinct (``rate_total > 1``) or the
         block length exceeds the budget ``MAX_BLOCK_BITS``.
     ValueError
-        If ``n < 1``, a rate is negative, ``n * rate`` is not an integer
+        If ``n`` is not an integer (a bool is not one) or ``n < 1``, a
+        rate is negative, ``n * rate`` is not an integer
         or ``rate_secret > rate_total``.
     """
     k_total, _ = _code_bits(n, rate_total, rate_secret)
@@ -208,10 +212,7 @@ def equivocation_exact(code, ch):
     n, delta, k_secret = code.n, ch.delta, code.k_secret
     leaked = _leaked_bits(code.G, k_secret)
     # erasure count of every pattern, in the same subset order
-    erased = np.empty(1 << n, dtype=np.intp)
-    erased[0] = n
-    for j in range(n):
-        erased[1 << j:2 << j] = erased[:1 << j] - 1
+    erased = n - np.bitwise_count(np.arange(1 << n))
     # integer sums below 2^21, so exact in float64 in any order
     per_k = np.bincount(erased, weights=leaked, minlength=n + 1)
     pattern_weight = np.array(

@@ -59,11 +59,6 @@ def as_matrix(m):
     return a
 
 
-def tr(x):
-    """Transpose of a matrix or of every matrix in a stack, as a view."""
-    return x.swapaxes(-2, -1)
-
-
 def _ranks(s):
     """Numerical rank of each matrix from its singular values ``(..., k)``."""
     return np.count_nonzero(s > DEFAULT_TOL * s[..., :1], axis=-1)
@@ -102,7 +97,7 @@ def nullspace(m):
     columns and ``m @ basis`` is zero to within ``DEFAULT_TOL * ||m||``.
     """
     _, s, vh = np.linalg.svd(as_matrix(m), full_matrices=True)
-    return tr(vh[..., _one_rank(s):, :])
+    return vh[..., _one_rank(s):, :].mT
 
 
 def complement(m):
@@ -136,7 +131,7 @@ def logdet_hpd(m):
         raise NotPositiveDefinite("matrix is not square")
     if m.shape[-1] == 0:
         return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
-    if np.any(frobenius(m - tr(m)) > 1e-10 * np.maximum(1.0, frobenius(m))):
+    if np.any(frobenius(m - m.mT) > 1e-10 * np.maximum(1.0, frobenius(m))):
         raise NotPositiveDefinite("matrix is not symmetric")
     try:
         chol = np.linalg.cholesky(m)

@@ -55,7 +55,8 @@ class AntennaConfig:
     def __post_init__(self):
         for name in ("m1", "m2", "n", "ne"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 0:
+            if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                    or v < 0):
                 raise InvalidConfig(f"{name} must be a nonnegative integer, got {v!r}")
         if self.m1 < 1 or self.m2 < 1 or self.n < 1:
             raise InvalidConfig(

@@ -41,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import matlin
-from .matlin import complement, frobenius, nullspace, orthonormal_basis, tr
+from .matlin import complement, frobenius, nullspace, orthonormal_basis
 from .model import gaussian
 
 ALIGNMENT_TOL = 1e-8
@@ -135,8 +135,8 @@ def _aligned_pairs(a, h1, h2, rngs):
     """
     if a == 0:
         return tuple(np.zeros((len(rngs), h.shape[-1], 0)) for h in (h1, h2))
-    r1 = orthonormal_basis(tr(h1))
-    r2 = orthonormal_basis(tr(h2))
+    r1 = orthonormal_basis(h1.mT)
+    r2 = orthonormal_basis(h2.mT)
     k = r1.shape[-1]
     c = nullspace(np.concatenate([h1 @ r1, -(h2 @ r2)], axis=-1))
     if c.shape[-1] < a:
@@ -209,7 +209,7 @@ def build_zero_forcing(h1, h2, v1j, v2j, plan):
     (n1, n2), a = plan.null, plan.aligned
     image = np.concatenate([h1 @ v1j[..., n1:], h2 @ v2j[..., n2 + a:]],
                            axis=-1)
-    u = tr(complement(image))
+    u = complement(image).mT
     if u.shape[-2] != image.shape[-2] - plan.j_s:
         raise PlanMismatch(
             f"received jamming space has dimension "
@@ -255,24 +255,22 @@ def verify_geometry(ps, h1, h2, plan):
     matches exactly.  The images ``u (H_i v_il)`` go to ``ps.rx_images``.
     """
     (n1, n2), a = plan.null, plan.aligned
+    jam = (h1 @ ps.v1j, h2 @ ps.v2j)  # the jamming images H_i V_i^J
+    norms = (frobenius(h1), frobenius(h2))
 
     align_res = 0.0
     if a:
-        img1 = _normalize_columns(h1 @ ps.v1j[..., n1:n1 + a])
-        img2 = _normalize_columns(h2 @ ps.v2j[..., n2:n2 + a])
+        img1 = _normalize_columns(jam[0][..., n1:n1 + a])
+        img2 = _normalize_columns(jam[1][..., n2:n2 + a])
         align_res = float(np.linalg.norm(img1 - img2, axis=-2).max())
 
-    null_res = 0.0
-    for h, v, null in ((h1, ps.v1j, n1), (h2, ps.v2j, n2)):
+    null_res = zf_res = 0.0
+    for img, norm, null in zip(jam, norms, (n1, n2)):
         if null:
-            null_res = max(null_res, float(
-                (frobenius(h @ v[..., :null]) / frobenius(h)).max()))
-
-    zf_res = 0.0
-    for h, v in ((h1, ps.v1j), (h2, ps.v2j)):
-        if v.shape[-1]:
-            zf_res = max(zf_res,
-                         float((frobenius(ps.u @ (h @ v)) / frobenius(h)).max()))
+            null_res = max(null_res,
+                           float((frobenius(img[..., :null]) / norm).max()))
+        if img.shape[-1]:
+            zf_res = max(zf_res, float((frobenius(ps.u @ img) / norm).max()))
 
     images = (ps.u @ (h1 @ ps.v1l), ps.u @ (h2 @ ps.v2l))
     decode_rank = int(np.min(matlin.rank(np.concatenate(images, axis=-1))))

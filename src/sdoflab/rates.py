@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matlin import logdet_hpd, tr
+from .matlin import logdet_hpd
 from .model import TrialStreams, canonical, sample_channels, sample_eves
 from .precoders import build_precoder_set, build_unjammed_set
 from .regions import jamming_plan
@@ -139,7 +139,7 @@ def check_inputs(cfg, alpha, p_grid, trials, eve_counts):
 
 def _gram(b):
     """``B B'`` of each matrix ``B`` of a stack."""
-    return b @ tr(b)
+    return b @ b.mT
 
 
 def _build_block(cfg, plan, rngs, eve_counts):

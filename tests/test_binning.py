@@ -194,6 +194,9 @@ class TestBuildCode:
         (0, 0.75, 0.25, "block length must be at least 1, got 0"),
         (4, -1.0, -2.0, "rate_total must be nonnegative, got -1.0"),
         (4, 0.5, -0.25, "rate_secret must be nonnegative, got -0.25"),
+        (4.0, 1.0, 0.5, "block length must be an integer, got 4.0"),
+        (True, 1.0, 1.0, "block length must be an integer, got True"),
+        ("4", -1.0, 0.5, "block length must be an integer, got '4'"),
     ])
     def test_bad_sizes_rejected_first(self, n, rate_total, rate_secret,
                                       message):
@@ -238,11 +241,13 @@ class TestGeneratorValidation:
         (0, ValueError, "block length must be at least 1, got 0"),
         (MAX_BLOCK_BITS + 1, CodeTooLarge,
          f"block length {MAX_BLOCK_BITS + 1} exceeds budget {MAX_BLOCK_BITS}"),
+        (2.0, ValueError, "block length must be an integer, got 2.0"),
+        (True, ValueError, "block length must be an integer, got True"),
     ])
     def test_block_length_outside_budget(self, n, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             WiretapCode(n=n, rate_total=0.0, rate_secret=0.0,
-                        G=np.zeros((0, max(n, 0)), dtype=np.uint8))
+                        G=np.zeros((0, int(max(n, 0))), dtype=np.uint8))
 
     def test_no_rows_is_valid(self):
         code = WiretapCode(n=3, rate_total=0.0, rate_secret=0.0,
@@ -560,6 +565,12 @@ class TestEquivocationTable:
                 assert norm == normalized_equivocation(code, ch)
             assert mean == (sum(r[1] for r in rows) / 3,
                             sum(r[2] for r in rows) / 3)
+
+    @pytest.mark.parametrize("n", [True, 4.0])
+    def test_non_integer_block_length(self, n):
+        with pytest.raises(ValueError,
+                           match=f"^block length must be an integer, got {n}$"):
+            equivocation_table([4, n], 0.5, 1.0, 1.0, [0])
 
     def test_no_secret_message(self):
         [(n, rows, mean)] = equivocation_table([4], 0.5, 0.5, 0.0, [0, 1])

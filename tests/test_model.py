@@ -22,6 +22,18 @@ class TestValidate:
         with pytest.raises(InvalidConfig):
             AntennaConfig(2, 2, 3, -1)
 
+    @pytest.mark.parametrize("counts,message", [
+        ((True, True, True, False), "m1 must be a nonnegative integer, got True"),
+        ((2, 2, 3, False), "ne must be a nonnegative integer, got False"),
+    ])
+    def test_bool_count_invalid(self, counts, message):
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
+            AntennaConfig(*counts)
+
+    def test_numpy_integer_counts_valid(self):
+        cfg = AntennaConfig(*np.array([3, 2, 2, 1]))
+        assert (cfg.m1, cfg.m2, cfg.n, cfg.ne) == (3, 2, 2, 1)
+
 
 def test_canonical_swaps_transmitters():
     cfg = canonical(AntennaConfig(1, 3, 2, 2))

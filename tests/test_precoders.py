@@ -214,6 +214,34 @@ class TestVerifyGeometry:
         assert rep.zf_residual > 1e-4
         assert not rep.passed
 
+    def test_residuals_match_a_per_trial_computation(self):
+        # a plan with nullspace, aligned and random columns, over 3 trials
+        cfg = AntennaConfig(4, 1, 3, 4)
+        plan = jamming_plan(cfg)
+        assert plan == JammingPlan(null=(2, 0), aligned=2, random=(2, 0),
+                                   d1=2, d2=0)
+        h1, h2 = sample_channels(cfg, [1, 2, 3])
+        ps = build_precoder_set(plan, h1, h2, [11, 12, 13])
+        (n1, n2), a = plan.null, plan.aligned
+        align = null = zf = 0.0
+        for t in range(3):
+            hs = (h1[t], h2[t])
+            images = (hs[0] @ ps.v1j[t], hs[1] @ ps.v2j[t])
+            x, y = images[0][:, n1:n1 + a], images[1][:, n2:n2 + a]
+            x, y = x / np.linalg.norm(x, axis=0), y / np.linalg.norm(y, axis=0)
+            align = max(align, np.linalg.norm(x - y, axis=0).max())
+            for h, image, k in zip(hs, images, (n1, n2)):
+                scale = np.linalg.norm(h)
+                if k:
+                    null = max(null, np.linalg.norm(image[:, :k]) / scale)
+                if image.shape[1]:
+                    zf = max(zf, np.linalg.norm(ps.u[t] @ image) / scale)
+        rep = ps.geometry
+        measured = (rep.alignment_residual, rep.nullspace_residual,
+                    rep.zf_residual)
+        # roundoff-sized values: approx's default abs=1e-12 would pass any
+        assert measured == pytest.approx((align, null, zf), rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("cfg_tuple", GEOMETRY_CONFIGS)
     def test_receiver_images_kept(self, cfg_tuple):
         _, plan, (h1, h2), ps = built(cfg_tuple)

@@ -79,3 +79,32 @@ def test_compare_outputs_runs_the_documented_commands(compare_outputs):
     assert cfg["eve_counts"] == list(range(10))
     assert (cfg["trials"], cfg["seed"], cfg["alpha"]) == (20, 7, 0.5)
     assert cfg["p_grid"] == [10.0 ** k for k in range(3, 10)]
+
+
+@pytest.mark.parametrize("change_files,status,verdicts", [
+    ({"a.csv": "p,rate\n1e3,2.5\n", "a.out": "exit 0\n"}, 0,
+     ["a.csv: identical", "a.out: identical"]),
+    ({"a.csv": "p,rate\n1e3,2.0\n", "a.out": "exit 0\n"}, 1,
+     ["a.csv: largest relative difference 0.2", "a.out: identical"]),
+    ({"a.csv": "p,rate\n1e3,2.5\n"}, 1,
+     ["a.csv: identical", "a.out: missing on the change side"]),
+], ids=["identical", "differs", "missing"])
+def test_compare_outputs_exit_status(compare_outputs, monkeypatch, capsys,
+                                     tmp_path, change_files, status,
+                                     verdicts):
+    trees = {"parent": {"a.csv": "p,rate\n1e3,2.5\n", "a.out": "exit 0\n",
+                        "cfg-1-1-1-0.json": "{}"},
+             "change": change_files}
+
+    def write_tree(tree, out):
+        out.mkdir()
+        for name, text in trees[tree].items():
+            (out / name).write_text(text)
+
+    monkeypatch.setattr(compare_outputs, "export",
+                        lambda side, scratch, name: name)
+    monkeypatch.setattr(compare_outputs, "run", write_tree)
+    assert compare_outputs.main(["--parent", "HEAD~1",
+                                 "--change", "HEAD"]) == status
+    assert capsys.readouterr().out.splitlines() == \
+        ["parent HEAD~1, change HEAD", *verdicts]

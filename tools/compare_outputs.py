@@ -18,8 +18,9 @@ with its stdout kept in ``<name>.out``:
 For every file it prints ``identical``, or the largest relative
 difference between the numbers of the two sides (or that the text
 around the numbers differs).  For each ``simulate`` summary it also
-prints both sides' slope and ``leakage_delta``.  Run from the root of a
-checkout::
+prints both sides' slope and ``leakage_delta``.  It exits with status 0
+when every file is identical and 1 when any file differs or is missing
+on the change side.  Run from the root of a checkout::
 
     python3 tools/compare_outputs.py --parent HEAD~1 --change HEAD
 """
@@ -118,24 +119,28 @@ def compare(a, b):
 
 
 def report(parent, change):
-    """One line per output file of the ``parent`` run."""
-    lines = []
+    """One line per output file of the ``parent`` run, and whether every
+    file is identical."""
+    lines, same = [], True
     for path in sorted(parent.iterdir()):
         if path.name.startswith("cfg-"):
             continue
         other = change / path.name
         if not other.exists():
             lines.append(f"{path.name}: missing on the change side")
+            same = False
             continue
         a, b = path.read_text(), other.read_text()
-        line = f"{path.name}: {compare(a, b)}"
+        verdict = compare(a, b)
+        same = same and verdict == "identical"
+        line = f"{path.name}: {verdict}"
         if path.name.startswith("sim-") and path.suffix == ".json":
             sides = [json.loads(text) for text in (a, b)]
             line += "".join(f"; {key} {sides[0][key]:.4f} -> "
                             f"{sides[1][key]:.4f}"
                             for key in ("slope", "leakage_delta"))
         lines.append(line)
-    return lines
+    return lines, same
 
 
 def main(argv=None):
@@ -150,9 +155,11 @@ def main(argv=None):
             outs[side] = Path(scratch) / f"{side}-out"
             run(tree, outs[side])
         print(f"parent {args.parent}, change {args.change}")
-        for line in report(outs["parent"], outs["change"]):
+        lines, same = report(outs["parent"], outs["change"])
+        for line in lines:
             print(line)
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
