@@ -35,6 +35,10 @@ class CodeTooLarge(ValueError):
     """Requested codebook does not fit the block length or budget."""
 
 
+class DependentRows(ValueError):
+    """Generator rows are linearly dependent over GF(2)."""
+
+
 @dataclass(frozen=True)
 class EraseChannel:
     """Per-bit erasure channel with erasure probability ``delta``."""
@@ -84,11 +88,11 @@ def _row_rank(G):
     """Rank over GF(2) of the 0/1 matrix ``G``."""
     rows = np.asarray(G, dtype=np.int64)
     pivots = {}  # top bit -> the reduced row that has it
-    for v in (rows << np.arange(rows.shape[1])).sum(axis=1).tolist():
-        while v and v.bit_length() in pivots:
-            v ^= pivots[v.bit_length()]
+    for v in (rows @ (1 << np.arange(rows.shape[1]))).tolist():
+        while v and (top := v.bit_length()) in pivots:
+            v ^= pivots[top]
         if v:
-            pivots[v.bit_length()] = v
+            pivots[top] = v
     return len(pivots)
 
 
@@ -103,7 +107,7 @@ class WiretapCode:
     codewords distinct, so the noiseless main channel decodes by exact
     lookup.  Raises ``ValueError`` on bad sizes (as :func:`build_code`)
     or a generator of the wrong shape, with an entry other than 0 and 1,
-    or of deficient rank.
+    or of deficient rank (:class:`DependentRows`).
     """
 
     n: int
@@ -121,7 +125,7 @@ class WiretapCode:
         if not ((G == 0) | (G == 1)).all():
             raise ValueError("generator entries must be 0 or 1")
         if _row_rank(self.G) < k_total:
-            raise ValueError("generator rows are linearly dependent over GF(2)")
+            raise DependentRows("generator rows are linearly dependent over GF(2)")
 
     @property
     def k_secret(self):
@@ -149,11 +153,13 @@ def build_code(n, rate_total, rate_secret, seed):
     """
     k_total, _ = _code_bits(n, rate_total, rate_secret)
     rng = np.random.default_rng(seed)
-    while True:
+    while True:  # the sizes are checked, so only a draw can be rejected
         G = rng.integers(0, 2, size=(k_total, n), dtype=np.uint8)
-        if _row_rank(G) == k_total:
+        try:
             return WiretapCode(n=n, rate_total=float(rate_total),
                                rate_secret=float(rate_secret), G=G)
+        except DependentRows:
+            pass
 
 
 def _leaked_bits(G, k_secret):

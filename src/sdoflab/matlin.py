@@ -20,9 +20,11 @@ when the ranks differ they raise :class:`RaggedRank`.  Empty shapes are
 accepted: a matrix with no rows or no columns has rank 0.
 
 Numerical rank has one rule, and this module is its only owner: singular
-values at or below ``DEFAULT_TOL`` times the largest singular value count
-as zero.  The inputs of interest are generic continuous random draws, so
-the spectral gaps are large and a relative threshold is scale-free.
+values at or below ``DEFAULT_TOL`` times a scale count as zero.  The scale
+is each matrix's largest singular value (scale-free; generic draws have
+large spectral gaps), or the factors' scale given to :func:`rank`, such as
+``||A||`` for ``A B`` when ``B`` has unit-norm columns: then a product that
+is zero up to roundoff has rank 0, not its roundoff's rank.
 
 All operations are pure functions of their arguments and keep no shared
 state, so they are safe to call concurrently.
@@ -49,7 +51,7 @@ def as_matrix(m):
     """Coerce ``m`` to a float64 matrix or ``(..., rows, cols)`` stack,
     rejecting complex and non-finite entries."""
     a = np.asarray(m)
-    if np.iscomplexobj(a):
+    if a.dtype.kind == "c":
         raise InvalidMatrix("matrix is complex")
     a = a.astype(np.float64, copy=False)
     if a.ndim < 2:
@@ -59,9 +61,10 @@ def as_matrix(m):
     return a
 
 
-def _ranks(s):
-    """Numerical rank of each matrix from its singular values ``(..., k)``."""
-    return np.count_nonzero(s > DEFAULT_TOL * s[..., :1], axis=-1)
+def _ranks(s, scale=None):
+    """Ranks from singular values ``(..., k)``, against ``scale`` or ``s[0]``."""
+    scale = s[..., :1] if scale is None else np.asarray(scale)[..., None]
+    return (s > DEFAULT_TOL * scale).sum(axis=-1)
 
 
 def _one_rank(s):
@@ -131,19 +134,19 @@ def logdet_hpd(m):
         raise NotPositiveDefinite("matrix is not square")
     if m.shape[-1] == 0:
         return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
-    if np.any(frobenius(m - m.mT) > 1e-10 * np.maximum(1.0, frobenius(m))):
+    if (frobenius(m - m.mT) > 1e-10 * np.maximum(1.0, frobenius(m))).any():
         raise NotPositiveDefinite("matrix is not symmetric")
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("matrix is not positive definite") from exc
-    diag = np.diagonal(chol, axis1=-2, axis2=-1)
-    out = 2.0 * np.sum(np.log(diag), axis=-1)
+    diag = chol.diagonal(axis1=-2, axis2=-1)
+    out = 2.0 * np.log(diag).sum(axis=-1)
     return float(out) if m.ndim == 2 else out
 
 
-def rank(m):
-    """Numerical rank: an int for a matrix, an int array of shape
-    ``m.shape[:-2]`` for a stack."""
-    r = _ranks(np.linalg.svd(as_matrix(m), compute_uv=False))
+def rank(m, scale=None):
+    """Numerical rank by the module's rule, at ``scale`` if given (one per
+    matrix or one for all): an int for a matrix, an int array for a stack."""
+    r = _ranks(np.linalg.svd(as_matrix(m), compute_uv=False), scale)
     return int(r) if r.ndim == 0 else r

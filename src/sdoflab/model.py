@@ -23,6 +23,7 @@ generator per trial; `TrialStreams` derives the generators of a block
 of trials in bulk.
 """
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -91,9 +92,11 @@ def gaussian(rngs, *shapes):
     shape.  Each generator draws all its normals with one
     ``standard_normal`` call, shape after shape."""
     sizes = [math.prod(shape) for shape in shapes]
-    z = np.stack([rng.standard_normal(sum(sizes)) for rng in rngs])
-    parts = np.split(z, np.cumsum(sizes)[:-1], axis=1)
-    return [part.reshape(len(z), *shape) for part, shape in zip(parts, shapes)]
+    z = np.empty((len(rngs), sum(sizes)))
+    for rng, row in zip(rngs, z):
+        rng.standard_normal(out=row)
+    return [z[:, end - size:end].reshape(len(z), *shape) for end, size, shape
+            in zip(itertools.accumulate(sizes), sizes, shapes)]
 
 
 def real_form(re, im):
@@ -216,7 +219,7 @@ class TrialStreams:
         k = np.array(streams, dtype=np.uint32)[:, None]
         pool = _mix(pool[:, None], _hash(k, self._key[4:], _MULT_A))
         # generate_state(4, uint64): eight uint32s, cycling the pool twice.
-        state = _hash(np.tile(pool, (2, 1, 1)), _EMIT, _MULT_B)
+        state = _hash(np.concatenate([pool, pool]), _EMIT, _MULT_B)
         words = state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
         # tuple() of a list: made at its size, a tuple reuses the slots
         # that freed ones leave, so a sweep's memory does not grow with

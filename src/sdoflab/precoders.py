@@ -117,11 +117,16 @@ class PrecoderSet:
 def _random_unitary(k, rngs):
     """Haar random orthogonal matrices, one per generator, via QR of Gaussians."""
     q, r = np.linalg.qr(gaussian(rngs, (k, k))[0])
-    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    return q * np.sign(r.diagonal(axis1=-2, axis2=-1))[..., None, :]
+
+
+def _column_norms(v):
+    """Column norms, by ``np.linalg.norm(v, axis=-2)``'s arithmetic."""
+    return np.sqrt(np.add.reduce(v * v, axis=-2))
 
 
 def _normalize_columns(v):
-    return v / np.linalg.norm(v, axis=-2)[..., None, :]
+    return v / _column_norms(v)[..., None, :]
 
 
 def _aligned_pairs(a, h1, h2, rngs):
@@ -262,7 +267,7 @@ def verify_geometry(ps, h1, h2, plan):
     if a:
         img1 = _normalize_columns(jam[0][..., n1:n1 + a])
         img2 = _normalize_columns(jam[1][..., n2:n2 + a])
-        align_res = float(np.linalg.norm(img1 - img2, axis=-2).max())
+        align_res = float(_column_norms(img1 - img2).max())
 
     null_res = zf_res = 0.0
     for img, norm, null in zip(jam, norms, (n1, n2)):
@@ -331,14 +336,17 @@ def secure_dof_certificate(ps, eves):
     as `sdoflab.model.sample_eves` draws them.  Per trial the receiver
     decodes ``rank(U [H1 V1L | H2 V2L])`` real streams, and eavesdropper
     ``j``, treating the jamming as noise, resolves ``rank(G_j [VL | VJ])
-    - rank(G_j VJ)`` of them at high power.  The result is the worst
-    trial's decoded minus worst leaked count, halved: two real
+    - rank(G_j VJ)`` of them at high power, both against ``||G_j||``, so
+    a ``G_j`` blind to the jamming leaks ``rank(G_j VL)``.  The result is
+    the worst trial's decoded minus worst leaked count, halved: two real
     dimensions make one complex degree of freedom.
     """
     decoded = matlin.rank(np.concatenate(ps.rx_images, axis=-1))
     leaked = np.zeros_like(decoded)
     for g1, g2 in eves:
+        scale = frobenius(np.concatenate([g1, g2], axis=-1))
         jam = np.concatenate([g1 @ ps.v1j, g2 @ ps.v2j], axis=-1)
         seen = np.concatenate([g1 @ ps.v1l, g2 @ ps.v2l, jam], axis=-1)
-        leaked = np.maximum(leaked, matlin.rank(seen) - matlin.rank(jam))
+        leaked = np.maximum(leaked, matlin.rank(seen, scale)
+                            - matlin.rank(jam, scale))
     return Fraction(int(np.min(decoded - leaked)), 2)

@@ -313,8 +313,8 @@ def sweep(cfg, alpha, p_grid, trials, seed, *, eve_counts=None, jamming=True):
         # numpy adds row after row, so the sums equal a per-trial +=
         # loop bit for bit (one column would be summed pairwise).
         total = np.concatenate([total[None], rows]).sum(axis=0)
-    rate_sum, leak_sum, lo_sum, hi_sum = np.split(
-        total, np.cumsum([n_pow, n_pow, n_eve]))
+    rate_sum, leak_sum = total[:n_pow], total[n_pow:2 * n_pow]
+    lo_sum, hi_sum = total[2 * n_pow:][:n_eve], total[2 * n_pow + n_eve:]
 
     rate_mean = rate_sum / trials
     leak_mean = leak_sum / trials

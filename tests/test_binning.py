@@ -219,6 +219,33 @@ class TestBuildCode:
         code = build_code(4, 1.0, 0.5, SEED_WITH_REDRAW)
         assert np.array_equal(code.G, draws[-1])
 
+    def test_one_rank_per_draw(self, monkeypatch):
+        # the constructor's rank check is the only one: a rejected draw
+        # and the kept one are each ranked once
+        rng = np.random.default_rng(SEED_WITH_REDRAW)
+        draws = 1
+        while gf2_rank(rng.integers(0, 2, size=(4, 4), dtype=np.uint8)) < 4:
+            draws += 1
+        ranked = []
+        row_rank = binning._row_rank
+        monkeypatch.setattr(binning, "_row_rank",
+                            lambda G: ranked.append(G) or row_rank(G))
+        build_code(4, 1.0, 0.5, SEED_WITH_REDRAW)
+        assert draws > 1 and len(ranked) == draws
+
+    @pytest.mark.parametrize("n,rate_total,rate_secret",
+                             [(4, 1.0, 0.5), (8, 0.75, 0.25), (12, 1.0, 0.5)])
+    def test_same_code_as_the_draw_loop(self, n, rate_total, rate_secret):
+        # the first full-rank draw, as a plain loop over the seed's draws
+        k_total = round(n * rate_total)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            G = rng.integers(0, 2, size=(k_total, n), dtype=np.uint8)
+            while gf2_rank(G) < k_total:
+                G = rng.integers(0, 2, size=(k_total, n), dtype=np.uint8)
+            code = build_code(n, rate_total, rate_secret, seed)
+            assert code.G.tobytes() == G.tobytes()
+
 
 class TestGeneratorValidation:
     @pytest.mark.parametrize("G,message", [
@@ -236,6 +263,16 @@ class TestGeneratorValidation:
     def test_bad_generator_one_line(self, G, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             WiretapCode(n=2, rate_total=1.0, rate_secret=0.5, G=G)
+
+    def test_dependent_rows_have_their_own_error(self):
+        # build_code redraws on this error alone, so no other can loop
+        with pytest.raises(binning.DependentRows):
+            WiretapCode(n=2, rate_total=1.0, rate_secret=0.5,
+                        G=np.ones((2, 2), dtype=np.uint8))
+        with pytest.raises(ValueError) as info:
+            WiretapCode(n=2, rate_total=1.0, rate_secret=0.5,
+                        G=np.array([[1, 0], [0, 2]]))
+        assert not isinstance(info.value, binning.DependentRows)
 
     @pytest.mark.parametrize("n,error,message", [
         (0, ValueError, "block length must be at least 1, got 0"),

@@ -150,6 +150,36 @@ class TestSubspaceContract:
             call(np.eye(2) * (1 + 1j))
 
 
+class TestRankRule:
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    def test_equals_count_nonzero(self, lead):
+        # numpy's helper on the same singular values, matrix by matrix;
+        # ranks 0..3 of 5 x 4 matrices, scaled from 1e-200 to 1e200
+        rng = np.random.default_rng(6)
+        m = np.zeros(lead + (5, 4))
+        for k, idx in enumerate(np.ndindex(*lead)):
+            m[idx] = low_rank(rng, 5, 4, k % 4, 10.0 ** (200 - 80 * k))
+        s = np.linalg.svd(m, compute_uv=False)
+        want = np.count_nonzero(s > matlin.DEFAULT_TOL * s[..., :1], axis=-1)
+        got = matlin.rank(m)
+        if lead:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        else:
+            assert type(got) is int and got == want
+
+    def test_scale_of_the_factors(self):
+        # A B = 0 up to roundoff: its own largest singular value makes the
+        # roundoff rank 1 or more, the scale ||A|| of the factors rank 0
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((3, 3, 6))
+        b = nullspace(a)
+        assert (matlin.rank(a @ b) >= 1).all()
+        assert matlin.rank(a @ b, matlin.frobenius(a)).tolist() == [0] * 3
+        generic = a @ rng.standard_normal((3, 6, 3))
+        assert matlin.rank(generic, matlin.frobenius(a)).tolist() == [3] * 3
+        assert matlin.rank(a[0] @ b[0], 1.0) == 0
+
+
 class TestLogdetHpd:
     def test_identity(self):
         assert logdet_hpd(np.eye(4)) == pytest.approx(0.0, abs=1e-14)

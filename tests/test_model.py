@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,30 @@ class TestDrawOrder:
         for k, stack in enumerate(got):
             want = np.stack([d[2 * k:2 * k + 2] for d in draws])
             assert stack.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("shapes", [
+        [(3, 2)], [(2, 3), (0, 0), (4,)], [(0, 0)], [(1, 1), (0, 5), (2, 2, 2)]])
+    def test_gaussian_equals_stack_and_split(self, shapes, trials):
+        # numpy's helpers on the same draws: one call per generator,
+        # stacked, then split shape after shape
+        got = gaussian([np.random.default_rng(s) for s in range(trials)],
+                       *shapes)
+        sizes = [math.prod(shape) for shape in shapes]
+        z = np.stack([np.random.default_rng(s).standard_normal(sum(sizes))
+                      for s in range(trials)])
+        parts = np.split(z, np.cumsum(sizes)[:-1], axis=1)
+        assert len(got) == len(shapes)
+        for stack, part, shape in zip(got, parts, shapes):
+            assert stack.shape == (trials, *shape)
+            assert stack.tobytes() == part.reshape(trials, *shape).tobytes()
+
+    def test_gaussian_zero_size_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        (z,) = gaussian([rng], (0, 0))
+        assert z.shape == (1, 0, 0)
+        assert rng.standard_normal(4).tobytes() == \
+            np.random.default_rng(3).standard_normal(4).tobytes()
 
     @pytest.mark.parametrize("cfg_tuple", [(2, 2, 3, 1), (3, 1, 2, 2),
                                            (4, 3, 5, 1)])

@@ -6,7 +6,8 @@ import pytest
 from sdoflab import matlin, precoders
 from sdoflab.cli import iter_canonical_configs
 from sdoflab.matlin import RaggedRank, nullspace
-from sdoflab.model import AntennaConfig, sample_channels, sample_eves
+from sdoflab.model import (AntennaConfig, TrialStreams, sample_channels,
+                           sample_eves)
 from sdoflab.precoders import (AlignmentInfeasible, GeometryError,
                                PlanMismatch, PrecoderSet, build_jamming,
                                build_legit, build_precoder_set,
@@ -274,6 +275,54 @@ class TestEavesdropperCoverage:
         assert secure_dof_certificate(ps, eves) == sum_sdof(cfg)
         assert secure_dof_certificate(weak, eves) == sum_sdof(cfg) - \
             Fraction(1, 2)
+
+
+class TestBlindEavesdropper:
+    """An eavesdropper whose rows avoid one draw's jamming, ``G V_J = 0``:
+    a probability-zero channel, which leaks ``rank(G V_L)`` dimensions."""
+
+    @staticmethod
+    def blind():
+        # (2,2,3,1), trial 0 of seed 7; G is two rows of the complement
+        # of the jamming columns, diag(V1J, V2J)
+        cfg = AntennaConfig(2, 2, 3, 1)
+        (channel, precoder), = TrialStreams(7, 1).block(0, 1, (0, 1))
+        h1, h2 = sample_channels(cfg, [channel])
+        ps = build_precoder_set(jamming_plan(cfg), h1, h2, [precoder])
+        v1j, v2j = ps.v1j[0], ps.v2j[0]
+        jam = np.block([[v1j, np.zeros((len(v1j), v2j.shape[1]))],
+                        [np.zeros((len(v2j), v1j.shape[1])), v2j]])
+        g = matlin.complement(jam)[:, :2].T
+        return cfg, ps, g, len(v1j)
+
+    def test_leaks_its_view_of_the_streams(self):
+        cfg, ps, g, m = self.blind()
+        g1, g2 = g[None, :, :m], g[None, :, m:]
+        jam = np.concatenate([g1 @ ps.v1j, g2 @ ps.v2j], axis=-1)
+        assert float(matlin.frobenius(jam)[0]) < 1e-15
+        legit = np.concatenate([g1 @ ps.v1l, g2 @ ps.v2l], axis=-1)
+        assert matlin.rank(legit).tolist() == [2]
+        assert sum_sdof(cfg) == Fraction(5, 2)
+        assert secure_dof_certificate(ps, [(g1, g2)]) == Fraction(3, 2)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3])
+    def test_perturbed_channel_is_generic(self, eps):
+        cfg, ps, g, m = self.blind()
+        g = g + eps * np.random.default_rng(0).standard_normal(g.shape)
+        eves = [(g[None, :, :m], g[None, :, m:])]
+        assert secure_dof_certificate(ps, eves) == sum_sdof(cfg)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 3, 1), (1, 4, 2),
+                                   (3, 6, 4), (2, 5, 1), (4, 1, 3)])
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_column_norms_equal_linalg_norm(shape, scale):
+    # numpy's helper, bit for bit
+    v = scale * np.random.default_rng(2).standard_normal(shape)
+    norms = np.linalg.norm(v, axis=-2)
+    assert precoders._column_norms(v).tobytes() == norms.tobytes()
+    assert precoders._normalize_columns(v).tobytes() == \
+        (v / norms[..., None, :]).tobytes()
 
 
 def test_unjammed_set_shapes():

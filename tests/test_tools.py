@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from sdoflab.cli import iter_canonical_configs
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -68,7 +70,7 @@ def test_compare_outputs_runs_the_documented_commands(compare_outputs):
     names = [name for name, _ in commands]
     assert names[:6] == ["grid-8", "grid-10", "binning", "binning-rate-1-0.5",
                          "binning-n16", "binning-rate-0"]
-    assert len(configs) == 10 and len(names) == 6 + 2 * 10
+    assert len(configs) == 10 + 200 and len(names) == 6 + 2 * 10 + 200
     binning_runs = dict(commands[2:6])
     assert binning_runs["binning-rate-1-0.5"][1:5] == \
         ["--rate-total", "1.0", "--rate-secret", "0.5"]
@@ -79,6 +81,25 @@ def test_compare_outputs_runs_the_documented_commands(compare_outputs):
     assert cfg["eve_counts"] == list(range(10))
     assert (cfg["trials"], cfg["seed"], cfg["alpha"]) == (20, 7, 0.5)
     assert cfg["p_grid"] == [10.0 ** k for k in range(3, 10)]
+    # the two-trial set: jammed, as the benchmark's sim-grid runs it
+    two_trial = commands[26:]
+    assert [name for name, _ in two_trial] == \
+        [f"two-trial-{m1}-{m2}-{n}-{ne}"
+         for m1, m2, n, ne in compare_outputs.two_trial_configs()]
+    assert two_trial[0][1] == ["simulate", "--config",
+                               "cfg-two-trial-1-1-1-0.json",
+                               "--out", "two-trial-1-1-1-0"]
+    assert all("--no-jamming" not in argv for _, argv in two_trial)
+    cfg = configs["cfg-two-trial-4-4-4-7.json"]
+    assert cfg["eve_counts"] == [7]
+    assert (cfg["trials"], cfg["seed"], cfg["alpha"]) == (2, 42, 0.5)
+    assert cfg["p_grid"] == [1e3, 1e5, 1e7, 1e9]
+
+
+def test_compare_outputs_two_trial_set_is_the_canonical_grid(
+        compare_outputs):
+    assert compare_outputs.two_trial_configs() == \
+        [(c.m1, c.m2, c.n, c.ne) for c in iter_canonical_configs(4)]
 
 
 @pytest.mark.parametrize("change_files,status,verdicts", [
@@ -108,3 +129,27 @@ def test_compare_outputs_exit_status(compare_outputs, monkeypatch, capsys,
                                  "--change", "HEAD"]) == status
     assert capsys.readouterr().out.splitlines() == \
         ["parent HEAD~1, change HEAD", *verdicts]
+
+
+@pytest.mark.parametrize("change_texts,summary,same", [
+    (["1,2.5\n", "1,4\n", "a 1\n"],
+     "3 of 3 files identical, largest relative difference 0", True),
+    (["1,2.0\n", "1,8\n", "a 1\n"],
+     "1 of 3 files identical, largest relative difference 0.5", False),
+    (["1,2.5\n", "1,4\n", "b 1\n"],
+     "2 of 3 files identical, largest relative difference 0, "
+     "1 differ outside their numbers", False),
+], ids=["identical", "differs", "text"])
+def test_compare_outputs_summarizes_the_two_trial_set(
+        compare_outputs, tmp_path, change_texts, summary, same):
+    # one line for the whole set, after the other files' lines
+    parent_texts = ["1,2.5\n", "1,4\n", "a 1\n"]
+    for side, texts in (("parent", parent_texts), ("change", change_texts)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "a.csv").write_text("p\n1e3\n")
+        for k, text in enumerate(texts):
+            (tmp_path / side / f"two-trial-{k}.csv").write_text(text)
+    lines, verdict = compare_outputs.report(tmp_path / "parent",
+                                            tmp_path / "change")
+    assert lines == ["a.csv: identical", f"two-trial-*: {summary}"]
+    assert verdict is same

@@ -13,12 +13,18 @@ with its stdout kept in ``<name>.out``:
 * ``simulate`` jammed and ``--no-jamming`` on ten configs: the six
   acceptance configs plus (4,4,6,7), (5,4,3,6), (7,3,8,9) and (4,3,2,4),
   each with 20 trials, seed 7, ``eve_counts`` 0..ne, alpha 0.5 and the
-  powers 1e3, 1e4, ..., 1e9.
+  powers 1e3, 1e4, ..., 1e9;
+* the two-trial set, which mirrors the benchmark's ``sim-grid``:
+  ``simulate`` jammed on all 200 canonical configs up to 4 antennas,
+  each with 2 trials, seed 42, ``eve_counts [ne]``, alpha 0.5 and the
+  powers 1e3, 1e5, 1e7, 1e9.
 
 For every file it prints ``identical``, or the largest relative
 difference between the numbers of the two sides (or that the text
 around the numbers differs).  For each ``simulate`` summary it also
-prints both sides' slope and ``leakage_delta``.  It exits with status 0
+prints both sides' slope and ``leakage_delta``.  The files of the
+two-trial set share one line instead: how many are identical, and the
+largest relative difference among them.  It exits with status 0
 when every file is identical and 1 when any file differs or is missing
 on the change side.  Run from the root of a checkout::
 
@@ -39,6 +45,10 @@ SIM_CONFIGS = [(2, 2, 4, 1), (2, 2, 3, 1), (3, 3, 2, 1), (3, 1, 2, 3),
                (7, 3, 8, 9), (4, 3, 2, 4)]
 SIM_SETTINGS = {"alpha": 0.5, "p_grid": [10.0 ** k for k in range(3, 10)],
                 "trials": 20, "seed": 7}
+TWO_TRIAL = "two-trial-"  # name prefix of the two-trial set's files
+TWO_TRIAL_MAX_ANTENNAS = 4
+TWO_TRIAL_SETTINGS = {"alpha": 0.5, "p_grid": [1e3, 1e5, 1e7, 1e9],
+                      "trials": 2, "seed": 42}
 
 # Runs in the export: argv[1] is a JSON list of [name, cli argv] pairs.
 CHILD = """\
@@ -65,6 +75,14 @@ def export(side, scratch, name):
     return tree
 
 
+def two_trial_configs():
+    """The canonical configs up to ``TWO_TRIAL_MAX_ANTENNAS``, in the
+    order of ``sdoflab.cli.iter_canonical_configs``."""
+    top = range(1, TWO_TRIAL_MAX_ANTENNAS + 1)
+    return [(m1, m2, n, ne) for m1 in top for m2 in range(1, m1 + 1)
+            for n in top for ne in range(m1 + m2)]
+
+
 def commands():
     """The simulate configs to write, and the ``[name, argv]`` commands."""
     configs, cmds = {}, [
@@ -87,6 +105,13 @@ def commands():
                             (f"sim-{tag}-ctl", ["--no-jamming"])):
             cmds.append([stem, ["simulate", "--config", f"cfg-{tag}.json",
                                 "--out", stem, *flags]])
+    for cfg in two_trial_configs():
+        stem = TWO_TRIAL + "-".join(map(str, cfg))
+        configs[f"cfg-{stem}.json"] = dict(
+            zip(("m1", "m2", "n", "ne"), cfg), eve_counts=[cfg[3]],
+            **TWO_TRIAL_SETTINGS)
+        cmds.append([stem, ["simulate", "--config", f"cfg-{stem}.json",
+                            "--out", stem]])
     return configs, cmds
 
 
@@ -107,21 +132,42 @@ def relative(x, y):
     return abs(x - y) / max(abs(x), abs(y))
 
 
+def difference(a, b):
+    """The largest relative difference between the numbers of the texts
+    ``a`` and ``b``, or None when the text around the numbers differs."""
+    if a == b:
+        return 0.0
+    if NUMBER.split(a) != NUMBER.split(b):
+        return None
+    return max(relative(float(x), float(y))
+               for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)))
+
+
 def compare(a, b):
     """``identical``, or how the texts ``a`` and ``b`` differ."""
     if a == b:
         return "identical"
-    if NUMBER.split(a) != NUMBER.split(b):
+    worst = difference(a, b)
+    if worst is None:
         return "differs outside its numbers"
-    worst = max(relative(float(x), float(y))
-                for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)))
     return f"largest relative difference {worst:.3g}"
 
 
+def summary(pairs):
+    """One line for the ``(parent, change)`` texts of the two-trial set."""
+    worst = [difference(a, b) for a, b in pairs]
+    line = (f"{TWO_TRIAL}*: {sum(a == b for a, b in pairs)} of {len(pairs)} "
+            f"files identical, largest relative difference "
+            f"{max([w for w in worst if w is not None], default=0.0):.3g}")
+    if None in worst:
+        line += f", {worst.count(None)} differ outside their numbers"
+    return line
+
+
 def report(parent, change):
-    """One line per output file of the ``parent`` run, and whether every
-    file is identical."""
-    lines, same = [], True
+    """One line per output file of the ``parent`` run, one for the
+    two-trial set, and whether every file is identical."""
+    lines, same, two_trial = [], True, []
     for path in sorted(parent.iterdir()):
         if path.name.startswith("cfg-"):
             continue
@@ -131,8 +177,11 @@ def report(parent, change):
             same = False
             continue
         a, b = path.read_text(), other.read_text()
+        same = same and a == b
+        if path.name.startswith(TWO_TRIAL):
+            two_trial.append((a, b))
+            continue
         verdict = compare(a, b)
-        same = same and verdict == "identical"
         line = f"{path.name}: {verdict}"
         if path.name.startswith("sim-") and path.suffix == ".json":
             sides = [json.loads(text) for text in (a, b)]
@@ -140,6 +189,8 @@ def report(parent, change):
                             f"{sides[1][key]:.4f}"
                             for key in ("slope", "leakage_delta"))
         lines.append(line)
+    if two_trial:
+        lines.append(summary(two_trial))
     return lines, same
 
 
