@@ -23,10 +23,11 @@ up to ``n = 16`` bits.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import is_integer
 
 MAX_BLOCK_BITS = 16  # the one budget: block length n, 2^n erasure patterns
 
@@ -63,7 +64,7 @@ def _code_bits(n, rate_total, rate_secret):
 
     Raises the errors :func:`build_code` documents.
     """
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+    if not is_integer(n):
         raise ValueError(f"block length must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"block length must be at least 1, got {n}")
@@ -241,10 +242,12 @@ def equivocation_table(n_list, delta, rate_total, rate_secret, seeds):
     seed average.  ``normalized`` and ``mean`` are ``None`` when there
     is no secret message (``rate_secret = 0``) or, for ``mean``, no seed.
 
+    ``n_list`` and ``seeds`` may be any iterables; each is read once.
     Every block length is checked against the code sizes and the budget
     before any code is built, so a bad entry anywhere in ``n_list``
     fails at once.
     """
+    n_list, seeds = list(n_list), list(seeds)
     ch = EraseChannel(delta)
     secret_bits = [_code_bits(n, rate_total, rate_secret)[1] for n in n_list]
     table = []

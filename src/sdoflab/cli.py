@@ -26,7 +26,8 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from . import binning, matlin, precoders, rates, regions
-from .model import AntennaConfig, InvalidConfig, canonical, is_degenerate
+from .model import (AntennaConfig, InvalidConfig, canonical, is_degenerate,
+                    is_integer)
 
 GRID_CSV_HEADER = ["m1", "m2", "n", "ne", "case", "ds_num", "ds_den",
                    "bound1", "bound2", "bound3", "plan_ok"]
@@ -77,21 +78,15 @@ def _write_csv(path, header, rows):
         sys.stdout.write(buf.getvalue())
 
 
-def _is_number(v):
-    """True for a finite int or float; bools are not numbers here."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
-
-
 @dataclass
 class ExperimentConfig:
     """Schema of the ``simulate`` JSON config file (unknown keys rejected).
 
     Every value is checked on construction (``ValueError``): here the
-    exact types, the ``MAX_*`` limits, ``seed >= 0`` and an
-    ``output_path`` stem that names a file; the value ranges by
-    `AntennaConfig` and `rates.check_inputs`, the check `rates.sweep`
-    makes.
+    two lists' lengths, ``seed`` and ``output_path``; then the counts by
+    `AntennaConfig` and the other values by `rates.check_inputs`, the
+    check `rates.sweep` makes; last the ``MAX_ANTENNAS`` and
+    ``MAX_TRIALS`` limits.
     """
 
     m1: int
@@ -111,21 +106,13 @@ class ExperimentConfig:
                 raise ValueError(
                     f"{name} must be {want}, got {getattr(self, name)!r}")
 
-        for name in ("m1", "m2", "n", "ne", "trials", "seed"):
-            check(type(getattr(self, name)) is int, name, "an integer")
-        for name in ("m1", "m2", "n", "ne"):
-            check(getattr(self, name) <= MAX_ANTENNAS, name,
-                  f"at most {MAX_ANTENNAS}")
-        check(self.trials <= MAX_TRIALS, "trials", f"at most {MAX_TRIALS}")
-        check(self.seed >= 0, "seed", "nonnegative")
-        check(_is_number(self.alpha), "alpha", "a number")
         check(isinstance(self.eve_counts, list)
-              and len(self.eve_counts) <= MAX_EVES
-              and all(type(c) is int for c in self.eve_counts),
+              and len(self.eve_counts) <= MAX_EVES,
               "eve_counts", f"a list of at most {MAX_EVES} integers")
-        check(isinstance(self.p_grid, list) and len(self.p_grid) <= MAX_POWERS
-              and all(map(_is_number, self.p_grid)), "p_grid",
-              f"a list of at most {MAX_POWERS} numbers")
+        check(isinstance(self.p_grid, list) and len(self.p_grid) <= MAX_POWERS,
+              "p_grid", f"a list of at most {MAX_POWERS} numbers")
+        check(is_integer(self.seed) and self.seed >= 0, "seed",
+              "a nonnegative integer")
         # The outputs are <stem>.csv and <stem>.json, so a stem whose last
         # path component is empty, "." or ".." would write hidden files.
         check(isinstance(self.output_path, str)
@@ -133,8 +120,13 @@ class ExperimentConfig:
               and os.path.basename(self.output_path) not in ("", ".", ".."),
               "output_path",
               "a string that names a file, without NUL characters")
+        # Its work grows only with the lists, whose lengths are capped.
         rates.check_inputs(self.antenna_config(), self.alpha, self.p_grid,
                            self.trials, self.eve_counts)
+        for name in ("m1", "m2", "n", "ne"):
+            check(getattr(self, name) <= MAX_ANTENNAS, name,
+                  f"at most {MAX_ANTENNAS}")
+        check(self.trials <= MAX_TRIALS, "trials", f"at most {MAX_TRIALS}")
 
     @classmethod
     def from_dict(cls, data):

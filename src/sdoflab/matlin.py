@@ -132,8 +132,6 @@ def logdet_hpd(m):
     m = as_matrix(m)
     if m.shape[-2] != m.shape[-1]:
         raise NotPositiveDefinite("matrix is not square")
-    if m.shape[-1] == 0:
-        return 0.0 if m.ndim == 2 else np.zeros(m.shape[:-2])
     if (frobenius(m - m.mT) > 1e-10 * np.maximum(1.0, frobenius(m))).any():
         raise NotPositiveDefinite("matrix is not symmetric")
     try:

@@ -16,19 +16,31 @@ with two real dimensions per antenna, so that the precoders can be real
 differently on the real and imaginary parts of a signal, which gives the
 half dimensions of the secure DoF.
 
+`is_integer` and `is_number` are the package's one rule for each kind.
 An `AntennaConfig` is valid once made, and the samplers do not check
-their inputs: `sdoflab.rates.check_inputs` checks a sweep's
-eavesdropper counts where they enter.  The samplers take one seed or
-generator per trial; `TrialStreams` derives the generators of a block
-of trials in bulk.
+their inputs: `sdoflab.rates.check_inputs` checks a sweep's eavesdropper
+counts where they enter.  The samplers take one seed or generator per
+trial; `TrialStreams` derives the generators of a block in bulk.
 """
 
 import itertools
 import math
-import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def is_integer(v):
+    """True for an int or a numpy integer; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def is_number(v):
+    """True for a finite int or float, numpy's included; a bool is not one."""
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)  # exact: no float overflow
 
 
 class InvalidConfig(ValueError):
@@ -56,8 +68,7 @@ class AntennaConfig:
     def __post_init__(self):
         for name in ("m1", "m2", "n", "ne"):
             v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
-                    or v < 0):
+            if not is_integer(v) or v < 0:
                 raise InvalidConfig(f"{name} must be a nonnegative integer, got {v!r}")
         if self.m1 < 1 or self.m2 < 1 or self.n < 1:
             raise InvalidConfig(
@@ -195,20 +206,22 @@ class TrialStreams:
     SeedSequence(seed, spawn_key=(t, k)))``.  `block` derives many at
     once and builds no SeedSequence: it hashes the key words ``t`` and
     ``k`` into the pool of ``SeedSequence(seed)``, and then the state
-    words, as uint32 arrays.  A non-integer seed raises ``TypeError``, a
-    negative one SeedSequence's ``ValueError``, and so do more than
-    2**32 trials, whose indices would take two key words.
+    words, as uint32 arrays.  A non-integer seed (a bool included)
+    raises ``TypeError``, a negative one SeedSequence's ``ValueError``,
+    and so do more than 2**32 trials, whose indices would take two key
+    words.
     """
 
     def __init__(self, seed, trials):
-        seed = operator.index(seed)  # SeedSequence also takes word lists
+        if not is_integer(seed):  # SeedSequence also takes word lists
+            raise TypeError(f"seed must be an integer, got {seed!r}")
         np.random.bit_generator.ISeedSequence.register(_StateWords)
         if trials > 2**32:
             raise ValueError(f"at most 2**32 trials, got {trials}")
         # The unkeyed pool is the keyed one before it absorbs the key: a
         # key pads the seed with zero words, which the pool hashes anyway.
         self._pool = np.random.SeedSequence(seed).pool[:, None]
-        words = max(4, -(-max(seed.bit_length(), 1) // 32))
+        words = max(4, -(-max(int(seed).bit_length(), 1) // 32))
         self._key = _consts(0x43B0D7E5, _MULT_A, 4 * words)
 
     def block(self, start, trials, streams):

@@ -26,13 +26,13 @@ eavesdroppers.
 
 Every subspace is one `sdoflab.matlin` call per ``(trials, rows,
 cols)`` stack; a single trial is a stack of one, drawing from its own
-generator, made from its seed in `build_precoder_set`.  All tolerances
-are relative, and every numerical rank is `sdoflab.matlin`'s.
-`verify_geometry` writes one machine-checkable report per stack and
-keeps the receiver images ``U H_i V_i^L`` that the rate engine reads.
-`build_precoder_set` returns a set whose report passed, or raises a
-:class:`GeometryError`, also for a stack whose ranks differ; no
-`matlin` rank error leaves it.
+generator, made from its seed in `build_precoder_set`.  One relative
+tolerance, ``GEOMETRY_TOL``, holds every residual, and every numerical
+rank is `sdoflab.matlin`'s.  `verify_geometry` writes one report per
+stack and keeps the receiver images ``U H_i V_i^L`` that the rate engine
+reads.  `build_precoder_set` returns a set whose report passed, or
+raises :class:`GeometryError`, the one error of a failed report, a plan
+the channels do not fit, or a stack whose ranks differ.
 """
 
 from dataclasses import dataclass, field
@@ -44,21 +44,12 @@ from . import matlin
 from .matlin import complement, frobenius, nullspace, orthonormal_basis
 from .model import gaussian
 
-ALIGNMENT_TOL = 1e-8
-NULLSPACE_TOL = 1e-8
-ZF_TOL = 1e-8
+GEOMETRY_TOL = 1e-8  # every residual of a geometry report, relative
 
 
 class GeometryError(RuntimeError):
-    """A precoder build failed its geometry; the text names the checks."""
-
-
-class AlignmentInfeasible(GeometryError):
-    """Received signal spaces share too few dimensions for the aligned budget."""
-
-
-class PlanMismatch(GeometryError):
-    """Built matrices do not fit the plan's dimension bookkeeping."""
+    """A precoder build failed its geometry or its plan's dimensions; the
+    text names the failed checks."""
 
 
 @dataclass(frozen=True)
@@ -78,14 +69,12 @@ class GeometryReport:
     def failures(self):
         """One line per failed check: its worst residual against the
         tolerance, or the decode rank against the expected rank."""
-        lines = [f"{name} {value:.3g} exceeds tolerance {tol:g}"
-                 for name, value, tol in (
-                     ("alignment_residual", self.alignment_residual,
-                      ALIGNMENT_TOL),
-                     ("nullspace_residual", self.nullspace_residual,
-                      NULLSPACE_TOL),
-                     ("zf_residual", self.zf_residual, ZF_TOL))
-                 if not value <= tol]
+        lines = [f"{name} {value:.3g} exceeds tolerance {GEOMETRY_TOL:g}"
+                 for name, value in (
+                     ("alignment_residual", self.alignment_residual),
+                     ("nullspace_residual", self.nullspace_residual),
+                     ("zf_residual", self.zf_residual))
+                 if not value <= GEOMETRY_TOL]
         if self.decode_rank != self.expected_rank:
             lines.append(f"decode_rank {self.decode_rank} != expected rank "
                          f"{self.expected_rank}")
@@ -145,7 +134,7 @@ def _aligned_pairs(a, h1, h2, rngs):
     k = r1.shape[-1]
     c = nullspace(np.concatenate([h1 @ r1, -(h2 @ r2)], axis=-1))
     if c.shape[-1] < a:
-        raise AlignmentInfeasible(
+        raise GeometryError(
             f"received signal spaces share {c.shape[-1]} dimensions, "
             f"need {a}")
     pairs = np.concatenate([r1 @ c[..., :k, :], r2 @ c[..., k:, :]], axis=-2)
@@ -167,9 +156,9 @@ def build_jamming(plan, h1, h2, rngs):
 
     Raises
     ------
-    AlignmentInfeasible
+    GeometryError
         When the received signal spaces share fewer dimensions than the
-        aligned budget (a plan/region mismatch).
+        aligned budget, or a channel nullspace than the plan's columns.
     """
     pairs = _aligned_pairs(plan.aligned, h1, h2, rngs)
     out = []
@@ -179,7 +168,7 @@ def build_jamming(plan, h1, h2, rngs):
         if null:
             ns = nullspace(h)
             if ns.shape[-1] < null:
-                raise PlanMismatch(
+                raise GeometryError(
                     f"channel nullspace has dimension {ns.shape[-1]}, "
                     f"plan wants {null}")
             cols.append((ns @ _random_unitary(ns.shape[-1], rngs))[..., :null])
@@ -207,7 +196,7 @@ def build_zero_forcing(h1, h2, v1j, v2j, plan):
 
     Raises
     ------
-    PlanMismatch
+    GeometryError
         When the received jamming space of a trial does not have
         dimension ``plan.j_s``.
     """
@@ -216,7 +205,7 @@ def build_zero_forcing(h1, h2, v1j, v2j, plan):
                            axis=-1)
     u = complement(image).mT
     if u.shape[-2] != image.shape[-2] - plan.j_s:
-        raise PlanMismatch(
+        raise GeometryError(
             f"received jamming space has dimension "
             f"{image.shape[-2] - u.shape[-2]}, plan says {plan.j_s}")
     return u
@@ -234,7 +223,7 @@ def build_legit(plan, v1j, v2j, rngs):
     for vj, d in ((v1j, plan.d1), (v2j, plan.d2)):
         comp = complement(vj)
         if comp.shape[-1] < d:
-            raise PlanMismatch(
+            raise GeometryError(
                 f"complement of the jamming span has dimension "
                 f"{comp.shape[-1]}, plan wants {d} streams")
         mixed = comp @ _random_unitary(comp.shape[-1], rngs)
@@ -256,8 +245,8 @@ def verify_geometry(ps, h1, h2, plan):
     * decodability: rank of ``u [H1 v1l | H2 v2l]`` versus ``d1 + d2``,
       the smallest over the trials.
 
-    The report passes when all residuals are within 1e-8 and every rank
-    matches exactly.  The images ``u (H_i v_il)`` go to ``ps.rx_images``.
+    The report passes when the residuals are within ``GEOMETRY_TOL`` and
+    the rank matches.  The images ``u (H_i v_il)`` go to ``ps.rx_images``.
     """
     (n1, n2), a = plan.null, plan.aligned
     jam = (h1 @ ps.v1j, h2 @ ps.v2j)  # the jamming images H_i V_i^J

@@ -48,13 +48,13 @@ one-trial, one-power reference, ``receiver_rate`` and
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .matlin import logdet_hpd
-from .model import TrialStreams, canonical, sample_channels, sample_eves
+from .model import (TrialStreams, canonical, is_integer, is_number,
+                    sample_channels, sample_eves)
 from .precoders import build_precoder_set, build_unjammed_set
 from .regions import jamming_plan
 
@@ -99,42 +99,36 @@ def fit_slope(p_values, rates):
     return float(slope), float(intercept)
 
 
-class InvalidEveCount(ValueError):
-    """An eavesdropper antenna count is out of range."""
-
-
-def _is_integer(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 def check_inputs(cfg, alpha, p_grid, trials, eve_counts):
-    """Check the inputs of :func:`sweep` as its docstring states them, in
-    its order, and return the powers as floats.  An eavesdropper count
-    outside ``[0, cfg.ne]`` raises :class:`InvalidEveCount`,
-    any other bad value (a non-integer or bool included) ``ValueError``."""
+    """Check the values of :func:`sweep` as its docstring states them, in
+    its order, with a one-line ``ValueError`` (a bool is neither a number
+    nor an integer), and return the powers as floats and the eavesdropper
+    counts, both as lists."""
+    p_grid, eve_counts = list(p_grid), list(eve_counts)
+    for v in p_grid:
+        if not is_number(v):
+            raise ValueError(f"power grid must be finite numbers, got {v!r}")
     p = [float(v) for v in p_grid]
-    if not all(map(math.isfinite, p)):
-        raise ValueError("power grid must be finite")
     if len(p) < 4:
         raise ValueError("power grid needs at least 4 points")
     if any(b <= a for a, b in zip(p, p[1:])) or p[0] <= 0:
         raise ValueError("power grid must be positive and strictly increasing")
     if p[-1] < 1e4 * p[0]:
         raise ValueError("power grid must span at least 4 decades")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not _is_integer(trials):
+    if not (is_number(alpha) and 0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must be a number in (0, 1), got {alpha!r}")
+    if not is_integer(trials):
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     for nej in eve_counts:
-        if not _is_integer(nej):
+        if not is_integer(nej):
             raise ValueError(
                 f"eavesdropper antenna count must be an integer, got {nej!r}")
         if not 0 <= nej <= cfg.ne:
-            raise InvalidEveCount(
+            raise ValueError(
                 f"eavesdropper antenna count {nej} outside [0, {cfg.ne}]")
-    return p
+    return p, eve_counts
 
 
 def _gram(b):
@@ -281,7 +275,7 @@ def sweep(cfg, alpha, p_grid, trials, seed, *, eve_counts=None, jamming=True):
     cfg : AntennaConfig
     alpha : float
         Jamming power fraction, in (0, 1).
-    p_grid : sequence of float
+    p_grid : iterable of numbers
         At least 4 finite, positive, strictly increasing powers spanning
         >= 4 decades.
     trials : int
@@ -289,7 +283,7 @@ def sweep(cfg, alpha, p_grid, trials, seed, *, eve_counts=None, jamming=True):
         is built, a degenerate configuration with jamming raises
         :class:`~sdoflab.regions.DegenerateConfig`.
     seed : int
-    eve_counts : sequence of int, optional
+    eve_counts : iterable of int, optional
         Each an integer in ``[0, cfg.ne]``.  Defaults to a single
         worst-case eavesdropper with ``cfg.ne`` antennas.
     jamming : bool
@@ -298,7 +292,7 @@ def sweep(cfg, alpha, p_grid, trials, seed, *, eve_counts=None, jamming=True):
     """
     if eve_counts is None:
         eve_counts = [cfg.ne] if cfg.ne > 0 else []
-    p_values = check_inputs(cfg, alpha, p_grid, trials, eve_counts)
+    p_values, eve_counts = check_inputs(cfg, alpha, p_grid, trials, eve_counts)
     n_pow, n_eve = len(p_values), len(eve_counts)
     # One row per trial: its rates, worst leakage per power, and each
     # eavesdropper's leakage at the first and at the last power.

@@ -603,6 +603,15 @@ class TestEquivocationTable:
             assert mean == (sum(r[1] for r in rows) / 3,
                             sum(r[2] for r in rows) / 3)
 
+    def test_one_shot_inputs(self):
+        # A generator of block lengths and an iterator of seeds are each
+        # read once, and give the table that lists give.
+        lists = equivocation_table([4, 8], 0.5, 0.75, 0.25, [0, 1, 2])
+        assert equivocation_table((n for n in [4, 8]), 0.5, 0.75, 0.25,
+                                  iter([0, 1, 2])) == lists
+        assert all(len(rows) == 3 and mean is not None
+                   for _, rows, mean in lists)
+
     @pytest.mark.parametrize("n", [True, 4.0])
     def test_non_integer_block_length(self, n):
         with pytest.raises(ValueError,

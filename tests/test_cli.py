@@ -231,11 +231,14 @@ class TestSimulateBadInput:
 
     @pytest.mark.parametrize("overrides", [
         {"alpha": 1.5}, {"trials": 0}, {"eve_counts": [5]},
-        {"p_grid": [1e3, 1e5, 1e7]}], ids=["alpha", "trials", "eve_counts",
-                                            "p_grid"])
+        {"p_grid": [1e3, 1e5, 1e7]}, {"alpha": "0.5"}, {"trials": 2.5},
+        {"eve_counts": [1.0]}, {"p_grid": [1e3, True, 1e7, 1e9]}],
+        ids=["alpha", "trials", "eve_counts", "p_grid", "alpha-type",
+             "trials-type", "eve_counts-entry", "p_grid-entry"])
     def test_range_check_is_the_engine_check(self, tmp_path, capsys,
                                              overrides):
-        # The CLI rejects a value out of range with rates.sweep's message.
+        # The CLI rejects a value out of range, or not a number or an
+        # integer, with rates.sweep's message.
         cfg = write_config(tmp_path / "exp.json", **overrides)
         assert cli.main(["simulate", "--config", str(cfg),
                          "--out", str(tmp_path / "bad")]) == 1
@@ -307,8 +310,10 @@ class TestSimulateBadInput:
 
     def test_failed_geometry_names_the_check(self, tmp_path, capsys,
                                              monkeypatch):
-        # Every zero-forcing residual exceeds a zero tolerance.
-        monkeypatch.setattr(precoders, "ZF_TOL", 0.0)
+        # Every zero-forcing residual exceeds a zero tolerance; the
+        # plan of (2, 2, 4, 1) jams the receiver with random columns
+        # only, so no other residual is measured.
+        monkeypatch.setattr(precoders, "GEOMETRY_TOL", 0.0)
         cfg = write_config(tmp_path / "exp.json")
         assert cli.main(["simulate", "--config", str(cfg),
                          "--out", str(tmp_path / "geo")]) == 2

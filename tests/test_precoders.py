@@ -8,8 +8,7 @@ from sdoflab.cli import iter_canonical_configs
 from sdoflab.matlin import RaggedRank, nullspace
 from sdoflab.model import (AntennaConfig, TrialStreams, sample_channels,
                            sample_eves)
-from sdoflab.precoders import (AlignmentInfeasible, GeometryError,
-                               PlanMismatch, PrecoderSet, build_jamming,
+from sdoflab.precoders import (GeometryError, PrecoderSet, build_jamming,
                                build_legit, build_precoder_set,
                                build_unjammed_set, build_zero_forcing,
                                secure_dof_certificate, verify_geometry)
@@ -75,7 +74,7 @@ class TestBuildJamming:
         # two 2-dim received spaces in ambient 3 share 1 dimension < 2
         h1, h2 = np.random.default_rng(3).standard_normal((2, 1, 3, 2))
         bad = JammingPlan((0, 0), 2, (0, 0), 0, 0)
-        with pytest.raises(AlignmentInfeasible,
+        with pytest.raises(GeometryError,
                            match="^received signal spaces share 1 "
                                  "dimensions, need 2$"):
             build_jamming(bad, h1, h2, [np.random.default_rng(0)])
@@ -121,12 +120,13 @@ class TestZeroForcing:
         assert ps.u.shape == (4, 4)
 
     def test_plan_mismatch_detected(self):
-        from sdoflab.precoders import PlanMismatch
         cfg, plan, (h1, h2), ps = built((2, 2, 4, 1))
         wrong = jamming_plan(AntennaConfig(2, 2, 4, 2))
         for args in ((h1, h2, ps.v1j, ps.v2j),
                      (h1[None], h2[None], ps.v1j[None], ps.v2j[None])):
-            with pytest.raises(PlanMismatch):
+            with pytest.raises(GeometryError,
+                               match=r"^received jamming space has dimension "
+                                     r"2, plan says 4$"):
                 build_zero_forcing(*args, wrong)
 
 
@@ -151,11 +151,12 @@ class TestBuildLegit:
         assert ps.v1l.shape == (4, 2) and ps.v2l.shape == (4, 4)
 
     def test_plan_mismatch_when_overbooked(self):
-        from sdoflab.precoders import PlanMismatch
         cfg, plan, (h1, h2), ps = built((2, 2, 4, 1))
         from dataclasses import replace
         greedy = replace(plan, d1=2 * cfg.m1)
-        with pytest.raises(PlanMismatch):
+        with pytest.raises(GeometryError,
+                           match="^complement of the jamming span has "
+                                 "dimension 2, plan wants 4 streams$"):
             build_legit(greedy, ps.v1j[None], ps.v2j[None],
                         [np.random.default_rng(0)])
 
@@ -381,11 +382,11 @@ class TestStackedBuild:
                 assert getattr(stacked, name)[t].tobytes() == \
                     getattr(own, name)[0].tobytes(), name
 
-    @pytest.mark.parametrize("cfg_tuple,error", [
-        ((2, 1, 2, 1), AlignmentInfeasible),
-        ((2, 1, 3, 2), PlanMismatch),
-    ])
-    def test_odd_trial_raises_its_own_error(self, cfg_tuple, error):
+    @pytest.mark.parametrize("cfg_tuple,message", [
+        ((2, 1, 2, 1), "received signal spaces share 0 dimensions, need 1"),
+        ((2, 1, 3, 2), "received jamming space has dimension 2, plan says 4"),
+    ], ids=["cfg_tuple0-AlignmentInfeasible", "cfg_tuple1-PlanMismatch"])
+    def test_odd_trial_raises_its_own_error(self, cfg_tuple, message):
         # A repeated antenna drops trial 1's channel rank, so its
         # dimensions differ from the other trials' on the way.
         cfg = AntennaConfig(*cfg_tuple)
@@ -393,10 +394,10 @@ class TestStackedBuild:
         h1, h2 = sample_channels(cfg, [1, 2, 3])
         repeat_antenna(h1, 1)
         seeds = [10, 11, 12]
-        assert issubclass(error, GeometryError)  # what simulate maps to exit 2
-        with pytest.raises(error) as own:
+        # GeometryError is what simulate maps to exit 2
+        with pytest.raises(GeometryError, match=f"^{message}$") as own:
             build_precoder_set(plan, h1[1:2], h2[1:2], seeds[1:2])
-        with pytest.raises(error) as stacked:
+        with pytest.raises(GeometryError) as stacked:
             build_precoder_set(plan, h1, h2, seeds)
         assert str(stacked.value) == str(own.value)
 
@@ -433,14 +434,17 @@ class TestStackedBuild:
         assert isinstance(stacked.value.__cause__, RaggedRank)
 
     def test_failed_report_raises_its_failures(self, monkeypatch):
-        cfg = AntennaConfig(2, 2, 3, 1)
+        # The plan's only receiver jamming is random columns, so no
+        # alignment or nullspace residual is measured.
+        cfg = AntennaConfig(2, 2, 4, 1)
         plan = jamming_plan(cfg)
+        assert (plan.null, plan.aligned, plan.random) == ((0, 0), 0, (2, 0))
         h1, h2 = sample_channels(cfg, [1, 2])
         rep = build_precoder_set(plan, h1, h2, [10, 11]).geometry
         assert rep.passed
         # Every zero-forcing residual exceeds a zero tolerance, and the
-        # report reads the tolerances when asked.
-        monkeypatch.setattr(precoders, "ZF_TOL", 0.0)
+        # report reads the tolerance when asked.
+        monkeypatch.setattr(precoders, "GEOMETRY_TOL", 0.0)
         assert rep.failures() == [
             f"zf_residual {rep.zf_residual:.3g} exceeds tolerance 0"]
         assert not rep.passed

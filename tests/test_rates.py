@@ -12,7 +12,7 @@ from sdoflab.model import (AntennaConfig, TrialStreams, canonical,
                            sample_channels, sample_eves)
 from sdoflab.precoders import (GeometryError, PrecoderSet, build_precoder_set,
                                build_unjammed_set)
-from sdoflab.rates import InvalidEveCount, fit_slope, sweep
+from sdoflab.rates import fit_slope, sweep
 from sdoflab.regions import DegenerateConfig, jamming_plan
 
 P_GRID = [10.0 ** k for k in range(3, 10)]
@@ -196,6 +196,22 @@ class TestSweep:
                 sweep(AntennaConfig(2, 2, 4, 1), alpha, grid, 2, 0)
         assert sizes == []
 
+    @pytest.mark.parametrize("grid,alpha,message", [
+        (["1e3", "1e5", "1e7", "1e9"], 0.5,
+         "power grid must be finite numbers, got '1e3'"),
+        ([True, 1e5, 1e7, 1e9], 0.5,
+         "power grid must be finite numbers, got True"),
+        (P_GRID, "0.5", "alpha must be a number in (0, 1), got '0.5'"),
+        (P_GRID, None, "alpha must be a number in (0, 1), got None"),
+    ])
+    def test_non_number_rejected(self, monkeypatch, grid, alpha, message):
+        # one ValueError line, with the value's repr, before any block
+        sizes = block_sizes(monkeypatch)
+        with pytest.raises(ValueError) as exc:
+            sweep(AntennaConfig(2, 2, 4, 1), alpha, grid, 2, 0)
+        assert str(exc.value) == message
+        assert sizes == []
+
     def test_non_canonical_input_accepted(self):
         a = sweep(AntennaConfig(1, 3, 2, 2), 0.5, P_GRID, 3, 7)
         b = sweep(AntennaConfig(3, 1, 2, 2), 0.5, P_GRID, 3, 7)
@@ -251,7 +267,9 @@ class TestTrialEngine:
     def test_bad_eve_count_rejected(self, monkeypatch, eve_counts):
         # rejected before the first block is built
         sizes = block_sizes(monkeypatch)
-        with pytest.raises(InvalidEveCount):
+        bad = next(c for c in eve_counts if not 0 <= c <= 2)
+        with pytest.raises(ValueError, match=rf"^eavesdropper antenna count "
+                                             rf"{bad} outside \[0, 2\]$"):
             sweep(AntennaConfig(3, 1, 2, 2), 0.5, P_GRID, 3, 5,
                   eve_counts=eve_counts)
         assert sizes == []
@@ -271,8 +289,14 @@ class TestTrialEngine:
             sweep(AntennaConfig(2, 2, 3, 1), 0.5, P_GRID, trials, 5,
                   eve_counts=eve_counts)
         assert "\n" not in str(exc.value)
-        assert not isinstance(exc.value, InvalidEveCount)
         assert sizes == []
+
+    def test_any_iterable_of_eve_counts(self):
+        # An array or a one-shot generator runs as the list it holds.
+        cfg = AntennaConfig(3, 1, 2, 2)
+        want = sweep(cfg, 0.5, P_GRID, 3, 5, eve_counts=[1, 0])
+        for counts in (np.array([1, 0]), (c for c in [1, 0])):
+            assert sweep(cfg, 0.5, P_GRID, 3, 5, eve_counts=counts) == want
 
     def test_numpy_integers_accepted(self):
         cfg = AntennaConfig(2, 2, 3, 1)
@@ -280,14 +304,16 @@ class TestTrialEngine:
                      eve_counts=[np.int64(1)]) == sweep(cfg, 0.5, P_GRID, 2, 5)
 
     def test_failed_geometry_raises_before_any_rate(self, monkeypatch):
-        # Every zero-forcing residual exceeds a zero tolerance.
-        monkeypatch.setattr(precoders, "ZF_TOL", 0.0)
+        # Every zero-forcing residual exceeds a zero tolerance, and the
+        # plan's only receiver jamming is random columns, so no other
+        # residual is measured.
+        monkeypatch.setattr(precoders, "GEOMETRY_TOL", 0.0)
         calls = []
         for name in ("_block_receiver_rates", "_block_leakage"):
             monkeypatch.setattr(rates_mod, name,
                                 lambda *args, name=name: calls.append(name))
         with pytest.raises(GeometryError, match=r"^zf_residual .* 0$"):
-            sweep(AntennaConfig(2, 2, 3, 1), 0.5, P_GRID, 3, 5)
+            sweep(AntennaConfig(2, 2, 4, 1), 0.5, P_GRID, 3, 5)
         assert calls == []
 
     @pytest.mark.parametrize("trials", [0, -3])
@@ -432,7 +458,8 @@ class TestSeedBoundary:
     @pytest.mark.parametrize("jamming", [True, False])
     @pytest.mark.parametrize("seed,trials,error", [
         (-1, 3, ValueError), (1.5, 3, TypeError), ("5", 3, TypeError),
-        (None, 3, TypeError), (5, 2**32 + 1, ValueError)])
+        (None, 3, TypeError), (True, 3, TypeError),
+        (5, 2**32 + 1, ValueError)])
     def test_rejected_before_any_trial(self, monkeypatch, seed, trials,
                                        error, jamming):
         sizes = block_sizes(monkeypatch)

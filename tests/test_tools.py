@@ -39,6 +39,11 @@ def test_bench_pairs_rejects_fewer_than_two_pairs(bench_pairs, monkeypatch,
     assert "--pairs must be at least 2" in capsys.readouterr().err
 
 
+def test_bench_pairs_exports_with_compare_outputs(bench_pairs):
+    # one git-archive export serves both tools
+    assert bench_pairs.export.__module__ == "compare_outputs"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--parent", "HEAD"], "the following arguments are required: --change"),
     (["--change", "HEAD"], "the following arguments are required: --parent"),

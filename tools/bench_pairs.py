@@ -32,6 +32,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from compare_outputs import export  # noqa: E402  (tools/ is not a package)
+
 BENCHMARK = json.loads(
     (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
 SECONDS = BENCHMARK["run_seconds"]
@@ -39,18 +42,11 @@ WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 METRICS = ("cmd_p50_s", "peak_rss_mb", "setup_s", "wall_s")  # lower is better
 
 
-def export(side, scratch, name):
-    """Export revision ``side`` under ``scratch``; returns (tree, revision)."""
-    tree = Path(scratch) / name
-    tree.mkdir()
-    archive = subprocess.run(["git", "archive", side], check=True,
-                             capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
-    src_tree = subprocess.run(["git", "rev-parse", f"{side}:src"], check=True,
-                              capture_output=True, text=True).stdout.strip()
-    commit = subprocess.run(["git", "rev-parse", side], check=True,
-                            capture_output=True, text=True).stdout.strip()
-    return tree, {"commit": commit, "src_tree": src_tree}
+def revision(side):
+    """The commit of revision ``side`` and the tree of its ``src``."""
+    return {key: subprocess.run(["git", "rev-parse", rev], check=True,
+                                capture_output=True, text=True).stdout.strip()
+            for key, rev in (("commit", side), ("src_tree", f"{side}:src"))}
 
 
 def run_once(tree, workload, seed):
@@ -159,17 +155,18 @@ def main(argv=None):
         parser.error("--pairs must be at least 2: the parent's quartile "
                      "spread needs two runs")
 
+    revs = {side: revision(getattr(args, side))
+            for side in ("parent", "change")}
     with tempfile.TemporaryDirectory() as scratch:
-        parent_tree, parent_rev = export(args.parent, scratch, "parent")
-        change_tree, change_rev = export(args.change, scratch, "change")
-        trees = {"parent": parent_tree, "change": change_tree}
+        trees = {side: export(rev["commit"], scratch, side)
+                 for side, rev in revs.items()}
         pairs, environment = run_pairs(trees, WORKLOADS, args.pairs, args.seed)
         if args.confirm_seed is not None:
             confirm, _ = run_pairs(trees, [args.confirm_workload],
                                    args.pairs, args.confirm_seed)
 
     bench = {
-        "change": change_rev,
+        "change": revs["change"],
         "claim": args.claim,
         "environment": environment,
         "medians": {w: medians(p) for w, p in pairs.items()},
@@ -181,7 +178,7 @@ def main(argv=None):
         "notes": args.note,
         "outputs": {w: outputs(p) for w, p in pairs.items()},
         "pairs": pairs,
-        "parent": parent_rev,
+        "parent": revs["parent"],
     }
     if args.confirm_seed is not None:
         bench["confirm"] = {

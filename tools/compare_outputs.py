@@ -1,9 +1,9 @@
 """Compare the output files of two revisions, file by file.
 
 Each side is a git revision, exported with ``git archive`` into a fresh
-scratch directory, as ``tools/bench_pairs.py`` does.  On each export one
-child process runs these commands through ``sdoflab.cli.main``, each
-with its stdout kept in ``<name>.out``:
+scratch directory by `export`, which ``tools/bench_pairs.py`` uses too.
+On each export one child process runs these commands through
+``sdoflab.cli.main``, each with its stdout kept in ``<name>.out``:
 
 * ``grid-verify 8`` and ``grid-verify 10`` (the CSV, and the summary
   line in the ``.out`` file);
