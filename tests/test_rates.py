@@ -289,6 +289,8 @@ class TestTrialEngine:
             sweep(AntennaConfig(2, 2, 3, 1), 0.5, P_GRID, trials, 5,
                   eve_counts=eve_counts)
         assert "\n" not in str(exc.value)
+        # the type message, not the range message ("... outside [0, 1]")
+        assert " must be an integer, got " in str(exc.value)
         assert sizes == []
 
     def test_any_iterable_of_eve_counts(self):
