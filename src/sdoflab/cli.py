@@ -20,6 +20,7 @@ import functools
 import io
 import json
 import os
+import stat
 import sys
 from dataclasses import MISSING, dataclass, fields
 
@@ -64,18 +65,55 @@ def _fail(msg, code):
     return code
 
 
-def _write_csv(path, header, rows):
-    """Write ``header`` and ``rows`` as CSV to ``path``, or to stdout
-    when ``path`` is empty or None."""
+def _csv_text(header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` as CSV to ``path``, or to stdout
+    when ``path`` is empty or None."""
+    text = _csv_text(header, rows)
     if path:
-        with open(path, "w", newline="") as fh:
-            fh.write(buf.getvalue())
+        _write_outputs({path: text})
     else:
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(text)
+
+
+def _write_outputs(outputs):
+    """Write each ``path: text`` of ``outputs`` (ASCII) over the file's old
+    bytes, then cut a regular file to the new length.  A new file gets mode
+    0o666 before the umask, as with ``open(path, "w")``; an old one keeps
+    its inode, mode and hard links, a symlink is written through, and a
+    FIFO or device gets no truncate.  Every path is opened before any is
+    written, so one that cannot be opened leaves the others as they were;
+    on any error the files this call created are removed."""
+    opened = []  # (fd, whether this call created the file)
+    try:
+        for path in outputs:  # no O_TRUNC: the old bytes are overwritten
+            flags = os.O_WRONLY | os.O_CREAT
+            try:
+                opened.append((os.open(path, flags | os.O_EXCL, 0o666), True))
+            except FileExistsError:
+                opened.append((os.open(path, flags, 0o666), False))
+        for (fd, created), text in zip(opened, outputs.values()):
+            data = text.encode()
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if not created and stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+    except OSError:
+        for (_, created), path in zip(opened, outputs):
+            if created:
+                os.unlink(path)
+        raise
+    finally:
+        for fd, _ in opened:
+            os.close(fd)
 
 
 @dataclass
@@ -242,12 +280,11 @@ def cmd_simulate(args):
         "abs_error": abs(result.slope - float(ds)),
         "leakage_delta": result.leakage_delta,
     }
-    _write_csv(f"{stem}.csv", SIM_CSV_HEADER,
-               ([repr(pt.p), repr(pt.rate_rx), repr(pt.leak_max),
-                 repr(pt.secrecy)] for pt in result.points))
-    with open(f"{stem}.json", "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_outputs({
+        f"{stem}.csv": _csv_text(
+            SIM_CSV_HEADER, ([repr(pt.p), repr(pt.rate_rx), repr(pt.leak_max),
+                              repr(pt.secrecy)] for pt in result.points)),
+        f"{stem}.json": json.dumps(summary, sort_keys=True, indent=2) + "\n"})
     print(f"slope {result.slope:.4f} vs theory {ds} "
           f"(leakage delta {result.leakage_delta:.4f} bits); wrote {stem}.csv, {stem}.json")
     return 0

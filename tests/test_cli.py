@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -586,6 +587,126 @@ class TestBinningCommand:
         cli.main(["binning", "--n-list", "4,8", "--num-seeds", "2",
                   "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+# stale bytes, longer than any output the tests below write
+STALE = b"stale 9.99e99,\n" * 8000
+
+
+def output_run(command, tmp_path, name):
+    """The argv of a small ``command`` run whose outputs are named after
+    ``tmp_path / name``, and the paths of those outputs."""
+    out = str(tmp_path / name)
+    if command == "simulate":
+        cfg = write_config(tmp_path / "exp.json")
+        return (["simulate", "--config", str(cfg), "--out", out],
+                [Path(out + ".csv"), Path(out + ".json")])
+    argv = {"grid-verify": ["grid-verify", "2"],
+            "binning": ["binning", "--n-list", "4", "--num-seeds", "1"]}
+    return argv[command] + ["--out", out], [Path(out)]
+
+
+def run_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
+@pytest.mark.parametrize("command", ["simulate", "grid-verify", "binning"])
+class TestOutputReplacement:
+    """An output is written over its old bytes and cut to length: a rerun
+    leaves the same bytes as a fresh run in the same file."""
+
+    def fresh(self, command, tmp_path):
+        argv, paths = output_run(command, tmp_path, "fresh")
+        assert run_quietly(argv) == 0
+        return [path.read_bytes() for path in paths]
+
+    def test_shorter_output_over_stale_file(self, command, tmp_path):
+        argv, paths = output_run(command, tmp_path, "run")
+        for path in paths:
+            path.write_bytes(STALE)
+        assert run_quietly(argv) == 0
+        assert [path.read_bytes() for path in paths] == \
+            self.fresh(command, tmp_path)
+
+    @pytest.mark.parametrize("target_exists", [True, False],
+                             ids=["target", "dangling"])
+    def test_symlink_written_through(self, command, tmp_path, target_exists):
+        argv, paths = output_run(command, tmp_path, "run")
+        targets = [tmp_path / f"target-{k}" for k in range(len(paths))]
+        for path, target in zip(paths, targets):
+            if target_exists:
+                target.write_bytes(STALE)
+            path.symlink_to(target)
+        assert run_quietly(argv) == 0
+        assert all(path.is_symlink() for path in paths)
+        assert [target.read_bytes() for target in targets] == \
+            self.fresh(command, tmp_path)
+
+    def test_inode_mode_and_hard_link_kept(self, command, tmp_path):
+        argv, paths = output_run(command, tmp_path, "run")
+        links = [tmp_path / f"link-{k}" for k in range(len(paths))]
+        for path, link in zip(paths, links):
+            path.write_bytes(STALE)
+            path.chmod(0o640)
+            link.hardlink_to(path)
+        before = [path.stat() for path in paths]
+        assert run_quietly(argv) == 0
+        after = [path.stat() for path in paths]
+        assert [(s.st_ino, s.st_mode) for s in after] == \
+            [(s.st_ino, s.st_mode) for s in before]
+        assert [link.read_bytes() for link in links] == \
+            self.fresh(command, tmp_path)
+
+    def test_new_file_mode_as_open_gives(self, command, tmp_path):
+        argv, paths = output_run(command, tmp_path, "run")
+        assert run_quietly(argv) == 0
+        with open(tmp_path / "by-open", "w"):
+            pass
+        mode = (tmp_path / "by-open").stat().st_mode
+        assert [path.stat().st_mode for path in paths] == [mode] * len(paths)
+
+    @pytest.mark.skipif(os.geteuid() == 0,
+                        reason="root writes a read-only file")
+    def test_read_only_output_unchanged(self, command, tmp_path, capsys):
+        argv, paths = output_run(command, tmp_path, "run")
+        for path in paths:
+            path.write_bytes(STALE)
+            path.chmod(0o444)
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("file error: ") and err.count("\n") == 1, err
+        assert [path.read_bytes() for path in paths] == [STALE] * len(paths)
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid-verify", "2", "--out", os.devnull],
+    ["binning", "--n-list", "4", "--num-seeds", "1", "--out", os.devnull],
+], ids=["grid-verify", "binning"])
+def test_output_to_device(argv):
+    # a device gets no truncate, as the kernel ignores O_TRUNC on one
+    assert run_quietly(argv) == 0
+
+
+class TestSimulateUnopenableOutput:
+    """``x.json`` cannot be opened: ``simulate`` leaves ``x.csv`` as it
+    found it."""
+
+    def run(self, tmp_path, capsys):
+        argv, (csv_path, json_path) = output_run("simulate", tmp_path, "x")
+        json_path.mkdir()
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"file error: [Errno 21] Is a directory: " \
+                      f"'{json_path}'\n"
+        return csv_path
+
+    def test_existing_first_output_unchanged(self, tmp_path, capsys):
+        (tmp_path / "x.csv").write_bytes(STALE)
+        assert self.run(tmp_path, capsys).read_bytes() == STALE
+
+    def test_created_first_output_removed(self, tmp_path, capsys):
+        assert not self.run(tmp_path, capsys).exists()
 
 
 class TestUsageErrors:

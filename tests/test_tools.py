@@ -1,8 +1,11 @@
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
 import pytest
 
+from sdoflab import cli
 from sdoflab.cli import iter_canonical_configs
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -101,6 +104,42 @@ def test_compare_outputs_runs_the_documented_commands(compare_outputs):
     assert cfg["p_grid"] == [1e3, 1e5, 1e7, 1e9]
 
 
+def test_compare_outputs_names_every_output(compare_outputs):
+    configs, commands = compare_outputs.commands()
+    paths = compare_outputs.output_paths(commands)
+    assert paths[:6] == ["grid-8.csv", "grid-10.csv", "binning.csv",
+                         "binning-rate-1-0.5.csv", "binning-n16.csv",
+                         "binning-rate-0.csv"]
+    assert paths[6:8] == ["sim-2-2-4-1-jam.csv", "sim-2-2-4-1-jam.json"]
+    assert len(paths) == len(set(paths)) == 6 + 2 * 2 * 10 + 2 * 200
+
+
+def test_compare_outputs_runs_over_stale_outputs(compare_outputs,
+                                                 monkeypatch, tmp_path):
+    # every output path holds a stale file, longer than any output, when
+    # the commands start
+    seen = {}
+
+    def child(argv, cwd, env, check):
+        for path in cwd.iterdir():
+            with open(path, "rb") as fh:
+                seen[path.name] = (fh.read(len(compare_outputs.STALE)),
+                                   path.stat().st_size)
+
+    monkeypatch.setattr(compare_outputs.subprocess, "run", child)
+    compare_outputs.run(tmp_path / "tree", tmp_path / "out")
+    configs, commands = compare_outputs.commands()
+    stale = {name: seen.pop(name)
+             for name in compare_outputs.output_paths(commands)}
+    assert sorted(seen) == sorted(configs)
+    assert set(stale.values()) == \
+        {(compare_outputs.STALE, compare_outputs.STALE_BYTES)}
+    largest = tmp_path / "grid-10.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["grid-verify", "10", "--out", str(largest)]) == 0
+    assert largest.stat().st_size < compare_outputs.STALE_BYTES
+
+
 def test_compare_outputs_two_trial_set_is_the_canonical_grid(
         compare_outputs):
     assert compare_outputs.two_trial_configs() == \
@@ -134,6 +173,21 @@ def test_compare_outputs_exit_status(compare_outputs, monkeypatch, capsys,
                                  "--change", "HEAD"]) == status
     assert capsys.readouterr().out.splitlines() == \
         ["parent HEAD~1, change HEAD", *verdicts]
+
+
+def test_compare_outputs_reports_a_stale_summary(compare_outputs,
+                                                 tmp_path):
+    # a summary with a stale tail is a difference, not a crash
+    summary = '{"leakage_delta": 0.25, "slope": 2.5}\n'
+    for side, tail in (("parent", ""), ("change", "stale output\n")):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "sim-1-jam.json").write_text(summary + tail)
+    lines, same = compare_outputs.report(tmp_path / "parent",
+                                         tmp_path / "change")
+    assert lines == ["sim-1-jam.json: differs outside its numbers"]
+    assert same is False
+    assert compare_outputs.slopes(summary, summary) == \
+        "; slope 2.5000 -> 2.5000; leakage_delta 0.2500 -> 0.2500"
 
 
 @pytest.mark.parametrize("change_texts,summary,same", [

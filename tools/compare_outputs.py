@@ -19,6 +19,12 @@ On each export one child process runs these commands through
   each with 2 trials, seed 42, ``eve_counts [ne]``, alpha 0.5 and the
   powers 1e3, 1e5, 1e7, 1e9.
 
+Before a side runs, every output path of these commands holds a stale
+file: a line of text padded with NUL bytes to ``STALE_BYTES``, longer
+than any output.  A command that writes over an old file without
+cutting it to length leaves part of the stale file behind, and that file
+differs.
+
 For every file it prints ``identical``, or the largest relative
 difference between the numbers of the two sides (or that the text
 around the numbers differs).  For each ``simulate`` summary it also
@@ -49,6 +55,12 @@ TWO_TRIAL = "two-trial-"  # name prefix of the two-trial set's files
 TWO_TRIAL_MAX_ANTENNAS = 4
 TWO_TRIAL_SETTINGS = {"alpha": 0.5, "p_grid": [1e3, 1e5, 1e7, 1e9],
                       "trials": 2, "seed": 42}
+
+# An output path's content before a side runs: this line, padded with NUL
+# bytes (a sparse tail) to STALE_BYTES; grid-10.csv, the largest output,
+# is 219 KB.
+STALE = b"stale output\n"
+STALE_BYTES = 1 << 20
 
 # Runs in the export: argv[1] is a JSON list of [name, cli argv] pairs.
 CHILD = """\
@@ -115,12 +127,27 @@ def commands():
     return configs, cmds
 
 
+def output_paths(cmds):
+    """The files that the ``[name, cli argv]`` commands ``cmds`` write."""
+    paths = []
+    for _, argv in cmds:
+        out = argv[argv.index("--out") + 1]
+        paths += [f"{out}.csv", f"{out}.json"] if argv[0] == "simulate" \
+            else [out]
+    return paths
+
+
 def run(tree, out):
-    """Run every command on the export ``tree``, writing into ``out``."""
+    """Run every command on the export ``tree``, writing into ``out``
+    over stale files."""
     out.mkdir()
     configs, cmds = commands()
     for name, cfg in configs.items():
         (out / name).write_text(json.dumps(cfg))
+    for path in output_paths(cmds):
+        with open(out / path, "wb") as fh:
+            fh.write(STALE)
+            fh.truncate(STALE_BYTES)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     subprocess.run([sys.executable, "-c", CHILD, json.dumps(cmds)],
                    cwd=out, env=env, check=True)
@@ -164,6 +191,17 @@ def summary(pairs):
     return line
 
 
+def slopes(a, b):
+    """Both sides' slope and ``leakage_delta`` from the summaries ``a``
+    and ``b``, or nothing when a side is not a summary (a stale file)."""
+    try:
+        sides = [json.loads(text) for text in (a, b)]
+    except ValueError:
+        return ""
+    return "".join(f"; {key} {sides[0][key]:.4f} -> {sides[1][key]:.4f}"
+                   for key in ("slope", "leakage_delta"))
+
+
 def report(parent, change):
     """One line per output file of the ``parent`` run, one for the
     two-trial set, and whether every file is identical."""
@@ -184,10 +222,7 @@ def report(parent, change):
         verdict = compare(a, b)
         line = f"{path.name}: {verdict}"
         if path.name.startswith("sim-") and path.suffix == ".json":
-            sides = [json.loads(text) for text in (a, b)]
-            line += "".join(f"; {key} {sides[0][key]:.4f} -> "
-                            f"{sides[1][key]:.4f}"
-                            for key in ("slope", "leakage_delta"))
+            line += slopes(a, b)
         lines.append(line)
     if two_trial:
         lines.append(summary(two_trial))
