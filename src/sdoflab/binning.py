@@ -12,14 +12,15 @@ instead of bounded: the main channel is noiseless (all codewords are
 distinct) and the eavesdropper sees the codeword through a per-bit
 erasure channel.  The bins are the cosets of a random linear code, the
 wiretap-II construction of Ozarow and Wyner ("Wire-tap channel II",
-BSTJ 1984): a full-rank binary generator ``G`` whose first rows carry
-the message ``W`` and whose other rows ``G_r`` carry the in-bin
-randomness.  An eavesdropper who sees the positions ``O`` then learns
-exactly ``rank(G_O) - rank(G_r,O)`` bits of ``W``, which is
-``k_secret - dim C(S) + dim C_r(S)`` with ``C(S)`` the codewords supported
-inside the erased set ``S``.  One subset-sum transform over the codeword
-supports counts both for all ``2^n`` patterns, so ``H(W | Z)`` is exact
-up to ``n = 16`` bits.
+BSTJ 1984).  A code is its generator: a full-rank binary ``G`` whose
+first ``k_secret`` rows carry the message ``W`` and whose other rows
+``G_r`` carry the in-bin randomness; the block length ``n`` is the
+number of columns of ``G``.  An eavesdropper who sees the positions
+``O`` then learns exactly ``rank(G_O) - rank(G_r,O)`` bits of ``W``,
+which is ``k_secret - dim C(S) + dim C_r(S)`` with ``C(S)`` the
+codewords supported inside the erased set ``S``.  One subset-sum
+transform over the codeword supports counts both for all ``2^n``
+patterns, so ``H(W | Z)`` is exact up to ``n = 16`` bits.
 """
 
 import math
@@ -36,10 +37,6 @@ class CodeTooLarge(ValueError):
     """Requested codebook does not fit the block length or budget."""
 
 
-class DependentRows(ValueError):
-    """Generator rows are linearly dependent over GF(2)."""
-
-
 @dataclass(frozen=True)
 class EraseChannel:
     """Per-bit erasure channel with erasure probability ``delta``."""
@@ -50,6 +47,20 @@ class EraseChannel:
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"erasure probability must be in [0, 1], "
                              f"got {self.delta}")
+
+
+def _check_block_length(n):
+    if not is_integer(n):
+        raise ValueError(f"block length must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"block length must be at least 1, got {n}")
+    if n > MAX_BLOCK_BITS:
+        raise CodeTooLarge(f"block length {n} exceeds budget {MAX_BLOCK_BITS}")
+
+
+def _check_seed(seed):
+    if not (is_integer(seed) and seed >= 0):
+        raise ValueError(f"code seed must be a nonnegative integer, got {seed!r}")
 
 
 def _integral_bits(n, rate, what):
@@ -64,17 +75,11 @@ def _code_bits(n, rate_total, rate_secret):
 
     Raises the errors :func:`build_code` documents.
     """
-    if not is_integer(n):
-        raise ValueError(f"block length must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"block length must be at least 1, got {n}")
+    _check_block_length(n)  # before the rate products: a huge n overflows them
     for name, rate in (("rate_total", rate_total),
                        ("rate_secret", rate_secret)):
         if rate < 0:
             raise ValueError(f"{name} must be nonnegative, got {rate}")
-    # Before the rate products: a huge int n overflows a float product.
-    if n > MAX_BLOCK_BITS:
-        raise CodeTooLarge(f"block length {n} exceeds budget {MAX_BLOCK_BITS}")
     k_total = _integral_bits(n, rate_total, "rate_total")
     k_secret = _integral_bits(n, rate_secret, "rate_secret")
     if k_secret > k_total:
@@ -99,39 +104,38 @@ def _row_rank(G):
 
 @dataclass(frozen=True)
 class WiretapCode:
-    """A coset code ``C(rate_total, rate_secret, n)`` given by its generator.
+    """A coset code: its generator ``G`` and its message bits ``k_secret``.
 
-    ``G`` is a full-rank ``(n * rate_total, n)`` matrix over GF(2).  The
+    ``G`` is a full-rank ``(k_total, n)`` matrix over GF(2).  The
     codeword of message ``w`` and in-bin index ``v`` is ``[w | v] G``:
     rows ``0 .. k_secret - 1`` carry ``w``, the other rows ``G_r`` carry
     ``v``, and position ``j`` is column ``j``.  Full rank makes all
     codewords distinct, so the noiseless main channel decodes by exact
-    lookup.  Raises ``ValueError`` on bad sizes (as :func:`build_code`)
-    or a generator of the wrong shape, with an entry other than 0 and 1,
-    or of deficient rank (:class:`DependentRows`).
+    lookup.  Raises ``ValueError`` unless ``G`` is a 2-D 0/1 matrix with
+    at least one column and rows independent over GF(2) and ``k_secret``
+    is an integer in ``[0, k_total]``, and :class:`CodeTooLarge` past
+    ``MAX_BLOCK_BITS`` columns.
     """
 
-    n: int
-    rate_total: float
-    rate_secret: float
     G: np.ndarray
+    k_secret: int
 
     def __post_init__(self):
-        k_total, _ = _code_bits(self.n, self.rate_total, self.rate_secret)
-        shape = np.shape(self.G)
-        if shape != (k_total, self.n):
-            raise ValueError(f"generator must have shape ({k_total}, {self.n}), "
-                             f"got {shape}")
         G = np.asarray(self.G)
+        if G.ndim != 2:
+            raise ValueError(f"generator must be 2-D, got shape {G.shape}")
+        _check_block_length(G.shape[1])
         if not ((G == 0) | (G == 1)).all():
             raise ValueError("generator entries must be 0 or 1")
-        if _row_rank(self.G) < k_total:
-            raise DependentRows("generator rows are linearly dependent over GF(2)")
+        if _row_rank(G) < G.shape[0]:
+            raise ValueError("generator rows are linearly dependent over GF(2)")
+        if not (is_integer(self.k_secret) and 0 <= self.k_secret <= G.shape[0]):
+            raise ValueError(f"k_secret must be an integer in [0, {G.shape[0]}], "
+                             f"got {self.k_secret!r}")
 
     @property
-    def k_secret(self):
-        """Message bits ``n * rate_secret``: the rows of ``G`` that carry ``W``."""
-        return _code_bits(self.n, self.rate_total, self.rate_secret)[1]
+    def n(self):  # block length
+        return np.shape(self.G)[1]
 
 
 def build_code(n, rate_total, rate_secret, seed):
@@ -139,8 +143,8 @@ def build_code(n, rate_total, rate_secret, seed):
 
     The generator is a uniform ``(n * rate_total, n)`` binary matrix,
     redrawn until it has full row rank over GF(2); its first
-    ``n * rate_secret`` rows carry the message.  The bins are the
-    ``2^{n * rate_secret}`` cosets of the code spanned by the other rows.
+    ``k_secret = n * rate_secret`` rows carry the message.  The bins
+    are the ``2^k_secret`` cosets of the code spanned by the other rows.
 
     Raises
     ------
@@ -149,18 +153,17 @@ def build_code(n, rate_total, rate_secret, seed):
         block length exceeds the budget ``MAX_BLOCK_BITS``.
     ValueError
         If ``n`` is not an integer (a bool is not one) or ``n < 1``, a
-        rate is negative, ``n * rate`` is not an integer
-        or ``rate_secret > rate_total``.
+        rate is negative, ``n * rate`` is not an integer,
+        ``rate_secret > rate_total``, or ``seed`` is not a nonnegative
+        integer.
     """
-    k_total, _ = _code_bits(n, rate_total, rate_secret)
+    k_total, k_secret = _code_bits(n, rate_total, rate_secret)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
-    while True:  # the sizes are checked, so only a draw can be rejected
+    G = rng.integers(0, 2, size=(k_total, n), dtype=np.uint8)
+    while _row_rank(G) < k_total:
         G = rng.integers(0, 2, size=(k_total, n), dtype=np.uint8)
-        try:
-            return WiretapCode(n=n, rate_total=float(rate_total),
-                               rate_secret=float(rate_secret), G=G)
-        except DependentRows:
-            pass
+    return WiretapCode(G, k_secret)
 
 
 def _leaked_bits(G, k_secret):
@@ -227,29 +230,24 @@ def equivocation_exact(code, ch):
     return k_secret - float(pattern_weight @ per_k)
 
 
-def normalized_equivocation(code, ch):
-    """``H(W | Z) / H(W)``; 1.0 means perfect secrecy of the bin index."""
-    if code.k_secret == 0:
-        raise ValueError("code carries no secret message (rate_secret = 0)")
-    return equivocation_exact(code, ch) / code.k_secret
-
-
 def equivocation_table(n_list, delta, rate_total, rate_secret, seeds):
     """Exact equivocation of a fresh code per block length and code seed.
 
     Returns ``(n, rows, mean)`` per block length: ``rows`` holds
-    ``(seed, h, normalized)`` per seed and ``mean`` the ``(h, normalized)``
-    seed average.  ``normalized`` and ``mean`` are ``None`` when there
-    is no secret message (``rate_secret = 0``) or, for ``mean``, no seed.
+    ``(seed, h, h / k_secret)`` per seed and ``mean`` their seed average.
+    ``h / k_secret`` and ``mean`` are ``None`` when there is no secret
+    message (``rate_secret = 0``) or, for ``mean``, no seed.
 
     ``n_list`` and ``seeds`` may be any iterables; each is read once.
-    Every block length is checked against the code sizes and the budget
-    before any code is built, so a bad entry anywhere in ``n_list``
-    fails at once.
+    Every block length is checked against the code sizes and the budget,
+    and every seed against the seed rule, before any code is built, so a
+    bad entry anywhere fails at once.
     """
     n_list, seeds = list(n_list), list(seeds)
     ch = EraseChannel(delta)
     secret_bits = [_code_bits(n, rate_total, rate_secret)[1] for n in n_list]
+    for s in seeds:
+        _check_seed(s)
     table = []
     for n, bits in zip(n_list, secret_bits):
         rows = []

@@ -118,10 +118,10 @@ def test_criterion_6_binning_equivocation():
         seeds = list(range(60))
         # analytic endpoints
         code = binning.build_code(12, 1.0, 0.5, 0)
-        assert binning.normalized_equivocation(code, binning.EraseChannel(1.0)) \
-            == 1.0
-        assert binning.normalized_equivocation(code, binning.EraseChannel(0.0)) \
-            == 0.0
+        assert binning.equivocation_exact(code, binning.EraseChannel(1.0)) \
+            / code.k_secret == 1.0
+        assert binning.equivocation_exact(code, binning.EraseChannel(0.0)) \
+            / code.k_secret == 0.0
         # delta = 0.5 with randomness rate 0.5 covering the eavesdropper
         # capacity: mean normalized equivocation over 60 seeds at n = 12
         values = {n: mean[1] for n, _, mean in binning.equivocation_table(

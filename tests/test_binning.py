@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import re
 import sys
 import tracemalloc
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from sdoflab import binning
 from sdoflab.binning import (MAX_BLOCK_BITS, CodeTooLarge, EraseChannel,
                              WiretapCode, build_code, equivocation_exact,
-                             equivocation_table, normalized_equivocation)
+                             equivocation_table)
 
 
 def codebook(code):
@@ -207,6 +209,24 @@ class TestBuildCode:
         a = build_code(8, 0.75, 0.25, 3)
         b = build_code(8, 0.75, 0.25, 3)
         assert np.array_equal(a.G, b.G)
+        assert np.array_equal(build_code(8, 0.75, 0.25, np.int64(3)).G, a.G)
+
+    @pytest.mark.parametrize("seed,shown", [
+        (None, "None"), (-5, "-5"), (True, "True"), (1.5, "1.5"),
+        (3.0, "3.0"), ("3", "'3'"), (np.int64(-1), "np.int64(-1)"),
+    ])
+    def test_bad_seed_one_line(self, monkeypatch, seed, shown):
+        # checked before the first draw, with the package's integer rule
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(
+                ValueError,
+                match=f"^code seed must be a nonnegative integer, got {re.escape(shown)}$"):
+            build_code(8, 1.0, 0.5, seed)
+
+    def test_fields_are_the_generator_and_message_bits(self):
+        code = build_code(8, 0.75, 0.25, 3)
+        assert [f.name for f in dataclasses.fields(code)] == ["G", "k_secret"]
+        assert (code.n, code.k_secret) == (8, 2) and code.G.shape == (6, 8)
 
     def test_redraws_until_full_rank(self):
         # the first draws of this seed are rank-deficient; the code keeps
@@ -219,22 +239,38 @@ class TestBuildCode:
         code = build_code(4, 1.0, 0.5, SEED_WITH_REDRAW)
         assert np.array_equal(code.G, draws[-1])
 
-    def test_one_rank_per_draw(self, monkeypatch):
-        # the constructor's rank check is the only one: a rejected draw
-        # and the kept one are each ranked once
+    def test_rejected_draws_never_reach_the_constructor(self, monkeypatch):
+        # each draw is ranked once in the loop, and only the kept one is
+        # built, which the constructor ranks once more
         rng = np.random.default_rng(SEED_WITH_REDRAW)
         draws = 1
         while gf2_rank(rng.integers(0, 2, size=(4, 4), dtype=np.uint8)) < 4:
             draws += 1
-        ranked = []
+        ranked, built = [], []
         row_rank = binning._row_rank
         monkeypatch.setattr(binning, "_row_rank",
                             lambda G: ranked.append(G) or row_rank(G))
-        build_code(4, 1.0, 0.5, SEED_WITH_REDRAW)
-        assert draws > 1 and len(ranked) == draws
+        post_init = WiretapCode.__post_init__
+        monkeypatch.setattr(WiretapCode, "__post_init__",
+                            lambda code: built.append(code) or post_init(code))
+        code = build_code(4, 1.0, 0.5, SEED_WITH_REDRAW)
+        assert draws > 1 and built == [code]
+        assert len(ranked) == draws + 1
+
+    def test_sizes_checked_once(self, monkeypatch):
+        # the rates become bit counts once per call: not per draw, and
+        # not on a k_secret read
+        calls = []
+        code_bits = binning._code_bits
+        monkeypatch.setattr(binning, "_code_bits",
+                            lambda *a: calls.append(a) or code_bits(*a))
+        code = build_code(4, 1.0, 0.5, SEED_WITH_REDRAW)
+        assert code.k_secret == 2 and code.k_secret == 2
+        assert calls == [(4, 1.0, 0.5)]
 
     @pytest.mark.parametrize("n,rate_total,rate_secret",
-                             [(4, 1.0, 0.5), (8, 0.75, 0.25), (12, 1.0, 0.5)])
+                             [(4, 1.0, 0.5), (8, 0.75, 0.25), (12, 1.0, 0.5),
+                              (4, 0.75, 0.25), (8, 1.0, 0.5), (12, 0.75, 0.25)])
     def test_same_code_as_the_draw_loop(self, n, rate_total, rate_secret):
         # the first full-rank draw, as a plain loop over the seed's draws
         k_total = round(n * rate_total)
@@ -250,11 +286,11 @@ class TestBuildCode:
 class TestGeneratorValidation:
     @pytest.mark.parametrize("G,message", [
         (np.zeros((0, 2), dtype=np.uint8),
-         r"generator must have shape \(2, 2\), got \(0, 2\)"),
+         r"k_secret must be an integer in \[0, 0\], got 1"),
         (np.array([1, 0, 0, 1]),
-         r"generator must have shape \(2, 2\), got \(4,\)"),
+         r"generator must be 2-D, got shape \(4,\)"),
         (np.eye(3, 2, dtype=np.uint8),
-         r"generator must have shape \(2, 2\), got \(3, 2\)"),
+         "generator rows are linearly dependent over GF\\(2\\)"),
         (np.array([[1, 0], [0, 2]]), "generator entries must be 0 or 1"),
         (np.array([[1, 0], [0, 0.5]]), "generator entries must be 0 or 1"),
         (np.array([[1, 1], [1, 1]]),
@@ -262,33 +298,26 @@ class TestGeneratorValidation:
     ], ids=["rows-0", "1-d", "rows-3", "entry-2", "entry-0.5", "rank-1"])
     def test_bad_generator_one_line(self, G, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            WiretapCode(n=2, rate_total=1.0, rate_secret=0.5, G=G)
-
-    def test_dependent_rows_have_their_own_error(self):
-        # build_code redraws on this error alone, so no other can loop
-        with pytest.raises(binning.DependentRows):
-            WiretapCode(n=2, rate_total=1.0, rate_secret=0.5,
-                        G=np.ones((2, 2), dtype=np.uint8))
-        with pytest.raises(ValueError) as info:
-            WiretapCode(n=2, rate_total=1.0, rate_secret=0.5,
-                        G=np.array([[1, 0], [0, 2]]))
-        assert not isinstance(info.value, binning.DependentRows)
+            WiretapCode(G, 1)
 
     @pytest.mark.parametrize("n,error,message", [
         (0, ValueError, "block length must be at least 1, got 0"),
         (MAX_BLOCK_BITS + 1, CodeTooLarge,
          f"block length {MAX_BLOCK_BITS + 1} exceeds budget {MAX_BLOCK_BITS}"),
-        (2.0, ValueError, "block length must be an integer, got 2.0"),
-        (True, ValueError, "block length must be an integer, got True"),
     ])
     def test_block_length_outside_budget(self, n, error, message):
         with pytest.raises(error, match=f"^{message}$"):
-            WiretapCode(n=n, rate_total=0.0, rate_secret=0.0,
-                        G=np.zeros((0, int(max(n, 0))), dtype=np.uint8))
+            WiretapCode(np.zeros((0, n), dtype=np.uint8), 0)
+
+    @pytest.mark.parametrize("k_secret", [-1, 3, 1.0, True, None, "1"])
+    def test_bad_message_bits(self, k_secret):
+        with pytest.raises(ValueError, match=r"^k_secret must be an integer "
+                           rf"in \[0, 2\], got {re.escape(repr(k_secret))}$"):
+            WiretapCode(np.eye(2, dtype=np.uint8), k_secret)
 
     def test_no_rows_is_valid(self):
-        code = WiretapCode(n=3, rate_total=0.0, rate_secret=0.0,
-                           G=np.zeros((0, 3), dtype=np.uint8))
+        code = WiretapCode(np.zeros((0, 3), dtype=np.uint8), 0)
+        assert code.n == 3
         assert equivocation_exact(code, EraseChannel(0.5)) == 0.0
 
 
@@ -361,8 +390,7 @@ class TestEquivocation:
     def test_hand_computed_structured_partition(self):
         # position 0 carries the message bit, position 1 the in-bin bit:
         # erasing position 1 reveals the bin, erasing position 0 hides it
-        code = WiretapCode(n=2, rate_total=1.0, rate_secret=0.5,
-                           G=np.array([[1, 0], [0, 1]]))
+        code = WiretapCode(np.array([[1, 0], [0, 1]]), 1)
         assert codebook(code).tolist() == [[0b00, 0b10], [0b01, 0b11]]
         assert equivocation_exact(code, EraseChannel(0.5)) == 0.5
 
@@ -383,8 +411,7 @@ class TestEquivocation:
     def test_codeword_out_of_range(self, word):
         # a generator entry, and so a codeword symbol, outside {0, 1}
         with pytest.raises(ValueError, match="^generator entries must be 0 or 1$"):
-            WiretapCode(n=2, rate_total=1.0, rate_secret=0.5,
-                        G=np.array([[1, 0], [0, word]]))
+            WiretapCode(np.array([[1, 0], [0, word]]), 1)
 
     def test_budget(self):
         # n = MAX_BLOCK_BITS is enumerated exactly; one more bit is refused
@@ -431,8 +458,7 @@ class TestLeakedBits:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9, MAX_BLOCK_BITS])
     def test_no_rows_leak_nothing(self, n):
-        code = WiretapCode(n=n, rate_total=0.0, rate_secret=0.0,
-                           G=np.zeros((0, n), dtype=np.uint8))
+        code = WiretapCode(np.zeros((0, n), dtype=np.uint8), 0)
         leaked = binning._leaked_bits(code.G, 0)
         assert leaked.dtype == np.uint8 and leaked.shape == (1 << n,)
         assert not leaked.any()
@@ -553,15 +579,20 @@ class TestWorkingSet:
         assert peak <= self.N16_PEAK_BYTES
 
 
+def normalized(code, ch):
+    """``H(W | Z) / H(W)``; 1.0 means perfect secrecy of the bin index."""
+    return equivocation_exact(code, ch) / code.k_secret
+
+
 class TestRandomnessRateLaw:
     def test_more_in_bin_randomness_more_secrecy(self):
         # at delta = 0.5 the eavesdropper capacity is 0.5 bits/use; codes
         # whose randomness rate covers it beat codes with only 0.25
         ch = EraseChannel(0.5)
         seeds = range(10)
-        covered = np.mean([normalized_equivocation(build_code(8, 0.75, 0.25, s), ch)
+        covered = np.mean([normalized(build_code(8, 0.75, 0.25, s), ch)
                            for s in seeds])
-        starved = np.mean([normalized_equivocation(build_code(8, 0.5, 0.25, s), ch)
+        starved = np.mean([normalized(build_code(8, 0.5, 0.25, s), ch)
                            for s in seeds])
         assert covered > starved
 
@@ -599,7 +630,7 @@ class TestEquivocationTable:
             for s, h, norm in rows:
                 code = build_code(n, 0.75, 0.25, s)
                 assert h == equivocation_exact(code, ch)
-                assert norm == normalized_equivocation(code, ch)
+                assert norm == equivocation_exact(code, ch) / code.k_secret
             assert mean == (sum(r[1] for r in rows) / 3,
                             sum(r[2] for r in rows) / 3)
 
@@ -617,6 +648,16 @@ class TestEquivocationTable:
         with pytest.raises(ValueError,
                            match=f"^block length must be an integer, got {n}$"):
             equivocation_table([4, n], 0.5, 1.0, 1.0, [0])
+
+    @pytest.mark.parametrize("seed", [-1, None, True, 1.5])
+    def test_bad_last_seed_builds_no_code(self, monkeypatch, seed):
+        built = []
+        monkeypatch.setattr(binning, "build_code",
+                            lambda *args: built.append(args))
+        with pytest.raises(ValueError, match="^code seed must be a "
+                           f"nonnegative integer, got {seed!r}$"):
+            equivocation_table([4, 8], 0.5, 1.0, 0.5, [0, 1, seed])
+        assert built == []
 
     def test_no_secret_message(self):
         [(n, rows, mean)] = equivocation_table([4], 0.5, 0.5, 0.0, [0, 1])

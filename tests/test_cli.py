@@ -556,9 +556,12 @@ class TestBinningCommand:
         ["--n-list", "12,17", "--rate-total", "1.0", "--rate-secret", "1.0"],
         ["--n-list", ","],
         ["--n-list", "9" * 400],
+        ["--seed", "-5", "--num-seeds", "2"],
+        ["--seed", "-1", "--num-seeds", "3"],
     ], ids=["rate-total=inf", "rate-secret=inf", "num-seeds-over-limit",
             "n-list=-4", "negative-rates", "n-list=0", "n-list=12,0",
-            "n-list=12,17-over-budget", "n-list=,", "n-list=400-digits"])
+            "n-list=12,17-over-budget", "n-list=,", "n-list=400-digits",
+            "seed=-5", "seed=-1-of-3"])
     def test_bad_input_one_line(self, tmp_path, capsys, extra):
         out = tmp_path / "bins.csv"
         assert cli.main(["binning", "--n-list", "4", "--out", str(out)]

@@ -76,13 +76,16 @@ def test_compare_outputs_reports_relative_difference(compare_outputs):
 def test_compare_outputs_runs_the_documented_commands(compare_outputs):
     configs, commands = compare_outputs.commands()
     names = [name for name, _ in commands]
-    assert names[:6] == ["grid-8", "grid-10", "binning", "binning-rate-1-0.5",
-                         "binning-n16", "binning-rate-0"]
-    assert len(configs) == 10 + 200 and len(names) == 6 + 2 * 10 + 200
-    binning_runs = dict(commands[2:6])
+    assert names[:7] == ["grid-8", "grid-10", "binning", "binning-rate-1-0.5",
+                         "binning-n16", "binning-n16-rate-1-0.5",
+                         "binning-rate-0"]
+    assert len(configs) == 10 + 200 and len(names) == 7 + 2 * 10 + 200
+    binning_runs = dict(commands[2:7])
     assert binning_runs["binning-rate-1-0.5"][1:5] == \
         ["--rate-total", "1.0", "--rate-secret", "0.5"]
     assert binning_runs["binning-n16"][1:3] == ["--n-list", "4,8,12,16"]
+    assert binning_runs["binning-n16-rate-1-0.5"][1:7] == \
+        ["--n-list", "16", "--rate-total", "1.0", "--rate-secret", "0.5"]
     assert binning_runs["binning-rate-0"][1:5] == \
         ["--rate-total", "0", "--rate-secret", "0"]
     cfg = configs["cfg-7-3-8-9.json"]
@@ -90,7 +93,7 @@ def test_compare_outputs_runs_the_documented_commands(compare_outputs):
     assert (cfg["trials"], cfg["seed"], cfg["alpha"]) == (20, 7, 0.5)
     assert cfg["p_grid"] == [10.0 ** k for k in range(3, 10)]
     # the two-trial set: jammed, as the benchmark's sim-grid runs it
-    two_trial = commands[26:]
+    two_trial = commands[27:]
     assert [name for name, _ in two_trial] == \
         [f"two-trial-{m1}-{m2}-{n}-{ne}"
          for m1, m2, n, ne in compare_outputs.two_trial_configs()]
@@ -107,11 +110,11 @@ def test_compare_outputs_runs_the_documented_commands(compare_outputs):
 def test_compare_outputs_names_every_output(compare_outputs):
     configs, commands = compare_outputs.commands()
     paths = compare_outputs.output_paths(commands)
-    assert paths[:6] == ["grid-8.csv", "grid-10.csv", "binning.csv",
+    assert paths[:7] == ["grid-8.csv", "grid-10.csv", "binning.csv",
                          "binning-rate-1-0.5.csv", "binning-n16.csv",
-                         "binning-rate-0.csv"]
-    assert paths[6:8] == ["sim-2-2-4-1-jam.csv", "sim-2-2-4-1-jam.json"]
-    assert len(paths) == len(set(paths)) == 6 + 2 * 2 * 10 + 2 * 200
+                         "binning-n16-rate-1-0.5.csv", "binning-rate-0.csv"]
+    assert paths[7:9] == ["sim-2-2-4-1-jam.csv", "sim-2-2-4-1-jam.json"]
+    assert len(paths) == len(set(paths)) == 7 + 2 * 2 * 10 + 2 * 200
 
 
 def test_compare_outputs_runs_over_stale_outputs(compare_outputs,

@@ -9,7 +9,9 @@ On each export one child process runs these commands through
   line in the ``.out`` file);
 * ``binning`` with its default arguments, at ``--rate-total 1.0
   --rate-secret 0.5``, at ``--n-list 4,8,12,16`` (the block-length
-  budget) and at the zero-rate code ``--rate-total 0 --rate-secret 0``;
+  budget), at ``--n-list 16 --rate-total 1.0 --rate-secret 0.5`` (square
+  16 x 16 generators, some redrawn) and at the zero-rate code
+  ``--rate-total 0 --rate-secret 0``;
 * ``simulate`` jammed and ``--no-jamming`` on ten configs: the six
   acceptance configs plus (4,4,6,7), (5,4,3,6), (7,3,8,9) and (4,3,2,4),
   each with 20 trials, seed 7, ``eve_counts`` 0..ne, alpha 0.5 and the
@@ -106,6 +108,10 @@ def commands():
                                 "--out", "binning-rate-1-0.5.csv"]],
         ["binning-n16", ["binning", "--n-list", "4,8,12,16",
                          "--out", "binning-n16.csv"]],
+        ["binning-n16-rate-1-0.5", ["binning", "--n-list", "16",
+                                    "--rate-total", "1.0", "--rate-secret",
+                                    "0.5", "--out",
+                                    "binning-n16-rate-1-0.5.csv"]],
         ["binning-rate-0", ["binning", "--rate-total", "0", "--rate-secret",
                             "0", "--out", "binning-rate-0.csv"]]]
     for cfg in SIM_CONFIGS:
